@@ -66,25 +66,6 @@ class GradedAlgebra:
         key = (i, j) if i <= j else (j, i)
         return self._prod.get(key, {})
 
-    def mult_deg1(self, a: dict, b: dict) -> dict:
-        """Product of two degree-1 vectors (sparse dicts over degree1)."""
-        f = self.field
-        zero = f.zero
-        out: dict = {}
-        for i, va in a.items():
-            for j, vb in b.items():
-                prod = self.product11(i, j)
-                if not prod:
-                    continue
-                c = f.mul(va, vb)
-                for k, w in prod.items():
-                    x = f.add(out.get(k, zero), f.mul(c, w))
-                    if x == zero:
-                        out.pop(k, None)
-                    else:
-                        out[k] = x
-        return out
-
     def to_ungraded(self):
         """Forget the grading; degree-2 indices shift up by dim1."""
         d1 = self.dim1

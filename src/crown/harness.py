@@ -248,8 +248,15 @@ def _check_lemma(config: RunConfig):
     details: dict = {}
     failures = []
     powers = {}
+    skipped = []
     for p in range(1, n):
-        witness = ld.lemma_witness(n, p, f)
+        try:
+            witness = ld.lemma_witness(n, p, f)
+        except CapExceeded as exc:
+            # keep the lower powers; this one is not attempted
+            powers[str(p)] = {"status": "skipped", "reason": f"cap exceeded: {exc}"}
+            skipped.append(p)
+            continue
         powers[str(p)] = "zero" if witness is None else {
             "col": list(witness[0]),
             "row": list(witness[1]),
@@ -273,6 +280,9 @@ def _check_lemma(config: RunConfig):
     if failures:
         details["failures"] = failures
         return "fail", details
+    if skipped:
+        details["reason"] = f"stream cap exceeded at powers {', '.join(map(str, skipped))}"
+        return "skipped", details
     return "pass", details
 
 
@@ -409,7 +419,7 @@ def _check_explore(config: RunConfig):
     """One power above the theorem: reported, never asserted."""
     n, f = config.n, config.field
     z = mo.build_Z(n, f)
-    crown_dim = 18 * n
+    crown_dim = ga.q_ungraded(gr.build_C(n, 1)[0], f).dim
     if crown_dim**n > config.max_tensor_dim:
         return "info", {
             "note": f"alternating family at power {n} exceeds the tensor cap; not computed"

@@ -10,6 +10,11 @@ tensor power of a d-dimensional space is indexed by tuples (i1, ..., ip)
 in lexicographic order with the FIRST factor most significant, so the flat
 index is i1*d^(p-1) + ... + ip.  `kron` follows the same convention:
 kron(a, b)[(i1,i2),(j1,j2)] = a[i1,j1] * b[i2,j2].
+
+`tensor_product_sum_witness` decides whether a signed sum of Kronecker
+products is zero without materializing it: it walks column tuples one
+tensor factor at a time and deduplicates equal prefix states, so its
+memory is one stored layer of distinct states.
 """
 
 from __future__ import annotations
@@ -141,13 +146,6 @@ class Matrix:
 
     def __matmul__(self, other):
         return mat_compose(self, other)
-
-    def transpose(self):
-        cols = [dict() for _ in range(self.nrows)]
-        for c, col in enumerate(self._cols):
-            for r, v in col.items():
-                cols[r][c] = v
-        return Matrix(self.field, self.ncols, self.nrows, cols)
 
     def _check_same_shape(self, other):
         if self.field != other.field:
@@ -349,31 +347,27 @@ def left_inverse(a: Matrix) -> Matrix:
     return lift
 
 
-# -- tensor index helpers ----------------------------------------------
-
-def tensor_flat(indices, dim: int) -> int:
-    flat = 0
-    for i in indices:
-        flat = flat * dim + i
-    return flat
-
-
-def tensor_unflat(flat: int, dim: int, p: int):
-    out = []
-    for _ in range(p):
-        out.append(flat % dim)
-        flat //= dim
-    return tuple(reversed(out))
-
+# -- tensor sums ---------------------------------------------------------
 
 def tensor_product_sum_witness(terms, p: int):
-    """Exact zero test for  sum_k  c_k * (M_k1 (x) ... (x) M_kp),  streamed.
+    """Exact zero test for  sum_k  c_k * (M_k1 (x) ... (x) M_kp).
 
     `terms` is a list of (coefficient, [p square matrices of equal
-    dimension]).  The full operator is never materialized: columns are
-    enumerated in blocks sharing the first tensor index, so memory stays
-    bounded by one block.  Returns None when the sum is exactly zero,
-    otherwise the lowest-index witness (col_tuple, row_tuple, value).
+    dimension]).  Returns None when the sum is exactly zero, otherwise the
+    lowest-index witness (col_tuple, row_tuple, value): the lowest nonzero
+    column tuple and, inside it, the lowest nonzero row tuple.
+
+    The operator is never materialized.  Its entry at rows (r1..rp) and
+    columns (j1..jp) is the sum over k of the vector
+    (c_k * M_k1[r1,j1] * ... * M_kp[rp,jp])_k, so column tuples are walked
+    one tensor factor at a time with that coefficient vector over the
+    terms as the state of a (row prefix, column prefix) pair.  Pairs with
+    equal vectors have the same future, so each layer stores every
+    distinct vector once, keyed to the lexicographically smallest column
+    prefix reaching it; the minimum is taken explicitly, because parents
+    sharing one prefix (from different row prefixes) are visited in turn.
+    The last layer is checked as it is generated and never stored, so
+    memory is bounded by one stored layer of distinct vectors.
     """
     if not terms:
         return None
@@ -388,44 +382,62 @@ def tensor_product_sum_witness(terms, p: int):
     zero = field.zero
     mul = field.mul
     add = field.add
-    rest_range = range(dim)
-    for k1 in rest_range:
-        acc: dict = {}
-        for coef, mats in terms:
-            col1 = mats[0]._cols[k1]
-            if not col1:
-                continue
-            rest_mats = mats[1:]
-            for rest in itertools.product(rest_range, repeat=p - 1):
-                cols = [col1]
-                ok = True
-                for m, j in zip(rest_mats, rest):
-                    cj = m._cols[j]
-                    if not cj:
-                        ok = False
-                        break
-                    cols.append(cj)
-                if not ok:
-                    continue
-                cflat = tensor_flat(rest, dim)
-                bucket = acc.get(cflat)
-                if bucket is None:
-                    bucket = acc[cflat] = {}
-                for combo in itertools.product(*(c.items() for c in cols)):
-                    rflat = 0
-                    val = coef
-                    for r, v in combo:
-                        rflat = rflat * dim + r
-                        val = mul(val, v)
-                    cur = bucket.get(rflat)
-                    bucket[rflat] = val if cur is None else add(cur, val)
-        for cflat in sorted(acc):
-            nonzero = {r: v for r, v in acc[cflat].items() if v != zero}
-            if nonzero:
-                r = min(nonzero)
-                col_tuple = (k1,) + tensor_unflat(cflat, dim, p - 1)
-                return (col_tuple, tensor_unflat(r, dim, p), nonzero[r])
-    return None
+    factor_cols = [[m._cols for m in mats] for _, mats in terms]
+
+    def row_children(vec, i, j):
+        """Coefficient vectors after appending column j of factor i, one per row."""
+        children: dict = {}
+        for k, val in vec:
+            for row, v in factor_cols[k][i][j].items():
+                children.setdefault(row, []).append((k, mul(val, v)))
+        return children.values()
+
+    def first_nonzero_column(vec):
+        """Lowest j whose last-factor column makes some row's vector sum nonzero."""
+        for j in range(dim):
+            for child in row_children(vec, p - 1, j):
+                total = zero
+                for _, val in child:
+                    total = add(total, val)
+                if total != zero:
+                    return j
+        return None
+
+    root = tuple((k, coef) for k, (coef, _) in enumerate(terms) if coef != zero)
+    layer = {root: ()} if root else {}
+    for i in range(p - 1):
+        stored: dict = {}
+        for vec, prefix in layer.items():
+            for j in range(dim):
+                cand = prefix + (j,)
+                for child in row_children(vec, i, j):
+                    key = tuple(child)
+                    if key not in stored or cand < stored[key]:
+                        stored[key] = cand
+        layer = stored
+    witnesses = []
+    for vec, prefix in layer.items():
+        j = first_nonzero_column(vec)
+        if j is not None:
+            witnesses.append(prefix + (j,))
+    return _column_witness(terms, min(witnesses), field) if witnesses else None
+
+
+def _column_witness(terms, col_tuple, field):
+    """(col_tuple, lowest nonzero row tuple, value) of one column of the sum."""
+    zero = field.zero
+    acc: dict = {}
+    for coef, mats in terms:
+        cols = [m._cols[j].items() for m, j in zip(mats, col_tuple)]
+        for combo in itertools.product(*cols):
+            val = coef
+            for _, v in combo:
+                val = field.mul(val, v)
+            rows = tuple(r for r, _ in combo)
+            cur = acc.get(rows)
+            acc[rows] = val if cur is None else field.add(cur, val)
+    row_tuple = min(r for r, v in acc.items() if v != zero)
+    return (col_tuple, row_tuple, acc[row_tuple])
 
 
 def tensor_power_sum_witness(terms, p: int):

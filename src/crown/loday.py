@@ -185,18 +185,6 @@ class NatTransData:
         comps = {p: Matrix.identity(alg.field, alg.dim ** p) for p in range(1, r + 1)}
         return cls(r, alg, alg, comps)
 
-    def compose(self, other: "NatTransData") -> "NatTransData":
-        """self after other; other's target must be self's source."""
-        if other.target is not self.source and other.target.basis != self.source.basis:
-            raise ValueError("components not composable")
-        if self.r != other.r:
-            raise ValueError("truncation mismatch")
-        comps = {
-            p: mat_compose(self.components[p], other.components[p])
-            for p in range(1, self.r + 1)
-        }
-        return NatTransData(self.r, other.source, self.target, comps)
-
     def is_zero(self):
         return all(m.is_zero() for m in self.components.values())
 
@@ -318,6 +306,9 @@ def _alternating_terms(n: int, field, matrix_of):
     return terms
 
 
+# Cap on the tensor dimension dim(strip algebra)^p of a `lemma_witness`
+# sum.  The operator is never materialized: the prefix-state kernel keeps
+# one layer of distinct coefficient vectors, far fewer than the columns.
 DEFAULT_STREAM_CAP = 10_000_000
 
 
@@ -326,16 +317,16 @@ def lemma_witness(n: int, p: int, field=QQ, max_stream_dim: int = DEFAULT_STREAM
 
     The sum runs over all subsets S of {1..n}, with sign (-1)^|S|, of the
     p-th Kronecker power of the strip-algebra matrix of the product of the
-    idempotent generators in S.  Evaluation is streamed column-by-column,
-    so the full operator is never materialized; the cap bounds the column
-    count (18n+4)^p, not the memory.
+    idempotent generators in S.  `tensor_product_sum_witness` decides it
+    one tensor factor at a time, deduplicating equal prefix states, so the
+    full operator is never materialized; the cap bounds the tensor
+    dimension dim^p of the strip algebra, not the memory.
     """
     if p < 1:
         raise ValueError("tensor power must be >= 1")
-    if (18 * n + 4) ** p > max_stream_dim:
-        raise CapExceeded(
-            f"tensor dimension {18 * n + 4}^{p} exceeds cap {max_stream_dim}"
-        )
+    dim = q_ungraded(build_B(n), field).dim
+    if dim**p > max_stream_dim:
+        raise CapExceeded(f"tensor dimension {dim}^{p} exceeds cap {max_stream_dim}")
     mats: dict = {}
 
     def matrix_of(subset):

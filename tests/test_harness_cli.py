@@ -66,6 +66,17 @@ def test_prime_field_suite_passes():
     assert all(r.status == "pass" for r in reports)
 
 
+def test_lemma_keeps_powers_below_the_cap():
+    # at n = 5 the power-4 dimension 94^4 exceeds the stream cap
+    (report,) = run_suite(RunConfig(n=5, field=GF(2), checks=("lemma",)))
+    powers = report.details["powers"]
+    assert [powers[str(p)] for p in (1, 2, 3)] == ["zero"] * 3
+    assert powers["4"]["status"] == "skipped"
+    assert "cap exceeded" in powers["4"]["reason"]
+    assert report.status == "skipped"
+    assert "4" in report.details["reason"]
+
+
 def test_invalid_config_rejected():
     with pytest.raises(ValueError):
         run_suite(RunConfig(n=2, checks=("nosuch",)))

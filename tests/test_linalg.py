@@ -216,3 +216,98 @@ def test_tensor_product_sum_mixed_factors():
         [(QQ.one, [a, b]), (QQ.from_int(-1), [b, a])], 2
     )
     assert (witness is None) == direct.is_zero()
+
+
+def rand_row_monomial(rng, field, d):
+    """A d x d matrix with at most one nonzero per row, like a word action."""
+    entries = [
+        (r, rng.randrange(d), field.from_int(rng.choice([1, 1, 2, -1])))
+        for r in range(d)
+        if rng.random() < 0.8
+    ]
+    return Matrix.from_entries(field, d, d, entries)
+
+
+def materialized_sum_witness(terms, p):
+    """Reference: build the whole sum with kron and +, then scan it."""
+    field = terms[0][1][0].field
+    d = terms[0][1][0].ncols
+    total = Matrix.zero(field, d**p, d**p)
+    for coef, mats in terms:
+        product = Matrix.identity(field, 1)
+        for m in mats:
+            product = kron(product, m)
+        total = total + product.scale(coef)
+
+    def unflat(flat):
+        return tuple(flat // d ** (p - 1 - i) % d for i in range(p))
+
+    for c in range(total.ncols):
+        col = total.col(c)
+        if col:
+            r = min(col)
+            return (unflat(c), unflat(r), col[r])
+    return None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+def test_tensor_product_sum_witness_matches_materialized(field):
+    rng = random.Random(11)
+    nonzero = zero = 0
+    for _ in range(150):
+        d = rng.randint(1, 4)
+        p = rng.randint(1, 3)
+        pool = [
+            rand_row_monomial(rng, field, d) if rng.random() < 0.5
+            else rand_matrix(rng, field, d, d, density=0.6, span=2)
+            for _ in range(rng.randint(1, 3))
+        ]
+        terms = [
+            (field.from_int(rng.randint(-2, 2)), [rng.choice(pool) for _ in range(p)])
+            for _ in range(rng.randint(1, 5))
+        ]
+        if rng.random() < 0.4:
+            # append the negated terms, sometimes all but one, so the halves cancel
+            negated = [(field.neg(c), mats) for c, mats in terms]
+            if rng.random() < 0.5:
+                negated.pop(rng.randrange(len(negated)))
+            terms += negated
+            rng.shuffle(terms)
+        witness = tensor_product_sum_witness(terms, p)
+        assert witness == materialized_sum_witness(terms, p)
+        if witness is None:
+            zero += 1
+        else:
+            nonzero += 1
+    assert zero >= 20 and nonzero >= 20  # both outcomes are exercised
+
+
+def test_tensor_product_sum_lowest_column_across_row_prefixes():
+    # Column 0 of x reaches rows 0 and 1, so after the first factor the
+    # prefix (0,) holds two row prefixes.  Row 0 cancels at last column 0
+    # and first survives at column 1; row 1 survives at column 0, which is
+    # therefore the lowest witness column even though row 0 comes first.
+    x = Matrix.from_rows(QQ, [[1, 0], [1, 0]])
+    z = Matrix.from_rows(QQ, [[1, 0], [0, 0]])
+    y1 = Matrix.identity(QQ, 2)
+    y2 = Matrix.from_rows(QQ, [[1, 0], [0, 0]])
+    terms = [(QQ.one, [x, y1]), (QQ.from_int(-1), [z, y2])]
+    witness = tensor_product_sum_witness(terms, 2)
+    assert witness == ((0, 0), (1, 0), QQ.one)
+    assert witness == materialized_sum_witness(terms, 2)
+
+
+def test_tensor_product_sum_keeps_smallest_prefix_of_a_shared_state():
+    # After two factors, prefix (0, 1) from row prefix (0, 0) and prefix
+    # (0, 0) from row prefix (1, 0) reach the same coefficient vector.
+    # The first is generated earlier, but the stored prefix must be the
+    # smaller (0, 0), whose last column 0 is already nonzero at rows (1, 0, 0).
+    x1 = Matrix.from_rows(QQ, [[1, 0], [1, 0]])
+    y1 = Matrix.from_rows(QQ, [[1, 0], [2, 0]])
+    x2 = Matrix.from_rows(QQ, [[1, 1], [0, 0]])
+    y2 = Matrix.from_rows(QQ, [[1, 2], [0, 0]])
+    eye = Matrix.identity(QQ, 2)
+    terms = [(QQ.one, [x1, x2, eye]), (QQ.from_int(-1), [y1, y2, eye])]
+    witness = tensor_product_sum_witness(terms, 3)
+    assert witness == ((0, 0, 0), (1, 0, 0), QQ.from_int(-1))
+    assert witness == materialized_sum_witness(terms, 3)

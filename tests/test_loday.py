@@ -212,11 +212,10 @@ def test_lemma_level_three(field, p):
 
 
 def test_lemma_outside_the_claim_is_nonzero():
-    # at p = n the alternating sum does not vanish; no claim is made there
-    witness = lemma_witness(2, 2, QQ)
-    assert witness is not None
-    col, row, value = witness
-    assert value != QQ.zero
+    # at p = n the alternating sum does not vanish; no claim is made there.
+    # The witnesses are pinned: the lowest nonzero column, then its lowest row.
+    assert lemma_witness(2, 2, QQ) == ((2, 7), (2, 7), QQ.one)
+    assert lemma_witness(3, 3, QQ) == ((2, 7, 12), (2, 7, 12), QQ.one)
 
 
 def test_lemma_trace_level_two():
