@@ -74,9 +74,6 @@ from .monoid import (
     MonoidAlgElem,
     Word,
     act_on_U,
-    alg_add,
-    alg_mul,
-    alg_scale,
     build_T,
     build_Z,
     check_T_squared,
@@ -85,7 +82,6 @@ from .monoid import (
     homset_member,
     wn_enumerate,
     word_mul,
-    word_validate,
 )
 
 __version__ = "0.1.0"

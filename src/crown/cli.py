@@ -21,7 +21,13 @@ def _build_parser():
     verify.add_argument("--checks", default="all", help="comma-separated subset of: " + ",".join(harness.CHECK_ORDER))
     verify.add_argument("--json", dest="json_path", default=None, help="write the JSON report here")
     verify.add_argument("--max-tensor-dim", type=int, default=harness.DEFAULT_MAX_TENSOR_DIM)
-    verify.add_argument("--max-proj-points", type=int, default=harness.DEFAULT_MAX_PROJ_POINTS)
+    verify.add_argument(
+        "--max-proj-points",
+        type=int,
+        default=harness.DEFAULT_MAX_PROJ_POINTS,
+        help="cap on the p^dim1 degree-1 vectors that noniso's reconstruction enumerates; "
+        "above it noniso reports skipped (default %(default)s)",
+    )
     verify.add_argument("--max-graph-size", type=int, default=harness.DEFAULT_MAX_GRAPH_SIZE)
 
     export = sub.add_parser("export", help="write a construction to JSON")

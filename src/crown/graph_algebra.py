@@ -14,11 +14,16 @@ sum over ordered preimages of a fixed representative pair.
 
 The reconstruction pipeline recovers an admissible graph from its
 (ungraded) algebra: regrade via the annihilator, enumerate projective
-classes of degree-1 elements over a prime field, compute the dependence
-relation ([a] depends on [b] iff a*b != 0), and keep the points minimal
-in the induced preorder.  For admissible graphs those are exactly the
-vertex indicator classes and dependence restricted to them is the graph
-relation.
+classes of degree-1 elements over a prime field, and keep the points
+minimal in the dependence preorder ([a] depends on [b] iff a*b != 0).
+Minimality is decided per point by one linear test, the same for every
+prime field: with K_a = {x : a*x = 0}, dep(b) lies inside dep(a) iff
+K_a lies inside K_b, so those b form the subspace
+S_a = {b : b*x = 0 for x in K_a}, and [a] is minimal iff dim S_a = 1.
+The cost is linear in the number of points; DEFAULT_POINT_CAP bounds the
+p^dim1 degree-1 vectors enumerated.  For admissible graphs the minimal
+points are exactly the vertex indicator classes and dependence
+restricted to them is the graph relation.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from .errors import CapExceeded, NotACover
 from .graphs import Graph, GraphMorphism, graph_new, is_cover
 from .linalg import Matrix, kernel_basis_with_free, mat_rank, vstack
 
-DEFAULT_POINT_CAP = 2**24
+# bounds p^dim1, the degree-1 vectors enumerated by the minimality test
+DEFAULT_POINT_CAP = 2**15
 
 
 class GradedAlgebra:
@@ -163,6 +169,30 @@ def _label_str(label) -> str:
     return str(label)
 
 
+_ORBIT_CACHE: dict = {}
+
+
+def _orbits(g: Graph):
+    """Degree-2 orbit indexing of a graph, defined once for every caller.
+
+    Returns (orbit, representative): `orbit` maps every related ordered
+    pair to its orbit's index among the degree-2 basis vectors, and
+    `representative` maps only the fixed representative pair of each orbit.
+    Diagonal orbits come first in vertex order, then edge orbits in
+    endpoint-index order; an edge's representative is (a, b) with a first.
+    """
+    key = (g.vertices, g.relation)
+    cached = _ORBIT_CACHE.get(key)
+    if cached is None:
+        representative = {(v, v): i for i, v in enumerate(g.vertices)}
+        for k, edge in enumerate(g.edges()):
+            representative[edge] = len(g.vertices) + k
+        orbit = dict(representative)
+        orbit.update({(b, a): k for (a, b), k in representative.items()})
+        cached = _ORBIT_CACHE[key] = (orbit, representative)
+    return cached
+
+
 _Q_CACHE: dict = {}
 
 
@@ -180,19 +210,14 @@ def q_graded(g: Graph, field) -> GradedAlgebra:
     one = field.one
     verts = g.vertices
     idx = {v: i for i, v in enumerate(verts)}
+    orbit, _ = _orbits(g)
     degree1 = [("v", v) for v in verts]
-    degree2 = [("d", v) for v in verts]
-    orbit_index = {(v, v): i for i, v in enumerate(verts)}
-    edges = g.edges()
-    for k, (a, b) in enumerate(edges):
-        degree2.append(("e", a, b))
-        orbit_index[(a, b)] = len(verts) + k
-        orbit_index[(b, a)] = len(verts) + k
+    degree2 = [("d", v) for v in verts] + [("e", a, b) for a, b in g.edges()]
     products = {}
     for x, y in g.relation:
         i, j = idx[x], idx[y]
         if i <= j:
-            products[(i, j)] = {orbit_index[(x, y)]: one}
+            products[(i, j)] = {orbit[(x, y)]: one}
     alg = GradedAlgebra(field, degree1, degree2, products)
     _Q_CACHE[key] = alg
     return alg
@@ -261,34 +286,17 @@ def q_hom(f: GraphMorphism, field, validate: bool = True) -> AlgebraHom:
     qg = q_ungraded(g, field)
     qh = q_ungraded(h, field)
     one = field.one
-    gi = {v: i for i, v in enumerate(g.vertices)}
-    hv = h.vertices
-    hi = {v: i for i, v in enumerate(hv)}
-    g_orbit = {}
-    for i, v in enumerate(g.vertices):
-        g_orbit[(v, v)] = len(g.vertices) + i
-    for k, (a, b) in enumerate(g.edges()):
-        g_orbit[(a, b)] = 2 * len(g.vertices) + k
-        g_orbit[(b, a)] = 2 * len(g.vertices) + k
-    h_orbit_col = {}
-    for i, v in enumerate(hv):
-        h_orbit_col[(v, v)] = len(hv) + i
-    for k, (a, b) in enumerate(h.edges()):
-        h_orbit_col[(a, b)] = 2 * len(hv) + k
-
-    entries = []
-    for x in g.vertices:
-        entries.append((gi[x], hi[f.mapping[x]], one))
-    for (a, b) in g.relation:
-        fa, fb = f.mapping[a], f.mapping[b]
-        if fa == fb:
-            col = h_orbit_col[(fa, fb)]
-        else:
-            col = h_orbit_col.get((fa, fb))
-            if col is None:
-                # (fa, fb) is the mirror of the chosen representative
-                continue
-        entries.append((g_orbit[(a, b)], col, one))
+    ng, nh = len(g.vertices), len(h.vertices)
+    g_orbit, _ = _orbits(g)
+    _, h_representative = _orbits(h)
+    entries = [(g.index(x), h.index(f.mapping[x]), one) for x in g.vertices]
+    for a, b in g.relation:
+        # only preimages of the representative count: a pair landing on its
+        # mirror is skipped, and both orientations of a collapsed edge land
+        # on the diagonal, so that orbit pulls back with weight 2
+        col = h_representative.get((f.mapping[a], f.mapping[b]))
+        if col is not None:
+            entries.append((ng + g_orbit[(a, b)], nh + col, one))
     mat = Matrix.from_entries(field, qg.dim, qh.dim, entries)
     return AlgebraHom(qh, qg, mat, validate=validate)
 
@@ -409,118 +417,64 @@ def _enumerate_projective(field, dim):
     return points
 
 
-def _dependence_bitsets(ag: GradedAlgebra, points):
-    """For each point, the set of points it depends on, as an int bitset."""
+def _sparse(pt):
+    """A coordinate tuple as a sparse vector (dict index -> scalar)."""
+    return {i: c for i, c in enumerate(pt) if c}
+
+
+def _minimal_representatives(ag: GradedAlgebra, max_points: int):
+    """Normalized representatives of the minimal points, in lex order.
+
+    dep(b) is inside dep(a) iff K_a = {x : a*x = 0} lies inside K_b, so the
+    points whose dependence set lies inside a's form the subspace
+    S_a = {b : b*x = 0 for x in a basis of K_a}, which contains a.  [a] is
+    minimal (no other point's dependence set is contained in or equal to
+    its own) iff dim S_a = 1.  Two small eliminations per point, so the
+    work is linear in the number of points.
+    """
     f = ag.field
-    d = ag.dim1
-    n = len(points)
-    deps = [0] * n
-    if getattr(f, "p", None) == 2:
-        # encode degree-2 vectors as bitmasks; a product is a pure xor
-        pair_bits = [[0] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                mask = 0
-                for k, v in ag.product11(i, j).items():
-                    if v % 2:
-                        mask |= 1 << k
-                pair_bits[i][j] = mask
-        supports = [tuple(i for i, c in enumerate(pt) if c) for pt in points]
-        for a in range(n):
-            sup_a = supports[a]
-            cols = [0] * d
-            for j in range(d):
-                acc = 0
-                for i in sup_a:
-                    acc ^= pair_bits[i][j]
-                cols[j] = acc
-            bit_a = 1 << a
-            for b in range(a, n):
-                acc = 0
-                for j in supports[b]:
-                    acc ^= cols[j]
-                if acc:
-                    deps[a] |= 1 << b
-                    deps[b] |= bit_a
-        return deps
-    # generic prime field
-    zero = f.zero
-    prodvec = [[ag.product11(i, j) for j in range(d)] for i in range(d)]
-    for a in range(n):
-        pa = points[a]
-        cols = []
-        for j in range(d):
-            acc: dict = {}
-            for i, c in enumerate(pa):
-                if c == zero:
-                    continue
-                for k, v in prodvec[i][j].items():
-                    w = f.add(acc.get(k, zero), f.mul(c, v))
-                    if w == zero:
-                        acc.pop(k, None)
-                    else:
-                        acc[k] = w
-            cols.append(acc)
-        bit_a = 1 << a
-        for b in range(a, n):
-            pb = points[b]
-            acc = {}
-            for j, c in enumerate(pb):
-                if c == zero:
-                    continue
-                for k, v in cols[j].items():
-                    w = f.add(acc.get(k, zero), f.mul(c, v))
-                    if w == zero:
-                        acc.pop(k, None)
-                    else:
-                        acc[k] = w
-            if acc:
-                deps[a] |= 1 << b
-                deps[b] |= bit_a
-    return deps
+    d1 = ag.dim1
+    if not f.is_prime_field:
+        raise ValueError("projective enumeration requires a prime field")
+    if f.p ** d1 > max_points:
+        raise CapExceeded(f"{f.p}^{d1} projective vectors exceed cap {max_points}")
+    # nonzero structure constants e_i * e_j = sum_k v e_k, grouped by j
+    by_col = [
+        [(i, k, v) for i in range(d1) for k, v in ag.product11(i, j).items()]
+        for j in range(d1)
+    ]
 
+    def product_rows(vecs):
+        """The stacked maps b -> x*b over x in vecs; its kernel is {b : b*vecs = 0}."""
+        row_of: dict = {}
+        entries = []
+        for block, x in enumerate(vecs):
+            for j, c in x.items():
+                for i, k, v in by_col[j]:
+                    r = row_of.setdefault((block, k), len(row_of))
+                    entries.append((r, i, f.mul(c, v)))
+        return Matrix.from_entries(f, len(row_of), d1, entries)
 
-def _minimal_indices(deps):
-    """Indices whose dependence set strictly contains no other point's."""
-    n = len(deps)
-    full = (1 << n) - 1
-    out = []
-    for i in range(n):
-        di = deps[i]
-        mask = full ^ di
-        minimal = True
-        for s in range(n):
-            if s == i:
-                continue
-            if deps[s] & mask == 0:
-                minimal = False
-                break
-        if minimal:
-            out.append(i)
-    return out
+    chosen = []
+    for pt in _enumerate_projective(f, d1):
+        kernel = kernel_basis_with_free(product_rows([_sparse(pt)]))[0]
+        if d1 - mat_rank(product_rows(kernel)) == 1:
+            chosen.append(pt)
+    return chosen
 
 
 def minimal_points(ag: GradedAlgebra, max_points: int = DEFAULT_POINT_CAP):
     """The minimal projective classes in the dependence preorder.
 
-    Enumeration needs a finite prime field and q^dim1 within the cap.
+    Enumeration needs a finite prime field and p^dim1 within the cap.
     """
-    f = ag.field
-    if not f.is_prime_field:
-        raise ValueError("projective enumeration requires a prime field")
-    if f.p ** ag.dim1 > max_points:
-        raise CapExceeded(
-            f"{f.p}^{ag.dim1} projective vectors exceed cap {max_points}"
-        )
-    points = _enumerate_projective(f, ag.dim1)
-    deps = _dependence_bitsets(ag, points)
-    return frozenset(ProjPoint(points[i]) for i in _minimal_indices(deps))
+    return frozenset(ProjPoint(pt) for pt in _minimal_representatives(ag, max_points))
 
 
 def reconstruct_graph(a: Algebra, field=None, max_points: int = DEFAULT_POINT_CAP) -> Graph:
     """Recover a graph from an ungraded algebra.
 
-    Regrades by the annihilator, enumerates minimal projective points and
+    Regrades by the annihilator, finds the minimal projective points and
     links two of them when their representatives multiply to something
     nonzero.  For the algebra of an admissible graph this returns a graph
     isomorphic to the original.
@@ -528,20 +482,11 @@ def reconstruct_graph(a: Algebra, field=None, max_points: int = DEFAULT_POINT_CA
     if field is not None and field != a.field:
         raise ValueError("field mismatch")
     ag = annihilator_grading(a)
-    f = ag.field
-    if not f.is_prime_field:
-        raise ValueError("projective enumeration requires a prime field")
-    if f.p ** ag.dim1 > max_points:
-        raise CapExceeded(
-            f"{f.p}^{ag.dim1} projective vectors exceed cap {max_points}"
-        )
-    points = _enumerate_projective(f, ag.dim1)
-    deps = _dependence_bitsets(ag, points)
-    chosen = _minimal_indices(deps)
-    labels = [points[i] for i in chosen]
-    edges = []
-    for a_pos in range(len(chosen)):
-        for b_pos in range(a_pos + 1, len(chosen)):
-            if deps[chosen[a_pos]] >> chosen[b_pos] & 1:
-                edges.append((labels[a_pos], labels[b_pos]))
-    return graph_new(sorted(labels), edges)
+    chosen = _minimal_representatives(ag, max_points)
+    ring = ag.to_ungraded()
+    edges = [
+        (x, y)
+        for x, y in itertools.combinations(chosen, 2)
+        if ring.mult(_sparse(x), _sparse(y))
+    ]
+    return graph_new(sorted(chosen), edges)

@@ -25,9 +25,7 @@ from .fields import GF, QQ
 CHECK_ORDER = ("monoid", "graphs", "lemma", "transport", "iso", "noniso", "functor", "explore")
 
 DEFAULT_MAX_TENSOR_DIM = ld.DEFAULT_TENSOR_CAP
-# the harness default is deliberately smaller than the operation-level cap:
-# the pairwise dependence scan is quadratic in the point count
-DEFAULT_MAX_PROJ_POINTS = 4096
+DEFAULT_MAX_PROJ_POINTS = ga.DEFAULT_POINT_CAP
 DEFAULT_MAX_GRAPH_SIZE = gr.DEFAULT_GRAPH_CAP
 
 
@@ -352,34 +350,35 @@ def _check_noniso(config: RunConfig):
         recon_field = f2
     else:
         recon_field = config.field
-    if recon_field.p ** (5 * n) <= config.max_proj_points:
+    crowns = {1: c_plus, -1: c_minus}
+    skip_reason = None
+    try:
+        rebuilt = {
+            s: ga.reconstruct_graph(ga.q_ungraded(c, recon_field), max_points=config.max_proj_points)
+            for s, c in crowns.items()
+        }
+    except CapExceeded as exc:
+        skip_reason = f"cap exceeded: {exc}"
+        details["reconstruction"] = {"status": "skipped", "reason": skip_reason}
+    else:
         recon = {}
-        graphs_by_sign = {}
         for s, tag in ((1, "plus"), (-1, "minus")):
-            crown = gr.build_C(n, s)[0]
-            rebuilt = ga.reconstruct_graph(
-                ga.q_ungraded(crown, recon_field), max_points=config.max_proj_points
-            )
-            graphs_by_sign[s] = rebuilt
-            round_trip = gr.graphs_isomorphic(crown, rebuilt, max_vertices=config.max_graph_size)
-            recon[tag] = {"round_trip": round_trip, "vertices": len(rebuilt.vertices)}
+            round_trip = gr.graphs_isomorphic(crowns[s], rebuilt[s], max_vertices=config.max_graph_size)
+            recon[tag] = {"round_trip": round_trip, "vertices": len(rebuilt[s].vertices)}
             if not round_trip:
                 failures.append(f"reconstruction round trip ({tag})")
-        rebuilt_iso = gr.graphs_isomorphic(
-            graphs_by_sign[1], graphs_by_sign[-1], max_vertices=config.max_graph_size
-        )
+        rebuilt_iso = gr.graphs_isomorphic(rebuilt[1], rebuilt[-1], max_vertices=config.max_graph_size)
         recon["rebuilt_pair_isomorphic"] = rebuilt_iso
         if rebuilt_iso:
             failures.append("reconstructed crowns isomorphic")
         details["reconstruction"] = recon
-    else:
-        details["reconstruction"] = {
-            "skipped": f"{recon_field.p}^{5*n} projective vectors exceed cap {config.max_proj_points}"
-        }
 
     if failures:
         details["failures"] = failures
         return "fail", details
+    if skip_reason:
+        details["reason"] = f"reconstruction not attempted: {skip_reason}"
+        return "skipped", details
     return "pass", details
 
 

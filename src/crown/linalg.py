@@ -317,11 +317,6 @@ def kernel_basis_with_free(a: Matrix):
     return basis, free_cols
 
 
-def kernel_basis(a: Matrix):
-    """Basis of the right kernel as a list of dicts col -> value."""
-    return kernel_basis_with_free(a)[0]
-
-
 def left_inverse(a: Matrix) -> Matrix:
     """A left inverse L with L @ a == identity, for full-column-rank a.
 

@@ -80,11 +80,6 @@ class Word:
         return f"Word({self})"
 
 
-def word_validate(coords) -> Word:
-    """Checked construction of a word from a sign sequence."""
-    return Word(tuple(coords))
-
-
 def word_mul(a: Word, b: Word) -> Word:
     if a.n != b.n:
         raise ValueError(f"level mismatch: {a.n} != {b.n}")
@@ -253,18 +248,6 @@ class MonoidAlgElem:
     def from_json(cls, field, n, data):
         pairs = [(field.scalar_from_json(d["coeff"]), Word.from_string(d["word"])) for d in data]
         return cls.from_terms(field, n, pairs)
-
-
-def alg_add(a: MonoidAlgElem, b: MonoidAlgElem) -> MonoidAlgElem:
-    return a + b
-
-
-def alg_scale(scalar, a: MonoidAlgElem) -> MonoidAlgElem:
-    return a.scale(scalar)
-
-
-def alg_mul(a: MonoidAlgElem, b: MonoidAlgElem) -> MonoidAlgElem:
-    return a * b
 
 
 def build_T(n: int, field) -> MonoidAlgElem:

@@ -28,6 +28,7 @@ from crown.graphs import (
     graphs_isomorphic,
     identity_morphism,
     is_admissible,
+    morphism_new,
 )
 from crown.linalg import Matrix, mat_compose, mat_rank
 from crown.monoid import wn_enumerate
@@ -108,6 +109,23 @@ def test_q_hom_contravariant_on_composites():
         lhs = q_hom(composite, QQ).matrix
         rhs = mat_compose(q_hom(inner, QQ).matrix, q_hom(outer, QQ).matrix)
         assert lhs == rhs
+
+
+def test_q_hom_collapsed_and_mirrored_edges():
+    # a-b maps onto the mirror (v, u) of H's edge representative (u, v);
+    # b-c collapses onto u, so its orbit pulls back into d:u with weight 2
+    g = graph_new(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    h = graph_new(["u", "v"], [("u", "v")])
+    f = morphism_new({"a": "v", "b": "u", "c": "u"}, g, h)
+    hom = q_hom(f, QQ, validate=True)
+    # G basis: a b c | d:a d:b d:c e:a|b e:b|c;  H basis: u v | d:u d:v e:u|v
+    expected = Matrix.from_entries(QQ, 8, 5, [
+        (0, 1, 1), (1, 0, 1), (2, 0, 1),
+        (3, 3, 1), (4, 2, 1), (5, 2, 1),
+        (7, 2, 2),  # collapsed edge b-c
+        (6, 4, 1),  # mirrored edge a-b, counted once through (b, a)
+    ])
+    assert hom.matrix == expected
 
 
 def test_q_hom_multiplicative_on_quotients():
@@ -239,7 +257,26 @@ def brute_minimal_points(g, p):
     }
 
 
-@pytest.mark.parametrize("graph,p", [(PATH3, 2), (SQUARE, 2), (SQUARE, 3)])
+def random_non_admissible(seed, max_vertices):
+    rng = random.Random(seed)
+    while True:
+        g = random_graph(rng, max_vertices=max_vertices, min_vertices=3)
+        if not is_admissible(g):
+            return g
+
+
+PENTAGON = graph_new(range(5), [(i, (i + 1) % 5) for i in range(5)])
+
+
+# the oracle is quadratic in the points, so graphs stay at <= 4 vertices over F_5
+@pytest.mark.parametrize(
+    "graph,p",
+    [(PATH3, 2), (SQUARE, 2), (SQUARE, 3), (PENTAGON, 3), (PATH3, 5), (SQUARE, 5)]
+    + [
+        (random_non_admissible(seed, max_vertices), p)
+        for seed, max_vertices, p in ((61, 7, 2), (62, 7, 2), (63, 5, 3), (74, 5, 3), (65, 4, 5), (66, 4, 5))
+    ],
+)
 def test_minimal_points_match_brute_force(graph, p):
     field = GF(p)
     expected = {ProjPoint(pt) for pt in brute_minimal_points(graph, p)}

@@ -51,8 +51,23 @@ def test_crown_checks_skipped_at_level_one():
 def test_reconstruction_downgrades_on_cap():
     reports = run_suite(RunConfig(n=2, checks=("noniso",), max_proj_points=100))
     (report,) = reports
-    assert report.status == "pass"  # graph-level checks still run
-    assert "skipped" in report.details["reconstruction"]
+    # the graph-level checks still run, but an unattempted reconstruction
+    # must not let the check pass
+    assert report.status == "skipped"
+    assert report.details["graphs_isomorphic"] is False
+    assert report.details["reconstruction"]["status"] == "skipped"
+    assert "cap exceeded" in report.details["reason"]
+
+
+def test_noniso_rebuilds_both_crowns_at_level_three():
+    # 2^15 degree-1 vectors per crown, exactly the default point cap;
+    # about 10 s on a 2-core machine
+    (report,) = run_suite(RunConfig(n=3, field=GF(2), checks=("noniso",)))
+    assert report.status == "pass", report.details
+    recon = report.details["reconstruction"]
+    for tag in ("plus", "minus"):
+        assert recon[tag] == {"round_trip": True, "vertices": 15}
+    assert recon["rebuilt_pair_isomorphic"] is False
 
 
 def test_noniso_uses_f2_for_rational_configs():
@@ -165,6 +180,15 @@ def test_cli_verify_skips_at_level_one(capsys):
     rc = main(["verify", "--n", "1", "--checks", "iso"])
     assert rc == 0
     assert "SKIPPED" in capsys.readouterr().out.upper()
+
+
+def test_cli_verify_skips_noniso_above_the_point_cap(capsys):
+    # 2^20 degree-1 vectors at n = 4: not attempted, reported, exit 0
+    rc = main(["verify", "--n", "4", "--field", "fp:2", "--checks", "noniso"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "SKIPPED noniso" in out
+    assert "2^20 projective vectors exceed cap 32768" in out
 
 
 def test_cli_rejects_bad_usage(capsys):

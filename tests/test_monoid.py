@@ -17,7 +17,6 @@ from crown.monoid import (
     homset_member,
     wn_enumerate,
     word_mul,
-    word_validate,
 )
 
 
@@ -36,24 +35,24 @@ def brute_force_words(n):
 # -- words -------------------------------------------------------------------
 
 def test_word_validate_accepts_generator_pattern():
-    w = word_validate((1, 0, 1))
+    w = Word((1, 0, 1))
     assert w.n == 1 and str(w) == "+0+"
 
 
 def test_word_validate_rejects_with_first_violation_index():
     with pytest.raises(RejectedWord) as exc:
-        word_validate((1, -1, 1))
+        Word((1, -1, 1))
     assert exc.value.index == 1
     with pytest.raises(RejectedWord) as exc:
-        word_validate((1, 0, 0))
+        Word((1, 0, 0))
     assert exc.value.index == 3
 
 
 def test_word_validate_length_precondition():
     with pytest.raises(ValueError):
-        word_validate((1,))
+        Word((1,))
     with pytest.raises(ValueError):
-        word_validate((1, 0, 1, 0))
+        Word((1, 0, 1, 0))
 
 
 def test_word_string_round_trip():
@@ -82,16 +81,6 @@ def test_enumeration_cap():
 def test_enumeration_order_is_deterministic():
     # coordinate order is + < - < 0
     assert [str(w) for w in wn_enumerate(1)] == ["+++", "+0+", "+0-", "---", "-0+", "-0-"]
-
-
-def test_alg_function_aliases():
-    from crown.monoid import alg_add, alg_mul, alg_scale
-
-    a = build_T(1, QQ)
-    b = build_Z(1, QQ)
-    assert alg_add(a, b) == a + b
-    assert alg_mul(a, b) == a * b
-    assert alg_scale(2, a) == a.scale(2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
