@@ -53,7 +53,7 @@ from .graphs import (
     valency2_cycle_count,
 )
 from .harness import CheckReport, RunConfig, exit_code_for, export_objects, run_suite
-from .linalg import Matrix, kron, kron_power, mat_compose, mat_rank, vstack
+from .linalg import Matrix, kron, kron_power, kron_sum, mat_compose, mat_rank, vstack
 from .loday import (
     IsoReport,
     LemmaTrace,

@@ -20,7 +20,15 @@ def _build_parser():
     verify.add_argument("--field", default="rational", help="rational or fp:<p> (default rational)")
     verify.add_argument("--checks", default="all", help="comma-separated subset of: " + ",".join(harness.CHECK_ORDER))
     verify.add_argument("--json", dest="json_path", default=None, help="write the JSON report here")
-    verify.add_argument("--max-tensor-dim", type=int, default=harness.DEFAULT_MAX_TENSOR_DIM)
+    verify.add_argument(
+        "--max-tensor-dim",
+        type=int,
+        default=harness.DEFAULT_MAX_TENSOR_DIM,
+        help="cap on the tensor dimension dim^p of the materialized word-power families "
+        "(transport, iso, explore) and of loday_matrix (functor, iso naturality); above it "
+        "the check reports skipped and explore does not compute its top power; the lemma "
+        "sum is never materialized and has its own cap (default %(default)s)",
+    )
     verify.add_argument(
         "--max-proj-points",
         type=int,
@@ -28,14 +36,27 @@ def _build_parser():
         help="cap on the p^dim1 degree-1 vectors that noniso's reconstruction enumerates; "
         "above it noniso reports skipped (default %(default)s)",
     )
-    verify.add_argument("--max-graph-size", type=int, default=harness.DEFAULT_MAX_GRAPH_SIZE)
+    verify.add_argument(
+        "--max-graph-size",
+        type=int,
+        default=harness.DEFAULT_MAX_GRAPH_SIZE,
+        help="cap on the vertices of the strip that graphs builds and of the graphs that "
+        "noniso's isomorphism search compares; above it the check reports skipped "
+        "(default %(default)s)",
+    )
 
     export = sub.add_parser("export", help="write a construction to JSON")
     export.add_argument("--what", required=True, choices=("graphs", "algebras", "matrices", "nat_trans"))
     export.add_argument("--n", type=int, default=2)
     export.add_argument("--field", default="rational")
     export.add_argument("--out", required=True)
-    export.add_argument("--max-tensor-dim", type=int, default=harness.DEFAULT_MAX_TENSOR_DIM)
+    export.add_argument(
+        "--max-tensor-dim",
+        type=int,
+        default=harness.DEFAULT_MAX_TENSOR_DIM,
+        help="cap on the tensor dimension dim^p of the materialized nat_trans family "
+        "(default %(default)s)",
+    )
 
     info = sub.add_parser("info", help="print construction sizes")
     info.add_argument("--n", type=int, default=2)

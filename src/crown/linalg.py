@@ -8,18 +8,21 @@ The tensor basis convention is fixed once, here, and used by every module
 that produces or consumes tensor-power matrices: the basis of a p-fold
 tensor power of a d-dimensional space is indexed by tuples (i1, ..., ip)
 in lexicographic order with the FIRST factor most significant, so the flat
-index is i1*d^(p-1) + ... + ip.  `kron` follows the same convention:
-kron(a, b)[(i1,i2),(j1,j2)] = a[i1,j1] * b[i2,j2].
+index is i1*d^(p-1) + ... + ip.  Kronecker products follow the same
+convention: kron(a, b)[(i1,i2),(j1,j2)] = a[i1,j1] * b[i2,j2].
 
-`tensor_product_sum_witness` decides whether a signed sum of Kronecker
-products is zero without materializing it: it walks column tuples one
-tensor factor at a time and deduplicates equal prefix states, so its
-memory is one stored layer of distinct states.
+There are two tensor-sum kernels.  `kron_sum` materializes a signed sum
+of Kronecker products in one pass; `kron`, `kron_power` and every
+word-power family are calls of it.  `tensor_product_sum_witness` decides
+whether such a sum is zero without materializing it: it walks column
+tuples one tensor factor at a time and deduplicates equal prefix states,
+so its memory is one stored layer of distinct states, and it expands only
+the one witness column it returns, with `kron_sum`.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 
 
 class Matrix:
@@ -115,43 +118,16 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r}, nnz={self.nnz()})"
 
-    # -- arithmetic ---------------------------------------------------
+    # -- arithmetic: sums and multiples are one-factor Kronecker sums --
 
     def __add__(self, other):
-        self._check_same_shape(other)
-        f = self.field
-        zero = f.zero
-        cols = []
-        for c in range(self.ncols):
-            col = dict(self._cols[c])
-            for r, v in other._cols[c].items():
-                w = f.add(col.get(r, zero), v)
-                if w == zero:
-                    col.pop(r, None)
-                else:
-                    col[r] = w
-            cols.append(col)
-        return Matrix(f, self.nrows, self.ncols, cols)
+        return kron_sum([(self.field.one, [self]), (self.field.one, [other])])
 
     def __sub__(self, other):
-        return self + other.scale(self.field.neg(self.field.one))
+        return kron_sum([(self.field.one, [self]), (self.field.neg(self.field.one), [other])])
 
     def scale(self, scalar):
-        f = self.field
-        scalar = f.coerce(scalar)
-        if scalar == f.zero:
-            return Matrix.zero(f, self.nrows, self.ncols)
-        cols = [{r: f.mul(scalar, v) for r, v in col.items()} for col in self._cols]
-        return Matrix(f, self.nrows, self.ncols, cols)
-
-    def __matmul__(self, other):
-        return mat_compose(self, other)
-
-    def _check_same_shape(self, other):
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
+        return kron_sum([(self.field.coerce(scalar), [self])])
 
     def _row_dicts(self):
         rows = [dict() for _ in range(self.nrows)]
@@ -186,39 +162,72 @@ def mat_compose(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(f, a.nrows, b.ncols, cols)
 
 
+def kron_sum(terms) -> Matrix:
+    """The matrix of  sum_k  c_k * (M_k1 (x) ... (x) M_kp), built in one pass.
+
+    `terms` is a list of (coefficient, [p factors]), as for
+    `tensor_product_sum_witness`; all factors share one field, factor i
+    of every term has the same shape, and factors may be rectangular.
+    Anything else raises ValueError.  Each term is expanded one factor at
+    a time from its coefficient: every factor but the last extends the
+    nonempty column prefixes, each holding its row prefix -> value
+    entries, and the last factor's products are added straight into the
+    one output, dropping entries that cancel.  No per-term product is
+    materialized and the output is never copied.
+    """
+    if not terms or not terms[0][1]:
+        raise ValueError("a Kronecker sum needs at least one term and one factor")
+    field = terms[0][1][0].field
+    shapes = [(m.nrows, m.ncols) for m in terms[0][1]]
+    for _, mats in terms:
+        if len(mats) != len(shapes):
+            raise ValueError("term arity mismatch")
+        for m, shape in zip(mats, shapes):
+            if m.field != field or (m.nrows, m.ncols) != shape:
+                raise ValueError("factors must share one field, and factor i one shape")
+    mul = field.mul
+    add = field.add
+    zero = field.zero
+    out = [dict() for _ in range(math.prod(c for _, c in shapes))]
+    for coef, mats in terms:
+        layer = [(0, {0: coef})]  # (flat column prefix, {flat row prefix: value})
+        for m in mats[:-1]:
+            cols = [(j, col) for j, col in enumerate(m._cols) if col]
+            layer = [
+                (c * m.ncols + j, {r * m.nrows + i: mul(v, w) for r, v in rows.items() for i, w in col.items()})
+                for c, rows in layer
+                for j, col in cols
+            ]
+        last = mats[-1]
+        cols = [(j, col) for j, col in enumerate(last._cols) if col]
+        for c, rows in layer:
+            for j, col in cols:
+                acc = out[c * last.ncols + j]
+                for r, v in rows.items():
+                    base = r * last.nrows
+                    for i, w in col.items():
+                        k = base + i
+                        x = mul(v, w)
+                        cur = acc.get(k)
+                        y = x if cur is None else add(cur, x)
+                        if y == zero:
+                            acc.pop(k, None)
+                        else:
+                            acc[k] = y
+    return Matrix(field, math.prod(r for r, _ in shapes), len(out), out)
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product in the fixed lexicographic tensor convention."""
-    if a.field != b.field:
-        raise ValueError("field mismatch")
-    f = a.field
-    nrows = a.nrows * b.nrows
-    ncols = a.ncols * b.ncols
-    cols = [dict() for _ in range(ncols)]
-    for ca in range(a.ncols):
-        cola = a._cols[ca]
-        if not cola:
-            continue
-        base_c = ca * b.ncols
-        for cb in range(b.ncols):
-            colb = b._cols[cb]
-            if not colb:
-                continue
-            out = cols[base_c + cb]
-            for ra, va in cola.items():
-                base_r = ra * b.nrows
-                for rb, vb in colb.items():
-                    out[base_r + rb] = f.mul(va, vb)
-    return Matrix(f, nrows, ncols, cols)
+    return kron_sum([(a.field.one, [a, b])])
 
 
 def kron_power(m: Matrix, p: int) -> Matrix:
     """p-fold Kronecker power; p = 0 gives the 1x1 identity."""
     if p < 0:
         raise ValueError("negative tensor power")
-    out = Matrix.identity(m.field, 1)
-    for _ in range(p):
-        out = kron(out, m)
-    return out
+    # the leading 1x1 identity is the empty product, so p = 0 needs no case
+    return kron_sum([(m.field.one, [Matrix.identity(m.field, 1)] + [m] * p)])
 
 
 def vstack(mats) -> Matrix:
@@ -415,26 +424,16 @@ def tensor_product_sum_witness(terms, p: int):
         j = first_nonzero_column(vec)
         if j is not None:
             witnesses.append(prefix + (j,))
-    return _column_witness(terms, min(witnesses), field) if witnesses else None
+    return _column_witness(terms, min(witnesses)) if witnesses else None
 
 
-def _column_witness(terms, col_tuple, field):
+def _column_witness(terms, col_tuple):
     """(col_tuple, lowest nonzero row tuple, value) of one column of the sum."""
-    zero = field.zero
-    acc: dict = {}
-    for coef, mats in terms:
-        cols = [m._cols[j].items() for m, j in zip(mats, col_tuple)]
-        for combo in itertools.product(*cols):
-            val = coef
-            for _, v in combo:
-                val = field.mul(val, v)
-            rows = tuple(r for r, _ in combo)
-            cur = acc.get(rows)
-            acc[rows] = val if cur is None else field.add(cur, val)
-    row_tuple = min(r for r, v in acc.items() if v != zero)
-    return (col_tuple, row_tuple, acc[row_tuple])
-
-
-def tensor_power_sum_witness(terms, p: int):
-    """Like `tensor_product_sum_witness` for terms (c_k, M_k) with equal factors."""
-    return tensor_product_sum_witness([(c, [m] * p) for c, m in terms], p)
+    column = kron_sum([
+        (coef, [Matrix(m.field, m.nrows, 1, [m._cols[j]]) for m, j in zip(mats, col_tuple)])
+        for coef, mats in terms
+    ])._cols[0]
+    flat = min(column)
+    dim, p = terms[0][1][0].nrows, len(col_tuple)
+    row_tuple = tuple(flat // dim ** (p - 1 - i) % dim for i in range(p))
+    return (col_tuple, row_tuple, column[flat])

@@ -92,6 +92,22 @@ def test_lemma_keeps_powers_below_the_cap():
     assert "4" in report.details["reason"]
 
 
+@pytest.mark.parametrize(
+    "n, field, components",
+    [
+        (2, QQ, {"1": "zero", "2": {"first_nonzero": [79, 79, "1"], "nnz": 512}}),
+        (2, GF(2), {"1": "zero", "2": {"first_nonzero": [79, 79, "1"], "nnz": 512}}),
+        (3, GF(2), {"1": "zero", "2": "zero", "3": {"first_nonzero": [6222, 6222, "1"], "nnz": 24576}}),
+    ],
+    ids=["2-rational", "2-fp2", "3-fp2"],
+)
+def test_explore_pins_the_alternating_family(n, field, components):
+    # the alternating family vanishes below the level and not at p = n
+    (report,) = run_suite(RunConfig(n=n, field=field, checks=("explore",)))
+    assert report.status == "info"
+    assert report.details["components"] == components
+
+
 def test_invalid_config_rejected():
     with pytest.raises(ValueError):
         run_suite(RunConfig(n=2, checks=("nosuch",)))

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -8,10 +10,10 @@ from crown.linalg import (
     kernel_basis_with_free,
     kron,
     kron_power,
+    kron_sum,
     left_inverse,
     mat_compose,
     mat_rank,
-    tensor_power_sum_witness,
     tensor_product_sum_witness,
     vstack,
 )
@@ -154,6 +156,104 @@ def test_kron_power_zero_is_scalar_identity():
     assert kron_power(m, 0) == Matrix.identity(QQ, 1)
 
 
+def brute_kron_sum(terms):
+    """Entry-by-entry oracle: entry = sum_k c_k * prod_i M_ki[r_i, c_i]."""
+    field = terms[0][1][0].field
+    shapes = [(m.nrows, m.ncols) for m in terms[0][1]]
+    entries = []
+    for rows in itertools.product(*(range(r) for r, _ in shapes)):
+        for cols in itertools.product(*(range(c) for _, c in shapes)):
+            total = field.zero
+            for coef, mats in terms:
+                val = coef
+                for m, r, c in zip(mats, rows, cols):
+                    val = field.mul(val, m.entry(r, c))
+                total = field.add(total, val)
+            flat_r = flat_c = 0
+            for (nr, nc), r, c in zip(shapes, rows, cols):
+                flat_r, flat_c = flat_r * nr + r, flat_c * nc + c
+            entries.append((flat_r, flat_c, total))
+    nrows = math.prod(r for r, _ in shapes)
+    ncols = math.prod(c for _, c in shapes)
+    return Matrix.from_entries(field, nrows, ncols, entries)
+
+
+def rand_rect_row_monomial(rng, field, nrows, ncols):
+    """At most one nonzero per row, some columns left empty."""
+    entries = [
+        (r, rng.randrange(max(1, ncols - 1)), field.from_int(rng.choice([1, 2, -1])))
+        for r in range(nrows)
+        if rng.random() < 0.8
+    ]
+    return Matrix.from_entries(field, nrows, ncols, entries)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+def test_kron_sum_matches_entrywise_oracle(field):
+    rng = random.Random(21)
+    zero = nonzero = 0
+    for _ in range(120):
+        p = rng.randint(1, 3)
+        shapes = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(p)]
+        pool = [
+            [
+                rand_rect_row_monomial(rng, field, r, c) if rng.random() < 0.5
+                else rand_matrix(rng, field, r, c, density=0.6, span=2)
+                for r, c in shapes
+            ]
+            for _ in range(rng.randint(1, 3))
+        ]
+        terms = [
+            (field.from_int(rng.randint(-2, 2)), [rng.choice(pool)[i] for i in range(p)])
+            for _ in range(rng.randint(1, 4))
+        ]
+        if rng.random() < 0.4:
+            # the negated terms, sometimes all but one, so the halves cancel
+            negated = [(field.neg(c), mats) for c, mats in terms]
+            if rng.random() < 0.5:
+                negated.pop(rng.randrange(len(negated)))
+            terms += negated
+            rng.shuffle(terms)
+        total = kron_sum(terms)
+        assert total == brute_kron_sum(terms)
+        assert all(v != field.zero for _, _, v in total.to_triples())
+        if total.is_zero():
+            zero += 1
+        else:
+            nonzero += 1
+    assert zero >= 15 and nonzero >= 15  # both outcomes are exercised
+
+
+def test_kron_sum_orders_factors_and_scales_by_the_coefficient():
+    # row-monomial, rectangular, unequal factors; a coefficient of 3 and a
+    # zero coefficient; column 1 of b is empty
+    a = Matrix.from_rows(QQ, [[0, 1], [0, 0], [2, 0]])
+    b = Matrix.from_rows(QQ, [[5, 0], [0, 0]])
+    c = Matrix.from_rows(QQ, [[1, 1], [1, 1], [1, 1]])
+    total = kron_sum([(QQ.from_int(3), [a, b]), (QQ.zero, [c, b])])
+    assert total.to_triples() == [(0, 2, QQ.from_int(15)), (4, 0, QQ.from_int(30))]
+    assert kron_sum([(QQ.zero, [a, b])]) == Matrix.zero(QQ, 6, 4)
+    assert kron_sum([(QQ.one, [a, b]), (QQ.from_int(-1), [a, b])]) == Matrix.zero(QQ, 6, 4)
+
+
+def test_kron_sum_rejects_mismatched_terms():
+    a = Matrix.identity(QQ, 2)
+    with pytest.raises(ValueError):
+        kron_sum([])
+    with pytest.raises(ValueError):
+        kron_sum([(QQ.one, [])])
+    with pytest.raises(ValueError):
+        kron_sum([(QQ.one, [a, a]), (QQ.one, [a])])  # arity
+    with pytest.raises(ValueError):
+        kron_sum([(QQ.one, [a, a]), (QQ.one, [a, Matrix.identity(QQ, 3)])])  # shape
+    with pytest.raises(ValueError):
+        kron_sum([(QQ.one, [a, Matrix.zero(QQ, 2, 3)]), (QQ.one, [a, Matrix.zero(QQ, 3, 2)])])
+    with pytest.raises(ValueError):
+        kron_sum([(QQ.one, [a, a]), (QQ.one, [a, Matrix.identity(GF(2), 2)])])  # field
+    with pytest.raises(ValueError):
+        kron(a, Matrix.identity(GF(2), 2))
+
+
 # -- kernel / left inverse ----------------------------------------------------
 
 def test_kernel_basis_hand_example():
@@ -193,13 +293,13 @@ def test_vstack_shape():
 
 def test_tensor_power_sum_cancels():
     m = Matrix.identity(QQ, 3)
-    terms = [(QQ.one, m), (QQ.from_int(-1), m)]
-    assert tensor_power_sum_witness(terms, 2) is None
+    terms = [(QQ.one, [m, m]), (QQ.from_int(-1), [m, m])]
+    assert tensor_product_sum_witness(terms, 2) is None
 
 
 def test_tensor_power_sum_witness_order():
     m = Matrix.identity(QQ, 2)
-    witness = tensor_power_sum_witness([(QQ.one, m)], 2)
+    witness = tensor_product_sum_witness([(QQ.one, [m, m])], 2)
     assert witness == ((0, 0), (0, 0), QQ.one)
 
 

@@ -7,6 +7,7 @@ from crown.errors import CapExceeded, HomSetViolation
 from crown.fields import GF, QQ
 from crown.graph_algebra import q_ungraded
 from crown.graphs import build_C, graph_new
+from crown import loday
 from crown.linalg import Matrix, mat_compose
 from crown.loday import (
     NatTransData,
@@ -167,6 +168,14 @@ def test_cofunctor_contravariant_multiplicativity():
     assert b_yx.components[1] == mat_compose(b_x.components[1], b_x.components[1])
 
 
+def test_cofunctor_zero_element_gives_zero_maps():
+    # the zero element has no words, but its family still has every shape
+    for target, dim in (("C", 36), ("B", 40)):
+        eta = cofunctor_eval(2, 2, MonoidAlgElem.zero(QQ, 2), 1, -1, target=target)
+        for p in (1, 2):
+            assert eta.components[p] == Matrix.zero(QQ, dim**p, dim**p)
+
+
 def test_cofunctor_tensor_cap():
     t = build_T(2, QQ)
     with pytest.raises(CapExceeded):
@@ -236,6 +245,19 @@ def test_lemma_trace_level_three():
     assert trace.e1_rank == 58 and trace.e1_cols == 58
     assert trace.ep_rank == 58**2
     assert trace.passed
+
+
+def test_lemma_trace_fails_when_windows_do_not_intertwine(monkeypatch):
+    # negative control: every word acting as the identity on every window
+    window_action = loday._window_action_matrix
+    monkeypatch.setattr(
+        loday,
+        "_window_action_matrix",
+        lambda n, i, w, field: Matrix.identity(field, window_action(n, i, w, field).nrows),
+    )
+    trace = lemma_proof_trace(2, 1, QQ)
+    assert trace.intertwining_ok is False
+    assert trace.passed is False
 
 
 def test_lemma_trace_requires_power_below_level():
