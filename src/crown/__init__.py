@@ -21,15 +21,11 @@ from .errors import (
 from .fields import GF, QQ, PrimeField, RationalField, parse_field
 from .graph_algebra import (
     Algebra,
-    AlgebraHom,
-    GradedAlgebra,
-    ProjPoint,
     annihilator_grading,
-    annihilator_grading_data,
     cover_injectivity,
+    is_multiplicative,
     minimal_points,
     mult_multiset,
-    q_graded,
     q_hom,
     q_ungraded,
     reconstruct_graph,

@@ -7,6 +7,7 @@ import sys
 
 from . import graphs as gr
 from . import harness
+from .errors import CrownError
 from .fields import parse_field
 from .monoid import wn_enumerate
 
@@ -132,7 +133,7 @@ def main(argv=None) -> int:
             return _cmd_export(args)
         if args.command == "info":
             return _cmd_info(args)
-    except ValueError as exc:
+    except (ValueError, CrownError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -1,10 +1,13 @@
 """Exact scalar arithmetic over the rationals and over prime fields.
 
-Scalars are plain Python values: `fractions.Fraction` for the rationals
-(the Fraction type keeps them reduced with a positive denominator, so
-equality is syntactic) and ints in ``range(p)`` for F_p.  A field object
-bundles the operations so that matrix and algebra code stays
-field-generic.  There is no floating point anywhere in this package.
+Scalars are plain Python values.  A rational is an int when it is
+integral and a `fractions.Fraction` otherwise.  Arithmetic may still
+produce an integral Fraction (1/2 * 2); that is harmless, because
+`Fraction(2) == 2`, both hash alike and both print "2", so equality,
+dict keys and reports are exact whichever form a value takes.  F_p
+scalars are ints in ``range(p)``.  A field object bundles the operations
+so that matrix and algebra code stays field-generic.  There is no
+floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -26,21 +29,25 @@ def _is_prime(p: int) -> bool:
 
 
 class RationalField:
-    """The field of rational numbers; scalars are `Fraction` values."""
+    """The field of rational numbers; scalars are ints or `Fraction` values."""
 
     name = "rational"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     @property
     def is_prime_field(self):
         return False
 
     def coerce(self, x):
-        return Fraction(x)
+        """x as a scalar: an int when integral, a Fraction otherwise."""
+        if type(x) is int:
+            return x
+        x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
     def from_int(self, m: int):
-        return Fraction(m)
+        return m
 
     def add(self, a, b):
         return a + b
@@ -57,13 +64,13 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return self.coerce(1 / Fraction(a))
 
     def scalar_to_json(self, a):
         return str(a)
 
     def scalar_from_json(self, s):
-        return Fraction(s)
+        return self.coerce(s)
 
     def __repr__(self):
         return "QQ"

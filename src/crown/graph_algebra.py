@@ -1,21 +1,23 @@
 """The contravariant graph-to-algebra construction and its reconstruction.
 
-For a graph G the associated commutative non-unital algebra is graded in
-degrees 1 and 2: degree 1 has one basis vector per vertex (the indicator
-functions), degree 2 has one basis vector per swap-orbit of the relation
-(one per vertex for the diagonal pairs plus one per edge), and the product
-of two vertex indicators is the orbit class of their pair when related,
-zero otherwise.  All other products vanish, so the dimension is
+A graph G gives one commutative non-unital algebra, `q_ungraded(G)`, an
+`Algebra` (a basis plus structure constants).  Its basis is one vertex
+indicator per vertex, then one vector per swap-orbit of the relation (one
+per vertex for the diagonal pairs, then one per edge), and the product of
+two vertex indicators is the orbit class of their pair when related, zero
+otherwise.  All other products vanish, so the dimension is
 |vertices| + (|vertices| + #edges).
 
 A graph morphism f: G -> H induces an algebra map Q(H) -> Q(G) by pulling
-functions back along f; on the orbit basis the column of an orbit is the
-sum over ordered preimages of a fixed representative pair.
+functions back along f.  `q_hom` returns its plain `Matrix`: on the orbit
+basis the column of an orbit is the sum over ordered preimages of a fixed
+representative pair.  `is_multiplicative` certifies such a matrix.
 
 The reconstruction pipeline recovers an admissible graph from its
-(ungraded) algebra: regrade via the annihilator, enumerate projective
-classes of degree-1 elements over a prime field, and keep the points
-minimal in the dependence preorder ([a] depends on [b] iff a*b != 0).
+algebra: regrade it via the annihilator (an `Algebra` whose first dim1
+basis vectors span degree 1), enumerate projective classes of degree-1
+elements over a prime field, and keep the points minimal in the
+dependence preorder ([a] depends on [b] iff a*b != 0).
 Minimality is decided per point by one linear test, the same for every
 prime field: with K_a = {x : a*x = 0}, dep(b) lies inside dep(a) iff
 K_a lies inside K_b, so those b form the subspace
@@ -29,71 +31,31 @@ restricted to them is the graph relation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import CapExceeded, NotACover
 from .graphs import Graph, GraphMorphism, graph_new, is_cover
-from .linalg import Matrix, kernel_basis_with_free, mat_rank, vstack
+from .linalg import Matrix, kernel_basis_with_free, mat_compose, mat_rank, vstack
 
 # bounds p^dim1, the degree-1 vectors enumerated by the minimality test
 DEFAULT_POINT_CAP = 2**15
-
-
-class GradedAlgebra:
-    """A commutative algebra concentrated in degrees 1 and 2.
-
-    Only degree1 x degree1 products can be nonzero; they land in degree 2.
-    `products` maps index pairs (i, j) with i <= j to sparse degree-2
-    vectors (dict index -> scalar).
-    """
-
-    __slots__ = ("field", "degree1", "degree2", "_prod")
-
-    def __init__(self, field, degree1, degree2, products):
-        self.field = field
-        self.degree1 = tuple(degree1)
-        self.degree2 = tuple(degree2)
-        self._prod = products
-
-    @property
-    def dim1(self):
-        return len(self.degree1)
-
-    @property
-    def dim2(self):
-        return len(self.degree2)
-
-    @property
-    def dim(self):
-        return self.dim1 + self.dim2
-
-    def product11(self, i, j):
-        """Product of degree-1 basis vectors i and j as a degree-2 vector."""
-        key = (i, j) if i <= j else (j, i)
-        return self._prod.get(key, {})
-
-    def to_ungraded(self):
-        """Forget the grading; degree-2 indices shift up by dim1."""
-        d1 = self.dim1
-        table = {}
-        for (i, j), vec in self._prod.items():
-            table[(i, j)] = {k + d1: v for k, v in vec.items()}
-        return Algebra(self.field, self.degree1 + self.degree2, table)
 
 
 class Algebra:
     """A finite-dimensional commutative algebra via structure constants.
 
     `table` maps basis index pairs (i, j) with i <= j to the sparse product
-    vector; missing pairs multiply to zero.  No unit is assumed.
+    vector; missing pairs multiply to zero.  No unit is assumed.  `dim1`
+    is None unless the algebra was regraded by `annihilator_grading`; then
+    its first dim1 basis vectors span degree 1 and the rest degree 2.
     """
 
-    __slots__ = ("field", "basis", "_table")
+    __slots__ = ("field", "basis", "_table", "dim1")
 
-    def __init__(self, field, basis, table):
+    def __init__(self, field, basis, table, dim1=None):
         self.field = field
         self.basis = tuple(basis)
         self._table = table
+        self.dim1 = dim1
 
     @property
     def dim(self):
@@ -196,95 +158,38 @@ def _orbits(g: Graph):
 _Q_CACHE: dict = {}
 
 
-def q_graded(g: Graph, field) -> GradedAlgebra:
-    """The graded algebra of a graph in the fixed basis order.
+def q_ungraded(g: Graph, field) -> Algebra:
+    """The algebra of a graph in the fixed basis order.
 
-    Degree 1: vertex indicators in vertex order.  Degree 2: diagonal
-    orbits in vertex order, then edge orbits in endpoint-index order.
+    Vertex indicators in vertex order, then diagonal orbits in vertex
+    order, then edge orbits in endpoint-index order.  The product of two
+    vertex indicators is their pair's orbit when related, zero otherwise;
+    every other product vanishes.
     """
     # basis order follows the vertex tuple, so the cache key must too
     key = (g.vertices, g.relation, field)
     cached = _Q_CACHE.get(key)
-    if cached is not None:
-        return cached
-    one = field.one
-    verts = g.vertices
-    idx = {v: i for i, v in enumerate(verts)}
-    orbit, _ = _orbits(g)
-    degree1 = [("v", v) for v in verts]
-    degree2 = [("d", v) for v in verts] + [("e", a, b) for a, b in g.edges()]
-    products = {}
-    for x, y in g.relation:
-        i, j = idx[x], idx[y]
-        if i <= j:
-            products[(i, j)] = {orbit[(x, y)]: one}
-    alg = GradedAlgebra(field, degree1, degree2, products)
-    _Q_CACHE[key] = alg
-    return alg
-
-
-_QU_CACHE: dict = {}
-
-
-def q_ungraded(g: Graph, field) -> Algebra:
-    key = (g.vertices, g.relation, field)
-    cached = _QU_CACHE.get(key)
     if cached is None:
-        cached = _QU_CACHE[key] = q_graded(g, field).to_ungraded()
+        verts = g.vertices
+        idx = {v: i for i, v in enumerate(verts)}
+        orbit, _ = _orbits(g)
+        basis = [("v", v) for v in verts] + [("d", v) for v in verts] + [("e", a, b) for a, b in g.edges()]
+        table = {}
+        for x, y in g.relation:
+            i, j = idx[x], idx[y]
+            if i <= j:
+                table[(i, j)] = {len(verts) + orbit[(x, y)]: field.one}
+        cached = _Q_CACHE[key] = Algebra(field, basis, table)
     return cached
 
 
-class AlgebraHom:
-    """A linear multiplicative map between algebras, stored as a matrix.
+def q_hom(f: GraphMorphism, field) -> Matrix:
+    """The matrix of the induced algebra map Q(target) -> Q(source).
 
-    `matrix` has one column per source basis vector, expressed in the
-    target basis.
+    One column per basis vector of Q(target), expressed in the basis of
+    Q(source).  `is_multiplicative` certifies that it is an algebra map.
     """
-
-    __slots__ = ("source", "target", "matrix")
-
-    def __init__(self, source: Algebra, target: Algebra, matrix: Matrix, validate=True):
-        if matrix.ncols != source.dim or matrix.nrows != target.dim:
-            raise ValueError("matrix shape does not match the algebras")
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-        if validate and not self.is_multiplicative():
-            raise ValueError("map is not multiplicative on basis pairs")
-
-    def apply(self, vec: dict) -> dict:
-        f = self.source.field
-        zero = f.zero
-        out: dict = {}
-        for j, v in vec.items():
-            for r, w in self.matrix._cols[j].items():
-                x = f.add(out.get(r, zero), f.mul(w, v))
-                if x == zero:
-                    out.pop(r, None)
-                else:
-                    out[r] = x
-        return out
-
-    def is_multiplicative(self) -> bool:
-        src = self.source
-        tgt = self.target
-        unit = src.field.one
-        cols = self.matrix._cols
-        for i in range(src.dim):
-            hi = cols[i]
-            for j in range(i, src.dim):
-                left = self.apply(src.product_basis(i, j))
-                right = tgt.mult(hi, cols[j])
-                if left != right:
-                    return False
-        return True
-
-
-def q_hom(f: GraphMorphism, field, validate: bool = True) -> AlgebraHom:
-    """The induced algebra map Q(target) -> Q(source) of a graph morphism."""
     g, h = f.source, f.target
-    qg = q_ungraded(g, field)
-    qh = q_ungraded(h, field)
     one = field.one
     ng, nh = len(g.vertices), len(h.vertices)
     g_orbit, _ = _orbits(g)
@@ -297,8 +202,21 @@ def q_hom(f: GraphMorphism, field, validate: bool = True) -> AlgebraHom:
         col = h_representative.get((f.mapping[a], f.mapping[b]))
         if col is not None:
             entries.append((ng + g_orbit[(a, b)], nh + col, one))
-    mat = Matrix.from_entries(field, qg.dim, qh.dim, entries)
-    return AlgebraHom(qh, qg, mat, validate=validate)
+    return Matrix.from_entries(field, q_ungraded(g, field).dim, q_ungraded(h, field).dim, entries)
+
+
+def is_multiplicative(source: Algebra, target: Algebra, m: Matrix) -> bool:
+    """Whether m(e_i e_j) == m(e_i) m(e_j) for every pair of source basis vectors.
+
+    `m` has one column per source basis vector, in the target basis.  The
+    left sides are one composite: m applied to the column of each product.
+    """
+    if (m.nrows, m.ncols) != (target.dim, source.dim):
+        raise ValueError("matrix shape does not match the algebras")
+    pairs = [(i, j) for i in range(source.dim) for j in range(i, source.dim)]
+    products = Matrix(source.field, source.dim, len(pairs), [source.product_basis(i, j) for i, j in pairs])
+    left = mat_compose(m, products)
+    return all(left.col(c) == target.mult(m.col(i), m.col(j)) for c, (i, j) in enumerate(pairs))
 
 
 def cover_injectivity(fs, field) -> bool:
@@ -307,7 +225,7 @@ def cover_injectivity(fs, field) -> bool:
     if not is_cover(fs):
         raise NotACover("the family does not cover its target")
     target_alg = q_ungraded(fs[0].target, field)
-    stacked = vstack([q_hom(f, field, validate=False).matrix for f in fs])
+    stacked = vstack([q_hom(f, field) for f in fs])
     return mat_rank(stacked) == target_alg.dim
 
 
@@ -326,15 +244,16 @@ def mult_multiset(a: Algebra, factors) -> dict:
 
 # -- annihilator grading -------------------------------------------------
 
-def annihilator_grading_data(a: Algebra):
+def annihilator_grading(a: Algebra) -> Algebra:
     """Regrade an algebra by its annihilator.
 
-    Degree 2 is the subspace of elements killing everything, degree 1 a
-    complement read off from elimination pivots.  Returns the graded
-    algebra, the pivot coordinate tuple (degree-1 representatives) and the
-    kernel basis vectors (degree-2 representatives, echelon form).
-    Requires all products to land in the annihilator, otherwise the
-    induced product is not a degree-1,2 grading and ValueError is raised.
+    Degree 2 is the subspace of elements killing everything, with the
+    kernel's echelon basis; degree 1 is the complement spanned by the
+    elimination pivots.  Returns an Algebra whose first `dim1` basis
+    vectors are the pivot basis vectors and the rest the kernel vectors,
+    labelled ("nil", label of their free coordinate).  Requires all
+    products to land in the annihilator, otherwise the induced product is
+    not a degree-1,2 grading and ValueError is raised.
     """
     f = a.field
     d = a.dim
@@ -348,6 +267,7 @@ def annihilator_grading_data(a: Algebra):
     kernel, free_cols = kernel_basis_with_free(stacked)
     pivot_cols = tuple(c for c in range(d) if c not in set(free_cols))
     kernel_by_free = {fc: vec for fc, vec in zip(free_cols, kernel)}
+    d1 = len(pivot_cols)
 
     def reduce(vec: dict):
         """Split vec into (pivot-coordinate part, kernel coefficients)."""
@@ -366,14 +286,12 @@ def annihilator_grading_data(a: Algebra):
                     rest[col] = w
         return rest, kcoeffs
 
-    deg1_labels = [a.basis[p] for p in pivot_cols]
-    deg2_labels = [("nil", a.basis[fc]) for fc in free_cols]
-    free_pos = {fc: i for i, fc in enumerate(free_cols)}
-    products = {}
+    labels = [a.basis[p] for p in pivot_cols] + [("nil", a.basis[fc]) for fc in free_cols]
+    free_pos = {fc: d1 + i for i, fc in enumerate(free_cols)}
+    table = {}
     for ii, p in enumerate(pivot_cols):
-        for jj in range(ii, len(pivot_cols)):
-            q = pivot_cols[jj]
-            w = a.product_basis(p, q)
+        for jj in range(ii, d1):
+            w = a.product_basis(p, pivot_cols[jj])
             if not w:
                 continue
             rest, kcoeffs = reduce(w)
@@ -384,27 +302,11 @@ def annihilator_grading_data(a: Algebra):
                 )
             vec = {free_pos[fc]: v for fc, v in kcoeffs.items()}
             if vec:
-                products[(ii, jj)] = vec
-    graded = GradedAlgebra(f, deg1_labels, deg2_labels, products)
-    return graded, pivot_cols, tuple(kernel)
-
-
-def annihilator_grading(a: Algebra) -> GradedAlgebra:
-    graded, _, _ = annihilator_grading_data(a)
-    return graded
+                table[(ii, jj)] = vec
+    return Algebra(f, labels, table, dim1=d1)
 
 
 # -- projective enumeration and reconstruction ----------------------------
-
-@dataclass(frozen=True)
-class ProjPoint:
-    """A projective class of a degree-1 vector, by normalized representative."""
-
-    coords: tuple
-
-    def __repr__(self):
-        return "[" + ":".join(str(c) for c in self.coords) + "]"
-
 
 def _enumerate_projective(field, dim):
     """Normalized representatives (first nonzero coordinate = 1), lex order."""
@@ -422,7 +324,7 @@ def _sparse(pt):
     return {i: c for i, c in enumerate(pt) if c}
 
 
-def _minimal_representatives(ag: GradedAlgebra, max_points: int):
+def _minimal_representatives(ag: Algebra, max_points: int):
     """Normalized representatives of the minimal points, in lex order.
 
     dep(b) is inside dep(a) iff K_a = {x : a*x = 0} lies inside K_b, so the
@@ -434,13 +336,15 @@ def _minimal_representatives(ag: GradedAlgebra, max_points: int):
     """
     f = ag.field
     d1 = ag.dim1
+    if d1 is None:
+        raise ValueError("the algebra is not regraded; see annihilator_grading")
     if not f.is_prime_field:
         raise ValueError("projective enumeration requires a prime field")
     if f.p ** d1 > max_points:
         raise CapExceeded(f"{f.p}^{d1} projective vectors exceed cap {max_points}")
     # nonzero structure constants e_i * e_j = sum_k v e_k, grouped by j
     by_col = [
-        [(i, k, v) for i in range(d1) for k, v in ag.product11(i, j).items()]
+        [(i, k, v) for i in range(d1) for k, v in ag.product_basis(i, j).items()]
         for j in range(d1)
     ]
 
@@ -463,15 +367,18 @@ def _minimal_representatives(ag: GradedAlgebra, max_points: int):
     return chosen
 
 
-def minimal_points(ag: GradedAlgebra, max_points: int = DEFAULT_POINT_CAP):
+def minimal_points(ag: Algebra, max_points: int = DEFAULT_POINT_CAP) -> frozenset:
     """The minimal projective classes in the dependence preorder.
 
-    Enumeration needs a finite prime field and p^dim1 within the cap.
+    `ag` is a regraded algebra (see `annihilator_grading`); each class is
+    its normalized coordinate tuple over the dim1 degree-1 basis vectors,
+    first nonzero coordinate 1.  Enumeration needs a finite prime field
+    and p^dim1 within the cap.
     """
-    return frozenset(ProjPoint(pt) for pt in _minimal_representatives(ag, max_points))
+    return frozenset(_minimal_representatives(ag, max_points))
 
 
-def reconstruct_graph(a: Algebra, field=None, max_points: int = DEFAULT_POINT_CAP) -> Graph:
+def reconstruct_graph(a: Algebra, max_points: int = DEFAULT_POINT_CAP) -> Graph:
     """Recover a graph from an ungraded algebra.
 
     Regrades by the annihilator, finds the minimal projective points and
@@ -479,14 +386,11 @@ def reconstruct_graph(a: Algebra, field=None, max_points: int = DEFAULT_POINT_CA
     nonzero.  For the algebra of an admissible graph this returns a graph
     isomorphic to the original.
     """
-    if field is not None and field != a.field:
-        raise ValueError("field mismatch")
     ag = annihilator_grading(a)
     chosen = _minimal_representatives(ag, max_points)
-    ring = ag.to_ungraded()
     edges = [
         (x, y)
         for x, y in itertools.combinations(chosen, 2)
-        if ring.mult(_sparse(x), _sparse(y))
+        if ag.mult(_sparse(x), _sparse(y))
     ]
     return graph_new(sorted(chosen), edges)

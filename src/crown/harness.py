@@ -476,16 +476,12 @@ def export_objects(config: RunConfig, what: str, path: str) -> str:
             return [[r, c, f.scalar_to_json(v)] for r, c, v in m.to_triples()]
 
         mats = {
-            "projection_plus": triples(ga.q_hom(gr.build_C(n, 1)[1], f, validate=False).matrix),
-            "projection_minus": triples(ga.q_hom(gr.build_C(n, -1)[1], f, validate=False).matrix),
+            "projection_plus": triples(ga.q_hom(gr.build_C(n, 1)[1], f)),
+            "projection_minus": triples(ga.q_hom(gr.build_C(n, -1)[1], f)),
         }
         for i in range(1, n + 1):
-            mats[f"strip_action_g{i}"] = triples(
-                ga.q_hom(gr.act_on_B(n, mo.gen_g(n, i)), f, validate=False).matrix
-            )
-            mats[f"strip_action_h{i}"] = triples(
-                ga.q_hom(gr.act_on_B(n, mo.gen_h(n, i)), f, validate=False).matrix
-            )
+            mats[f"strip_action_g{i}"] = triples(ga.q_hom(gr.act_on_B(n, mo.gen_g(n, i)), f))
+            mats[f"strip_action_h{i}"] = triples(ga.q_hom(gr.act_on_B(n, mo.gen_h(n, i)), f))
         payload = {"n": n, "field": f.name, "matrices": mats}
     elif what == "nat_trans":
         if n < 2:

@@ -239,8 +239,8 @@ def naturality_check(eta: NatTransData, max_tensor_dim: int = DEFAULT_TENSOR_CAP
 def _action_matrix(n: int, w: Word, s, target: str, field) -> Matrix:
     """Matrix of the induced algebra map of the action of one word."""
     if target == "B":
-        return q_hom(act_on_B(n, w), field, validate=False).matrix
-    return q_hom(act_on_C(n, w, s), field, validate=False).matrix
+        return q_hom(act_on_B(n, w), field)
+    return q_hom(act_on_C(n, w, s), field)
 
 
 def cofunctor_eval(
@@ -329,7 +329,7 @@ def lemma_witness(n: int, p: int, field=QQ, max_stream_dim: int = DEFAULT_STREAM
         raise CapExceeded(f"tensor dimension {dim}^{p} exceeds cap {max_stream_dim}")
 
     def strip_power(subset):
-        return [q_hom(act_on_B(n, _subset_g_word(n, subset)), field, validate=False).matrix] * p
+        return [q_hom(act_on_B(n, _subset_g_word(n, subset)), field)] * p
 
     return tensor_product_sum_witness(_alternating_terms(n, field, strip_power), p)
 
@@ -374,7 +374,7 @@ def _window_action_matrix(n: int, i: int, w: Word, field) -> Matrix:
     """Matrix of the action of w restricted to window i (which is invariant)."""
     fg, _ = build_F(n, i)
     mapping = {(j, v): (j, w.coords[j - 1] * v) for (j, v) in fg.vertices}
-    return q_hom(morphism_new(mapping, fg, fg), field, validate=False).matrix
+    return q_hom(morphism_new(mapping, fg, fg), field)
 
 
 def lemma_proof_trace(n: int, p: int, field=QQ, check_summands: bool = True) -> LemmaTrace:
@@ -393,7 +393,7 @@ def lemma_proof_trace(n: int, p: int, field=QQ, check_summands: bool = True) -> 
     if not 1 <= p < n:
         raise ValueError("trace requires 1 <= p < n")
     incls = [build_F(n, i)[1] for i in range(1, n + 1)]
-    restrictions = [q_hom(e, field, validate=False).matrix for e in incls]
+    restrictions = [q_hom(e, field) for e in incls]
     e1 = vstack(restrictions)
     e1_rank = mat_rank(e1)
     full = e1_rank == e1.ncols
@@ -410,7 +410,7 @@ def lemma_proof_trace(n: int, p: int, field=QQ, check_summands: bool = True) -> 
     # the stacked identity e1 . M_w == diag(W_i) . e1, read block by block
     intertwining_ok = True
     for w in wn_enumerate(n):
-        mb = q_hom(act_on_B(n, w), field, validate=False).matrix
+        mb = q_hom(act_on_B(n, w), field)
         if any(
             mat_compose(e, mb) != mat_compose(window_mats[(i, w)], e)
             for i, e in enumerate(restrictions, start=1)
@@ -488,8 +488,8 @@ def transport_square_check(
     field = x.field
     b_side = cofunctor_eval(n, r, x, s, t, target="B", max_tensor_dim=max_tensor_dim)
     c_side = cofunctor_eval(n, r, x, s, t, target="C", max_tensor_dim=max_tensor_dim)
-    f_s = q_hom(build_C(n, s)[1], field, validate=False).matrix
-    f_t = q_hom(build_C(n, t)[1], field, validate=False).matrix
+    f_s = q_hom(build_C(n, s)[1], field)
+    f_t = q_hom(build_C(n, t)[1], field)
     for p in range(1, r + 1):
         lhs = mat_compose(b_side.components[p], kron_power(f_t, p))
         rhs = mat_compose(kron_power(f_s, p), c_side.components[p])

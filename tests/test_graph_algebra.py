@@ -6,20 +6,19 @@ import pytest
 from crown.errors import CapExceeded, NotACover
 from crown.fields import GF, QQ
 from crown.graph_algebra import (
-    ProjPoint,
     annihilator_grading,
-    annihilator_grading_data,
     Algebra,
     cover_injectivity,
+    is_multiplicative,
     minimal_points,
     mult_multiset,
-    q_graded,
     q_hom,
     q_ungraded,
     reconstruct_graph,
 )
 from crown.graphs import (
     act_on_B,
+    act_on_C,
     build_B,
     build_C,
     build_F,
@@ -39,32 +38,33 @@ PATH3 = graph_new(["a", "b", "c"], [("a", "b"), ("b", "c")])
 SQUARE = graph_new([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3), (3, 0)])
 
 
-# -- the graded algebra of a graph ------------------------------------------
+# -- the algebra of a graph ---------------------------------------------------
 
 def test_dimensions_of_the_standard_instances():
-    assert q_graded(build_B(2), QQ).dim == 40
-    assert q_graded(build_C(2, 1)[0], QQ).dim == 36
-    assert q_graded(build_C(2, -1)[0], QQ).dim == 36
+    assert q_ungraded(build_B(2), QQ).dim == 40
+    assert q_ungraded(build_C(2, 1)[0], QQ).dim == 36
+    assert q_ungraded(build_C(2, -1)[0], QQ).dim == 36
 
 
 def test_dimension_formula_random():
     rng = random.Random(31)
     for _ in range(8):
         g = random_graph(rng)
-        ag = q_graded(g, QQ)
-        assert ag.dim1 == len(g.vertices)
-        assert ag.dim2 == len(g.vertices) + g.edge_count
-        assert ag.dim == 2 * len(g.vertices) + g.edge_count
+        alg = q_ungraded(g, QQ)
+        assert alg.dim == 2 * len(g.vertices) + g.edge_count
+        assert alg.dim1 is None
+        # regrading puts exactly the vertex indicators in degree 1
+        assert annihilator_grading(alg).dim1 == len(g.vertices)
 
 
 def test_product_rules_on_a_path():
-    ag = q_graded(PATH3, QQ)
+    alg = q_ungraded(PATH3, QQ)
     ia, ib, ic = 0, 1, 2
-    assert ag.product11(ia, ib) != {}
-    assert ag.product11(ia, ic) == {}  # not adjacent
-    assert ag.product11(ia, ia) == {0: QQ.one}  # diagonal orbit of "a"
+    assert alg.product_basis(ia, ib) != {}
+    assert alg.product_basis(ia, ic) == {}  # not adjacent
+    assert alg.product_basis(ia, ia) == {3: QQ.one}  # diagonal orbit of "a", after the 3 vertices
     # the edge orbit basis vector carries coefficient one
-    assert list(ag.product11(ia, ib).values()) == [QQ.one]
+    assert list(alg.product_basis(ia, ib).values()) == [QQ.one]
 
 
 def test_ungraded_products_vanish_in_high_degree():
@@ -92,8 +92,7 @@ def test_random_graph_algebras_commutative_associative(field):
 
 def test_q_hom_identity_is_identity_matrix():
     g = build_C(2, 1)[0]
-    hom = q_hom(identity_morphism(g), QQ)
-    assert hom.matrix == Matrix.identity(QQ, q_ungraded(g, QQ).dim)
+    assert q_hom(identity_morphism(g), QQ) == Matrix.identity(QQ, q_ungraded(g, QQ).dim)
 
 
 def test_q_hom_contravariant_on_composites():
@@ -106,8 +105,8 @@ def test_q_hom_contravariant_on_composites():
         inner = build_F(n, rng.randint(1, n))[1]   # F_i -> B
         outer = act_on_B(n, w)                     # B -> B
         composite = compose_morphisms(outer, inner)
-        lhs = q_hom(composite, QQ).matrix
-        rhs = mat_compose(q_hom(inner, QQ).matrix, q_hom(outer, QQ).matrix)
+        lhs = q_hom(composite, QQ)
+        rhs = mat_compose(q_hom(inner, QQ), q_hom(outer, QQ))
         assert lhs == rhs
 
 
@@ -117,7 +116,8 @@ def test_q_hom_collapsed_and_mirrored_edges():
     g = graph_new(["a", "b", "c"], [("a", "b"), ("b", "c")])
     h = graph_new(["u", "v"], [("u", "v")])
     f = morphism_new({"a": "v", "b": "u", "c": "u"}, g, h)
-    hom = q_hom(f, QQ, validate=True)
+    hom = q_hom(f, QQ)
+    assert is_multiplicative(q_ungraded(h, QQ), q_ungraded(g, QQ), hom)
     # G basis: a b c | d:a d:b d:c e:a|b e:b|c;  H basis: u v | d:u d:v e:u|v
     expected = Matrix.from_entries(QQ, 8, 5, [
         (0, 1, 1), (1, 0, 1), (2, 0, 1),
@@ -125,19 +125,72 @@ def test_q_hom_collapsed_and_mirrored_edges():
         (7, 2, 2),  # collapsed edge b-c
         (6, 4, 1),  # mirrored edge a-b, counted once through (b, a)
     ])
-    assert hom.matrix == expected
+    assert hom == expected
+
+
+def _is_multiplicative_hom(f, field, m):
+    """is_multiplicative for a matrix between the algebras of f's target and source."""
+    return is_multiplicative(q_ungraded(f.target, field), q_ungraded(f.source, field), m)
 
 
 def test_q_hom_multiplicative_on_quotients():
     for s in (1, -1):
-        hom = q_hom(build_C(2, s)[1], QQ)  # validates multiplicativity
-        assert hom.is_multiplicative()
+        proj = build_C(2, s)[1]
+        assert _is_multiplicative_hom(proj, QQ, q_hom(proj, QQ))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_word_actions_on_crowns_are_multiplicative(n):
+    for s in (1, -1):
+        for w in wn_enumerate(n):
+            f = act_on_C(n, w, s)
+            assert _is_multiplicative_hom(f, QQ, q_hom(f, QQ))
+
+
+def test_perturbed_projection_is_not_multiplicative():
+    # negative control: doubling entry (0, 0) breaks e_0 * e_0 = d:0 at the image
+    proj = build_C(2, 1)[1]
+    m = q_hom(proj, QQ)
+    entries = [(r, c, 2 if (r, c) == (0, 0) else v) for r, c, v in m.to_triples()]
+    perturbed = Matrix.from_entries(QQ, m.nrows, m.ncols, entries)
+    assert perturbed.entry(0, 0) == 2
+    assert not _is_multiplicative_hom(proj, QQ, perturbed)
+
+
+TRIANGLE = graph_new(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_label_map_into_a_larger_graph_is_not_multiplicative(field):
+    # negative control: the basis-label map Q(PATH3) -> Q(TRIANGLE) keeps
+    # every nonzero product, but e_a * e_c = 0 maps to e_a * e_c = e:a|c
+    src, tgt = q_ungraded(PATH3, field), q_ungraded(TRIANGLE, field)
+    row = {label: r for r, label in enumerate(tgt.basis)}
+    m = Matrix.from_entries(field, tgt.dim, src.dim, [(row[lbl], c, 1) for c, lbl in enumerate(src.basis)])
+    assert not is_multiplicative(src, tgt, m)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_rescaled_diagonal_orbit_is_not_multiplicative(field):
+    # negative control: doubling d:a breaks only the square e_a * e_a
+    alg = q_ungraded(PATH3, field)
+    d_a = alg.basis.index(("d", "a"))
+    m = Matrix.identity(field, alg.dim)
+    assert is_multiplicative(alg, alg, m)
+    entries = [(r, c, 2 if c == d_a else v) for r, c, v in m.to_triples()]
+    assert not is_multiplicative(alg, alg, Matrix.from_entries(field, alg.dim, alg.dim, entries))
+
+
+def test_is_multiplicative_rejects_a_mismatched_shape():
+    proj = build_C(2, 1)[1]
+    with pytest.raises(ValueError):
+        is_multiplicative(q_ungraded(proj.source, QQ), q_ungraded(proj.target, QQ), q_hom(proj, QQ))
 
 
 def test_projection_hom_has_full_column_rank():
     hom = q_hom(build_C(2, 1)[1], QQ)
-    assert (hom.matrix.nrows, hom.matrix.ncols) == (40, 36)
-    assert mat_rank(hom.matrix) == 36
+    assert (hom.nrows, hom.ncols) == (40, 36)
+    assert mat_rank(hom) == 36
 
 
 def test_cover_injectivity_identity():
@@ -193,28 +246,29 @@ def test_mult_multiset_cases():
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_regrading_recovers_the_graph_grading(field):
     for g in (PATH3, SQUARE, build_C(2, 1)[0]):
-        graded, pivots, kernel = annihilator_grading_data(q_ungraded(g, field))
-        reference = q_graded(g, field)
-        assert graded.degree1 == reference.degree1
-        assert tuple(lbl[1] for lbl in graded.degree2) == reference.degree2
-        assert graded._prod == reference._prod
-        # the kernel is spanned by exactly the degree-2 coordinate vectors
-        d1 = reference.dim1
-        assert list(kernel) == [{d1 + k: field.one} for k in range(reference.dim2)]
+        reference = q_ungraded(g, field)
+        graded = annihilator_grading(reference)
+        d1 = len(g.vertices)
+        # the pivots are the vertex indicators and the free coordinates,
+        # which index the kernel basis, are exactly the degree-2 ones
+        assert graded.dim1 == d1
+        assert graded.basis[:d1] == reference.basis[:d1]
+        assert graded.basis[d1:] == tuple(("nil", lbl) for lbl in reference.basis[d1:])
+        assert graded._table == reference._table
 
 
 def test_regrading_dims_one_edge():
     g = graph_new(["a", "b"], [("a", "b")])
     graded = annihilator_grading(q_ungraded(g, QQ))
     assert graded.dim1 == 2
-    assert graded.dim2 == 3
+    assert graded.dim == 5
 
 
 def test_regrading_zero_algebra():
     zero_alg = Algebra(QQ, ("x", "y", "z"), {})
     graded = annihilator_grading(zero_alg)
     assert graded.dim1 == 0
-    assert graded.dim2 == 3
+    assert graded.dim == 3
 
 
 def test_regrading_rejects_unregradable_products():
@@ -279,24 +333,20 @@ PENTAGON = graph_new(range(5), [(i, (i + 1) % 5) for i in range(5)])
 )
 def test_minimal_points_match_brute_force(graph, p):
     field = GF(p)
-    expected = {ProjPoint(pt) for pt in brute_minimal_points(graph, p)}
-    got = minimal_points(q_graded(graph, field))
-    assert got == expected
-    # the regraded route must agree with the direct grading
-    via_annihilator = minimal_points(annihilator_grading(q_ungraded(graph, field)))
-    assert via_annihilator == expected
+    expected = brute_minimal_points(graph, p)
+    assert minimal_points(annihilator_grading(q_ungraded(graph, field))) == expected
 
 
 def test_minimal_points_of_crowns_are_vertex_classes():
     for s in (1, -1):
         crown = build_C(2, s)[0]
-        ag = q_graded(crown, GF(2))
+        ag = annihilator_grading(q_ungraded(crown, GF(2)))
         pts = minimal_points(ag)
         expected = set()
         for i in range(ag.dim1):
             v = [0] * ag.dim1
             v[i] = 1
-            expected.add(ProjPoint(tuple(v)))
+            expected.add(tuple(v))
         assert pts == frozenset(expected)
         assert len(pts) == 10
 
@@ -304,18 +354,23 @@ def test_minimal_points_of_crowns_are_vertex_classes():
 def test_minimal_points_single_generator():
     # one vertex: its square is the diagonal orbit, so the only point is minimal
     g = graph_new(["a"], [])
-    pts = minimal_points(q_graded(g, GF(2)))
-    assert pts == frozenset({ProjPoint((1,))})
+    pts = minimal_points(annihilator_grading(q_ungraded(g, GF(2))))
+    assert pts == frozenset({(1,)})
 
 
 def test_minimal_points_requires_prime_field():
     with pytest.raises(ValueError):
-        minimal_points(q_graded(PATH3, QQ))
+        minimal_points(annihilator_grading(q_ungraded(PATH3, QQ)))
+
+
+def test_minimal_points_requires_a_regraded_algebra():
+    with pytest.raises(ValueError):
+        minimal_points(q_ungraded(PATH3, GF(2)))
 
 
 def test_minimal_points_cap():
     with pytest.raises(CapExceeded):
-        minimal_points(q_graded(SQUARE, GF(2)), max_points=8)
+        minimal_points(annihilator_grading(q_ungraded(SQUARE, GF(2))), max_points=8)
 
 
 # -- reconstruction --------------------------------------------------------------------
@@ -351,11 +406,6 @@ def test_reconstruct_random_admissible_graphs():
         found += 1
         rebuilt = reconstruct_graph(q_ungraded(g, GF(2)))
         assert graphs_isomorphic(g, rebuilt)
-
-
-def test_reconstruct_field_mismatch_guard():
-    with pytest.raises(ValueError):
-        reconstruct_graph(q_ungraded(SQUARE, GF(2)), field=QQ)
 
 
 # -- serialization -----------------------------------------------------------------------

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from crown.cli import main
-from crown.fields import GF, QQ
+from crown.fields import GF, QQ, parse_field
 from crown.harness import (
     CHECK_ORDER,
     CheckReport,
@@ -175,6 +176,24 @@ def test_export_is_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# sha256 of the exported files at n = 2; the content must not drift
+EXPORT_SHA256 = {
+    ("algebras", "rational"): "208f91425c3474cb8fb275b8a6e253f8069d8e22035321848346edd3b7b648e1",
+    ("matrices", "rational"): "2b41f6e99b1c702b0380a99c74bdfd2130b724ff6399a9f9112cae05a628259b",
+    ("nat_trans", "rational"): "89bb66a3823459fbec7ba15345e6eed4849268a7738512fb4d6eef5431bd5ce5",
+    ("algebras", "fp:2"): "abb81f86deb7f8e717fbed5dd3fa7612c223ebd9408adccf95aace0a1f092b43",
+    ("matrices", "fp:2"): "7b437e60c8c50febc0ba17bf590711770d78cd6b63b0a658e70617226ab7967b",
+    ("nat_trans", "fp:2"): "f34801d2962ec4873d7d66aed3429dde0e196365ce42ce67c9d34f9d37d1efd3",
+}
+
+
+@pytest.mark.parametrize("what,field", sorted(EXPORT_SHA256))
+def test_export_content_is_pinned(tmp_path, what, field):
+    path = tmp_path / "export.json"
+    export_objects(RunConfig(n=2, field=parse_field(field)), what, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_SHA256[(what, field)]
+
+
 def test_export_unknown_kind(tmp_path):
     with pytest.raises(ValueError):
         export_objects(RunConfig(n=2), "pictures", str(tmp_path / "x.json"))
@@ -211,6 +230,14 @@ def test_cli_rejects_bad_usage(capsys):
     assert main(["verify", "--field", "float32"]) == 2
     assert main(["nosuchcommand"]) == 2
     assert main(["verify", "--checks", "nosuch"]) == 2
+
+
+def test_cli_reports_a_cap_as_an_error(tmp_path, capsys):
+    out = tmp_path / "nt.json"
+    rc = main(["export", "--what", "nat_trans", "--n", "3", "--out", str(out), "--max-tensor-dim", "10"])
+    assert rc == 2
+    assert "error: tensor dimension 54^2 exceeds cap 10" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_info(capsys):

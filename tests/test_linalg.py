@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -59,6 +60,30 @@ def test_rational_scalar_json():
     x = QQ.coerce("3/2") - QQ.coerce(1)
     assert QQ.scalar_to_json(x) == "1/2"
     assert QQ.scalar_from_json("1/2") == x
+
+
+def test_rational_scalars_are_ints_when_integral():
+    assert (QQ.zero, QQ.one) == (0, 1) and type(QQ.zero) is int and type(QQ.one) is int
+    two = QQ.coerce(Fraction(4, 2))
+    assert two == 2 and type(two) is int
+    assert type(QQ.inv(QQ.from_int(-1))) is int and QQ.inv(QQ.from_int(-1)) == -1
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.scalar_from_json("6/3")) is int and QQ.scalar_from_json("-3/4") == Fraction(-3, 4)
+
+    # int and integral Fraction scalars build equal matrices through both kernels
+    def as_fractions(m):
+        return Matrix(QQ, m.nrows, m.ncols, [{r: Fraction(v) for r, v in col.items()} for col in m._cols])
+
+    rng = random.Random(9)
+    for _ in range(20):
+        a = rand_matrix(rng, QQ, 3, 4)
+        b = rand_matrix(rng, QQ, 4, 2)
+        fa, fb = as_fractions(a), as_fractions(b)
+        assert mat_compose(a, b) == mat_compose(fa, fb)
+        a3 = a.scale(3)
+        terms = [(QQ.from_int(-2), [a, b]), (QQ.one, [a3, b])]
+        fterms = [(Fraction(-2), [fa, fb]), (Fraction(1), [as_fractions(a3), fb])]
+        assert kron_sum(terms) == kron_sum(fterms)
 
 
 # -- compose ---------------------------------------------------------------
