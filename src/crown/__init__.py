@@ -25,7 +25,6 @@ from .graph_algebra import (
     cover_injectivity,
     is_multiplicative,
     minimal_points,
-    mult_multiset,
     q_hom,
     q_ungraded,
     reconstruct_graph,

@@ -83,22 +83,6 @@ class Algebra:
                         out[k] = x
         return out
 
-    def is_associative(self) -> bool:
-        """Exhaustive check of (e_i e_j) e_k == e_i (e_j e_k)."""
-        d = self.dim
-        unit = self.field.one
-        for i in range(d):
-            ei = {i: unit}
-            for j in range(i, d):
-                ij = self.product_basis(i, j)
-                ej = {j: unit}
-                for k in range(d):
-                    left = self.mult(ij, {k: unit})
-                    right = self.mult(ei, self.mult(ej, {k: unit}))
-                    if left != right:
-                        return False
-        return True
-
     def label_str(self, i):
         return _label_str(self.basis[i])
 
@@ -229,19 +213,6 @@ def cover_injectivity(fs, field) -> bool:
     return mat_rank(stacked) == target_alg.dim
 
 
-def mult_multiset(a: Algebra, factors) -> dict:
-    """Product of basis elements listed by index; order is irrelevant."""
-    factors = list(factors)
-    if not factors:
-        raise ValueError("empty factor list")
-    out = {factors[0]: a.field.one}
-    for i in factors[1:]:
-        out = a.mult(out, {i: a.field.one})
-        if not out:
-            return {}
-    return out
-
-
 # -- annihilator grading -------------------------------------------------
 
 def annihilator_grading(a: Algebra) -> Algebra:
@@ -342,6 +313,7 @@ def _minimal_representatives(ag: Algebra, max_points: int):
         raise ValueError("projective enumeration requires a prime field")
     if f.p ** d1 > max_points:
         raise CapExceeded(f"{f.p}^{d1} projective vectors exceed cap {max_points}")
+    mul, add, zero = f.mul, f.add, f.zero
     # nonzero structure constants e_i * e_j = sum_k v e_k, grouped by j
     by_col = [
         [(i, k, v) for i in range(d1) for k, v in ag.product_basis(i, j).items()]
@@ -349,15 +321,26 @@ def _minimal_representatives(ag: Algebra, max_points: int):
     ]
 
     def product_rows(vecs):
-        """The stacked maps b -> x*b over x in vecs; its kernel is {b : b*vecs = 0}."""
+        """The stacked maps b -> x*b over x in vecs; its kernel is {b : b*vecs = 0}.
+
+        The products are field scalars already, so they are added straight
+        into the columns; entries of one row can cancel and are dropped.
+        """
         row_of: dict = {}
-        entries = []
+        cols = [dict() for _ in range(d1)]
         for block, x in enumerate(vecs):
             for j, c in x.items():
                 for i, k, v in by_col[j]:
                     r = row_of.setdefault((block, k), len(row_of))
-                    entries.append((r, i, f.mul(c, v)))
-        return Matrix.from_entries(f, len(row_of), d1, entries)
+                    col = cols[i]
+                    w = mul(c, v)
+                    cur = col.get(r)
+                    y = w if cur is None else add(cur, w)
+                    if y == zero:
+                        col.pop(r, None)
+                    else:
+                        col[r] = y
+        return Matrix(f, len(row_of), d1, cols)
 
     chosen = []
     for pt in _enumerate_projective(f, d1):

@@ -20,7 +20,6 @@ s = +1 and swapping them when s = -1 (the Moebius crown).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import CapExceeded, IllDefinedQuotient, NotAMorphism
@@ -484,14 +483,3 @@ def graphs_isomorphic(g: Graph, h: Graph, max_vertices: int = DEFAULT_GRAPH_CAP)
 
     return extend(0)
 
-
-def relabeled_copy(g: Graph, seed: int) -> Graph:
-    """A copy of g under a seeded random vertex permutation (testing aid)."""
-    rng = random.Random(seed)
-    perm = list(g.vertices)
-    rng.shuffle(perm)
-    names = {v: ("r", i) for i, v in zip(range(len(perm)), perm)}
-    return graph_new(
-        [names[v] for v in perm],
-        [(names[a], names[b]) for a, b in g.edges()],
-    )

@@ -12,12 +12,13 @@ index is i1*d^(p-1) + ... + ip.  Kronecker products follow the same
 convention: kron(a, b)[(i1,i2),(j1,j2)] = a[i1,j1] * b[i2,j2].
 
 There are two tensor-sum kernels.  `kron_sum` materializes a signed sum
-of Kronecker products in one pass; `kron`, `kron_power` and every
-word-power family are calls of it.  `tensor_product_sum_witness` decides
-whether such a sum is zero without materializing it: it walks column
-tuples one tensor factor at a time and deduplicates equal prefix states,
-so its memory is one stored layer of distinct states, and it expands only
-the one witness column it returns, with `kron_sum`.
+of Kronecker products in one pass; `kron`, `kron_power`, every
+word-power family and every Loday map are calls of it.
+`tensor_product_sum_witness` decides whether such a sum is zero without
+materializing it: it walks column tuples one tensor factor at a time and
+deduplicates equal prefix states, so its memory is one stored layer of
+distinct states, and it expands only the one witness column it returns,
+with `kron_sum`.
 """
 
 from __future__ import annotations
@@ -138,27 +139,44 @@ class Matrix:
 
 
 def mat_compose(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix of the composite linear map: `a` applied after `b`."""
+    """Matrix of the composite linear map: `a` applied after `b`.
+
+    A column of `b` with at most one entry needs no sums: an empty column
+    stays empty (the result shares it), a single entry (k, 1) gives a's
+    column k itself, and (k, v) gives that column times v, with no zero
+    test because a field has no zero divisors.  Sharing column dicts
+    between matrices relies on columns never being mutated after
+    construction.  Other columns accumulate their products and drop the
+    entries that cancel.
+    """
     if a.field != b.field:
         raise ValueError("field mismatch")
     if a.ncols != b.nrows:
         raise ValueError(f"dimension mismatch: {a.ncols} != {b.nrows}")
     f = a.field
     zero = f.zero
+    one = f.one
+    mul = f.mul
     acols = a._cols
     cols = []
-    for c in range(b.ncols):
-        acc: dict = {}
-        for k, v in b._cols[c].items():
-            for r, w in acols[k].items():
-                x = f.mul(w, v)
-                cur = acc.get(r)
-                y = x if cur is None else f.add(cur, x)
-                if y == zero:
-                    acc.pop(r, None)
-                else:
-                    acc[r] = y
-        cols.append(acc)
+    for col in b._cols:
+        if not col:
+            cols.append(col)
+        elif len(col) == 1:
+            [(k, v)] = col.items()
+            cols.append(acols[k] if v == one else {r: mul(w, v) for r, w in acols[k].items()})
+        else:
+            acc: dict = {}
+            for k, v in col.items():
+                for r, w in acols[k].items():
+                    x = mul(w, v)
+                    cur = acc.get(r)
+                    y = x if cur is None else f.add(cur, x)
+                    if y == zero:
+                        acc.pop(r, None)
+                    else:
+                        acc[r] = y
+            cols.append(acc)
     return Matrix(f, a.nrows, b.ncols, cols)
 
 

@@ -5,7 +5,10 @@ are surjective maps.  An algebra A is turned into a representation by
 sending {1..p} to the tensor power A^(x)p and a surjection s to the map
 that multiplies together the tensor factors lying over each target
 element.  `loday_matrix` realizes those maps in the fixed lexicographic
-tensor basis.
+tensor basis, in factored form: the Kronecker product of one
+multiplication map per fibre of s (one `kron_sum` call), with its columns
+reindexed by the permutation that puts the input tensor positions into
+fibre order.
 
 Acting sign words on the strip and crown graphs and applying the graph
 algebra construction gives, for every monoid-algebra element supported on
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import CapExceeded, HomSetViolation
 from .fields import QQ
-from .graph_algebra import Algebra, mult_multiset, q_hom, q_ungraded
+from .graph_algebra import Algebra, q_hom, q_ungraded
 from .graphs import act_on_B, act_on_C, build_B, build_C, build_F, morphism_new
 from .linalg import (
     Matrix,
@@ -98,42 +101,44 @@ def surj_compose(t: Surjection, s: Surjection) -> Surjection:
     return Surjection(s.p, t.q, tuple(t.images[j - 1] for j in s.images))
 
 
+def _multiplication_matrix(a: Algebra, k: int) -> Matrix:
+    """mu_k: A^(x)k -> A, the product of k tensor factors.
+
+    The column of (k_1..k_k) is e_k1 * ... * e_kk multiplied left to
+    right, so mu_k is built from mu_(k-1) one factor at a time: each
+    prefix product is computed once, and an empty one stays empty.
+    """
+    one = a.field.one
+    cols = [{i: one} for i in range(a.dim)]
+    for _ in range(k - 1):
+        cols = [a.mult(v, {j: one}) if v else v for v in cols for j in range(a.dim)]
+    return Matrix(a.field, a.dim, len(cols), cols)
+
+
 def loday_matrix(a: Algebra, s: Surjection, max_tensor_dim: int = DEFAULT_TENSOR_CAP) -> Matrix:
     """Matrix of the factor-multiplication map A^(x)p -> A^(x)q under s.
 
-    The column of a basis tuple (k_1..k_p) is the tensor product over
-    j = 1..q of the products of the basis factors lying over j.
+    With b_1..b_q the fibres of s, the map is
+    (mu_|b_1| (x) ... (x) mu_|b_q|) . P_s, where P_s reorders the input
+    tensor positions into fibre order (each fibre's positions ascending).
+    The Kronecker product is one `kron_sum` call, and P_s only reindexes
+    its columns: the column of (k_1..k_p) is the product's column of the
+    same factors read in fibre order.
     """
     d = a.dim
     if d ** max(s.p, s.q) > max_tensor_dim:
         raise CapExceeded(
             f"tensor dimension {d}^{max(s.p, s.q)} exceeds cap {max_tensor_dim}"
         )
-    f = a.field
-    nrows = d ** s.q
-    ncols = d ** s.p
-    pre = [s.preimages(j) for j in range(1, s.q + 1)]
-    cols = []
-    for ks in itertools.product(range(d), repeat=s.p):
-        vecs = []
-        dead = False
-        for block in pre:
-            v = mult_multiset(a, [ks[i - 1] for i in block])
-            if not v:
-                dead = True
-                break
-            vecs.append(v)
-        col: dict = {}
-        if not dead:
-            for combo in itertools.product(*(v.items() for v in vecs)):
-                rflat = 0
-                val = f.one
-                for r, w in combo:
-                    rflat = rflat * d + r
-                    val = f.mul(val, w)
-                col[rflat] = val
-        cols.append(col)
-    return Matrix(f, nrows, ncols, cols)
+    fibres = [s.preimages(j) for j in range(1, s.q + 1)]
+    fibre_order = [i for fibre in fibres for i in fibre]
+    product = kron_sum([(a.field.one, [_multiplication_matrix(a, len(fibre)) for fibre in fibres])])
+    # input position i is digit fibre_order.index(i) of the product's column index
+    index = [0]
+    for i in range(1, s.p + 1):
+        weight = d ** (s.p - 1 - fibre_order.index(i))
+        index = [c + k * weight for c in index for k in range(d)]
+    return Matrix(a.field, product.nrows, product.ncols, [product._cols[c] for c in index])
 
 
 class _LodayCache:
@@ -180,19 +185,8 @@ class NatTransData:
     target: Algebra
     components: dict
 
-    @classmethod
-    def identity(cls, alg: Algebra, r: int):
-        comps = {p: Matrix.identity(alg.field, alg.dim ** p) for p in range(1, r + 1)}
-        return cls(r, alg, alg, comps)
-
     def is_zero(self):
         return all(m.is_zero() for m in self.components.values())
-
-    def is_identity(self):
-        return all(
-            self.components[p] == Matrix.identity(self.source.field, self.source.dim ** p)
-            for p in range(1, self.r + 1)
-        )
 
     def __eq__(self, other):
         if not isinstance(other, NatTransData):

@@ -11,7 +11,6 @@ from crown.graph_algebra import (
     cover_injectivity,
     is_multiplicative,
     minimal_points,
-    mult_multiset,
     q_hom,
     q_ungraded,
     reconstruct_graph,
@@ -31,7 +30,7 @@ from crown.graphs import (
 )
 from crown.linalg import Matrix, mat_compose, mat_rank
 from crown.monoid import wn_enumerate
-from conftest import random_graph
+from conftest import is_associative, mult_multiset, random_graph
 
 
 PATH3 = graph_new(["a", "b", "c"], [("a", "b"), ("b", "c")])
@@ -81,7 +80,7 @@ def test_random_graph_algebras_commutative_associative(field):
     for _ in range(3):
         g = random_graph(rng, max_vertices=8)
         alg = q_ungraded(g, field)
-        assert alg.is_associative()
+        assert is_associative(alg)
         unit = field.one
         for i in range(alg.dim):
             for j in range(alg.dim):
@@ -335,6 +334,27 @@ def test_minimal_points_match_brute_force(graph, p):
     field = GF(p)
     expected = brute_minimal_points(graph, p)
     assert minimal_points(annihilator_grading(q_ungraded(graph, field))) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_minimal_points_when_products_cancel(p):
+    # not a graph algebra: e0 e0 = m, e0 e1 = m + n, e1 e1 = n, so the m
+    # coordinate of a*e0 cancels for a = (1, p - 1), and the linear test
+    # meets entries of one row that sum to zero
+    field = GF(p)
+    one = field.one
+    table = {(0, 0): {2: one}, (0, 1): {2: one, 3: one}, (1, 1): {3: one}}
+    ag = annihilator_grading(Algebra(field, ["a", "b", "m", "n"], table))
+    assert ag.dim1 == 2
+    points = [(0, 1)] + [(1, t) for t in range(p)]
+
+    def sparse(pt):
+        return {i: c for i, c in enumerate(pt) if c}
+
+    dep = {a: {b for b in points if ag.mult(sparse(a), sparse(b))} for a in points}
+    expected = {a for a in points if all(not dep[b] <= dep[a] for b in points if b != a)}
+    assert 2 not in ag.mult(sparse((1, p - 1)), {0: one})  # the m coordinate cancels
+    assert minimal_points(ag) == expected
 
 
 def test_minimal_points_of_crowns_are_vertex_classes():

@@ -18,11 +18,10 @@ from crown.graphs import (
     is_triangle_free,
     min_valency,
     morphism_new,
-    relabeled_copy,
     valency2_cycle_count,
 )
 from crown.monoid import Word, act_on_U, gen_g, gen_h, wn_enumerate, word_mul
-from conftest import random_graph
+from conftest import random_graph, relabeled_copy
 
 
 # -- construction -------------------------------------------------------------

@@ -125,6 +125,85 @@ def test_compose_associative_random():
             assert mat_compose(mat_compose(a, b), c) == mat_compose(a, mat_compose(b, c))
 
 
+def brute_compose(a, b):
+    """Entry-by-entry oracle: entry (r, c) = sum_k a[r, k] * b[k, c]."""
+    f = a.field
+    entries = []
+    for r in range(a.nrows):
+        for c in range(b.ncols):
+            total = f.zero
+            for k in range(a.ncols):
+                total = f.add(total, f.mul(a.entry(r, k), b.entry(k, c)))
+            entries.append((r, c, total))
+    return Matrix.from_entries(f, a.nrows, b.ncols, entries)
+
+
+def snapshot(m):
+    return [dict(col) for col in m._cols]
+
+
+def compose_operands(rng, field):
+    """A left operand whose columns 0 and 1 are equal, and a right operand
+    whose columns are empty, one entry of value one, one entry of another
+    value, or several entries (some cancelling through columns 0 and 1).
+    """
+    nrows, inner, ncols = rng.randint(1, 4), rng.randint(2, 4), rng.randint(1, 6)
+    base = rand_matrix(rng, field, nrows, inner, density=0.6, span=3)
+    cols = [base.col(k) for k in range(inner)]
+    cols[1] = base.col(0)
+    a = Matrix(field, nrows, inner, cols)
+    others = [v for v in (field.from_int(x) for x in (2, -1, 3, -2)) if v not in (field.zero, field.one)]
+    entries, kinds = [], set()
+    for c in range(ncols):
+        kind = rng.choice(("empty", "one", "scaled", "several", "cancel"))
+        if kind == "scaled" and not others:
+            kind = "one"  # F_2 has no other nonzero value
+        kinds.add(kind)
+        if kind == "one":
+            entries.append((rng.randrange(inner), c, field.one))
+        elif kind == "scaled":
+            entries.append((rng.randrange(inner), c, rng.choice(others)))
+        elif kind == "several":
+            for k in rng.sample(range(inner), rng.randint(2, inner)):
+                entries.append((k, c, field.from_int(rng.choice((1, 2, -1)))))
+        elif kind == "cancel":
+            v = field.from_int(rng.choice((1, 2, -1)))
+            entries += [(0, c, v), (1, c, field.neg(v))]
+            if inner > 2 and rng.random() < 0.5:
+                entries.append((2, c, field.one))
+    return a, Matrix.from_entries(field, inner, ncols, entries), kinds
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+def test_compose_matches_entrywise_oracle(field):
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(150):
+        a, b, kinds = compose_operands(rng, field)
+        seen |= kinds
+        a_before, b_before = snapshot(a), snapshot(b)
+        out = mat_compose(a, b)
+        assert out == brute_compose(a, b)
+        assert all(v != field.zero for col in out._cols for v in col.values())
+        # the result may share columns with `a`; using it must not write into either operand
+        mat_compose(out, Matrix.identity(field, out.ncols))
+        kron_sum([(field.one, [out]), (field.neg(field.one), [out])])
+        assert snapshot(a) == a_before and snapshot(b) == b_before
+    expected = {"empty", "one", "several", "cancel"} | ({"scaled"} if field != GF(2) else set())
+    assert seen == expected
+
+
+def test_compose_monomial_columns_by_hand():
+    a = Matrix.from_rows(QQ, [[1, 2, 2], [0, 3, 3]])
+    b = Matrix.from_entries(
+        QQ, 3, 4, [(0, 1, 1), (1, 2, Fraction(1, 3)), (1, 3, 1), (2, 3, -1)]
+    )
+    # column 0 is empty, column 1 takes a's column 0, column 2 a third of
+    # a's column 1, and column 3 cancels a's equal columns 1 and 2
+    assert mat_compose(a, b).to_triples() == [(0, 1, 1), (0, 2, Fraction(2, 3)), (1, 2, 1)]
+    assert mat_compose(a, b).col(3) == {}
+
+
 # -- rank -------------------------------------------------------------------
 
 def test_rank_basic():

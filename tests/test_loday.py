@@ -1,11 +1,12 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from crown.errors import CapExceeded, HomSetViolation
 from crown.fields import GF, QQ
-from crown.graph_algebra import q_ungraded
+from crown.graph_algebra import Algebra, annihilator_grading, q_ungraded
 from crown.graphs import build_C, graph_new
 from crown import loday
 from crown.linalg import Matrix, mat_compose
@@ -32,7 +33,13 @@ from crown.monoid import (
     gen_g,
     gen_h,
 )
-from conftest import random_graph
+from conftest import (
+    identity_family,
+    is_associative,
+    is_identity_family,
+    random_graph,
+    reference_loday_matrix,
+)
 
 
 PATH3 = graph_new(["a", "b", "c"], [("a", "b"), ("b", "c")])
@@ -116,6 +123,66 @@ def test_loday_cap():
         loday_matrix(alg, Surjection(3, 1, (1, 1, 1)), max_tensor_dim=10)
 
 
+def all_surjections_up_to(r):
+    return [s for p in range(1, r + 1) for q in range(1, p + 1) for s in surjections(p, q)]
+
+
+def hand_algebra(field):
+    """A commutative algebra that is not associative: (e0 e0) e1 != e0 (e0 e1).
+
+    Its products have several terms and coefficients other than one, so
+    the tensor products see general entries.
+    """
+    c = field.coerce
+    table = {
+        (0, 0): {0: c(2), 1: c(-1)},
+        (0, 1): {1: c(3), 2: c(Fraction(1, 2))},
+        (0, 2): {0: c(1), 2: c(-2)},
+        (1, 1): {2: c(4)},
+        (1, 2): {0: c(-1), 1: c(1), 2: c(1)},
+    }
+    return Algebra(field, ["a", "b", "c"], table)
+
+
+def perturbed_crown_algebra(field):
+    """The n = 2 simple crown algebra with e0 e0 given an extra e0 term.
+
+    Every other product stays that of the graph algebra, so
+    (e0 e0) e_j = e0 e_j is nonzero for a neighbour j of vertex 0 while
+    e0 (e0 e_j) = 0: the algebra is not associative.
+    """
+    alg = q_ungraded(build_C(2, 1)[0], field)
+    table = {
+        (i, j): dict(alg.product_basis(i, j))
+        for i in range(alg.dim)
+        for j in range(i, alg.dim)
+        if alg.product_basis(i, j)
+    }
+    table[(0, 0)][0] = field.one
+    return Algebra(field, alg.basis, table)
+
+
+def loday_differential_cases():
+    rng = random.Random(71)
+    cases = []
+    for field in (QQ, GF(2), GF(3), GF(5)):
+        for k in range(2):
+            g = random_graph(rng, max_vertices=4, min_vertices=3, p_edge=0.6)
+            cases.append(pytest.param(q_ungraded(g, field), id=f"random-{field.name}-{k}"))
+    for sign in (1, -1):
+        cases.append(pytest.param(q_ungraded(build_C(2, sign)[0], GF(3)), id=f"crown2{sign:+d}-GF(3)"))
+    for field in (QQ, GF(5)):
+        cases.append(pytest.param(hand_algebra(field), id=f"hand-{field.name}"))
+    cases.append(pytest.param(annihilator_grading(q_ungraded(PATH3, GF(3))), id="regraded-path3"))
+    return cases
+
+
+@pytest.mark.parametrize("alg", loday_differential_cases())
+def test_loday_matrix_matches_the_per_column_oracle(alg):
+    for s in all_surjections_up_to(3):
+        assert loday_matrix(alg, s) == reference_loday_matrix(alg, s), s
+
+
 def test_functor_laws_trivial_at_r1():
     assert functor_check(q_ungraded(PATH3, QQ), 1)
 
@@ -130,14 +197,30 @@ def test_functor_laws_crown_rationals():
     assert functor_check(q_ungraded(build_C(2, 1)[0], QQ), 2)
 
 
+def test_functor_check_rejects_a_non_associative_algebra():
+    for field in (QQ, GF(5)):
+        alg = hand_algebra(field)
+        e = field.one
+        assert alg.mult(alg.mult({0: e}, {0: e}), {1: e}) != alg.mult({0: e}, alg.mult({0: e}, {1: e}))
+        assert functor_check(alg, 2)  # commutativity alone passes every law below r = 3
+        assert not functor_check(alg, 3)
+
+
+def test_functor_check_rejects_a_perturbed_crown_algebra():
+    alg = perturbed_crown_algebra(GF(2))
+    assert not is_associative(alg)
+    assert functor_check(alg, 2)
+    assert not functor_check(alg, 3)
+
+
 # -- word families -----------------------------------------------------------------
 
 def test_cofunctor_identity_element():
     one = MonoidAlgElem.one(QQ, 2)
     eta = cofunctor_eval(2, 2, one, 1, 1, target="C")
-    assert eta.is_identity()
+    assert is_identity_family(eta)
     eta_b = cofunctor_eval(2, 2, one, 1, 1, target="B")
-    assert eta_b.is_identity()
+    assert is_identity_family(eta_b)
 
 
 def test_cofunctor_homset_guard():
@@ -269,7 +352,7 @@ def test_lemma_trace_requires_power_below_level():
 
 def test_identity_family_is_natural():
     alg = q_ungraded(build_C(2, 1)[0], QQ)
-    assert naturality_check(NatTransData.identity(alg, 2))
+    assert naturality_check(identity_family(alg, 2))
 
 
 def test_twist_family_is_natural():
