@@ -38,10 +38,8 @@ from .graphs import (
     build_B,
     build_C,
     build_F,
-    compose_morphisms,
     graph_new,
     graphs_isomorphic,
-    identity_morphism,
     is_admissible,
     is_cover,
     morphism_new,
@@ -60,7 +58,6 @@ from .loday import (
     lemma_check,
     lemma_proof_trace,
     loday_matrix,
-    naturality_check,
     surj_compose,
     surjections,
     transport_square_check,

@@ -26,9 +26,11 @@ def _build_parser():
         type=int,
         default=harness.DEFAULT_MAX_TENSOR_DIM,
         help="cap on the tensor dimension dim^p of the materialized word-power families "
-        "(transport, iso, explore) and of loday_matrix (functor, iso naturality); above it "
-        "the check reports skipped and explore does not compute its top power; the lemma "
-        "sum is never materialized and has its own cap (default %(default)s)",
+        "(iso naturality, explore) and of loday_matrix (functor, iso naturality); above it "
+        "functor reports skipped, iso marks naturality skipped and reports skipped, and "
+        "explore does not compute its top power; the streamed zero tests (lemma, transport "
+        "and the other iso sub-claims) are not bounded by it, and lemma has its own "
+        "stream cap (default %(default)s)",
     )
     verify.add_argument(
         "--max-proj-points",

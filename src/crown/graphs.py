@@ -46,9 +46,6 @@ class Graph:
     def index(self, v):
         return self._index[v]
 
-    def has_pair(self, x, y):
-        return (x, y) in self.relation
-
     def neighbors(self, v):
         return self._adj[v]
 
@@ -129,12 +126,6 @@ class GraphMorphism:
         self.target = target
         self.mapping = mapping  # dict vertex -> vertex; adopted
 
-    def __call__(self, v):
-        return self.mapping[v]
-
-    def pair_image(self, pair):
-        return (self.mapping[pair[0]], self.mapping[pair[1]])
-
     def __eq__(self, other):
         if not isinstance(other, GraphMorphism):
             return NotImplemented
@@ -160,18 +151,6 @@ def morphism_new(f1, source: Graph, target: Graph) -> GraphMorphism:
         if (mapping[x], mapping[y]) not in target.relation:
             raise NotAMorphism((x, y))
     return GraphMorphism(source, target, mapping)
-
-
-def identity_morphism(g: Graph) -> GraphMorphism:
-    return GraphMorphism(g, g, {v: v for v in g.vertices})
-
-
-def compose_morphisms(outer: GraphMorphism, inner: GraphMorphism) -> GraphMorphism:
-    """outer after inner."""
-    if inner.target != outer.source:
-        raise ValueError("morphisms not composable")
-    mapping = {v: outer.mapping[inner.mapping[v]] for v in inner.source.vertices}
-    return GraphMorphism(inner.source, outer.target, mapping)
 
 
 def is_cover(fs) -> bool:

@@ -293,10 +293,10 @@ def _check_transport(config: RunConfig):
         elements.append((f"h{i}", mo.MonoidAlgElem.from_word(f, h), 1, mo.act_on_U(h, 1)))
     elements.append(("T", mo.build_T(n, f), -1, 1))
     elements.append(("Z", mo.build_Z(n, f), 1, 1))
-    details: dict = {}
+    details: dict = {"max_power": n - 1}
     failures = []
     for name, x, s, t in elements:
-        ok = ld.transport_square_check(n, 1, x, s, t, max_tensor_dim=config.max_tensor_dim)
+        ok = ld.transport_square_check(n, n - 1, x, s, t)
         details[name] = ok
         if not ok:
             failures.append(name)
@@ -310,10 +310,13 @@ def _check_iso(config: RunConfig):
     n, f = config.n, config.field
     report = ld.iso_check(n, f, max_tensor_dim=config.max_tensor_dim)
     control = ld.iso_check(n, f, element="Z", max_tensor_dim=config.max_tensor_dim)
+    natural = report.natural_ok
+    if natural is None:
+        natural = {"status": "skipped", "reason": report.skip_reason}
     details = {
         "iso": {
             "status": report.status,
-            "natural": report.natural_ok,
+            "natural": natural,
             "mutually_inverse": report.inverse_ok,
             "alternating_family_zero": report.z_component_zero,
             "factored_identity": report.factored_identity_ok,
@@ -321,12 +324,20 @@ def _check_iso(config: RunConfig):
         },
         "negative_control": {"status": control.status, "witness": control.witness},
     }
-    if report.passed and not control.passed:
-        return "pass", details
-    details["failures"] = [
-        k for k, ok in (("iso", report.passed), ("negative_control_fails", not control.passed)) if not ok
+    failures = [
+        k for k, ok in (("iso", report.status != "FAIL"), ("negative_control_fails", control.status == "FAIL"))
+        if not ok
     ]
-    return "fail", details
+    if failures:
+        details["failures"] = failures
+        return "fail", details
+    if report.status == "SKIPPED":
+        details["reason"] = (
+            f"naturality not attempted ({report.skip_reason}); mutually_inverse, factored_identity "
+            "and alternating_family_zero hold and the negative control fails"
+        )
+        return "skipped", details
+    return "pass", details
 
 
 def _check_noniso(config: RunConfig):

@@ -11,14 +11,14 @@ in lexicographic order with the FIRST factor most significant, so the flat
 index is i1*d^(p-1) + ... + ip.  Kronecker products follow the same
 convention: kron(a, b)[(i1,i2),(j1,j2)] = a[i1,j1] * b[i2,j2].
 
-There are two tensor-sum kernels.  `kron_sum` materializes a signed sum
-of Kronecker products in one pass; `kron`, `kron_power`, every
-word-power family and every Loday map are calls of it.
-`tensor_product_sum_witness` decides whether such a sum is zero without
-materializing it: it walks column tuples one tensor factor at a time and
-deduplicates equal prefix states, so its memory is one stored layer of
-distinct states, and it expands only the one witness column it returns,
-with `kron_sum`.
+Both tensor-sum kernels take `terms`, a list of (coefficient, [p
+factors]) in which factor i of every term has one shape, rectangular
+allowed (`_term_shapes`).  `kron_sum` materializes the sum in one pass;
+`kron`, `kron_power`, every word-power family and every Loday map are
+calls of it.  `tensor_product_sum_witness` is the one exact zero test,
+for every tensor identity the package checks: it merges terms with equal
+factor lists, then walks column tuples one tensor factor at a time over
+deduplicated prefix states, storing one layer of distinct states.
 """
 
 from __future__ import annotations
@@ -68,19 +68,6 @@ class Matrix:
             else:
                 cols[c][r] = w
         return cls(field, nrows, ncols, cols)
-
-    @classmethod
-    def from_rows(cls, field, rows):
-        """Build from a dense list of row lists."""
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        entries = []
-        for r, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                entries.append((r, c, v))
-        return cls.from_entries(field, nrows, ncols, entries)
 
     # -- accessors ----------------------------------------------------
 
@@ -180,19 +167,8 @@ def mat_compose(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(f, a.nrows, b.ncols, cols)
 
 
-def kron_sum(terms) -> Matrix:
-    """The matrix of  sum_k  c_k * (M_k1 (x) ... (x) M_kp), built in one pass.
-
-    `terms` is a list of (coefficient, [p factors]), as for
-    `tensor_product_sum_witness`; all factors share one field, factor i
-    of every term has the same shape, and factors may be rectangular.
-    Anything else raises ValueError.  Each term is expanded one factor at
-    a time from its coefficient: every factor but the last extends the
-    nonempty column prefixes, each holding its row prefix -> value
-    entries, and the last factor's products are added straight into the
-    one output, dropping entries that cancel.  No per-term product is
-    materialized and the output is never copied.
-    """
+def _term_shapes(terms):
+    """The field and per-factor (nrows, ncols) of a term list; ValueError if inconsistent."""
     if not terms or not terms[0][1]:
         raise ValueError("a Kronecker sum needs at least one term and one factor")
     field = terms[0][1][0].field
@@ -200,9 +176,22 @@ def kron_sum(terms) -> Matrix:
     for _, mats in terms:
         if len(mats) != len(shapes):
             raise ValueError("term arity mismatch")
-        for m, shape in zip(mats, shapes):
-            if m.field != field or (m.nrows, m.ncols) != shape:
-                raise ValueError("factors must share one field, and factor i one shape")
+        if any(m.field != field or (m.nrows, m.ncols) != shape for m, shape in zip(mats, shapes)):
+            raise ValueError("factors must share one field, and factor i one shape")
+    return field, shapes
+
+
+def kron_sum(terms) -> Matrix:
+    """The matrix of  sum_k  c_k * (M_k1 (x) ... (x) M_kp), built in one pass.
+
+    `terms` follows the module's term contract (else ValueError).  Each
+    term is expanded one factor at a time from its coefficient: every
+    factor but the last extends the nonempty column prefixes, each holding
+    its row prefix -> value entries, and the last factor's products are
+    added straight into the one output, dropping entries that cancel.  No
+    per-term product is materialized and the output is never copied.
+    """
+    field, shapes = _term_shapes(terms)
     mul = field.mul
     add = field.add
     zero = field.zero
@@ -374,10 +363,14 @@ def left_inverse(a: Matrix) -> Matrix:
 def tensor_product_sum_witness(terms, p: int):
     """Exact zero test for  sum_k  c_k * (M_k1 (x) ... (x) M_kp).
 
-    `terms` is a list of (coefficient, [p square matrices of equal
-    dimension]).  Returns None when the sum is exactly zero, otherwise the
-    lowest-index witness (col_tuple, row_tuple, value): the lowest nonzero
-    column tuple and, inside it, the lowest nonzero row tuple.
+    `terms` follows the module's term contract.  Returns None when the
+    sum is exactly zero, otherwise the lowest-index witness (col_tuple,
+    row_tuple, value): the lowest nonzero column tuple and, inside it, the
+    lowest nonzero row tuple, digit i indexing factor i's columns or rows.
+
+    Terms whose factor lists are equal matrix by matrix (by entries, not
+    identity) are merged first and zero coefficients dropped; that leaves
+    the operator, and so the witness, unchanged.
 
     The operator is never materialized.  Its entry at rows (r1..rp) and
     columns (j1..jp) is the sum over k of the vector
@@ -393,18 +386,17 @@ def tensor_product_sum_witness(terms, p: int):
     """
     if not terms:
         return None
-    field = terms[0][1][0].field
-    dim = terms[0][1][0].ncols
-    for _, mats in terms:
-        if len(mats) != p:
-            raise ValueError("term arity mismatch")
-        for m in mats:
-            if m.field != field or m.nrows != dim or m.ncols != dim:
-                raise ValueError("tensor factors must be square of equal dimension")
+    field, shapes = _term_shapes(terms)
+    if len(shapes) != p:
+        raise ValueError("term arity mismatch")
+    terms = _merged_terms(field, terms)
+    if not terms:
+        return None
     zero = field.zero
     mul = field.mul
     add = field.add
     factor_cols = [[m._cols for m in mats] for _, mats in terms]
+    ncols = [c for _, c in shapes]
 
     def row_children(vec, i, j):
         """Coefficient vectors after appending column j of factor i, one per row."""
@@ -416,7 +408,7 @@ def tensor_product_sum_witness(terms, p: int):
 
     def first_nonzero_column(vec):
         """Lowest j whose last-factor column makes some row's vector sum nonzero."""
-        for j in range(dim):
+        for j in range(ncols[-1]):
             for child in row_children(vec, p - 1, j):
                 total = zero
                 for _, val in child:
@@ -425,12 +417,11 @@ def tensor_product_sum_witness(terms, p: int):
                     return j
         return None
 
-    root = tuple((k, coef) for k, (coef, _) in enumerate(terms) if coef != zero)
-    layer = {root: ()} if root else {}
+    layer = {tuple((k, coef) for k, (coef, _) in enumerate(terms)): ()}
     for i in range(p - 1):
         stored: dict = {}
         for vec, prefix in layer.items():
-            for j in range(dim):
+            for j in range(ncols[i]):
                 cand = prefix + (j,)
                 for child in row_children(vec, i, j):
                     key = tuple(child)
@@ -445,6 +436,24 @@ def tensor_product_sum_witness(terms, p: int):
     return _column_witness(terms, min(witnesses)) if witnesses else None
 
 
+def _merged_terms(field, terms):
+    """The terms with equal factor lists merged and zero coefficients dropped."""
+    seen: dict = {}  # (shape, column sizes) -> the first matrix of each content
+
+    def first_equal(m):
+        bucket = seen.setdefault((m.nrows, m.ncols, tuple(map(len, m._cols))), [])
+        first = next((x for x in bucket if x is m or x._cols == m._cols), None)
+        if first is None:
+            bucket.append(first := m)
+        return id(first)
+
+    merged: dict = {}
+    for coef, mats in terms:
+        key = tuple(map(first_equal, mats))
+        merged[key] = [field.add(merged[key][0], coef) if key in merged else coef, mats]
+    return [(coef, mats) for coef, mats in merged.values() if coef != field.zero]
+
+
 def _column_witness(terms, col_tuple):
     """(col_tuple, lowest nonzero row tuple, value) of one column of the sum."""
     column = kron_sum([
@@ -452,6 +461,9 @@ def _column_witness(terms, col_tuple):
         for coef, mats in terms
     ])._cols[0]
     flat = min(column)
-    dim, p = terms[0][1][0].nrows, len(col_tuple)
-    row_tuple = tuple(flat // dim ** (p - 1 - i) % dim for i in range(p))
-    return (col_tuple, row_tuple, column[flat])
+    value = column[flat]
+    row_tuple = []
+    for m in reversed(terms[0][1]):  # mixed radix, last factor least significant
+        flat, r = divmod(flat, m.nrows)
+        row_tuple.append(r)
+    return (col_tuple, tuple(reversed(row_tuple)), value)

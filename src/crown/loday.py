@@ -12,16 +12,18 @@ fibre order.
 
 Acting sign words on the strip and crown graphs and applying the graph
 algebra construction gives, for every monoid-algebra element supported on
-a hom-set of the sign action, a family of matrices between tensor powers
-(`cofunctor_eval`).  Linearity is in the monoid algebra: each word
-contributes the p-th Kronecker power of its own matrix, and the powers are
-summed afterwards -- never the other way around.
+a hom-set of the sign action, a family of matrices between tensor powers:
+at power p, the sum over words of the coefficient times the p-th
+Kronecker power of the word's matrix (`_word_terms`), linear in the
+monoid algebra and never inside a tensor power.
 
-`lemma_check` verifies that the alternating sum over the idempotent
-generators annihilates every tensor power strictly below the level, and
-`iso_check` verifies that the two crossing maps built from the twist
-element compose to the identity in both orders, which exhibits the
-truncated representations of the two crowns as isomorphic.
+By the mixed-product rule every identity between such families -- the
+annihilation statement (`lemma_check`), the transport squares along the
+projections (`transport_square_check`) and the mutual inverses between
+the two crowns built from the twist element (`iso_check`) -- is a sum of
+p-th powers of p = 1 matrices, decided by the one streamed zero test
+`tensor_product_sum_witness`.  `cofunctor_eval` materializes a family,
+for naturality (with its Loday matrices), `explore` and export.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .graph_algebra import Algebra, q_hom, q_ungraded
 from .graphs import act_on_B, act_on_C, build_B, build_C, build_F, morphism_new
 from .linalg import (
     Matrix,
-    kron_power,
     kron_sum,
     left_inverse,
     mat_compose,
@@ -68,9 +69,6 @@ class Surjection:
     @classmethod
     def identity(cls, p):
         return cls(p, p, tuple(range(1, p + 1)))
-
-    def is_identity(self):
-        return self.images == tuple(range(1, self.p + 1))
 
     def preimages(self, j):
         return [i for i, im in enumerate(self.images, start=1) if im == j]
@@ -185,9 +183,6 @@ class NatTransData:
     target: Algebra
     components: dict
 
-    def is_zero(self):
-        return all(m.is_zero() for m in self.components.values())
-
     def __eq__(self, other):
         if not isinstance(other, NatTransData):
             return NotImplemented
@@ -226,15 +221,33 @@ def naturality_witness(eta: NatTransData, max_tensor_dim: int = DEFAULT_TENSOR_C
     return None
 
 
-def naturality_check(eta: NatTransData, max_tensor_dim: int = DEFAULT_TENSOR_CAP) -> bool:
-    return naturality_witness(eta, max_tensor_dim) is None
-
-
 def _action_matrix(n: int, w: Word, s, target: str, field) -> Matrix:
     """Matrix of the induced algebra map of the action of one word."""
     if target == "B":
         return q_hom(act_on_B(n, w), field)
     return q_hom(act_on_C(n, w, s), field)
+
+
+def _word_terms(n: int, x: MonoidAlgElem, s: int, t: int, target: str) -> list:
+    """The (coefficient, word matrix) pairs of x, in word order.
+
+    For target "B" the matrices act on the strip algebra (signs are
+    ignored); for target "C" x must be supported on the (s -> t) hom-set,
+    and the matrices map the t-crown algebra to the s-crown one.
+    """
+    if x.n != n:
+        raise ValueError(f"level mismatch: element has level {x.n}, expected {n}")
+    if target not in ("B", "C"):
+        raise ValueError(f"unknown target {target!r}")
+    if target == "C" and not homset_member(x, s, t):
+        raise HomSetViolation(f"element is not supported on the {s}->{t} hom-set")
+    words = sorted(x.terms, key=Word.sort_key)
+    return [(x.terms[w], _action_matrix(n, w, s, target, x.field)) for w in words]
+
+
+def _power_terms(products, p: int) -> list:
+    """The terms of  sum c * M^(x)p  over (c, M) pairs."""
+    return [(c, [m] * p) for c, m in products]
 
 
 def cofunctor_eval(
@@ -246,38 +259,25 @@ def cofunctor_eval(
     target: str = "C",
     max_tensor_dim: int = DEFAULT_TENSOR_CAP,
 ) -> NatTransData:
-    """Evaluate a monoid-algebra element to a family of tensor-power maps.
+    """Materialize x's family of tensor-power maps for p = 1..r.
 
-    For target "B" the element acts on the strip algebra (signs are
-    ignored); for target "C" it must be supported on the (s -> t) hom-set
-    and yields maps from the t-crown tensor powers to the s-crown ones.
-    The component at power p is the sum over words of the word's
-    coefficient times the p-th Kronecker power of the word's matrix,
-    built by one `kron_sum` call that never materializes a single word's
-    power.
+    Targets and signs are as for `_word_terms`.  Each component is one
+    `kron_sum` call over the words, which never materializes a single
+    word's power.
     """
-    if x.n != n:
-        raise ValueError(f"level mismatch: element has level {x.n}, expected {n}")
-    if target not in ("B", "C"):
-        raise ValueError(f"unknown target {target!r}")
     field = x.field
     if target == "B":
         alg_src = alg_tgt = q_ungraded(build_B(n), field)
     else:
-        if not homset_member(x, s, t):
-            raise HomSetViolation(f"element is not supported on the {s}->{t} hom-set")
         alg_src = q_ungraded(build_C(n, t)[0], field)
         alg_tgt = q_ungraded(build_C(n, s)[0], field)
     if alg_src.dim ** r > max_tensor_dim or alg_tgt.dim ** r > max_tensor_dim:
         raise CapExceeded(
             f"tensor dimension {alg_src.dim}^{r} exceeds cap {max_tensor_dim}"
         )
-    words = sorted(x.terms, key=Word.sort_key)
     # the zero element has no words; its family is the powers of the zero map
-    terms = [(x.terms[w], _action_matrix(n, w, s, target, field)) for w in words] or [
-        (field.zero, Matrix.zero(field, alg_tgt.dim, alg_src.dim))
-    ]
-    components = {p: kron_sum([(c, [m] * p) for c, m in terms]) for p in range(1, r + 1)}
+    terms = _word_terms(n, x, s, t, target) or [(field.zero, Matrix.zero(field, alg_tgt.dim, alg_src.dim))]
+    components = {p: kron_sum(_power_terms(terms, p)) for p in range(1, r + 1)}
     return NatTransData(r, alg_src, alg_tgt, components)
 
 
@@ -465,31 +465,29 @@ def lemma_proof_trace(n: int, p: int, field=QQ, check_summands: bool = True) -> 
 
 # -- transport squares and the crown isomorphism -------------------------
 
-def transport_square_check(
-    n: int,
-    r: int,
-    x: MonoidAlgElem,
-    s: int,
-    t: int,
-    max_tensor_dim: int = DEFAULT_TENSOR_CAP,
-) -> bool:
-    """Whether the strip and crown families commute with the projections.
-
-    At each power p the strip-side component composed with the p-th power
-    of the t-projection matrix must equal the p-th power of the
-    s-projection matrix composed with the crown-side component.
-    """
+def _transport_products(n: int, x: MonoidAlgElem, s: int, t: int) -> list:
+    """The (c_w, B_w F_t) and (-c_w, F_s C_w) pairs of x's words, B strip and C crown."""
     field = x.field
-    b_side = cofunctor_eval(n, r, x, s, t, target="B", max_tensor_dim=max_tensor_dim)
-    c_side = cofunctor_eval(n, r, x, s, t, target="C", max_tensor_dim=max_tensor_dim)
     f_s = q_hom(build_C(n, s)[1], field)
     f_t = q_hom(build_C(n, t)[1], field)
-    for p in range(1, r + 1):
-        lhs = mat_compose(b_side.components[p], kron_power(f_t, p))
-        rhs = mat_compose(kron_power(f_s, p), c_side.components[p])
-        if lhs != rhs:
-            return False
-    return True
+    strip = _word_terms(n, x, s, t, "B")
+    crown = _word_terms(n, x, s, t, "C")
+    return [(c, mat_compose(m, f_t)) for c, m in strip] + [
+        (field.neg(c), mat_compose(f_s, m)) for c, m in crown
+    ]
+
+
+def transport_square_check(n: int, r: int, x: MonoidAlgElem, s: int, t: int) -> bool:
+    """Whether the strip and crown families commute with the projections.
+
+    At each power p <= r the strip-side component after F_t^(x)p must
+    equal F_s^(x)p after the crown-side component, F the projection
+    matrices.  By the mixed-product rule that is one zero test per power,
+    sum_w c_w (B_w F_t)^(x)p - sum_w c_w (F_s C_w)^(x)p = 0.  Each word's
+    square holds at p = 1, so the zero test's merge cancels the sum.
+    """
+    products = _transport_products(n, x, s, t)
+    return all(tensor_product_sum_witness(_power_terms(products, p), p) is None for p in range(1, r + 1))
 
 
 @dataclass
@@ -501,25 +499,19 @@ class IsoReport:
     field_name: str
     element: str
     homset_ok: bool
-    natural_ok: bool
+    natural_ok: object  # None when not attempted; the reason is in skip_reason
     inverse_ok: bool
     z_component_zero: bool
     factored_identity_ok: bool
     witness: dict = dc_field(default_factory=dict)
-
-    @property
-    def passed(self):
-        return (
-            self.homset_ok
-            and self.natural_ok
-            and self.inverse_ok
-            and self.z_component_zero
-            and self.factored_identity_ok
-        )
+    skip_reason: str = ""
 
     @property
     def status(self):
-        return "PASS" if self.passed else "FAIL"
+        claims = (self.homset_ok, self.natural_ok, self.inverse_ok, self.z_component_zero, self.factored_identity_ok)
+        if any(ok is False for ok in claims):
+            return "FAIL"
+        return "SKIPPED" if self.natural_ok is None else "PASS"
 
 
 def iso_check(
@@ -531,12 +523,16 @@ def iso_check(
     """Verify the two crossing crown maps compose to the identity.
 
     With the twist element (the default) the two families run between the
-    two crowns and must be mutually inverse at every power p <= n-1; the
-    factored identity additionally checks each composite equals the
-    identity minus the (vanishing) alternating-element family.  Passing
-    `element="Z"` runs the same engine on the alternating element as a
-    negative control: its families are endomorphisms and their composites
-    are zero, so the check must fail.
+    two crowns and must be mutually inverse at every power p <= n-1.  For
+    each sign s crossing to t and each p, three sub-claims are zero tests
+    over p = 1 products: inverse, sum c_w c_w' (M_w M_w')^(x)p - I^(x)p
+    over the s-words w and t-words w'; factored identity, the same terms
+    plus the alternating-element words on s (composite = I - Z-family);
+    and alternating family zero, those words alone.  Naturality still
+    materializes the families and Loday matrices; over `max_tensor_dim`
+    it is not attempted and the status is SKIPPED, never PASS.  With
+    `element="Z"` (the negative control) the composites are zero, so the
+    check must fail.
     """
     if n < 2:
         raise ValueError("crown checks need level >= 2")
@@ -548,69 +544,53 @@ def iso_check(
     else:
         raise ValueError(f"unknown element {element!r}")
 
-    witness: dict = {}
-    targets = {}
-    homset_ok = True
-    for s in (1, -1):
-        words = sorted(x.terms, key=Word.sort_key)
-        t = act_on_U(words[0], s)
-        if not homset_member(x, s, t):
-            homset_ok = False
-            witness["homset"] = f"support not constant on sign {s}"
-            break
-        targets[s] = t
-    if not homset_ok or targets[targets[1]] != 1:
-        return IsoReport(
-            n, r, field.name, element, homset_ok=False, natural_ok=False,
-            inverse_ok=False, z_component_zero=False, factored_identity_ok=False,
-            witness=witness or {"homset": "families do not cross back"},
-        )
+    targets = {s: act_on_U(min(x.terms, key=Word.sort_key), s) for s in (1, -1)}
+    off = next((s for s in (1, -1) if not homset_member(x, s, targets[s])), None)
+    if off is not None or targets[targets[1]] != 1:
+        reason = f"support not constant on sign {off}" if off else "families do not cross back"
+        return IsoReport(n, r, field.name, element, False, False, False, False, False, {"homset": reason})
 
-    arrows = {
-        s: cofunctor_eval(n, r, x, s, targets[s], target="C", max_tensor_dim=max_tensor_dim)
-        for s in (1, -1)
-    }
-    natural_ok = True
-    for s in (1, -1):
-        w = naturality_witness(arrows[s], max_tensor_dim)
-        if w is not None:
-            natural_ok = False
-            witness[f"naturality_{s}"] = w
+    witness: dict = {}
 
     z = build_Z(n, field)
-    z_arrows = {
-        s: cofunctor_eval(n, r, z, s, s, target="C", max_tensor_dim=max_tensor_dim)
-        for s in (1, -1)
-    }
-    z_zero = all(z_arrows[s].is_zero() for s in (1, -1))
-    if not z_zero:
-        witness["z_component"] = "alternating-element family is not zero"
-
-    inverse_ok = True
-    factored_ok = True
+    families = {s: _word_terms(n, x, s, targets[s], "C") for s in (1, -1)}
+    minus_one = field.neg(field.one)
+    z_zero = inverse_ok = factored_ok = True
     for s in (1, -1):
         t = targets[s]
+        products = [(field.mul(c, c2), mat_compose(m, m2)) for c, m in families[s] for c2, m2 in families[t]]
+        products.append((minus_one, Matrix.identity(field, products[0][1].nrows)))
+        z_words = _word_terms(n, z, s, s, "C")
         for p in range(1, r + 1):
-            composite = mat_compose(arrows[s].components[p], arrows[t].components[p])
-            dim = arrows[s].target.dim ** p
-            ident = Matrix.identity(field, dim)
-            if composite != ident:
+            inverse = _power_terms(products, p)
+            alternating = _power_terms(z_words, p)
+            if tensor_product_sum_witness(alternating, p) is not None:
+                z_zero = False
+            if tensor_product_sum_witness(inverse, p) is not None:
                 inverse_ok = False
                 witness.setdefault("inverse", f"composite on sign {s} differs at power {p}")
-            if composite != ident - z_arrows[s].components[p]:
+            if tensor_product_sum_witness(inverse + alternating, p) is not None:
                 factored_ok = False
                 witness.setdefault(
                     "factored", f"composite on sign {s} power {p} breaks the factored identity"
                 )
+    if not z_zero:
+        witness["z_component"] = "alternating-element family is not zero"
+
+    natural_ok, skip_reason = True, ""
+    try:
+        arrows = {
+            s: cofunctor_eval(n, r, x, s, targets[s], target="C", max_tensor_dim=max_tensor_dim)
+            for s in (1, -1)
+        }
+        for s in (1, -1):
+            w = naturality_witness(arrows[s], max_tensor_dim)
+            if w is not None:
+                natural_ok = False
+                witness[f"naturality_{s}"] = w
+    except CapExceeded as exc:
+        natural_ok = None
+        skip_reason = f"cap exceeded: {exc}"
     return IsoReport(
-        n=n,
-        r=r,
-        field_name=field.name,
-        element=element,
-        homset_ok=homset_ok,
-        natural_ok=natural_ok,
-        inverse_ok=inverse_ok,
-        z_component_zero=z_zero,
-        factored_identity_ok=factored_ok,
-        witness=witness,
+        n, r, field.name, element, True, natural_ok, inverse_ok, z_zero, factored_ok, witness, skip_reason
     )

@@ -64,9 +64,6 @@ class Word:
     def from_string(cls, text):
         return cls(tuple(CHAR_SIGN[ch] for ch in text))
 
-    def is_identity(self):
-        return all(c == 1 for c in self.coords)
-
     def sort_key(self):
         return tuple(_LEX[c] for c in self.coords)
 

@@ -1,9 +1,11 @@
 import itertools
 import random
 
-from crown.graphs import Graph, graph_new
-from crown.linalg import Matrix
-from crown.loday import NatTransData
+from crown.graph_algebra import q_hom
+from crown.graphs import Graph, GraphMorphism, build_C, graph_new
+from crown.linalg import Matrix, kron_power, mat_compose
+from crown.loday import NatTransData, cofunctor_eval, naturality_witness
+from crown.monoid import build_Z
 
 
 def random_graph(rng: random.Random, max_vertices=6, min_vertices=2, p_edge=0.4):
@@ -31,6 +33,27 @@ def relabeled_copy(g: Graph, seed: int) -> Graph:
     )
 
 
+def matrix_from_rows(field, rows) -> Matrix:
+    """Build a matrix from a dense list of row lists."""
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged rows")
+    entries = [(r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row)]
+    return Matrix.from_entries(field, len(rows), ncols, entries)
+
+
+def identity_morphism(g: Graph) -> GraphMorphism:
+    return GraphMorphism(g, g, {v: v for v in g.vertices})
+
+
+def compose_morphisms(outer: GraphMorphism, inner: GraphMorphism) -> GraphMorphism:
+    """outer after inner."""
+    if inner.target != outer.source:
+        raise ValueError("morphisms not composable")
+    mapping = {v: outer.mapping[inner.mapping[v]] for v in inner.source.vertices}
+    return GraphMorphism(inner.source, outer.target, mapping)
+
+
 def is_associative(alg) -> bool:
     """Exhaustive check of (e_i e_j) e_k == e_i (e_j e_k)."""
     unit = alg.field.one
@@ -56,6 +79,61 @@ def is_identity_family(eta: NatTransData) -> bool:
         eta.components[p] == Matrix.identity(eta.source.field, eta.source.dim**p)
         for p in range(1, eta.r + 1)
     )
+
+
+def is_zero_family(eta: NatTransData) -> bool:
+    return all(m.is_zero() for m in eta.components.values())
+
+
+def is_identity_surjection(s) -> bool:
+    return s.images == tuple(range(1, s.p + 1))
+
+
+def naturality_check(eta: NatTransData) -> bool:
+    return naturality_witness(eta) is None
+
+
+def reference_transport_square_check(n, r, x, s, t) -> bool:
+    """The transport squares with both families and projection powers materialized.
+
+    The oracle for the streamed `loday.transport_square_check`.
+    """
+    field = x.field
+    b_side = cofunctor_eval(n, r, x, s, t, target="B")
+    c_side = cofunctor_eval(n, r, x, s, t, target="C")
+    f_s = q_hom(build_C(n, s)[1], field)
+    f_t = q_hom(build_C(n, t)[1], field)
+    return all(
+        mat_compose(b_side.components[p], kron_power(f_t, p))
+        == mat_compose(kron_power(f_s, p), c_side.components[p])
+        for p in range(1, r + 1)
+    )
+
+
+def reference_iso_claims(n, field, x, targets) -> dict:
+    """The inverse, factored-identity and alternating-zero claims, materialized.
+
+    `targets` maps each sign s to the sign t that x crosses to.  The
+    families, their dim^p composites, the identity and the alternating
+    family are all built; the oracle for the streamed sub-claims of
+    `loday.iso_check`.
+    """
+    r = n - 1
+    arrows = {s: cofunctor_eval(n, r, x, s, targets[s], target="C") for s in (1, -1)}
+    z = build_Z(n, field)
+    z_arrows = {s: cofunctor_eval(n, r, z, s, s, target="C") for s in (1, -1)}
+    inverse = factored = True
+    for s in (1, -1):
+        for p in range(1, r + 1):
+            composite = mat_compose(arrows[s].components[p], arrows[targets[s]].components[p])
+            ident = Matrix.identity(field, arrows[s].target.dim ** p)
+            inverse = inverse and composite == ident
+            factored = factored and composite == ident - z_arrows[s].components[p]
+    return {
+        "inverse": inverse,
+        "factored": factored,
+        "z_zero": all(is_zero_family(z_arrows[s]) for s in (1, -1)),
+    }
 
 
 def mult_multiset(a, factors) -> dict:

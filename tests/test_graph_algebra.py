@@ -21,16 +21,14 @@ from crown.graphs import (
     build_B,
     build_C,
     build_F,
-    compose_morphisms,
     graph_new,
     graphs_isomorphic,
-    identity_morphism,
     is_admissible,
     morphism_new,
 )
 from crown.linalg import Matrix, mat_compose, mat_rank
 from crown.monoid import wn_enumerate
-from conftest import is_associative, mult_multiset, random_graph
+from conftest import compose_morphisms, identity_morphism, is_associative, mult_multiset, random_graph
 
 
 PATH3 = graph_new(["a", "b", "c"], [("a", "b"), ("b", "c")])

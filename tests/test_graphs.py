@@ -9,10 +9,8 @@ from crown.graphs import (
     build_B,
     build_C,
     build_F,
-    compose_morphisms,
     graph_new,
     graphs_isomorphic,
-    identity_morphism,
     is_admissible,
     is_cover,
     is_triangle_free,
@@ -21,7 +19,7 @@ from crown.graphs import (
     valency2_cycle_count,
 )
 from crown.monoid import Word, act_on_U, gen_g, gen_h, wn_enumerate, word_mul
-from conftest import random_graph, relabeled_copy
+from conftest import compose_morphisms, identity_morphism, random_graph, relabeled_copy
 
 
 # -- construction -------------------------------------------------------------
@@ -56,7 +54,7 @@ def test_edge_collapse_is_a_morphism():
     g = graph_new(["a", "b"], [("a", "b")])
     h = graph_new(["c"], [])
     m = morphism_new({"a": "c", "b": "c"}, g, h)
-    assert m.pair_image(("a", "b")) == ("c", "c")
+    assert (m.mapping["a"], m.mapping["b"]) == ("c", "c")
 
 
 def test_non_adjacent_image_rejected_with_witness():

@@ -18,6 +18,7 @@ from crown.linalg import (
     tensor_product_sum_witness,
     vstack,
 )
+from conftest import matrix_from_rows
 
 
 def rand_matrix(rng, field, nrows, ncols, density=0.5, span=5):
@@ -94,7 +95,7 @@ def test_compose_identity():
 
 
 def test_compose_zero():
-    m = Matrix.from_rows(QQ, [[1, 2], [3, 4], [5, 6]])
+    m = matrix_from_rows(QQ, [[1, 2], [3, 4], [5, 6]])
     z = Matrix.zero(QQ, 2, 4)
     assert mat_compose(m, z) == Matrix.zero(QQ, 3, 4)
 
@@ -102,7 +103,7 @@ def test_compose_zero():
 def test_compose_f2_hand_example():
     # [[1,1],[0,1]]^2 = [[1,0],[0,1]] mod 2, multiplied out by hand
     f2 = GF(2)
-    m = Matrix.from_rows(f2, [[1, 1], [0, 1]])
+    m = matrix_from_rows(f2, [[1, 1], [0, 1]])
     assert mat_compose(m, m) == Matrix.identity(f2, 2)
 
 
@@ -194,7 +195,7 @@ def test_compose_matches_entrywise_oracle(field):
 
 
 def test_compose_monomial_columns_by_hand():
-    a = Matrix.from_rows(QQ, [[1, 2, 2], [0, 3, 3]])
+    a = matrix_from_rows(QQ, [[1, 2, 2], [0, 3, 3]])
     b = Matrix.from_entries(
         QQ, 3, 4, [(0, 1, 1), (1, 2, Fraction(1, 3)), (1, 3, 1), (2, 3, -1)]
     )
@@ -209,7 +210,7 @@ def test_compose_monomial_columns_by_hand():
 def test_rank_basic():
     assert mat_rank(Matrix.identity(QQ, 4)) == 4
     assert mat_rank(Matrix.zero(QQ, 3, 5)) == 0
-    assert mat_rank(Matrix.from_rows(QQ, [[1, 1], [1, 1]])) == 1
+    assert mat_rank(matrix_from_rows(QQ, [[1, 1], [1, 1]])) == 1
 
 
 def test_rank_row_permutation_invariant():
@@ -239,7 +240,7 @@ def test_kron_single_entries():
 
 
 def test_kron_scalars():
-    assert kron(Matrix.from_rows(QQ, [[2]]), Matrix.from_rows(QQ, [[3]])) == Matrix.from_rows(QQ, [[6]])
+    assert kron(matrix_from_rows(QQ, [[2]]), matrix_from_rows(QQ, [[3]])) == matrix_from_rows(QQ, [[6]])
 
 
 def test_kron_mixed_product_random():
@@ -331,9 +332,9 @@ def test_kron_sum_matches_entrywise_oracle(field):
 def test_kron_sum_orders_factors_and_scales_by_the_coefficient():
     # row-monomial, rectangular, unequal factors; a coefficient of 3 and a
     # zero coefficient; column 1 of b is empty
-    a = Matrix.from_rows(QQ, [[0, 1], [0, 0], [2, 0]])
-    b = Matrix.from_rows(QQ, [[5, 0], [0, 0]])
-    c = Matrix.from_rows(QQ, [[1, 1], [1, 1], [1, 1]])
+    a = matrix_from_rows(QQ, [[0, 1], [0, 0], [2, 0]])
+    b = matrix_from_rows(QQ, [[5, 0], [0, 0]])
+    c = matrix_from_rows(QQ, [[1, 1], [1, 1], [1, 1]])
     total = kron_sum([(QQ.from_int(3), [a, b]), (QQ.zero, [c, b])])
     assert total.to_triples() == [(0, 2, QQ.from_int(15)), (4, 0, QQ.from_int(30))]
     assert kron_sum([(QQ.zero, [a, b])]) == Matrix.zero(QQ, 6, 4)
@@ -362,7 +363,7 @@ def test_kron_sum_rejects_mismatched_terms():
 
 def test_kernel_basis_hand_example():
     f2 = GF(2)
-    m = Matrix.from_rows(f2, [[1, 1]])
+    m = matrix_from_rows(f2, [[1, 1]])
     basis = kernel_basis_with_free(m)[0]
     assert basis == [{1: 1, 0: 1}]
 
@@ -378,11 +379,11 @@ def test_kernel_orthogonality_random():
 
 
 def test_left_inverse():
-    m = Matrix.from_rows(QQ, [[1, 0], [1, 1], [0, 2]])
+    m = matrix_from_rows(QQ, [[1, 0], [1, 1], [0, 2]])
     lift = left_inverse(m)
     assert mat_compose(lift, m) == Matrix.identity(QQ, 2)
     with pytest.raises(ValueError):
-        left_inverse(Matrix.from_rows(QQ, [[1, 1], [1, 1]]))
+        left_inverse(matrix_from_rows(QQ, [[1, 1], [1, 1]]))
 
 
 def test_vstack_shape():
@@ -422,52 +423,69 @@ def test_tensor_product_sum_mixed_factors():
     assert (witness is None) == direct.is_zero()
 
 
-def rand_row_monomial(rng, field, d):
-    """A d x d matrix with at most one nonzero per row, like a word action."""
+def rand_row_monomial(rng, field, nrows, ncols):
+    """A matrix with at most one nonzero per row, like a word action."""
     entries = [
-        (r, rng.randrange(d), field.from_int(rng.choice([1, 1, 2, -1])))
-        for r in range(d)
+        (r, rng.randrange(ncols), field.from_int(rng.choice([1, 1, 2, -1])))
+        for r in range(nrows)
         if rng.random() < 0.8
     ]
-    return Matrix.from_entries(field, d, d, entries)
+    return Matrix.from_entries(field, nrows, ncols, entries)
 
 
 def materialized_sum_witness(terms, p):
-    """Reference: build the whole sum with kron and +, then scan it."""
+    """Reference: build the whole sum with kron and +, then scan it.
+
+    Row and column indices are decoded in mixed radix, factor i's digit
+    ranging over its own rows or columns.
+    """
     field = terms[0][1][0].field
-    d = terms[0][1][0].ncols
-    total = Matrix.zero(field, d**p, d**p)
+    shapes = [(m.nrows, m.ncols) for m in terms[0][1]]
+    total = Matrix.zero(field, math.prod(r for r, _ in shapes), math.prod(c for _, c in shapes))
     for coef, mats in terms:
         product = Matrix.identity(field, 1)
         for m in mats:
             product = kron(product, m)
         total = total + product.scale(coef)
 
-    def unflat(flat):
-        return tuple(flat // d ** (p - 1 - i) % d for i in range(p))
+    def unflat(flat, radices):
+        digits = []
+        for radix in reversed(radices):
+            flat, digit = divmod(flat, radix)
+            digits.append(digit)
+        return tuple(reversed(digits))
 
     for c in range(total.ncols):
         col = total.col(c)
         if col:
             r = min(col)
-            return (unflat(c), unflat(r), col[r])
+            return (unflat(c, [c for _, c in shapes]), unflat(r, [r for r, _ in shapes]), col[r])
     return None
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
 def test_tensor_product_sum_witness_matches_materialized(field):
     rng = random.Random(11)
-    nonzero = zero = 0
-    for _ in range(150):
-        d = rng.randint(1, 4)
+    nonzero = zero = rectangular = 0
+    for _ in range(200):
         p = rng.randint(1, 3)
-        pool = [
-            rand_row_monomial(rng, field, d) if rng.random() < 0.5
-            else rand_matrix(rng, field, d, d, density=0.6, span=2)
-            for _ in range(rng.randint(1, 3))
-        ]
+        if rng.random() < 0.5:
+            d = rng.randint(1, 4)
+            shapes = [(d, d)] * p
+        else:
+            # factor i of every term has its own, possibly rectangular, shape
+            shapes = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(p)]
+            rectangular += any(r != c for r, c in shapes)
+        pools = {}  # equal shapes share one pool, so equal factor lists recur
+        for r, c in shapes:
+            if (r, c) not in pools:
+                pools[(r, c)] = [
+                    rand_row_monomial(rng, field, r, c) if rng.random() < 0.5
+                    else rand_matrix(rng, field, r, c, density=0.6, span=2)
+                    for _ in range(rng.randint(1, 3))
+                ]
         terms = [
-            (field.from_int(rng.randint(-2, 2)), [rng.choice(pool) for _ in range(p)])
+            (field.from_int(rng.randint(-2, 2)), [rng.choice(pools[shape]) for shape in shapes])
             for _ in range(rng.randint(1, 5))
         ]
         if rng.random() < 0.4:
@@ -483,7 +501,39 @@ def test_tensor_product_sum_witness_matches_materialized(field):
             zero += 1
         else:
             nonzero += 1
-    assert zero >= 20 and nonzero >= 20  # both outcomes are exercised
+    assert zero >= 20 and nonzero >= 20 and rectangular >= 20  # every kind is exercised
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+def test_tensor_product_sum_merges_equal_factor_lists(field):
+    # A term split into two halves, the second written with equal but
+    # distinct matrix objects, merges back into the unsplit term: the
+    # witness is the unsplit sum's and the unmerged materialized sum's.
+    rng = random.Random(23)
+    for _ in range(40):
+        a, x = (rand_matrix(rng, field, 2, 3, density=0.6, span=2) for _ in range(2))
+        b, y = (rand_row_monomial(rng, field, 3, 2) for _ in range(2))
+        c1, c2, half = (field.from_int(rng.randint(-2, 2)) for _ in range(3))
+
+        def copy(m):
+            return Matrix.from_entries(field, m.nrows, m.ncols, m.to_triples())
+
+        unsplit = [(c1, [a, b]), (c2, [x, y])]
+        split = [(half, [a, b]), (c2, [x, y]), (field.sub(c1, half), [copy(a), copy(b)])]
+        witness = tensor_product_sum_witness(split, 2)
+        assert witness == tensor_product_sum_witness(unsplit, 2)
+        assert witness == materialized_sum_witness(split, 2)
+
+
+def test_tensor_product_sum_rejects_mismatched_terms():
+    a = Matrix.identity(QQ, 2)
+    b = Matrix.zero(QQ, 2, 3)
+    with pytest.raises(ValueError):
+        tensor_product_sum_witness([(QQ.one, [a, b]), (QQ.one, [b, a])], 2)  # factor 1 changes shape
+    with pytest.raises(ValueError):
+        tensor_product_sum_witness([(QQ.one, [a, b])], 3)  # arity is not p
+    with pytest.raises(ValueError):
+        kron_sum([(QQ.one, [a]), (QQ.one, [a, a])])
 
 
 def test_tensor_product_sum_lowest_column_across_row_prefixes():
@@ -491,10 +541,10 @@ def test_tensor_product_sum_lowest_column_across_row_prefixes():
     # prefix (0,) holds two row prefixes.  Row 0 cancels at last column 0
     # and first survives at column 1; row 1 survives at column 0, which is
     # therefore the lowest witness column even though row 0 comes first.
-    x = Matrix.from_rows(QQ, [[1, 0], [1, 0]])
-    z = Matrix.from_rows(QQ, [[1, 0], [0, 0]])
+    x = matrix_from_rows(QQ, [[1, 0], [1, 0]])
+    z = matrix_from_rows(QQ, [[1, 0], [0, 0]])
     y1 = Matrix.identity(QQ, 2)
-    y2 = Matrix.from_rows(QQ, [[1, 0], [0, 0]])
+    y2 = matrix_from_rows(QQ, [[1, 0], [0, 0]])
     terms = [(QQ.one, [x, y1]), (QQ.from_int(-1), [z, y2])]
     witness = tensor_product_sum_witness(terms, 2)
     assert witness == ((0, 0), (1, 0), QQ.one)
@@ -506,10 +556,10 @@ def test_tensor_product_sum_keeps_smallest_prefix_of_a_shared_state():
     # (0, 0) from row prefix (1, 0) reach the same coefficient vector.
     # The first is generated earlier, but the stored prefix must be the
     # smaller (0, 0), whose last column 0 is already nonzero at rows (1, 0, 0).
-    x1 = Matrix.from_rows(QQ, [[1, 0], [1, 0]])
-    y1 = Matrix.from_rows(QQ, [[1, 0], [2, 0]])
-    x2 = Matrix.from_rows(QQ, [[1, 1], [0, 0]])
-    y2 = Matrix.from_rows(QQ, [[1, 2], [0, 0]])
+    x1 = matrix_from_rows(QQ, [[1, 0], [1, 0]])
+    y1 = matrix_from_rows(QQ, [[1, 0], [2, 0]])
+    x2 = matrix_from_rows(QQ, [[1, 1], [0, 0]])
+    y2 = matrix_from_rows(QQ, [[1, 2], [0, 0]])
     eye = Matrix.identity(QQ, 2)
     terms = [(QQ.one, [x1, x2, eye]), (QQ.from_int(-1), [y1, y2, eye])]
     witness = tensor_product_sum_witness(terms, 3)

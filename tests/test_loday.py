@@ -9,7 +9,7 @@ from crown.fields import GF, QQ
 from crown.graph_algebra import Algebra, annihilator_grading, q_ungraded
 from crown.graphs import build_C, graph_new
 from crown import loday
-from crown.linalg import Matrix, mat_compose
+from crown.linalg import Matrix, _merged_terms, mat_compose, tensor_product_sum_witness
 from crown.loday import (
     NatTransData,
     Surjection,
@@ -20,7 +20,6 @@ from crown.loday import (
     lemma_proof_trace,
     lemma_witness,
     loday_matrix,
-    naturality_check,
     naturality_witness,
     surj_compose,
     surjections,
@@ -28,6 +27,8 @@ from crown.loday import (
 )
 from crown.monoid import (
     MonoidAlgElem,
+    Word,
+    act_on_U,
     build_T,
     build_Z,
     gen_g,
@@ -37,8 +38,13 @@ from conftest import (
     identity_family,
     is_associative,
     is_identity_family,
+    is_identity_surjection,
+    is_zero_family,
+    naturality_check,
     random_graph,
+    reference_iso_claims,
     reference_loday_matrix,
+    reference_transport_square_check,
 )
 
 
@@ -81,8 +87,8 @@ def test_surjection_composition():
 
 
 def test_surjection_identity_predicate():
-    assert Surjection.identity(3).is_identity()
-    assert not Surjection(2, 2, (2, 1)).is_identity()  # a swap is not the identity
+    assert is_identity_surjection(Surjection.identity(3))
+    assert not is_identity_surjection(Surjection(2, 2, (2, 1)))  # a swap is not the identity
 
 
 def test_surjection_composition_associative_sampled():
@@ -234,7 +240,7 @@ def test_cofunctor_alternating_element_vanishes_below_level():
         z = build_Z(2, field)
         for s in (1, -1):
             eta = cofunctor_eval(2, 1, z, s, s, target="C")
-            assert eta.is_zero()
+            assert is_zero_family(eta)
 
 
 def test_cofunctor_contravariant_multiplicativity():
@@ -401,6 +407,109 @@ def test_transport_standard_set_level_two():
         assert transport_square_check(n, 1, x, s, t)
 
 
+def transport_elements(n, f):
+    """The transport check's elements: (name, element, s, t)."""
+    elements = [("1", MonoidAlgElem.one(f, n), 1, 1)]
+    for i in range(1, n + 1):
+        elements.append((f"g{i}", MonoidAlgElem.from_word(f, gen_g(n, i)), 1, 1))
+        h = gen_h(n, i)
+        elements.append((f"h{i}", MonoidAlgElem.from_word(f, h), 1, act_on_U(h, 1)))
+    elements.append(("T", build_T(n, f), -1, 1))
+    elements.append(("Z", build_Z(n, f), 1, 1))
+    return elements
+
+
+def perturb_crown_word(monkeypatch, word):
+    """Change entry (0, 0) of the crown matrices of one word by one.
+
+    One word, not all: an element whose coefficients sum to zero (the
+    alternating one) would cancel a perturbation shared by every word.
+    """
+    action = loday._action_matrix
+
+    def perturbed(n, w, s, target, field):
+        m = action(n, w, s, target, field)
+        if target != "C" or w != word:
+            return m
+        return m + Matrix.from_entries(field, m.nrows, m.ncols, [(0, 0, 1)])
+
+    monkeypatch.setattr(loday, "_action_matrix", perturbed)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_transport_at_every_power_cancels_in_the_merge(field):
+    n = 4
+    for name, x, s, t in transport_elements(n, field):
+        assert transport_square_check(n, n - 1, x, s, t), name
+        products = loday._transport_products(n, x, s, t)
+        for p in range(1, n):
+            # each word's square holds at p = 1, so no term survives the merge
+            assert _merged_terms(field, loday._power_terms(products, p)) == [], (name, p)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_transport_fails_with_a_perturbed_word_matrix(monkeypatch, field):
+    # negative control: the full cancellation above is not vacuous
+    n = 3
+    for name, x, s, t in transport_elements(n, field):
+        with monkeypatch.context() as patch:
+            perturb_crown_word(patch, min(x.terms, key=Word.sort_key))
+            products = loday._transport_products(n, x, s, t)
+            for p in (1, 2):
+                assert tensor_product_sum_witness(loday._power_terms(products, p), p) is not None, (name, p)
+            assert not transport_square_check(n, 1, x, s, t), name
+            assert not reference_transport_square_check(n, 1, x, s, t), name
+
+
+def test_transport_fails_with_a_perturbed_projection(monkeypatch):
+    q_hom = loday.q_hom
+
+    def perturbed(morphism, field):
+        m = q_hom(morphism, field)
+        if m.nrows == m.ncols:  # a word matrix; only the strip-by-crown projections change
+            return m
+        return m + Matrix.from_entries(field, m.nrows, m.ncols, [(0, 0, 1)])
+
+    monkeypatch.setattr(loday, "q_hom", perturbed)
+    for field in (QQ, GF(2)):
+        x = build_T(3, field)
+        products = loday._transport_products(3, x, -1, 1)
+        for p in (1, 2):
+            assert tensor_product_sum_witness(loday._power_terms(products, p), p) is not None
+        assert not transport_square_check(3, 2, x, -1, 1)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_transport_checks_every_power(monkeypatch, field):
+    # +E on one strip word and -E on another leave the p = 1 sum unchanged
+    # but not the squares of the words, so only p = 2 fails
+    n = 3
+    g1, g2 = gen_g(n, 1), gen_g(n, 2)
+    x = MonoidAlgElem.from_word(field, g1) + MonoidAlgElem.from_word(field, g2)
+    action = loday._action_matrix
+
+    def perturbed(n, w, s, target, field):
+        m = action(n, w, s, target, field)
+        if target != "B" or w not in (g1, g2):
+            return m
+        bump = Matrix.from_entries(field, m.nrows, m.ncols, [(0, 0, 1 if w == g1 else -1)])
+        return m + bump
+
+    monkeypatch.setattr(loday, "_action_matrix", perturbed)
+    assert transport_square_check(n, 1, x, 1, 1)
+    assert reference_transport_square_check(n, 1, x, 1, 1)
+    assert not transport_square_check(n, 2, x, 1, 1)
+    assert not reference_transport_square_check(n, 2, x, 1, 1)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_transport_matches_the_materialized_squares(field, n):
+    for name, x, s, t in transport_elements(n, field):
+        assert transport_square_check(n, n - 1, x, s, t), name
+        assert reference_transport_square_check(n, n - 1, x, s, t), name
+
+
 # -- the crown isomorphism --------------------------------------------------------------
 
 def test_iso_level_two_rationals():
@@ -424,6 +533,60 @@ def test_iso_negative_control_fails():
 def test_iso_requires_level_two():
     with pytest.raises(ValueError):
         iso_check(1, QQ)
+
+
+ISO_TARGETS = {"T": {1: -1, -1: 1}, "Z": {1: 1, -1: -1}}
+
+
+def streamed_claims(report):
+    return {
+        "inverse": report.inverse_ok,
+        "factored": report.factored_identity_ok,
+        "z_zero": report.z_component_zero,
+    }
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_iso_sub_claims_match_the_materialized_composites(field, n):
+    # naturality is capped away: only the streamed sub-claims run
+    for element, build in (("T", build_T), ("Z", build_Z)):
+        report = iso_check(n, field, element, max_tensor_dim=1)
+        assert report.natural_ok is None
+        expected = reference_iso_claims(n, field, build(n, field), ISO_TARGETS[element])
+        assert streamed_claims(report) == expected, element
+        assert expected == (
+            {"inverse": True, "factored": True, "z_zero": True}
+            if element == "T"
+            else {"inverse": False, "factored": False, "z_zero": True}
+        )
+
+
+def test_iso_sub_claims_fail_with_a_perturbed_word_matrix(monkeypatch):
+    # a twist word breaks the inverse; an alternating word breaks the
+    # factored identity and the vanishing family but not the inverse
+    for field in (QQ, GF(2)):
+        x = build_T(2, field)
+        for build, expected in (
+            (build_T, {"inverse": False, "factored": False, "z_zero": True}),
+            (build_Z, {"inverse": True, "factored": False, "z_zero": False}),
+        ):
+            with monkeypatch.context() as patch:
+                perturb_crown_word(patch, min(build(2, field).terms, key=Word.sort_key))
+                report = iso_check(2, field, max_tensor_dim=1)
+                assert streamed_claims(report) == reference_iso_claims(2, field, x, ISO_TARGETS["T"]) == expected
+            assert report.status == "FAIL"
+
+
+def test_iso_level_four_f2_with_naturality_capped():
+    # 72^3 exceeds the default tensor cap, so naturality alone is skipped
+    report = iso_check(4, GF(2))
+    assert report.natural_ok is None and "72^3" in report.skip_reason
+    assert report.inverse_ok and report.factored_identity_ok and report.z_component_zero
+    assert report.status == "SKIPPED"
+    control = iso_check(4, GF(2), element="Z")
+    assert control.status == "FAIL"
+    assert not control.inverse_ok and not control.factored_identity_ok
 
 
 def test_nat_trans_json_shape():
