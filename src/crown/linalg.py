@@ -16,9 +16,13 @@ factors]) in which factor i of every term has one shape, rectangular
 allowed (`_term_shapes`).  `kron_sum` materializes the sum in one pass;
 `kron`, `kron_power`, every word-power family and every Loday map are
 calls of it.  `tensor_product_sum_witness` is the one exact zero test,
-for every tensor identity the package checks: it merges terms with equal
-factor lists, then walks column tuples one tensor factor at a time over
-deduplicated prefix states, storing one layer of distinct states.
+for every tensor identity the package checks, and
+`tensor_product_sum_nnz` counts a sum's nonzero entries exactly.  Both
+read one walk (`_prefix_states`): it merges terms with equal factor
+lists, then walks column tuples one tensor factor at a time over
+deduplicated prefix states, storing one layer of distinct states, each
+with its smallest column prefix and the number of (row prefix, column
+prefix) pairs that reach it.  Neither materializes the sum.
 """
 
 from __future__ import annotations
@@ -83,6 +87,9 @@ class Matrix:
 
     def is_zero(self):
         return all(not col for col in self._cols)
+
+    def transpose(self):
+        return Matrix(self.field, self.ncols, self.nrows, self._row_dicts())
 
     def to_triples(self):
         """Sorted list of (row, col, value) over nonzero entries."""
@@ -367,22 +374,60 @@ def tensor_product_sum_witness(terms, p: int):
     sum is exactly zero, otherwise the lowest-index witness (col_tuple,
     row_tuple, value): the lowest nonzero column tuple and, inside it, the
     lowest nonzero row tuple, digit i indexing factor i's columns or rows.
+    The operator is never materialized: `_prefix_states` walks it, and
+    each last-layer state's lowest last-factor column with a nonzero sum,
+    appended to the smallest prefix reaching the state, is a candidate.
+    """
+    walk = _prefix_states(terms, p)
+    if walk is None:
+        return None
+    terms, layer, nonzero_rows = walk
+    witnesses = []
+    for vec, (prefix, _) in layer.items():
+        j = next((j for j, rows in enumerate(nonzero_rows(vec)) if rows), None)
+        if j is not None:
+            witnesses.append(prefix + (j,))
+    return _column_witness(terms, min(witnesses)) if witnesses else None
 
-    Terms whose factor lists are equal matrix by matrix (by entries, not
-    identity) are merged first and zero coefficients dropped; that leaves
-    the operator, and so the witness, unchanged.
 
-    The operator is never materialized.  Its entry at rows (r1..rp) and
-    columns (j1..jp) is the sum over k of the vector
-    (c_k * M_k1[r1,j1] * ... * M_kp[rp,jp])_k, so column tuples are walked
-    one tensor factor at a time with that coefficient vector over the
-    terms as the state of a (row prefix, column prefix) pair.  Pairs with
-    equal vectors have the same future, so each layer stores every
-    distinct vector once, keyed to the lexicographically smallest column
-    prefix reaching it; the minimum is taken explicitly, because parents
-    sharing one prefix (from different row prefixes) are visited in turn.
-    The last layer is checked as it is generated and never stored, so
-    memory is bounded by one stored layer of distinct vectors.
+def tensor_product_sum_nnz(terms, p: int) -> int:
+    """The exact number of nonzero entries of  sum_k  c_k * (M_k1 (x) ... (x) M_kp).
+
+    `terms` follows the module's term contract.  The operator is never
+    materialized: each last-layer state of `_prefix_states` contributes the
+    number of (row prefix, column prefix) pairs reaching it times the
+    number of its (last column, last row) completions with a nonzero sum.
+    """
+    walk = _prefix_states(terms, p)
+    if walk is None:
+        return 0
+    _, layer, nonzero_rows = walk
+    return sum(count * sum(nonzero_rows(vec)) for vec, (_, count) in layer.items())
+
+
+def _prefix_states(terms, p: int):
+    """The walk shared by the tensor-sum zero test and the nonzero count.
+
+    Returns None when the merged sum has no terms, otherwise (merged terms,
+    layer, nonzero_rows).  Terms whose factor lists are equal matrix by
+    matrix (by entries, not identity) are merged first and zero
+    coefficients dropped; that leaves the operator, and so its witness
+    and nonzeros, unchanged.
+
+    The operator's entry at rows (r1..rp) and columns (j1..jp) is the sum
+    over k of the vector (c_k * M_k1[r1,j1] * ... * M_kp[rp,jp])_k, so
+    column tuples are walked one tensor factor at a time with that
+    coefficient vector over the terms as the state of a (row prefix,
+    column prefix) pair.  Pairs with equal vectors have the same future,
+    so each layer stores every distinct vector once, with two numbers:
+    the lexicographically smallest column prefix reaching it (the minimum
+    is taken explicitly, because parents sharing one prefix, from
+    different row prefixes, are visited in turn) and the exact count of
+    pairs reaching it.  `layer` maps each distinct vector after p - 1
+    factors to [smallest prefix, count]; `nonzero_rows(vec)` yields, for
+    each column j of the last factor in turn, the number of rows at which
+    appending j gives a nonzero entry sum.  The last layer is never
+    stored, so memory is bounded by one stored layer of distinct vectors.
     """
     if not terms:
         return None
@@ -406,34 +451,34 @@ def tensor_product_sum_witness(terms, p: int):
                 children.setdefault(row, []).append((k, mul(val, v)))
         return children.values()
 
-    def first_nonzero_column(vec):
-        """Lowest j whose last-factor column makes some row's vector sum nonzero."""
+    def nonzero_rows(vec):
+        """For each column j of the last factor in turn, how many rows it reaches with a nonzero sum."""
         for j in range(ncols[-1]):
+            count = 0
             for child in row_children(vec, p - 1, j):
                 total = zero
                 for _, val in child:
                     total = add(total, val)
-                if total != zero:
-                    return j
-        return None
+                count += total != zero
+            yield count
 
-    layer = {tuple((k, coef) for k, (coef, _) in enumerate(terms)): ()}
+    layer = {tuple((k, coef) for k, (coef, _) in enumerate(terms)): [(), 1]}
     for i in range(p - 1):
         stored: dict = {}
-        for vec, prefix in layer.items():
+        for vec, (prefix, count) in layer.items():
             for j in range(ncols[i]):
                 cand = prefix + (j,)
                 for child in row_children(vec, i, j):
                     key = tuple(child)
-                    if key not in stored or cand < stored[key]:
-                        stored[key] = cand
+                    state = stored.get(key)
+                    if state is None:
+                        stored[key] = [cand, count]
+                    else:
+                        state[1] += count
+                        if cand < state[0]:
+                            state[0] = cand
         layer = stored
-    witnesses = []
-    for vec, prefix in layer.items():
-        j = first_nonzero_column(vec)
-        if j is not None:
-            witnesses.append(prefix + (j,))
-    return _column_witness(terms, min(witnesses)) if witnesses else None
+    return terms, layer, nonzero_rows
 
 
 def _merged_terms(field, terms):

@@ -23,7 +23,10 @@ projections (`transport_square_check`) and the mutual inverses between
 the two crowns built from the twist element (`iso_check`) -- is a sum of
 p-th powers of p = 1 matrices, decided by the one streamed zero test
 `tensor_product_sum_witness`.  `cofunctor_eval` materializes a family,
-for naturality (with its Loday matrices), `explore` and export.
+only for naturality (with its Loday matrices) and export; the harness's
+`explore` reads the alternating family at every p <= n from the same
+streamed walk, through the zero test and the exact nonzero count
+`tensor_product_sum_nnz`, without building it.
 """
 
 from __future__ import annotations
@@ -263,7 +266,9 @@ def cofunctor_eval(
 
     Targets and signs are as for `_word_terms`.  Each component is one
     `kron_sum` call over the words, which never materializes a single
-    word's power.
+    word's power.  Only naturality and export need the materialized
+    family; every other question about a family is a streamed walk over
+    its p = 1 word matrices.
     """
     field = x.field
     if target == "B":
@@ -530,9 +535,10 @@ def iso_check(
     plus the alternating-element words on s (composite = I - Z-family);
     and alternating family zero, those words alone.  Naturality still
     materializes the families and Loday matrices; over `max_tensor_dim`
-    it is not attempted and the status is SKIPPED, never PASS.  With
-    `element="Z"` (the negative control) the composites are zero, so the
-    check must fail.
+    it is not attempted and the status is SKIPPED, never PASS.  Nor is it
+    attempted once a streamed sub-claim has failed, since the status is
+    FAIL either way.  With `element="Z"` (the negative control) the
+    composites are zero, so the check must fail.
     """
     if n < 2:
         raise ValueError("crown checks need level >= 2")
@@ -577,6 +583,10 @@ def iso_check(
     if not z_zero:
         witness["z_component"] = "alternating-element family is not zero"
 
+    if not (z_zero and inverse_ok and factored_ok):
+        # the status is FAIL already; naturality would only cost time
+        skip = "a streamed sub-claim failed"
+        return IsoReport(n, r, field.name, element, True, None, inverse_ok, z_zero, factored_ok, witness, skip)
     natural_ok, skip_reason = True, ""
     try:
         arrows = {

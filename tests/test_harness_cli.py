@@ -3,10 +3,12 @@ import json
 
 import pytest
 
+from crown import linalg, loday
 from crown.cli import main
 from crown.fields import GF, QQ, parse_field
 from crown.harness import (
     CHECK_ORDER,
+    DEFAULT_MAX_TENSOR_DIM,
     CheckReport,
     RunConfig,
     exit_code_for,
@@ -14,6 +16,9 @@ from crown.harness import (
     report_json,
     run_suite,
 )
+from crown.linalg import Matrix, kron_sum
+from crown.loday import cofunctor_eval, naturality_witness
+from crown.monoid import Word, build_Z
 
 
 def scrub_timing(payload: str) -> str:
@@ -93,20 +98,114 @@ def test_lemma_keeps_powers_below_the_cap():
     assert "4" in report.details["reason"]
 
 
+LEVEL_THREE_EXPLORE = {"1": "zero", "2": "zero", "3": {"first_nonzero": [6222, 6222, "1"], "nnz": 24576}}
+
+
 @pytest.mark.parametrize(
-    "n, field, components",
+    "n, field, cap, components",
     [
-        (2, QQ, {"1": "zero", "2": {"first_nonzero": [79, 79, "1"], "nnz": 512}}),
-        (2, GF(2), {"1": "zero", "2": {"first_nonzero": [79, 79, "1"], "nnz": 512}}),
-        (3, GF(2), {"1": "zero", "2": "zero", "3": {"first_nonzero": [6222, 6222, "1"], "nnz": 24576}}),
+        (2, QQ, DEFAULT_MAX_TENSOR_DIM, {"1": "zero", "2": {"first_nonzero": [79, 79, "1"], "nnz": 512}}),
+        (2, GF(2), DEFAULT_MAX_TENSOR_DIM, {"1": "zero", "2": {"first_nonzero": [79, 79, "1"], "nnz": 512}}),
+        (3, GF(2), DEFAULT_MAX_TENSOR_DIM, LEVEL_THREE_EXPLORE),
+        (3, QQ, DEFAULT_MAX_TENSOR_DIM, LEVEL_THREE_EXPLORE),
+        (4, GF(2), 72**4, {
+            "1": "zero", "2": "zero", "3": "zero",
+            "4": {"first_nonzero": [783665, 783665, "1"], "nnz": 1572864},
+        }),
     ],
-    ids=["2-rational", "2-fp2", "3-fp2"],
+    ids=["2-rational", "2-fp2", "3-fp2", "3-rational", "4-fp2"],
 )
-def test_explore_pins_the_alternating_family(n, field, components):
+def test_explore_pins_the_alternating_family(n, field, cap, components):
     # the alternating family vanishes below the level and not at p = n
-    (report,) = run_suite(RunConfig(n=n, field=field, checks=("explore",)))
+    (report,) = run_suite(RunConfig(n=n, field=field, checks=("explore",), max_tensor_dim=cap))
     assert report.status == "info"
     assert report.details["components"] == components
+
+
+def materialized_explore(n, field):
+    """The explore components read off the materialized alternating family."""
+    family = cofunctor_eval(n, n, build_Z(n, field), 1, 1, target="C")
+    components = {}
+    for p in range(1, n + 1):
+        m = family.components[p]
+        if m.is_zero():
+            components[str(p)] = "zero"
+        else:
+            r, c, v = m.to_triples()[0]
+            components[str(p)] = {"first_nonzero": [r, c, str(v)], "nnz": m.nnz()}
+    return components
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_explore_matches_the_materialized_family(n, field):
+    # the streamed first entry and nonzero count against the built family
+    (report,) = run_suite(RunConfig(n=n, field=field, checks=("explore",)))
+    assert report.details["components"] == materialized_explore(n, field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_explore_reads_an_asymmetric_family_row_major(monkeypatch, field):
+    # One alternating word gains entries (0, 2) and (1, 1), so at p = 1 the
+    # family is exactly those two: row-major order puts (0, 2) first and
+    # column-major order (1, 1).  The pinned families have their first
+    # entry on the diagonal and cannot tell the two orders apart.
+    action = loday._action_matrix
+    word = min(build_Z(2, field).terms, key=Word.sort_key)
+
+    def perturbed(n, w, s, target, field):
+        m = action(n, w, s, target, field)
+        if target != "C" or w != word:
+            return m
+        return m + Matrix.from_entries(field, m.nrows, m.ncols, [(0, 2, 1), (1, 1, 1)])
+
+    monkeypatch.setattr(loday, "_action_matrix", perturbed)
+    (report,) = run_suite(RunConfig(n=2, field=field, checks=("explore",)))
+    assert report.details["components"]["1"] == {"first_nonzero": [0, 2, "1"], "nnz": 2}
+    assert report.details["components"] == materialized_explore(2, field)
+
+
+def test_explore_materializes_nothing(monkeypatch):
+    # cofunctor_eval is never called, and every Kronecker sum built is one
+    # witness column of the p = n family, never an operator of width dim^p
+    def raising(*args, **kwargs):
+        raise AssertionError("explore materialized a family")
+
+    widths = []
+
+    def recording(terms):
+        m = kron_sum(terms)
+        widths.append(m.ncols)
+        return m
+
+    monkeypatch.setattr(loday, "cofunctor_eval", raising)
+    monkeypatch.setattr(linalg, "kron_sum", recording)
+    (report,) = run_suite(RunConfig(n=3, field=QQ, checks=("explore",)))
+    assert report.details["components"] == LEVEL_THREE_EXPLORE
+    assert widths and max(widths) == 1
+    (capped,) = run_suite(RunConfig(n=2, field=GF(2), checks=("explore",), max_tensor_dim=100))
+    assert capped.status == "info" and "not computed" in capped.details["note"]
+
+
+def test_iso_control_attempts_no_naturality(monkeypatch):
+    # only the twist element's two families reach naturality; the report
+    # of the control is its status and streamed witnesses, as before
+    calls = []
+
+    def counting(eta, cap):
+        calls.append(eta)
+        return naturality_witness(eta, cap)
+
+    monkeypatch.setattr(loday, "naturality_witness", counting)
+    (report,) = run_suite(RunConfig(n=2, field=QQ, checks=("iso",)))
+    assert report.status == "pass" and len(calls) == 2
+    assert report.details["negative_control"] == {
+        "status": "FAIL",
+        "witness": {
+            "inverse": "composite on sign 1 differs at power 1",
+            "factored": "composite on sign 1 power 1 breaks the factored identity",
+        },
+    }
 
 
 def test_invalid_config_rejected():

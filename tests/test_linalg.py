@@ -15,6 +15,7 @@ from crown.linalg import (
     left_inverse,
     mat_compose,
     mat_rank,
+    tensor_product_sum_nnz,
     tensor_product_sum_witness,
     vstack,
 )
@@ -394,6 +395,16 @@ def test_vstack_shape():
     assert mat_rank(s) == 2
 
 
+def test_transpose_swaps_rows_and_columns():
+    rng = random.Random(7)
+    for field in (QQ, GF(3)):
+        m = rand_matrix(rng, field, 3, 5)
+        t = m.transpose()
+        assert (t.nrows, t.ncols) == (5, 3)
+        assert sorted(t.to_triples()) == sorted((c, r, v) for r, c, v in m.to_triples())
+        assert t.transpose() == m
+
+
 # -- streamed tensor sums ------------------------------------------------------
 
 def test_tensor_power_sum_cancels():
@@ -463,38 +474,48 @@ def materialized_sum_witness(terms, p):
     return None
 
 
+def rand_sum_case(rng, field):
+    """(terms, p, rectangular) of a random tensor sum: square or per-factor
+    rectangular shapes, row-monomial or dense factors, and sometimes the
+    negated terms appended so that the sum cancels in whole or in part."""
+    p = rng.randint(1, 3)
+    rectangular = False
+    if rng.random() < 0.5:
+        d = rng.randint(1, 4)
+        shapes = [(d, d)] * p
+    else:
+        # factor i of every term has its own, possibly rectangular, shape
+        shapes = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(p)]
+        rectangular = any(r != c for r, c in shapes)
+    pools = {}  # equal shapes share one pool, so equal factor lists recur
+    for r, c in shapes:
+        if (r, c) not in pools:
+            pools[(r, c)] = [
+                rand_row_monomial(rng, field, r, c) if rng.random() < 0.5
+                else rand_matrix(rng, field, r, c, density=0.6, span=2)
+                for _ in range(rng.randint(1, 3))
+            ]
+    terms = [
+        (field.from_int(rng.randint(-2, 2)), [rng.choice(pools[shape]) for shape in shapes])
+        for _ in range(rng.randint(1, 5))
+    ]
+    if rng.random() < 0.4:
+        # append the negated terms, sometimes all but one, so the halves cancel
+        negated = [(field.neg(c), mats) for c, mats in terms]
+        if rng.random() < 0.5:
+            negated.pop(rng.randrange(len(negated)))
+        terms += negated
+        rng.shuffle(terms)
+    return terms, p, rectangular
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
 def test_tensor_product_sum_witness_matches_materialized(field):
     rng = random.Random(11)
     nonzero = zero = rectangular = 0
     for _ in range(200):
-        p = rng.randint(1, 3)
-        if rng.random() < 0.5:
-            d = rng.randint(1, 4)
-            shapes = [(d, d)] * p
-        else:
-            # factor i of every term has its own, possibly rectangular, shape
-            shapes = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(p)]
-            rectangular += any(r != c for r, c in shapes)
-        pools = {}  # equal shapes share one pool, so equal factor lists recur
-        for r, c in shapes:
-            if (r, c) not in pools:
-                pools[(r, c)] = [
-                    rand_row_monomial(rng, field, r, c) if rng.random() < 0.5
-                    else rand_matrix(rng, field, r, c, density=0.6, span=2)
-                    for _ in range(rng.randint(1, 3))
-                ]
-        terms = [
-            (field.from_int(rng.randint(-2, 2)), [rng.choice(pools[shape]) for shape in shapes])
-            for _ in range(rng.randint(1, 5))
-        ]
-        if rng.random() < 0.4:
-            # append the negated terms, sometimes all but one, so the halves cancel
-            negated = [(field.neg(c), mats) for c, mats in terms]
-            if rng.random() < 0.5:
-                negated.pop(rng.randrange(len(negated)))
-            terms += negated
-            rng.shuffle(terms)
+        terms, p, rect = rand_sum_case(rng, field)
+        rectangular += rect
         witness = tensor_product_sum_witness(terms, p)
         assert witness == materialized_sum_witness(terms, p)
         if witness is None:
@@ -565,3 +586,35 @@ def test_tensor_product_sum_keeps_smallest_prefix_of_a_shared_state():
     witness = tensor_product_sum_witness(terms, 3)
     assert witness == ((0, 0, 0), (1, 0, 0), QQ.from_int(-1))
     assert witness == materialized_sum_witness(terms, 3)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+def test_tensor_product_sum_nnz_matches_kron_sum(field):
+    rng = random.Random(31)
+    nonzero = zero = rectangular = 0
+    for _ in range(200):
+        terms, p, rect = rand_sum_case(rng, field)
+        rectangular += rect
+        nnz = tensor_product_sum_nnz(terms, p)
+        assert nnz == kron_sum(terms).nnz()
+        if nnz:
+            nonzero += 1
+        else:
+            zero += 1
+    assert zero >= 20 and nonzero >= 20 and rectangular >= 20  # every kind is exercised
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_tensor_product_sum_nnz_counts_every_pair_reaching_a_state(field):
+    # J (x) J, J all ones: all four (row, column) pairs of the first factor
+    # reach one state, from two row prefixes and two column prefixes, so
+    # the count is 4 * 4 and not the 4 of one visit per state.
+    ones = matrix_from_rows(field, [[1, 1], [1, 1]])
+    eye = Matrix.identity(field, 2)
+    assert tensor_product_sum_nnz([(field.one, [ones, ones])], 2) == 16
+    # (J + I) (x) I: the diagonal pairs reach one state and the
+    # off-diagonal pairs another, two pairs each.  Over F2 the diagonal
+    # state cancels, J + I = [[0, 1], [1, 0]].
+    terms = [(field.one, [ones, eye]), (field.one, [eye, eye])]
+    assert tensor_product_sum_nnz(terms, 2) == kron_sum(terms).nnz() == (8 if field is QQ else 4)
+    assert tensor_product_sum_nnz([(field.one, [ones, ones]), (field.neg(field.one), [ones, ones])], 2) == 0

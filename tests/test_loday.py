@@ -530,6 +530,22 @@ def test_iso_negative_control_fails():
     assert not control.inverse_ok
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_iso_skips_naturality_after_a_failed_sub_claim(monkeypatch, field):
+    # the control fails in the streamed sub-claims, so naturality never runs
+    def raising(*args, **kwargs):
+        raise AssertionError("naturality attempted after a failed sub-claim")
+
+    monkeypatch.setattr(loday, "naturality_witness", raising)
+    control = iso_check(3, field, element="Z")
+    assert control.status == "FAIL"
+    assert control.natural_ok is None and control.skip_reason == "a streamed sub-claim failed"
+    assert not control.inverse_ok and not control.factored_identity_ok and control.z_component_zero
+    assert set(control.witness) == {"inverse", "factored"}
+    with pytest.raises(AssertionError):
+        iso_check(2, field)  # the twist element's sub-claims hold, so it does run
+
+
 def test_iso_requires_level_two():
     with pytest.raises(ValueError):
         iso_check(1, QQ)
