@@ -127,7 +127,8 @@ def _check_monoid(config: RunConfig):
 
     small = min(n, 3)
     closure_words = mo.wn_enumerate(small)
-    closed = all((a * b) in set(closure_words) for a in closure_words for b in closure_words)
+    closure_set = set(closure_words)
+    closed = all((a * b) in closure_set for a in closure_words for b in closure_words)
     commutative = all(a * b == b * a for a in closure_words for b in closure_words)
     details["closure"] = {"n": small, "closed": closed, "commutative": commutative}
     if not (closed and commutative):

@@ -8,7 +8,12 @@ element.  `loday_matrix` realizes those maps in the fixed lexicographic
 tensor basis, in factored form: the Kronecker product of one
 multiplication map per fibre of s (one `kron_sum` call), with its columns
 reindexed by the permutation that puts the input tensor positions into
-fibre order.
+fibre order.  Surjections with the same fibre sizes share that product
+(`_LodayCache`).
+
+`functor_check` tests composition only against generators: adjacent
+swaps and merges generate all surjections, so L(g s) = L(g) L(s) for each
+generator g and every s gives L(t s) = L(t) L(s) by induction on t.
 
 Acting sign words on the strip and crown graphs and applying the graph
 algebra construction gives, for every monoid-algebra element supported on
@@ -102,75 +107,114 @@ def surj_compose(t: Surjection, s: Surjection) -> Surjection:
     return Surjection(s.p, t.q, tuple(t.images[j - 1] for j in s.images))
 
 
-def _multiplication_matrix(a: Algebra, k: int) -> Matrix:
-    """mu_k: A^(x)k -> A, the product of k tensor factors.
+def _generating_surjections(q: int) -> list:
+    """The adjacent swaps q -> q and the adjacent merges q -> q - 1.
 
-    The column of (k_1..k_k) is e_k1 * ... * e_kk multiplied left to
-    right, so mu_k is built from mu_(k-1) one factor at a time: each
-    prefix product is computed once, and an empty one stays empty.
+    Every surjection is a permutation (a product of adjacent swaps)
+    followed by an order-preserving surjection (a product of adjacent
+    merges), so these generate the surjection category.
     """
-    one = a.field.one
-    cols = [{i: one} for i in range(a.dim)]
-    for _ in range(k - 1):
-        cols = [a.mult(v, {j: one}) if v else v for v in cols for j in range(a.dim)]
-    return Matrix(a.field, a.dim, len(cols), cols)
+    gens = []
+    for j in range(1, q):
+        swap = list(range(1, q + 1))
+        swap[j - 1], swap[j] = j + 1, j
+        gens.append(Surjection(q, q, tuple(swap)))
+        gens.append(Surjection(q, q - 1, tuple(i if i <= j else i - 1 for i in range(1, q + 1))))
+    return gens
+
+
+class _LodayCache:
+    """The Loday matrices of one algebra, each built once from shared parts.
+
+    With b_1..b_q the fibres of s, the matrix of s is
+    (mu_|b_1| (x) ... (x) mu_|b_q|) . P_s, where mu_k: A^(x)k -> A is the
+    product of k tensor factors and P_s reorders the input tensor positions
+    into fibre order (each fibre's positions ascending).  P_s only
+    reindexes columns, so every surjection with the same fibre sizes shares
+    one `kron_sum` product.  The cache keeps mu_k by k, each product by its
+    size tuple and each matrix by surjection; they share column dicts,
+    which are never mutated.
+    """
+
+    def __init__(self, alg, max_tensor_dim):
+        self.alg = alg
+        self.cap = max_tensor_dim
+        self._mus: dict = {}
+        self._products: dict = {}
+        self._mats: dict = {}
+
+    def _mu(self, k: int) -> Matrix:
+        """mu_k, whose column of (k_1..k_k) is e_k1 * ... * e_kk left to right.
+
+        mu_k extends mu_(k-1) by one factor, so each prefix product is
+        computed once, and an empty one stays empty.
+        """
+        m = self._mus.get(k)
+        if m is None:
+            a = self.alg
+            one = a.field.one
+            if k == 1:
+                cols = [{i: one} for i in range(a.dim)]
+            else:
+                cols = [a.mult(v, {j: one}) if v else v for v in self._mu(k - 1)._cols for j in range(a.dim)]
+            m = self._mus[k] = Matrix(a.field, a.dim, len(cols), cols)
+        return m
+
+    def _product(self, sizes: tuple) -> Matrix:
+        m = self._products.get(sizes)
+        if m is None:
+            m = self._products[sizes] = kron_sum([(self.alg.field.one, [self._mu(k) for k in sizes])])
+        return m
+
+    def mat(self, s: Surjection) -> Matrix:
+        m = self._mats.get(s)
+        if m is None:
+            d = self.alg.dim
+            if d ** max(s.p, s.q) > self.cap:
+                raise CapExceeded(f"tensor dimension {d}^{max(s.p, s.q)} exceeds cap {self.cap}")
+            fibres = [s.preimages(j) for j in range(1, s.q + 1)]
+            fibre_order = [i for fibre in fibres for i in fibre]
+            product = self._product(tuple(len(fibre) for fibre in fibres))
+            # input position i is digit fibre_order.index(i) of the product's column index
+            index = [0]
+            for i in range(1, s.p + 1):
+                weight = d ** (s.p - 1 - fibre_order.index(i))
+                index = [c + k * weight for c in index for k in range(d)]
+            cols = product._cols
+            m = self._mats[s] = Matrix(self.alg.field, product.nrows, product.ncols, [cols[c] for c in index])
+        return m
 
 
 def loday_matrix(a: Algebra, s: Surjection, max_tensor_dim: int = DEFAULT_TENSOR_CAP) -> Matrix:
     """Matrix of the factor-multiplication map A^(x)p -> A^(x)q under s.
 
-    With b_1..b_q the fibres of s, the map is
-    (mu_|b_1| (x) ... (x) mu_|b_q|) . P_s, where P_s reorders the input
-    tensor positions into fibre order (each fibre's positions ascending).
-    The Kronecker product is one `kron_sum` call, and P_s only reindexes
-    its columns: the column of (k_1..k_p) is the product's column of the
-    same factors read in fibre order.
+    The Kronecker product of one multiplication map per fibre of s, with
+    its columns reindexed into fibre order (see `_LodayCache`); the column
+    of (k_1..k_p) is the product's column of the same factors read in
+    fibre order.
     """
-    d = a.dim
-    if d ** max(s.p, s.q) > max_tensor_dim:
-        raise CapExceeded(
-            f"tensor dimension {d}^{max(s.p, s.q)} exceeds cap {max_tensor_dim}"
-        )
-    fibres = [s.preimages(j) for j in range(1, s.q + 1)]
-    fibre_order = [i for fibre in fibres for i in fibre]
-    product = kron_sum([(a.field.one, [_multiplication_matrix(a, len(fibre)) for fibre in fibres])])
-    # input position i is digit fibre_order.index(i) of the product's column index
-    index = [0]
-    for i in range(1, s.p + 1):
-        weight = d ** (s.p - 1 - fibre_order.index(i))
-        index = [c + k * weight for c in index for k in range(d)]
-    return Matrix(a.field, product.nrows, product.ncols, [product._cols[c] for c in index])
-
-
-class _LodayCache:
-    """Per-call cache of loday matrices keyed by surjection."""
-
-    def __init__(self, alg, max_tensor_dim):
-        self.alg = alg
-        self.cap = max_tensor_dim
-        self._mats: dict = {}
-
-    def mat(self, s: Surjection) -> Matrix:
-        m = self._mats.get(s)
-        if m is None:
-            m = self._mats[s] = loday_matrix(self.alg, s, self.cap)
-        return m
+    return _LodayCache(a, max_tensor_dim).mat(s)
 
 
 def functor_check(a: Algebra, r: int, max_tensor_dim: int = DEFAULT_TENSOR_CAP) -> bool:
-    """Whether the matrices respect identities and surjection composition."""
+    """Whether the matrices respect identities and surjection composition.
+
+    Adjacent swaps and merges generate all surjections, so given L(id) = I
+    it suffices that L(g s) = L(g) L(s) for each generator g and every s:
+    by induction on t = g_1...g_k, L(t) = L(g_1)...L(g_k) and L(t s) = L(t) L(s).
+    """
     cache = _LodayCache(a, max_tensor_dim)
     for p in range(1, r + 1):
         if cache.mat(Surjection.identity(p)) != Matrix.identity(a.field, a.dim ** p):
             return False
     for p in range(1, r + 1):
         for q in range(1, p + 1):
-            for u in range(1, q + 1):
-                for s in surjections(p, q):
-                    ms = cache.mat(s)
-                    for t in surjections(q, u):
-                        if cache.mat(surj_compose(t, s)) != mat_compose(cache.mat(t), ms):
-                            return False
+            gens = _generating_surjections(q)
+            for s in surjections(p, q):
+                ms = cache.mat(s)
+                for g in gens:
+                    if cache.mat(surj_compose(g, s)) != mat_compose(cache.mat(g), ms):
+                        return False
     return True
 
 

@@ -4,7 +4,16 @@ import random
 from crown.graph_algebra import q_hom
 from crown.graphs import Graph, GraphMorphism, build_C, graph_new
 from crown.linalg import Matrix, kron_power, mat_compose
-from crown.loday import NatTransData, cofunctor_eval, naturality_witness
+from crown.loday import (
+    DEFAULT_TENSOR_CAP,
+    NatTransData,
+    Surjection,
+    _LodayCache,
+    cofunctor_eval,
+    naturality_witness,
+    surj_compose,
+    surjections,
+)
 from crown.monoid import build_Z
 
 
@@ -180,3 +189,25 @@ def reference_loday_matrix(a, s) -> Matrix:
                 col[rflat] = val
         cols.append(col)
     return Matrix(f, d**s.q, d**s.p, cols)
+
+
+def reference_functor_check(a, r: int) -> bool:
+    """The functor laws with every composable pair (t, s) composed in full.
+
+    The oracle for `loday.functor_check`, which composes only against
+    generating surjections.  It reads the same `_LodayCache`, so a patched
+    cache reaches both.
+    """
+    cache = _LodayCache(a, DEFAULT_TENSOR_CAP)
+    for p in range(1, r + 1):
+        if cache.mat(Surjection.identity(p)) != Matrix.identity(a.field, a.dim**p):
+            return False
+    for p in range(1, r + 1):
+        for q in range(1, p + 1):
+            for u in range(1, q + 1):
+                for s in surjections(p, q):
+                    ms = cache.mat(s)
+                    for t in surjections(q, u):
+                        if cache.mat(surj_compose(t, s)) != mat_compose(cache.mat(t), ms):
+                            return False
+    return True

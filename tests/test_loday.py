@@ -42,6 +42,7 @@ from conftest import (
     is_zero_family,
     naturality_check,
     random_graph,
+    reference_functor_check,
     reference_iso_claims,
     reference_loday_matrix,
     reference_transport_square_check,
@@ -185,8 +186,10 @@ def loday_differential_cases():
 
 @pytest.mark.parametrize("alg", loday_differential_cases())
 def test_loday_matrix_matches_the_per_column_oracle(alg):
+    shared = loday._LodayCache(alg, loday.DEFAULT_TENSOR_CAP)  # one product per fibre-size pattern
     for s in all_surjections_up_to(3):
         assert loday_matrix(alg, s) == reference_loday_matrix(alg, s), s
+        assert shared.mat(s) == reference_loday_matrix(alg, s), s
 
 
 def test_functor_laws_trivial_at_r1():
@@ -217,6 +220,53 @@ def test_functor_check_rejects_a_perturbed_crown_algebra():
     assert not is_associative(alg)
     assert functor_check(alg, 2)
     assert not functor_check(alg, 3)
+
+
+def test_generating_surjections_reach_every_surjection():
+    for p in range(1, 5):
+        reached = {Surjection.identity(p)}
+        frontier = list(reached)
+        while frontier:
+            frontier = [
+                c
+                for s in frontier
+                for g in loday._generating_surjections(s.q)
+                if (c := surj_compose(g, s)) not in reached
+            ]
+            reached.update(frontier)
+        assert reached == {s for s in all_surjections_up_to(4) if s.p == p}, p
+
+
+@pytest.mark.parametrize(
+    "alg",
+    loday_differential_cases() + [pytest.param(perturbed_crown_algebra(GF(2)), id="perturbed-crown-GF(2)")],
+)
+def test_functor_check_matches_the_all_pairs_oracle(alg):
+    for r in (1, 2, 3):
+        assert functor_check(alg, r) == reference_functor_check(alg, r), r
+
+
+@pytest.mark.parametrize("images", [(2, 3, 1), (1, 1, 1)], ids=["3-cycle", "merge-3-to-1"])
+def test_functor_check_catches_one_changed_entry_of_a_non_generator(monkeypatch, images):
+    alg = q_ungraded(PATH3, GF(5))
+    target = Surjection(3, max(images), images)
+    assert target not in loday._generating_surjections(3)
+    assert functor_check(alg, 3) and reference_functor_check(alg, 3)
+    mat = loday._LodayCache.mat
+
+    def perturbed(self, s):
+        m = mat(self, s)
+        if s != target:
+            return m
+        cols = list(m._cols)
+        cols[0] = dict(cols[0])
+        cols[0][0] = alg.field.add(cols[0].get(0, alg.field.zero), alg.field.one)
+        return Matrix(m.field, m.nrows, m.ncols, cols)
+
+    monkeypatch.setattr(loday._LodayCache, "mat", perturbed)
+    assert loday_matrix(alg, target) != reference_loday_matrix(alg, target)
+    assert not functor_check(alg, 3)
+    assert not reference_functor_check(alg, 3)
 
 
 # -- word families -----------------------------------------------------------------
