@@ -78,12 +78,10 @@ class Graph:
     def __repr__(self):
         return f"Graph({len(self.vertices)} vertices, {self.edge_count} edges)"
 
-    def to_json(self, label_str=None):
-        name = label_str or vertex_label_str
-        idx = self._index
+    def to_json(self):
         return {
-            "vertices": [name(v) for v in self.vertices],
-            "edges": [[name(a), name(b)] for a, b in self.edges()],
+            "vertices": [vertex_label_str(v) for v in self.vertices],
+            "edges": [[vertex_label_str(a), vertex_label_str(b)] for a, b in self.edges()],
         }
 
 

@@ -332,23 +332,6 @@ def cofunctor_eval(
 
 # -- the annihilation statement ----------------------------------------
 
-def _subset_g_word(n: int, subset) -> Word:
-    coords = [1] * (2 * n + 1)
-    for i in subset:
-        coords[2 * i - 1] = 0
-    return Word(tuple(coords))
-
-
-def _alternating_terms(n: int, field, factors_of):
-    """(sign, factors_of(subset)) over all subsets of the idempotent generators."""
-    terms = []
-    for bits in range(1 << n):
-        subset = [i + 1 for i in range(n) if bits >> i & 1]
-        sign = field.one if len(subset) % 2 == 0 else field.neg(field.one)
-        terms.append((sign, factors_of(subset)))
-    return terms
-
-
 # Cap on the tensor dimension dim(strip algebra)^p of a `lemma_witness`
 # sum.  The operator is never materialized: the prefix-state kernel keeps
 # one layer of distinct coefficient vectors, far fewer than the columns.
@@ -356,25 +339,24 @@ DEFAULT_STREAM_CAP = 10_000_000
 
 
 def lemma_witness(n: int, p: int, field=QQ, max_stream_dim: int = DEFAULT_STREAM_CAP):
-    """Witness that the alternating sum is nonzero at tensor power p, or None.
+    """Witness that the alternating family is nonzero at tensor power p, or None.
 
-    The sum runs over all subsets S of {1..n}, with sign (-1)^|S|, of the
-    p-th Kronecker power of the strip-algebra matrix of the product of the
-    idempotent generators in S.  `tensor_product_sum_witness` decides it
-    one tensor factor at a time, deduplicating equal prefix states, so the
-    full operator is never materialized; the cap bounds the tensor
-    dimension dim^p of the strip algebra, not the memory.
+    The family is the strip-side family of the alternating element
+    Z = (1 - [g_1])...(1 - [g_n]): the sum over its words, one per subset S
+    of the idempotent generators with coefficient (-1)^|S|, of the p-th
+    Kronecker power of the word's strip-algebra matrix.
+    `tensor_product_sum_witness` decides it one tensor factor at a time,
+    deduplicating equal prefix states, so the full operator is never
+    materialized; the cap bounds the tensor dimension dim^p of the strip
+    algebra, not the memory.
     """
     if p < 1:
         raise ValueError("tensor power must be >= 1")
-    dim = q_ungraded(build_B(n), field).dim
+    words = _word_terms(n, build_Z(n, field), 1, 1, "B")
+    dim = words[0][1].ncols
     if dim**p > max_stream_dim:
         raise CapExceeded(f"tensor dimension {dim}^{p} exceeds cap {max_stream_dim}")
-
-    def strip_power(subset):
-        return [q_hom(act_on_B(n, _subset_g_word(n, subset)), field)] * p
-
-    return tensor_product_sum_witness(_alternating_terms(n, field, strip_power), p)
+    return tensor_product_sum_witness(_power_terms(words, p), p)
 
 
 def lemma_check(n: int, p: int, field=QQ, max_stream_dim: int = DEFAULT_STREAM_CAP) -> bool:
@@ -420,7 +402,7 @@ def _window_action_matrix(n: int, i: int, w: Word, field) -> Matrix:
     return q_hom(morphism_new(mapping, fg, fg), field)
 
 
-def lemma_proof_trace(n: int, p: int, field=QQ, check_summands: bool = True) -> LemmaTrace:
+def lemma_proof_trace(n: int, p: int, field=QQ) -> LemmaTrace:
     """Re-run the structural steps behind the annihilation statement.
 
     (i) the stacked window restrictions are injective on the strip algebra
@@ -430,8 +412,9 @@ def lemma_proof_trace(n: int, p: int, field=QQ, check_summands: bool = True) -> 
     (ii) the stacked map intertwines the word actions, for every word;
     (iii) every length-p index tuple misses some window index i, and g_i
     acts as the identity on all windows of the tuple, so the alternating
-    sum annihilates that summand -- re-verified by direct expansion when
-    `check_summands` is set.
+    element annihilates that summand -- re-verified by direct expansion:
+    the sum over Z's words of the Kronecker product of the word's matrices
+    on the tuple's windows is zero.
     """
     if not 1 <= p < n:
         raise ValueError("trace requires 1 <= p < n")
@@ -461,21 +444,13 @@ def lemma_proof_trace(n: int, p: int, field=QQ, check_summands: bool = True) -> 
             intertwining_ok = False
             break
 
-    identity_cache = {}
-
-    def window_identity(i_prime, i):
-        key = (i_prime, i)
-        if key not in identity_cache:
-            m = window_mats[(i_prime, gen_g(n, i))]
-            identity_cache[key] = m == Matrix.identity(field, m.nrows)
-        return identity_cache[key]
-
-    off_window_ok = all(
-        window_identity(i_prime, i)
+    off_window = [
+        window_mats[(i_prime, gen_g(n, i))]
         for i in range(1, n + 1)
         for i_prime in range(1, n + 1)
         if i_prime != i
-    )
+    ]
+    off_window_ok = all(m == Matrix.identity(field, m.nrows) for m in off_window)
 
     tuples = []
     missing_ok = True
@@ -485,15 +460,13 @@ def lemma_proof_trace(n: int, p: int, field=QQ, check_summands: bool = True) -> 
             missing_ok = False
         tuples.append((tup, missing))
 
+    z = build_Z(n, field)
     summands_ok = True
-    if check_summands:
-        for tup, _ in tuples:
-            terms = _alternating_terms(
-                n, field, lambda subset: [window_mats[(i, _subset_g_word(n, subset))] for i in tup]
-            )
-            if tensor_product_sum_witness(terms, p) is not None:
-                summands_ok = False
-                break
+    for tup, _ in tuples:
+        terms = [(c, [window_mats[(i, w)] for i in tup]) for w, c in z.terms.items()]
+        if tensor_product_sum_witness(terms, p) is not None:
+            summands_ok = False
+            break
 
     return LemmaTrace(
         n=n,

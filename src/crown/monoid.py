@@ -176,12 +176,6 @@ class MonoidAlgElem:
     def is_zero(self):
         return not self.terms
 
-    def support(self):
-        return sorted(self.terms, key=Word.sort_key)
-
-    def coeff(self, word):
-        return self.terms.get(word, self.field.zero)
-
     def __add__(self, other):
         self._check_compatible(other)
         f = self.field

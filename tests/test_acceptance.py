@@ -84,8 +84,7 @@ def test_criterion_2_strip_schema_suite(criterion):
         for n in (2, 3, 4):
             b = build_B(n)
             assert len(b.vertices) == 5 * n + 2 and b.edge_count == 8 * n
-            # (a) every word acts as an endomorphism; |W_4| = 162 < 200,
-            # so the level-4 "sample" is in fact exhaustive
+            # (a) every word acts as an endomorphism
             for w in wn_enumerate(n):
                 act_on_B(n, w)
             # (b) the windows cover the strip

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from crown import linalg, loday
+from crown import harness, linalg, loday
+from crown.errors import CapExceeded
 from crown.cli import main
 from crown.fields import GF, QQ, parse_field
 from crown.harness import (
@@ -224,6 +225,34 @@ def test_exit_code_logic():
     skip = CheckReport("noniso", {}, "skipped", {}, 1)
     assert exit_code_for([ok, info, skip]) == 0
     assert exit_code_for([ok, bad]) == 1
+
+
+@pytest.mark.parametrize(
+    "check, failures, skip_reason, status, added",
+    [
+        ("monoid", ["broken"], "not attempted", "fail", {"failures": ["broken"]}),
+        ("monoid", [], "not attempted", "skipped", {"reason": "not attempted"}),
+        ("monoid", [], None, "pass", {}),
+        ("explore", [], None, "info", {}),
+    ],
+)
+def test_run_suite_alone_picks_the_status(monkeypatch, check, failures, skip_reason, status, added):
+    # a check returns what failed and why something was not attempted;
+    # failures win over a skip, and a skip over a pass
+    monkeypatch.setitem(harness._CHECKS, check, lambda config: ({"seen": True}, list(failures), skip_reason))
+    (report,) = run_suite(RunConfig(n=2, checks=(check,)))
+    assert report.status == status
+    assert report.details == {"seen": True, **added}
+
+
+def test_run_suite_turns_a_raised_cap_into_skipped(monkeypatch):
+    def capped(config):
+        raise CapExceeded("level 9 exceeds cap 8")
+
+    monkeypatch.setitem(harness._CHECKS, "monoid", capped)
+    (report,) = run_suite(RunConfig(n=2, checks=("monoid",)))
+    assert report.status == "skipped"
+    assert report.details == {"reason": "cap exceeded: level 9 exceeds cap 8"}
 
 
 def test_report_json_deterministic_modulo_timing():

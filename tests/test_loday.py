@@ -399,6 +399,22 @@ def test_lemma_trace_fails_when_windows_do_not_intertwine(monkeypatch):
     assert trace.passed is False
 
 
+def test_lemma_trace_fails_when_one_summand_matrix_is_perturbed(monkeypatch):
+    # negative control for the summand expansion over Z's words: g_1's
+    # window-1 matrix plus one entry breaks the cancellation on tuple (1, 1)
+    window_action = loday._window_action_matrix
+    g1 = gen_g(3, 1)
+
+    def perturbed(n, i, w, field):
+        m = window_action(n, i, w, field)
+        if (i, w) == (1, g1):
+            m = m + Matrix.from_entries(field, m.nrows, m.ncols, [(0, 0, field.one)])
+        return m
+
+    monkeypatch.setattr(loday, "_window_action_matrix", perturbed)
+    assert lemma_proof_trace(3, 2, QQ).summand_annihilation_ok is False
+
+
 def test_lemma_trace_requires_power_below_level():
     with pytest.raises(ValueError):
         lemma_proof_trace(2, 2, QQ)
