@@ -49,13 +49,14 @@ class Algebra:
     its first dim1 basis vectors span degree 1 and the rest degree 2.
     """
 
-    __slots__ = ("field", "basis", "_table", "dim1")
+    __slots__ = ("field", "basis", "_table", "dim1", "_pairs")
 
     def __init__(self, field, basis, table, dim1=None):
         self.field = field
         self.basis = tuple(basis)
         self._table = table
         self.dim1 = dim1
+        self._pairs = None  # (i <= j pairs, matrix of their products), see is_multiplicative
 
     @property
     def dim(self):
@@ -193,12 +194,16 @@ def is_multiplicative(source: Algebra, target: Algebra, m: Matrix) -> bool:
     """Whether m(e_i e_j) == m(e_i) m(e_j) for every pair of source basis vectors.
 
     `m` has one column per source basis vector, in the target basis.  The
-    left sides are one composite: m applied to the column of each product.
+    left sides are one composite: m applied to the column of each product,
+    a matrix built once per source algebra and shared by every m.
     """
     if (m.nrows, m.ncols) != (target.dim, source.dim):
         raise ValueError("matrix shape does not match the algebras")
-    pairs = [(i, j) for i in range(source.dim) for j in range(i, source.dim)]
-    products = Matrix(source.field, source.dim, len(pairs), [source.product_basis(i, j) for i, j in pairs])
+    if source._pairs is None:
+        pairs = [(i, j) for i in range(source.dim) for j in range(i, source.dim)]
+        products = Matrix(source.field, source.dim, len(pairs), [source.product_basis(i, j) for i, j in pairs])
+        source._pairs = (pairs, products)
+    pairs, products = source._pairs
     left = mat_compose(m, products)
     return all(left.col(c) == target.mult(m.col(i), m.col(j)) for c, (i, j) in enumerate(pairs))
 

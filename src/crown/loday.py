@@ -27,8 +27,10 @@ annihilation statement (`lemma_check`), the transport squares along the
 projections (`transport_square_check`) and the mutual inverses between
 the two crowns built from the twist element (`iso_check`) -- is a sum of
 p-th powers of p = 1 matrices, decided by the one streamed zero test
-`tensor_product_sum_witness`.  `cofunctor_eval` materializes a family,
-only for naturality (with its Loday matrices) and export; the harness's
+`tensor_product_sum_witness`.  Naturality is certified per word: each
+word matrix is an algebra map, so every family is natural at every power.
+`cofunctor_eval` materializes a family only for export and for the
+naturality squares `iso_check` cross-checks at p <= 2; the harness's
 `explore` reads the alternating family at every p <= n from the same
 streamed walk, through the zero test and the exact nonzero count
 `tensor_product_sum_nnz`, without building it.
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import CapExceeded, HomSetViolation
 from .fields import QQ
-from .graph_algebra import Algebra, q_hom, q_ungraded
+from .graph_algebra import Algebra, is_multiplicative, q_hom, q_ungraded
 from .graphs import act_on_B, act_on_C, build_B, build_C, build_F, morphism_new
 from .linalg import (
     Matrix,
@@ -52,7 +54,7 @@ from .linalg import (
     tensor_product_sum_witness,
     vstack,
 )
-from .monoid import MonoidAlgElem, Word, act_on_U, build_T, build_Z, gen_g, homset_member, wn_enumerate
+from .monoid import MonoidAlgElem, Word, act_on_U, build_T, build_Z, gen_g, homset_member
 
 DEFAULT_SURJECTION_CAP = 6
 DEFAULT_TENSOR_CAP = 200_000
@@ -230,11 +232,6 @@ class NatTransData:
     target: Algebra
     components: dict
 
-    def __eq__(self, other):
-        if not isinstance(other, NatTransData):
-            return NotImplemented
-        return self.r == other.r and self.components == other.components
-
     def to_json(self):
         f = self.source.field
         comps = []
@@ -310,9 +307,9 @@ def cofunctor_eval(
 
     Targets and signs are as for `_word_terms`.  Each component is one
     `kron_sum` call over the words, which never materializes a single
-    word's power.  Only naturality and export need the materialized
-    family; every other question about a family is a streamed walk over
-    its p = 1 word matrices.
+    word's power.  Only export and the naturality squares at p <= 2 need
+    the materialized family; every other question about a family is a
+    streamed walk over its p = 1 word matrices.
     """
     field = x.field
     if target == "B":
@@ -409,7 +406,7 @@ def lemma_proof_trace(n: int, p: int, field=QQ) -> LemmaTrace:
     (full column rank, certified by an explicit left inverse; the tensor
     power inherits injectivity through the Kronecker mixed-product rule,
     which the linear-algebra suite tests separately);
-    (ii) the stacked map intertwines the word actions, for every word;
+    (ii) the stacked map intertwines the word actions, for every word of Z;
     (iii) every length-p index tuple misses some window index i, and g_i
     acts as the identity on all windows of the tuple, so the alternating
     element annihilates that summand -- re-verified by direct expansion:
@@ -428,15 +425,13 @@ def lemma_proof_trace(n: int, p: int, field=QQ) -> LemmaTrace:
         left_inverse(e1)  # raises unless L @ e1 == identity
         left_ok = True
 
-    window_mats = {
-        (i, w): _window_action_matrix(n, i, w, field)
-        for i in range(1, n + 1)
-        for w in wn_enumerate(n)
-    }
+    # Z's words include every g_i, which the off-window step reads
+    z = build_Z(n, field)
+    window_mats = {(i, w): _window_action_matrix(n, i, w, field) for i in range(1, n + 1) for w in z.terms}
     # the stacked identity e1 . M_w == diag(W_i) . e1, read block by block
     intertwining_ok = True
-    for w in wn_enumerate(n):
-        mb = q_hom(act_on_B(n, w), field)
+    for w in z.terms:
+        mb = _action_matrix(n, w, 1, "B", field)
         if any(
             mat_compose(e, mb) != mat_compose(window_mats[(i, w)], e)
             for i, e in enumerate(restrictions, start=1)
@@ -460,7 +455,6 @@ def lemma_proof_trace(n: int, p: int, field=QQ) -> LemmaTrace:
             missing_ok = False
         tuples.append((tup, missing))
 
-    z = build_Z(n, field)
     summands_ok = True
     for tup, _ in tuples:
         terms = [(c, [window_mats[(i, w)] for i in tup]) for w, c in z.terms.items()]
@@ -521,7 +515,8 @@ class IsoReport:
     field_name: str
     element: str
     homset_ok: bool
-    natural_ok: object  # None when not attempted; the reason is in skip_reason
+    certified_ok: object  # every word matrix is an algebra map; None when not attempted
+    squares_ok: object  # the naturality squares at p <= 2; None when not attempted
     inverse_ok: bool
     z_component_zero: bool
     factored_identity_ok: bool
@@ -530,10 +525,11 @@ class IsoReport:
 
     @property
     def status(self):
-        claims = (self.homset_ok, self.natural_ok, self.inverse_ok, self.z_component_zero, self.factored_identity_ok)
+        claims = (self.homset_ok, self.certified_ok, self.squares_ok, self.inverse_ok, self.z_component_zero,
+                  self.factored_identity_ok)
         if any(ok is False for ok in claims):
             return "FAIL"
-        return "SKIPPED" if self.natural_ok is None else "PASS"
+        return "SKIPPED" if self.squares_ok is None else "PASS"
 
 
 def iso_check(
@@ -542,7 +538,7 @@ def iso_check(
     element: str = "T",
     max_tensor_dim: int = DEFAULT_TENSOR_CAP,
 ) -> IsoReport:
-    """Verify the two crossing crown maps compose to the identity.
+    """Verify the two crossing crown maps are natural and mutually inverse.
 
     With the twist element (the default) the two families run between the
     two crowns and must be mutually inverse at every power p <= n-1.  For
@@ -550,12 +546,16 @@ def iso_check(
     over p = 1 products: inverse, sum c_w c_w' (M_w M_w')^(x)p - I^(x)p
     over the s-words w and t-words w'; factored identity, the same terms
     plus the alternating-element words on s (composite = I - Z-family);
-    and alternating family zero, those words alone.  Naturality still
-    materializes the families and Loday matrices; over `max_tensor_dim`
-    it is not attempted and the status is SKIPPED, never PASS.  Nor is it
-    attempted once a streamed sub-claim has failed, since the status is
-    FAIL either way.  With `element="Z"` (the negative control) the
-    composites are zero, so the check must fail.
+    and alternating family zero, those words alone.  With `element="Z"`
+    (the negative control) the composites are zero, so the check must
+    fail; naturality is not attempted after a failed sub-claim.
+
+    Naturality at every p is certified by one `is_multiplicative` call per
+    word matrix: M_w mu_2 = mu_2 (M_w (x) M_w) gives M_w mu_k = mu_k M_w^(x)k
+    by induction on k, Kronecker powers commute with reordering the input
+    positions, and sums of natural families are natural.  The squares are
+    cross-checked at p <= min(n-1, 2) only; over `max_tensor_dim` they are
+    not attempted and the status is SKIPPED, never PASS.
     """
     if n < 2:
         raise ValueError("crown checks need level >= 2")
@@ -571,7 +571,7 @@ def iso_check(
     off = next((s for s in (1, -1) if not homset_member(x, s, targets[s])), None)
     if off is not None or targets[targets[1]] != 1:
         reason = f"support not constant on sign {off}" if off else "families do not cross back"
-        return IsoReport(n, r, field.name, element, False, False, False, False, False, {"homset": reason})
+        return IsoReport(n, r, field.name, element, False, False, False, False, False, False, {"homset": reason})
 
     witness: dict = {}
 
@@ -600,24 +600,25 @@ def iso_check(
     if not z_zero:
         witness["z_component"] = "alternating-element family is not zero"
 
-    if not (z_zero and inverse_ok and factored_ok):
+    claims = (inverse_ok, z_zero, factored_ok)
+    if not all(claims):
         # the status is FAIL already; naturality would only cost time
-        skip = "a streamed sub-claim failed"
-        return IsoReport(n, r, field.name, element, True, None, inverse_ok, z_zero, factored_ok, witness, skip)
-    natural_ok, skip_reason = True, ""
+        return IsoReport(n, r, field.name, element, True, None, None, *claims, witness, "a streamed sub-claim failed")
+    crowns = {s: q_ungraded(build_C(n, s)[0], field) for s in (1, -1)}
+    certified_ok = True
+    for s in (1, -1):
+        for k, (_, m) in enumerate(families[s]):
+            if not is_multiplicative(crowns[targets[s]], crowns[s], m):
+                certified_ok = False
+                witness.setdefault(f"certificate_{s}", f"word matrix {k} on sign {s} is not an algebra map")
+    squares_ok, skip_reason = True, ""
     try:
-        arrows = {
-            s: cofunctor_eval(n, r, x, s, targets[s], target="C", max_tensor_dim=max_tensor_dim)
-            for s in (1, -1)
-        }
         for s in (1, -1):
-            w = naturality_witness(arrows[s], max_tensor_dim)
+            eta = cofunctor_eval(n, min(r, 2), x, s, targets[s], target="C", max_tensor_dim=max_tensor_dim)
+            w = naturality_witness(eta, max_tensor_dim)
             if w is not None:
-                natural_ok = False
+                squares_ok = False
                 witness[f"naturality_{s}"] = w
     except CapExceeded as exc:
-        natural_ok = None
-        skip_reason = f"cap exceeded: {exc}"
-    return IsoReport(
-        n, r, field.name, element, True, natural_ok, inverse_ok, z_zero, factored_ok, witness, skip_reason
-    )
+        squares_ok, skip_reason = None, f"cap exceeded: {exc}"
+    return IsoReport(n, r, field.name, element, True, certified_ok, squares_ok, *claims, witness, skip_reason)

@@ -174,8 +174,10 @@ def test_rescaled_diagonal_orbit_is_not_multiplicative(field):
     d_a = alg.basis.index(("d", "a"))
     m = Matrix.identity(field, alg.dim)
     assert is_multiplicative(alg, alg, m)
+    pair_products = alg._pairs
     entries = [(r, c, 2 if c == d_a else v) for r, c, v in m.to_triples()]
     assert not is_multiplicative(alg, alg, Matrix.from_entries(field, alg.dim, alg.dim, entries))
+    assert alg._pairs is pair_products  # built once per source algebra, not once per matrix
 
 
 def test_is_multiplicative_rejects_a_mismatched_shape():

@@ -354,22 +354,36 @@ def test_cli_verify_skips_noniso_above_the_point_cap(capsys):
     assert "2^20 projective vectors exceed cap 32768" in out
 
 
-def test_cli_verify_level_four_iso_skips_naturality_alone(tmp_path, capsys):
-    # 72^3 exceeds the tensor cap: naturality is not attempted, the streamed
-    # sub-claims hold, the negative control fails, and iso is skipped, not passed
+def test_cli_verify_level_four_iso_passes(tmp_path, capsys):
     path = tmp_path / "report.json"
-    rc = main(["verify", "--n", "4", "--field", "fp:2", "--checks", "iso,transport", "--json", str(path)])
+    rc = main(["verify", "--n", "4", "--field", "fp:2", "--checks", "iso", "--json", str(path)])
+    assert rc == 0
+    assert "PASS    iso" in capsys.readouterr().out
+    (iso,) = json.loads(path.read_text())["reports"]
+    assert iso["status"] == "pass" and iso["details"]["iso"]["status"] == "PASS"
+    assert iso["details"]["iso"]["natural"] == {"certified": {"status": "pass"}, "squares_p_le_2": {"status": "pass"}}
+    assert iso["details"]["negative_control"]["status"] == "FAIL"
+
+
+def test_cli_verify_level_four_iso_skips_naturality_alone(tmp_path, capsys):
+    # 72^2 exceeds the lowered tensor cap: the p <= 2 squares are not
+    # attempted, the certificate and the streamed sub-claims hold, the
+    # negative control fails, and iso is skipped, not passed
+    path = tmp_path / "report.json"
+    rc = main(["verify", "--n", "4", "--field", "fp:2", "--checks", "iso,transport", "--max-tensor-dim", "5000",
+               "--json", str(path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS    transport" in out and "SKIPPED iso" in out
-    assert "naturality not attempted" in out
+    assert "naturality squares at p <= 2 not attempted" in out
     transport, iso = json.loads(path.read_text())["reports"]
     assert transport["details"]["max_power"] == 3
     assert all(transport["details"][name] for name in ("1", "g1", "h4", "T", "Z"))
     assert iso["status"] == "skipped"
     claims = iso["details"]["iso"]
     assert claims["status"] == "SKIPPED"
-    assert claims["natural"]["status"] == "skipped"
+    assert claims["natural"]["certified"] == {"status": "pass"}
+    assert claims["natural"]["squares_p_le_2"]["status"] == "skipped"
     assert claims["mutually_inverse"] and claims["factored_identity"] and claims["alternating_family_zero"]
     assert iso["details"]["negative_control"]["status"] == "FAIL"
 

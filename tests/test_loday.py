@@ -6,7 +6,7 @@ import pytest
 
 from crown.errors import CapExceeded, HomSetViolation
 from crown.fields import GF, QQ
-from crown.graph_algebra import Algebra, annihilator_grading, q_ungraded
+from crown.graph_algebra import Algebra, annihilator_grading, is_multiplicative, q_ungraded
 from crown.graphs import build_C, graph_new
 from crown import loday
 from crown.linalg import Matrix, _merged_terms, mat_compose, tensor_product_sum_witness
@@ -415,6 +415,36 @@ def test_lemma_trace_fails_when_one_summand_matrix_is_perturbed(monkeypatch):
     assert lemma_proof_trace(3, 2, QQ).summand_annihilation_ok is False
 
 
+@pytest.mark.parametrize("side", ["window", "strip"])
+def test_lemma_trace_fails_when_one_z_word_does_not_intertwine(monkeypatch, side):
+    # negative control for (ii) over Z's words: one entry more on the window-3
+    # matrix or the strip matrix of g_1 g_2 alone, a word that is no generator
+    word = gen_g(3, 1) * gen_g(3, 2)
+    window_action, action = loday._window_action_matrix, loday._action_matrix
+
+    def bumped(m, field):
+        return m + Matrix.from_entries(field, m.nrows, m.ncols, [(0, 0, field.one)])
+
+    if side == "window":
+        monkeypatch.setattr(
+            loday,
+            "_window_action_matrix",
+            lambda n, i, w, field: bumped(window_action(n, i, w, field), field) if (i, w) == (3, word)
+            else window_action(n, i, w, field),
+        )
+    else:
+        monkeypatch.setattr(
+            loday,
+            "_action_matrix",
+            lambda n, w, s, target, field: bumped(action(n, w, s, target, field), field) if w == word
+            else action(n, w, s, target, field),
+        )
+    trace = lemma_proof_trace(3, 2, QQ)
+    assert trace.intertwining_ok is False
+    assert trace.off_window_identity_ok
+    assert trace.passed is False
+
+
 def test_lemma_trace_requires_power_below_level():
     with pytest.raises(ValueError):
         lemma_proof_trace(2, 2, QQ)
@@ -581,7 +611,7 @@ def test_transport_matches_the_materialized_squares(field, n):
 def test_iso_level_two_rationals():
     report = iso_check(2, QQ)
     assert report.status == "PASS"
-    assert report.natural_ok and report.inverse_ok
+    assert report.certified_ok and report.squares_ok and report.inverse_ok
     assert report.z_component_zero and report.factored_identity_ok
 
 
@@ -598,14 +628,17 @@ def test_iso_negative_control_fails():
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_iso_skips_naturality_after_a_failed_sub_claim(monkeypatch, field):
-    # the control fails in the streamed sub-claims, so naturality never runs
+    # the control fails in the streamed sub-claims, so neither the
+    # certificate nor the squares run
     def raising(*args, **kwargs):
         raise AssertionError("naturality attempted after a failed sub-claim")
 
     monkeypatch.setattr(loday, "naturality_witness", raising)
+    monkeypatch.setattr(loday, "is_multiplicative", raising)
     control = iso_check(3, field, element="Z")
     assert control.status == "FAIL"
-    assert control.natural_ok is None and control.skip_reason == "a streamed sub-claim failed"
+    assert control.certified_ok is None and control.squares_ok is None
+    assert control.skip_reason == "a streamed sub-claim failed"
     assert not control.inverse_ok and not control.factored_identity_ok and control.z_component_zero
     assert set(control.witness) == {"inverse", "factored"}
     with pytest.raises(AssertionError):
@@ -631,10 +664,11 @@ def streamed_claims(report):
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 @pytest.mark.parametrize("n", [2, 3])
 def test_iso_sub_claims_match_the_materialized_composites(field, n):
-    # naturality is capped away: only the streamed sub-claims run
+    # the naturality squares are capped away, so the status is never PASS
     for element, build in (("T", build_T), ("Z", build_Z)):
         report = iso_check(n, field, element, max_tensor_dim=1)
-        assert report.natural_ok is None
+        assert report.squares_ok is None
+        assert report.status == ("SKIPPED" if element == "T" else "FAIL")
         expected = reference_iso_claims(n, field, build(n, field), ISO_TARGETS[element])
         assert streamed_claims(report) == expected, element
         assert expected == (
@@ -661,14 +695,64 @@ def test_iso_sub_claims_fail_with_a_perturbed_word_matrix(monkeypatch):
 
 
 def test_iso_level_four_f2_with_naturality_capped():
-    # 72^3 exceeds the default tensor cap, so naturality alone is skipped
+    # the squares stop at p = 2 (72^2 is under the default tensor cap), and
+    # the certificate covers every power
     report = iso_check(4, GF(2))
-    assert report.natural_ok is None and "72^3" in report.skip_reason
+    assert report.certified_ok and report.squares_ok and report.skip_reason == ""
     assert report.inverse_ok and report.factored_identity_ok and report.z_component_zero
-    assert report.status == "SKIPPED"
+    assert report.status == "PASS"
     control = iso_check(4, GF(2), element="Z")
     assert control.status == "FAIL"
     assert not control.inverse_ok and not control.factored_identity_ok
+
+
+def word_matrix_certificate(n, field, x, targets):
+    """Whether every crown word matrix of x, on both signs, is an algebra map."""
+    crowns = {s: q_ungraded(build_C(n, s)[0], field) for s in (1, -1)}
+    return all(
+        is_multiplicative(crowns[targets[s]], crowns[s], m)
+        for s in (1, -1)
+        for _, m in loday._word_terms(n, x, s, targets[s], "C")
+    )
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_naturality_certificate_matches_the_squares_at_every_power(field, n):
+    # differential test: the certificate's verdict is the verdict of every
+    # materialized naturality square at p <= n - 1
+    for element, build in (("T", build_T), ("Z", build_Z)):
+        x, targets = build(n, field), ISO_TARGETS[element]
+        squares = all(
+            naturality_witness(cofunctor_eval(n, n - 1, x, s, targets[s])) is None for s in (1, -1)
+        )
+        assert word_matrix_certificate(n, field, x, targets) == squares, element
+        assert squares, element
+    assert iso_check(n, field).certified_ok is True
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_a_perturbed_twist_word_fails_the_certificate_and_the_squares(monkeypatch, field):
+    # called directly: inside iso_check the streamed inverse fails first
+    n, x, targets = 3, build_T(3, field), ISO_TARGETS["T"]
+    perturb_crown_word(monkeypatch, min(x.terms, key=Word.sort_key))
+    assert not word_matrix_certificate(n, field, x, targets)
+    assert any(naturality_witness(cofunctor_eval(n, 2, x, s, targets[s])) is not None for s in (1, -1))
+    report = iso_check(n, field)
+    assert report.status == "FAIL" and report.certified_ok is None
+
+
+def test_iso_materializes_nothing_above_power_two(monkeypatch):
+    # the certificate covers p = 3; the squares stop at p = 2
+    powers = []
+
+    def recording(n, r, *args, **kwargs):
+        powers.append(r)
+        return cofunctor_eval(n, r, *args, **kwargs)
+
+    monkeypatch.setattr(loday, "cofunctor_eval", recording)
+    report = iso_check(4, GF(2))
+    assert report.status == "PASS" and powers == [2, 2]
 
 
 def test_nat_trans_json_shape():
