@@ -22,8 +22,10 @@ Minimality is decided per point by one linear test, the same for every
 prime field: with K_a = {x : a*x = 0}, dep(b) lies inside dep(a) iff
 K_a lies inside K_b, so those b form the subspace
 S_a = {b : b*x = 0 for x in K_a}, and [a] is minimal iff dim S_a = 1.
-The cost is linear in the number of points; DEFAULT_POINT_CAP bounds the
-p^dim1 degree-1 vectors enumerated.  For admissible graphs the minimal
+Each point costs one forward elimination, which finds K_a; dim S_a
+depends on K_a alone, so it is computed once per distinct K_a.  The cost
+is linear in the number of points; DEFAULT_POINT_CAP bounds the p^dim1
+degree-1 vectors enumerated.  For admissible graphs the minimal
 points are exactly the vertex indicator classes and dependence
 restricted to them is the graph relation.
 """
@@ -34,7 +36,7 @@ import itertools
 
 from .errors import CapExceeded, NotACover
 from .graphs import Graph, GraphMorphism, graph_new, is_cover
-from .linalg import Matrix, kernel_basis_with_free, mat_compose, mat_rank, vstack
+from .linalg import Matrix, _add_scaled, _echelon, _kernel_basis, kernel_basis_with_free, mat_rank, vstack
 
 # bounds p^dim1, the degree-1 vectors enumerated by the minimality test
 DEFAULT_POINT_CAP = 2**15
@@ -49,14 +51,13 @@ class Algebra:
     its first dim1 basis vectors span degree 1 and the rest degree 2.
     """
 
-    __slots__ = ("field", "basis", "_table", "dim1", "_pairs")
+    __slots__ = ("field", "basis", "_table", "dim1")
 
     def __init__(self, field, basis, table, dim1=None):
         self.field = field
         self.basis = tuple(basis)
         self._table = table
         self.dim1 = dim1
-        self._pairs = None  # (i <= j pairs, matrix of their products), see is_multiplicative
 
     @property
     def dim(self):
@@ -68,20 +69,12 @@ class Algebra:
 
     def mult(self, a: dict, b: dict) -> dict:
         f = self.field
-        zero = f.zero
         out: dict = {}
         for i, va in a.items():
             for j, vb in b.items():
                 prod = self.product_basis(i, j)
-                if not prod:
-                    continue
-                c = f.mul(va, vb)
-                for k, w in prod.items():
-                    x = f.add(out.get(k, zero), f.mul(c, w))
-                    if x == zero:
-                        out.pop(k, None)
-                    else:
-                        out[k] = x
+                if prod:
+                    _add_scaled(f, out, f.mul(va, vb), prod)
         return out
 
     def label_str(self, i):
@@ -193,19 +186,30 @@ def q_hom(f: GraphMorphism, field) -> Matrix:
 def is_multiplicative(source: Algebra, target: Algebra, m: Matrix) -> bool:
     """Whether m(e_i e_j) == m(e_i) m(e_j) for every pair of source basis vectors.
 
-    `m` has one column per source basis vector, in the target basis.  The
-    left sides are one composite: m applied to the column of each product,
-    a matrix built once per source algebra and shared by every m.
+    `m` has one column per source basis vector, in the target basis.  Only
+    candidate pairs are compared: those with a nonzero source product, and
+    those with some u in supp m(e_i) and v in supp m(e_j) such that
+    e_u e_v != 0 in the target.  Every other pair is zero on both sides.
     """
     if (m.nrows, m.ncols) != (target.dim, source.dim):
         raise ValueError("matrix shape does not match the algebras")
-    if source._pairs is None:
-        pairs = [(i, j) for i in range(source.dim) for j in range(i, source.dim)]
-        products = Matrix(source.field, source.dim, len(pairs), [source.product_basis(i, j) for i, j in pairs])
-        source._pairs = (pairs, products)
-    pairs, products = source._pairs
-    left = mat_compose(m, products)
-    return all(left.col(c) == target.mult(m.col(i), m.col(j)) for c, (i, j) in enumerate(pairs))
+    f = source.field
+    cols = m._cols
+    cols_of_row: dict = {}  # target row u -> the source columns i with u in supp m(e_i)
+    for i, col in enumerate(cols):
+        for u in col:
+            cols_of_row.setdefault(u, []).append(i)
+    candidates = set(source._table)
+    for u, v in target._table:
+        for i in cols_of_row.get(u, ()):
+            candidates.update((i, j) if i <= j else (j, i) for j in cols_of_row.get(v, ()))
+    for i, j in candidates:
+        left: dict = {}
+        for k, w in source.product_basis(i, j).items():
+            _add_scaled(f, left, w, cols[k])
+        if left != target.mult(cols[i], cols[j]):
+            return False
+    return True
 
 
 def cover_injectivity(fs, field) -> bool:
@@ -254,12 +258,7 @@ def annihilator_grading(a: Algebra) -> Algebra:
             if c is None:
                 continue
             kcoeffs[fc] = c
-            for col, v in kernel_by_free[fc].items():
-                w = f.sub(rest.get(col, f.zero), f.mul(c, v))
-                if w == f.zero:
-                    rest.pop(col, None)
-                else:
-                    rest[col] = w
+            _add_scaled(f, rest, f.neg(c), kernel_by_free[fc])
         return rest, kcoeffs
 
     labels = [a.basis[p] for p in pivot_cols] + [("nil", a.basis[fc]) for fc in free_cols]
@@ -287,12 +286,10 @@ def annihilator_grading(a: Algebra) -> Algebra:
 def _enumerate_projective(field, dim):
     """Normalized representatives (first nonzero coordinate = 1), lex order."""
     p = field.p
-    points = []
     for lead in range(dim):
         prefix = (0,) * lead + (1,)
         for tail in itertools.product(range(p), repeat=dim - lead - 1):
-            points.append(prefix + tail)
-    return points
+            yield prefix + tail
 
 
 def _sparse(pt):
@@ -307,8 +304,11 @@ def _minimal_representatives(ag: Algebra, max_points: int):
     points whose dependence set lies inside a's form the subspace
     S_a = {b : b*x = 0 for x in a basis of K_a}, which contains a.  [a] is
     minimal (no other point's dependence set is contained in or equal to
-    its own) iff dim S_a = 1.  Two small eliminations per point, so the
-    work is linear in the number of points.
+    its own) iff dim S_a = 1.  Each point costs one forward elimination of
+    x -> a*x: at full rank K_a = 0 and dim S_a = d1.  Otherwise its RREF
+    kernel basis, which K_a alone determines, keys dim S_a, so a second
+    elimination runs once per distinct K_a.  The work is linear in the
+    number of points.
     """
     f = ag.field
     d1 = ag.dim1
@@ -326,31 +326,38 @@ def _minimal_representatives(ag: Algebra, max_points: int):
     ]
 
     def product_rows(vecs):
-        """The stacked maps b -> x*b over x in vecs; its kernel is {b : b*vecs = 0}.
+        """The rows of the stacked maps b -> x*b over x in vecs; its kernel is {b : b*vecs = 0}.
 
         The products are field scalars already, so they are added straight
-        into the columns; entries of one row can cancel and are dropped.
+        into the rows; entries of one row can cancel and are dropped.
         """
-        row_of: dict = {}
-        cols = [dict() for _ in range(d1)]
+        rows: dict = {}
         for block, x in enumerate(vecs):
             for j, c in x.items():
                 for i, k, v in by_col[j]:
-                    r = row_of.setdefault((block, k), len(row_of))
-                    col = cols[i]
+                    row = rows.setdefault((block, k), {})
                     w = mul(c, v)
-                    cur = col.get(r)
+                    cur = row.get(i)
                     y = w if cur is None else add(cur, w)
                     if y == zero:
-                        col.pop(r, None)
+                        row.pop(i, None)
                     else:
-                        col[r] = y
-        return Matrix(f, len(row_of), d1, cols)
+                        row[i] = y
+        return rows.values()
 
+    dim_s: dict = {}  # RREF kernel basis of K_a -> dim S_a
     chosen = []
     for pt in _enumerate_projective(f, d1):
-        kernel = kernel_basis_with_free(product_rows([_sparse(pt)]))[0]
-        if d1 - mat_rank(product_rows(kernel)) == 1:
+        pivots = _echelon(f, product_rows([_sparse(pt)]), d1)
+        if len(pivots) == d1:
+            dim = d1
+        else:
+            kernel = _kernel_basis(f, pivots, d1)[0]
+            key = tuple(tuple(vec.items()) for vec in kernel)
+            dim = dim_s.get(key)
+            if dim is None:
+                dim = dim_s[key] = d1 - len(_echelon(f, product_rows(kernel), d1))
+        if dim == 1:
             chosen.append(pt)
     return chosen
 

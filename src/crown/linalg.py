@@ -267,51 +267,77 @@ def vstack(mats) -> Matrix:
 
 # -- elimination ------------------------------------------------------
 
-def _rref(field, rows, ncols):
-    """In-place reduced row echelon form with first-nonzero pivoting.
-
-    `rows` is a list of dicts col -> value.  Returns the pivot column list;
-    determinism comes from always taking the topmost row with a nonzero
-    entry in the current column.
-    """
+def _add_scaled(field, acc, fac, vec):
+    """acc += fac * vec for sparse vectors, in place, dropping entries that cancel."""
     zero = field.zero
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if col in rows[i]:
-                piv = i
+    for c, v in vec.items():
+        w = field.add(acc.get(c, zero), field.mul(fac, v))
+        if w == zero:
+            acc.pop(c, None)
+        else:
+            acc[c] = w
+
+
+def _echelon(field, rows, ncols):
+    """The forward pass of sparse elimination, keyed by pivot column.
+
+    `rows` is an iterable of dicts col -> value, each reduced in place
+    against the pivots found so far, leading column first.  A row becomes
+    the pivot, scaled to lead with one, of its first leading column below
+    `ncols` that no pivot holds; columns >= ncols ride along (an augmented
+    block).  Returns the pivot rows by pivot column; their number is the rank.
+    """
+    one = field.one
+    pivots: dict = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            if lead >= ncols:
                 break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        if inv != field.one:
-            rows[rank] = {c: field.mul(inv, v) for c, v in rows[rank].items()}
-        pivot_row = rows[rank]
-        for i in range(len(rows)):
-            if i == rank:
-                continue
-            fac = rows[i].get(col)
-            if fac is None:
-                continue
-            target = rows[i]
-            for c, v in pivot_row.items():
-                w = field.sub(target.get(c, zero), field.mul(fac, v))
-                if w == zero:
-                    target.pop(c, None)
-                else:
-                    target[c] = w
-        pivots.append(col)
-        rank += 1
+            piv = pivots.get(lead)
+            if piv is None:
+                if row[lead] != one:
+                    inv = field.inv(row[lead])
+                    for c, v in row.items():
+                        row[c] = field.mul(inv, v)
+                pivots[lead] = row
+                break
+            _add_scaled(field, row, field.neg(row[lead]), piv)
     return pivots
 
 
+def _rref(field, pivots):
+    """Back-substitute `_echelon`'s pivot rows, in place, into the RREF's rows.
+
+    Returns the pivot columns in ascending order.  The RREF is unique, so
+    kernel bases depend on neither the row order nor the elimination order.
+    """
+    order = sorted(pivots)
+    for lead in reversed(order):  # every row with a larger pivot is reduced already
+        row = pivots[lead]
+        for pc in [c for c in row if c != lead and c in pivots]:
+            _add_scaled(field, row, field.neg(row[pc]), pivots[pc])
+    return order
+
+
+def _kernel_basis(field, pivots, ncols):
+    """(basis, free columns) of the right kernel, read off `_echelon`'s pivots."""
+    order = _rref(field, pivots)
+    free_cols = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for free in free_cols:
+        vec = {free: field.one}
+        for pc in order:
+            v = pivots[pc].get(free)
+            if v is not None:
+                vec[pc] = field.neg(v)
+        basis.append(vec)
+    return basis, free_cols
+
+
 def mat_rank(a: Matrix) -> int:
-    """Exact rank by Gaussian elimination (first-nonzero pivot rule)."""
-    rows = a._row_dicts()
-    return len(_rref(a.field, rows, a.ncols))
+    """Exact rank: the number of pivots of `_echelon`'s forward pass."""
+    return len(_echelon(a.field, a._row_dicts(), a.ncols))
 
 
 def kernel_basis_with_free(a: Matrix):
@@ -321,23 +347,7 @@ def kernel_basis_with_free(a: Matrix):
     ascending free-column order; the vector for free column f has a 1 at f
     and its other support lies on pivot columns.
     """
-    f = a.field
-    rows = a._row_dicts()
-    pivots = _rref(f, rows, a.ncols)
-    pivot_set = set(pivots)
-    basis = []
-    free_cols = []
-    for free in range(a.ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: f.one}
-        for i, pc in enumerate(pivots):
-            v = rows[i].get(free)
-            if v is not None:
-                vec[pc] = f.neg(v)
-        basis.append(vec)
-        free_cols.append(free)
-    return basis, free_cols
+    return _kernel_basis(a.field, _echelon(a.field, a._row_dicts(), a.ncols), a.ncols)
 
 
 def left_inverse(a: Matrix) -> Matrix:
@@ -351,14 +361,11 @@ def left_inverse(a: Matrix) -> Matrix:
     rows = a._row_dicts()
     for r in range(a.nrows):
         rows[r][n + r] = f.one  # augment with the identity
-    pivots = _rref(f, rows, n)  # pivot search restricted to original columns
-    if pivots != list(range(n)):
+    pivots = _echelon(f, rows, n)  # pivot search restricted to original columns
+    if len(pivots) != n:
         raise ValueError("matrix does not have full column rank")
-    entries = []
-    for i in range(n):
-        for c, v in rows[i].items():
-            if c >= n:
-                entries.append((i, c - n, v))
+    _rref(f, pivots)
+    entries = [(i, c - n, v) for i in range(n) for c, v in pivots[i].items() if c >= n]
     lift = Matrix.from_entries(f, n, a.nrows, entries)
     if mat_compose(lift, a) != Matrix.identity(f, n):
         raise AssertionError("left inverse verification failed")

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+from crown.errors import CapExceeded
 from crown.graph_algebra import q_hom
 from crown.graphs import Graph, GraphMorphism, build_C, graph_new
 from crown.linalg import Matrix, kron_power, mat_compose
@@ -211,3 +212,142 @@ def reference_functor_check(a, r: int) -> bool:
                         if cache.mat(surj_compose(t, s)) != mat_compose(cache.mat(t), ms):
                             return False
     return True
+
+
+# -- the elimination, minimality test and certificate before pivot indexing --
+
+def reference_rref(field, rows, ncols):
+    """In-place reduced row echelon form by column scan, first-nonzero pivoting.
+
+    `rows` is a list of dicts col -> value.  Returns the pivot column list.
+    The oracle for `linalg._echelon` and `linalg._rref`: for each column in
+    turn it takes the topmost remaining row with an entry there and clears
+    that column from every other row.
+    """
+    zero = field.zero
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(rank, len(rows)):
+            if col in rows[i]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = field.inv(rows[rank][col])
+        if inv != field.one:
+            rows[rank] = {c: field.mul(inv, v) for c, v in rows[rank].items()}
+        pivot_row = rows[rank]
+        for i in range(len(rows)):
+            if i == rank:
+                continue
+            fac = rows[i].get(col)
+            if fac is None:
+                continue
+            target = rows[i]
+            for c, v in pivot_row.items():
+                w = field.sub(target.get(c, zero), field.mul(fac, v))
+                if w == zero:
+                    target.pop(c, None)
+                else:
+                    target[c] = w
+        pivots.append(col)
+        rank += 1
+    return pivots
+
+
+def reference_rank(a: Matrix) -> int:
+    return len(reference_rref(a.field, a._row_dicts(), a.ncols))
+
+
+def reference_kernel_basis_with_free(a: Matrix):
+    """(basis, free columns) of the right kernel, read off `reference_rref`."""
+    f = a.field
+    rows = a._row_dicts()
+    pivots = reference_rref(f, rows, a.ncols)
+    basis = []
+    free_cols = []
+    for free in range(a.ncols):
+        if free in pivots:
+            continue
+        vec = {free: f.one}
+        for i, pc in enumerate(pivots):
+            v = rows[i].get(free)
+            if v is not None:
+                vec[pc] = f.neg(v)
+        basis.append(vec)
+        free_cols.append(free)
+    return basis, free_cols
+
+
+def reference_left_inverse(a: Matrix) -> Matrix:
+    """A left inverse from `reference_rref` of [a | I]; ValueError on dependent columns."""
+    f = a.field
+    n = a.ncols
+    rows = a._row_dicts()
+    for r in range(a.nrows):
+        rows[r][n + r] = f.one
+    if reference_rref(f, rows, n) != list(range(n)):
+        raise ValueError("matrix does not have full column rank")
+    entries = [(i, c - n, v) for i in range(n) for c, v in rows[i].items() if c >= n]
+    return Matrix.from_entries(f, n, a.nrows, entries)
+
+
+def reference_minimal_representatives(ag, max_points: int):
+    """The minimal points by two column-scan eliminations per point.
+
+    The oracle for `graph_algebra._minimal_representatives`: for every
+    normalized point a, in lead-position-major lex order, it builds the
+    map x -> a*x as a `Matrix`, takes its kernel K_a, and keeps a when the
+    stacked maps b -> x*b over a basis of K_a have rank dim1 - 1.
+    """
+    f = ag.field
+    d1 = ag.dim1
+    if f.p ** d1 > max_points:
+        raise CapExceeded(f"{f.p}^{d1} projective vectors exceed cap {max_points}")
+    mul, add, zero = f.mul, f.add, f.zero
+    by_col = [
+        [(i, k, v) for i in range(d1) for k, v in ag.product_basis(i, j).items()]
+        for j in range(d1)
+    ]
+
+    def product_rows(vecs):
+        row_of: dict = {}
+        cols = [dict() for _ in range(d1)]
+        for block, x in enumerate(vecs):
+            for j, c in x.items():
+                for i, k, v in by_col[j]:
+                    r = row_of.setdefault((block, k), len(row_of))
+                    col = cols[i]
+                    w = mul(c, v)
+                    cur = col.get(r)
+                    y = w if cur is None else add(cur, w)
+                    if y == zero:
+                        col.pop(r, None)
+                    else:
+                        col[r] = y
+        return Matrix(f, len(row_of), d1, cols)
+
+    chosen = []
+    for lead in range(d1):
+        for tail in itertools.product(range(f.p), repeat=d1 - lead - 1):
+            pt = (0,) * lead + (1,) + tail
+            point = {i: c for i, c in enumerate(pt) if c}
+            kernel = reference_kernel_basis_with_free(product_rows([point]))[0]
+            if d1 - reference_rank(product_rows(kernel)) == 1:
+                chosen.append(pt)
+    return chosen
+
+
+def reference_is_multiplicative(source, target, m: Matrix) -> bool:
+    """m(e_i e_j) == m(e_i) m(e_j) compared for every pair i <= j, one composite for all.
+
+    The oracle for `graph_algebra.is_multiplicative`, which compares only
+    the pairs whose products can be nonzero on either side.
+    """
+    pairs = [(i, j) for i in range(source.dim) for j in range(i, source.dim)]
+    products = Matrix(source.field, source.dim, len(pairs), [source.product_basis(i, j) for i, j in pairs])
+    left = mat_compose(m, products)
+    return all(left.col(c) == target.mult(m.col(i), m.col(j)) for c, (i, j) in enumerate(pairs))

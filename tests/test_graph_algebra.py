@@ -6,6 +6,7 @@ import pytest
 from crown.errors import CapExceeded, NotACover
 from crown.fields import GF, QQ
 from crown.graph_algebra import (
+    _minimal_representatives,
     annihilator_grading,
     Algebra,
     cover_injectivity,
@@ -28,7 +29,15 @@ from crown.graphs import (
 )
 from crown.linalg import Matrix, mat_compose, mat_rank
 from crown.monoid import wn_enumerate
-from conftest import compose_morphisms, identity_morphism, is_associative, mult_multiset, random_graph
+from conftest import (
+    compose_morphisms,
+    identity_morphism,
+    is_associative,
+    mult_multiset,
+    random_graph,
+    reference_is_multiplicative,
+    reference_minimal_representatives,
+)
 
 
 PATH3 = graph_new(["a", "b", "c"], [("a", "b"), ("b", "c")])
@@ -173,11 +182,22 @@ def test_rescaled_diagonal_orbit_is_not_multiplicative(field):
     alg = q_ungraded(PATH3, field)
     d_a = alg.basis.index(("d", "a"))
     m = Matrix.identity(field, alg.dim)
-    assert is_multiplicative(alg, alg, m)
-    pair_products = alg._pairs
+    assert is_multiplicative(alg, alg, m) and reference_is_multiplicative(alg, alg, m)
     entries = [(r, c, 2 if c == d_a else v) for r, c, v in m.to_triples()]
-    assert not is_multiplicative(alg, alg, Matrix.from_entries(field, alg.dim, alg.dim, entries))
-    assert alg._pairs is pair_products  # built once per source algebra, not once per matrix
+    rescaled = Matrix.from_entries(field, alg.dim, alg.dim, entries)
+    assert not is_multiplicative(alg, alg, rescaled)
+    assert not reference_is_multiplicative(alg, alg, rescaled)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_a_map_killing_a_vertex_indicator_is_not_multiplicative(field):
+    # negative control: m(e_a e_b) = e:a|b, but m(e_a) m(e_b) = 0, so only
+    # the source product makes (a, b) a pair to compare
+    alg = q_ungraded(PATH3, field)
+    a = alg.basis.index(("v", "a"))
+    m = Matrix(field, alg.dim, alg.dim, [{} if c == a else {c: field.one} for c in range(alg.dim)])
+    assert not is_multiplicative(alg, alg, m)
+    assert not reference_is_multiplicative(alg, alg, m)
 
 
 def test_is_multiplicative_rejects_a_mismatched_shape():
@@ -336,7 +356,7 @@ def test_minimal_points_match_brute_force(graph, p):
     assert minimal_points(annihilator_grading(q_ungraded(graph, field))) == expected
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_minimal_points_when_products_cancel(p):
     # not a graph algebra: e0 e0 = m, e0 e1 = m + n, e1 e1 = n, so the m
     # coordinate of a*e0 cancels for a = (1, p - 1), and the linear test
@@ -355,6 +375,7 @@ def test_minimal_points_when_products_cancel(p):
     expected = {a for a in points if all(not dep[b] <= dep[a] for b in points if b != a)}
     assert 2 not in ag.mult(sparse((1, p - 1)), {0: one})  # the m coordinate cancels
     assert minimal_points(ag) == expected
+    assert _minimal_representatives(ag, 100) == reference_minimal_representatives(ag, 100)
 
 
 def test_minimal_points_of_crowns_are_vertex_classes():
@@ -435,3 +456,34 @@ def test_algebra_json_shape():
     assert data["field"] == "fp:2"
     assert len(data["basis"]) == 8
     assert all(len(t) == 4 for t in data["structure_constants"])
+
+
+# -- differential: the minimality test against two column-scan eliminations per point --
+
+def _random_graphs(seed, count, max_vertices, admissible):
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        g = random_graph(rng, max_vertices=max_vertices, min_vertices=3, p_edge=0.45)
+        if is_admissible(g) == admissible:
+            graphs.append(g)
+    return graphs
+
+
+MINIMALITY_CASES = (
+    [
+        (f"random-{'admissible' if admissible else 'other'}-fp{p}-{k}", g, p)
+        for p, max_vertices in ((2, 8), (3, 6), (5, 4))
+        for admissible in (True, False)
+        for k, g in enumerate(_random_graphs(90 + p, 2, max_vertices, admissible))
+    ]
+    + [("single-vertex-fp2", graph_new(["a"], []), 2), ("single-vertex-fp3", graph_new(["a"], []), 3)]
+    + [(f"crown{s:+d}-fp{p}", build_C(2, s)[0], p) for s in (1, -1) for p in (2, 3)]
+)
+
+
+@pytest.mark.parametrize("name,graph,p", MINIMALITY_CASES, ids=[c[0] for c in MINIMALITY_CASES])
+def test_minimal_representatives_match_the_two_elimination_path(name, graph, p):
+    ag = annihilator_grading(q_ungraded(graph, GF(p)))
+    cap = p**ag.dim1
+    assert _minimal_representatives(ag, cap) == reference_minimal_representatives(ag, cap)

@@ -19,7 +19,12 @@ from crown.linalg import (
     tensor_product_sum_witness,
     vstack,
 )
-from conftest import matrix_from_rows
+from conftest import (
+    matrix_from_rows,
+    reference_kernel_basis_with_free,
+    reference_left_inverse,
+    reference_rank,
+)
 
 
 def rand_matrix(rng, field, nrows, ncols, density=0.5, span=5):
@@ -385,6 +390,44 @@ def test_left_inverse():
     assert mat_compose(lift, m) == Matrix.identity(QQ, 2)
     with pytest.raises(ValueError):
         left_inverse(matrix_from_rows(QQ, [[1, 1], [1, 1]]))
+
+
+def elimination_cases(seed, field):
+    """Seeded sparse matrices with the shapes elimination must get right.
+
+    Empty shapes, an all-zero matrix, random sparse matrices, each with a
+    duplicated row and with a column that is the sum of two others.
+    """
+    rng = random.Random(seed)
+    cases = [Matrix.zero(field, 0, 0), Matrix.zero(field, 0, 3), Matrix.zero(field, 3, 0), Matrix.zero(field, 4, 5)]
+    for _ in range(12):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        m = rand_matrix(rng, field, nrows, ncols, density=rng.choice((0.2, 0.4, 0.7)))
+        triples = m.to_triples()
+        duplicate_row = [(nrows, c, v) for r, c, v in triples if r == 0]
+        sum_column = [(r, ncols, v) for r, c, v in triples if c < 2]
+        cases.append(m)
+        cases.append(Matrix.from_entries(field, nrows + 1, ncols, triples + duplicate_row))
+        if ncols >= 2:
+            cases.append(Matrix.from_entries(field, nrows, ncols + 1, triples + sum_column))
+    return cases
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)])
+def test_elimination_matches_the_column_scan(field):
+    # differential test: ranks and kernel bases are read off the RREF, which
+    # is unique, so they equal the column scan's; a left inverse need not
+    # be unique, but exists exactly when the column scan finds one
+    for m in elimination_cases(83, field):
+        assert mat_rank(m) == reference_rank(m)
+        assert kernel_basis_with_free(m) == reference_kernel_basis_with_free(m)
+        try:
+            reference_left_inverse(m)
+        except ValueError:
+            with pytest.raises(ValueError):
+                left_inverse(m)
+        else:
+            assert mat_compose(left_inverse(m), m) == Matrix.identity(field, m.ncols)
 
 
 def test_vstack_shape():

@@ -43,6 +43,7 @@ from conftest import (
     naturality_check,
     random_graph,
     reference_functor_check,
+    reference_is_multiplicative,
     reference_iso_claims,
     reference_loday_matrix,
     reference_transport_square_check,
@@ -707,13 +708,19 @@ def test_iso_level_four_f2_with_naturality_capped():
 
 
 def word_matrix_certificate(n, field, x, targets):
-    """Whether every crown word matrix of x, on both signs, is an algebra map."""
+    """Whether every crown word matrix of x, on both signs, is an algebra map.
+
+    Each verdict must equal the all-pairs comparison's: the pairs that
+    `is_multiplicative` skips are zero on both sides.
+    """
     crowns = {s: q_ungraded(build_C(n, s)[0], field) for s in (1, -1)}
-    return all(
-        is_multiplicative(crowns[targets[s]], crowns[s], m)
-        for s in (1, -1)
-        for _, m in loday._word_terms(n, x, s, targets[s], "C")
-    )
+    verdicts = []
+    for s in (1, -1):
+        source, target = crowns[targets[s]], crowns[s]
+        for _, m in loday._word_terms(n, x, s, targets[s], "C"):
+            verdicts.append(is_multiplicative(source, target, m))
+            assert verdicts[-1] == reference_is_multiplicative(source, target, m)
+    return all(verdicts)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
