@@ -9,7 +9,6 @@ from . import graphs as gr
 from . import harness
 from .errors import CrownError
 from .fields import parse_field
-from .monoid import wn_enumerate
 
 
 def _build_parser():
@@ -29,10 +28,9 @@ def _build_parser():
         "and Loday matrices (functor, and the iso naturality squares, checked only at p <= 2); "
         "above it functor reports skipped and iso marks the squares skipped and reports skipped; "
         "explore materializes nothing, but above crown dim^n it still reports its family "
-        "as not computed; the streamed zero tests (lemma, transport and the other iso "
-        "sub-claims) and iso's naturality certificate are not bounded by it, and lemma "
-        "has its own stream cap "
-        "(default %(default)s)",
+        "as not computed; iso's naturality certificate and every streamed walk (lemma, transport, "
+        "explore, iso's other sub-claims) are not bounded by it: each walk has one fixed work "
+        "budget (default %(default)s)",
     )
     verify.add_argument(
         "--max-proj-points",
@@ -45,9 +43,8 @@ def _build_parser():
         "--max-graph-size",
         type=int,
         default=harness.DEFAULT_MAX_GRAPH_SIZE,
-        help="cap on the vertices of the strip that graphs builds and of the graphs that "
-        "noniso's isomorphism search compares; above it the check reports skipped "
-        "(default %(default)s)",
+        help="cap on the vertices of the graphs that noniso's isomorphism searches compare; "
+        "above it noniso reports skipped (default %(default)s)",
     )
 
     export = sub.add_parser("export", help="write a construction to JSON")
@@ -112,8 +109,8 @@ def _cmd_export(args) -> int:
 def _cmd_info(args) -> int:
     n = args.n
     print(f"level n = {n}")
-    print(f"|W_{n}| = {len(wn_enumerate(n))} sign words (2*3^{n})")
-    b = gr.build_B(n)
+    b = gr.build_B(n)  # rejects n < 1
+    print(f"|W_{n}| = {2 * 3**n} sign words (2*3^{n})")  # the monoid check verifies the count
     print(f"strip B_{n}: {len(b.vertices)} vertices, {b.edge_count} edges; dim Q = {2*len(b.vertices)+b.edge_count}")
     if n >= 2:
         for s, name in ((1, "simple crown C+"), (-1, "Moebius crown C-")):

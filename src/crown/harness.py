@@ -176,8 +176,6 @@ def _check_graphs(config: RunConfig):
     details: dict = {}
     failures = []
     b = gr.build_B(n)
-    if len(b.vertices) > config.max_graph_size:
-        raise CapExceeded(f"strip has {len(b.vertices)} vertices")
     details["strip"] = {"vertices": len(b.vertices), "edges": b.edge_count}
     if len(b.vertices) != 5 * n + 2 or b.edge_count != 8 * n:
         failures.append("strip size")
@@ -252,14 +250,16 @@ def _check_lemma(config: RunConfig):
     details: dict = {}
     failures = []
     powers = {}
-    skipped = []
+    over = None  # the reason, once a power's walk has exceeded the budget
     for p in range(1, n):
-        try:
-            witness = ld.lemma_witness(n, p, f)
-        except CapExceeded as exc:
-            # keep the lower powers; this one is not attempted
-            powers[str(p)] = {"status": "skipped", "reason": f"cap exceeded: {exc}"}
-            skipped.append(p)
+        if over is None:
+            try:
+                witness = ld.lemma_witness(n, p, f)
+            except CapExceeded as exc:
+                over, skipped = f"cap exceeded: {exc}", range(p, n)
+        if over is not None:
+            # keep the lower powers; walk p + 1 repeats walk p's layers, so it stops at the same total
+            powers[str(p)] = {"status": "skipped", "reason": over}
             continue
         powers[str(p)] = "zero" if witness is None else {
             "col": list(witness[0]),
@@ -271,6 +271,7 @@ def _check_lemma(config: RunConfig):
     details["powers"] = powers
     trace = ld.lemma_proof_trace(n, min(n - 1, 2), f)
     details["trace"] = {
+        "power": trace.p,
         "stacked_rank": trace.e1_rank,
         "stacked_cols": trace.e1_cols,
         "left_inverse_verified": trace.left_inverse_verified,
@@ -281,7 +282,7 @@ def _check_lemma(config: RunConfig):
     }
     if not trace.passed:
         failures.append("proof trace")
-    skip_reason = f"stream cap exceeded at powers {', '.join(map(str, skipped))}" if skipped else None
+    skip_reason = f"walk budget exceeded at powers {', '.join(map(str, skipped))}" if over else None
     return details, failures, skip_reason
 
 

@@ -21,13 +21,17 @@ for every tensor identity the package checks, and
 read one walk (`_prefix_states`): it merges terms with equal factor
 lists, then walks column tuples one tensor factor at a time over
 deduplicated prefix states, storing one layer of distinct states, each
-with its smallest column prefix and the number of (row prefix, column
-prefix) pairs that reach it.  Neither materializes the sum.
+with its smallest prefix and the count of prefix pairs reaching it.
+Neither materializes the sum, and `WALK_BUDGET` bounds the walk's work.
 """
 
 from __future__ import annotations
 
 import math
+
+from .errors import CapExceeded
+
+WALK_BUDGET = 10_000_000  # work units of one `_prefix_states` walk, about 0.7 us each
 
 
 class Matrix:
@@ -434,7 +438,10 @@ def _prefix_states(terms, p: int):
     factors to [smallest prefix, count]; `nonzero_rows(vec)` yields, for
     each column j of the last factor in turn, the number of rows at which
     appending j gives a nonzero entry sum.  The last layer is never
-    stored, so memory is bounded by one stored layer of distinct vectors.
+    stored, so memory is bounded by one stored layer of distinct vectors,
+    and time by `WALK_BUDGET`: before a layer is expanded, the last one by
+    `nonzero_rows` too, its stored entries times the factor's columns are
+    added to the work, and past the budget the walk raises `CapExceeded`.
     """
     if not terms:
         return None
@@ -470,7 +477,13 @@ def _prefix_states(terms, p: int):
             yield count
 
     layer = {tuple((k, coef) for k, (coef, _) in enumerate(terms)): [(), 1]}
-    for i in range(p - 1):
+    work = 0
+    for i in range(p):
+        work += sum(map(len, layer)) * ncols[i]
+        if work > WALK_BUDGET:
+            raise CapExceeded(f"streamed walk reached {work} work units, over the budget {WALK_BUDGET}")
+        if i == p - 1:
+            return terms, layer, nonzero_rows
         stored: dict = {}
         for vec, (prefix, count) in layer.items():
             for j in range(ncols[i]):
@@ -485,7 +498,6 @@ def _prefix_states(terms, p: int):
                         if cand < state[0]:
                             state[0] = cand
         layer = stored
-    return terms, layer, nonzero_rows
 
 
 def _merged_terms(field, terms):

@@ -329,13 +329,7 @@ def cofunctor_eval(
 
 # -- the annihilation statement ----------------------------------------
 
-# Cap on the tensor dimension dim(strip algebra)^p of a `lemma_witness`
-# sum.  The operator is never materialized: the prefix-state kernel keeps
-# one layer of distinct coefficient vectors, far fewer than the columns.
-DEFAULT_STREAM_CAP = 10_000_000
-
-
-def lemma_witness(n: int, p: int, field=QQ, max_stream_dim: int = DEFAULT_STREAM_CAP):
+def lemma_witness(n: int, p: int, field=QQ):
     """Witness that the alternating family is nonzero at tensor power p, or None.
 
     The family is the strip-side family of the alternating element
@@ -344,21 +338,17 @@ def lemma_witness(n: int, p: int, field=QQ, max_stream_dim: int = DEFAULT_STREAM
     Kronecker power of the word's strip-algebra matrix.
     `tensor_product_sum_witness` decides it one tensor factor at a time,
     deduplicating equal prefix states, so the full operator is never
-    materialized; the cap bounds the tensor dimension dim^p of the strip
-    algebra, not the memory.
+    materialized; past the walk's work budget it raises `CapExceeded`.
     """
     if p < 1:
         raise ValueError("tensor power must be >= 1")
     words = _word_terms(n, build_Z(n, field), 1, 1, "B")
-    dim = words[0][1].ncols
-    if dim**p > max_stream_dim:
-        raise CapExceeded(f"tensor dimension {dim}^{p} exceeds cap {max_stream_dim}")
     return tensor_product_sum_witness(_power_terms(words, p), p)
 
 
-def lemma_check(n: int, p: int, field=QQ, max_stream_dim: int = DEFAULT_STREAM_CAP) -> bool:
+def lemma_check(n: int, p: int, field=QQ) -> bool:
     """Exact-zero verification of the annihilation statement at power p."""
-    return lemma_witness(n, p, field, max_stream_dim) is None
+    return lemma_witness(n, p, field) is None
 
 
 @dataclass

@@ -138,6 +138,14 @@ def test_criterion_3_optional_level_four(criterion):
                 assert lemma_check(4, p, field)
 
 
+def test_criterion_3_optional_levels_five_and_six(criterion):
+    # every power, within the streamed walk's work budget
+    with criterion(3, "annihilation at levels 5 and 6 over fp:2, every power", budget_s=60):
+        for n in (5, 6):
+            for p in range(1, n):
+                assert lemma_check(n, p, GF(2))
+
+
 def test_criterion_4_crown_isomorphism_level_two(criterion):
     with criterion(4, "mutual inverses at n = 2 over the rationals", budget_s=5):
         report = iso_check(2, QQ)

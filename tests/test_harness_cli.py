@@ -88,15 +88,64 @@ def test_prime_field_suite_passes():
     assert all(r.status == "pass" for r in reports)
 
 
-def test_lemma_keeps_powers_below_the_cap():
-    # at n = 5 the power-4 dimension 94^4 exceeds the stream cap
+def test_lemma_keeps_powers_below_the_cap(monkeypatch):
+    # at n = 5 over F2 the walk takes 69 184 work units at p = 3 and
+    # 147 392 at p = 4, so a budget of 100 000 stops p = 4 alone
+    monkeypatch.setattr(linalg, "WALK_BUDGET", 100_000)
     (report,) = run_suite(RunConfig(n=5, field=GF(2), checks=("lemma",)))
     powers = report.details["powers"]
     assert [powers[str(p)] for p in (1, 2, 3)] == ["zero"] * 3
     assert powers["4"]["status"] == "skipped"
-    assert "cap exceeded" in powers["4"]["reason"]
+    assert powers["4"]["reason"].startswith("cap exceeded: streamed walk reached ")
     assert report.status == "skipped"
-    assert "4" in report.details["reason"]
+    assert report.details["reason"] == "walk budget exceeded at powers 4"
+
+
+def test_lemma_skips_the_powers_above_an_exceeded_budget_unwalked(monkeypatch):
+    # walk p + 1 repeats walk p's layers, so it stops at the same total:
+    # at n = 5 over F2, p = 3 reaches 69 184 work units, over 50 000
+    monkeypatch.setattr(linalg, "WALK_BUDGET", 50_000)
+    reason = "cap exceeded: streamed walk reached 69184 work units, over the budget 50000"
+    with pytest.raises(CapExceeded) as exc:
+        loday.lemma_witness(5, 4, GF(2))
+    assert f"cap exceeded: {exc.value}" == reason
+    walked = []
+    real = loday.lemma_witness
+    monkeypatch.setattr(loday, "lemma_witness", lambda n, p, f: walked.append(p) or real(n, p, f))
+    (report,) = run_suite(RunConfig(n=5, field=GF(2), checks=("lemma",)))
+    assert walked == [1, 2, 3]
+    powers = report.details["powers"]
+    assert [powers["1"], powers["2"]] == ["zero", "zero"]
+    assert powers["3"] == powers["4"] == {"status": "skipped", "reason": reason}
+    assert report.details["reason"] == "walk budget exceeded at powers 3, 4"
+
+
+def test_graph_size_cap_bounds_only_the_isomorphism_searches():
+    # graphs runs no search; the level cap bounds its word actions
+    reports = run_suite(RunConfig(n=2, checks=("graphs", "noniso"), max_graph_size=5))
+    assert [r.status for r in reports] == ["pass", "skipped"]
+
+
+def test_one_walk_budget_bounds_every_streamed_check(monkeypatch):
+    # transport's sums cancel in the merge, so they do no work; every
+    # other streamed claim walks, and over the budget its check is skipped
+    monkeypatch.setattr(linalg, "WALK_BUDGET", 0)
+    checks = ("lemma", "transport", "iso", "explore")
+    reports = {r.check: r for r in run_suite(RunConfig(n=2, field=GF(2), checks=checks))}
+    assert reports["transport"].status == "pass"
+    assert reports["lemma"].details["reason"] == "walk budget exceeded at powers 1"
+    for check in ("iso", "explore"):
+        assert reports[check].status == "skipped"
+        assert reports[check].details["reason"].startswith("cap exceeded: streamed walk reached ")
+
+
+@pytest.mark.parametrize("n, power", [(2, 1), (3, 2), (4, 2)])
+def test_lemma_reports_the_power_its_trace_replays(n, power):
+    # the zero test covers every p <= n - 1, the trace only p = min(n - 1, 2)
+    (report,) = run_suite(RunConfig(n=n, field=GF(2), checks=("lemma",)))
+    assert report.status == "pass"
+    assert list(report.details["powers"]) == [str(p) for p in range(1, n)]
+    assert report.details["trace"]["power"] == power
 
 
 LEVEL_THREE_EXPLORE = {"1": "zero", "2": "zero", "3": {"first_nonzero": [6222, 6222, "1"], "nnz": 24576}}
@@ -408,6 +457,15 @@ def test_cli_info(capsys):
     out = capsys.readouterr().out
     assert "|W_2| = 18" in out
     assert "12 vertices" in out
+
+
+def test_cli_info_above_the_level_cap(capsys):
+    # info prints the count 2*3^n; only the monoid check enumerates the words
+    rc = main(["info", "--n", "9"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "|W_9| = 39366 sign words" in out
+    assert "47 vertices" in out
 
 
 def test_cli_export(tmp_path, capsys):

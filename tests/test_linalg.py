@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from crown import linalg
+from crown.errors import CapExceeded
 from crown.fields import GF, QQ, parse_field
 from crown.linalg import (
     Matrix,
@@ -454,6 +456,28 @@ def test_tensor_power_sum_cancels():
     m = Matrix.identity(QQ, 3)
     terms = [(QQ.one, [m, m]), (QQ.from_int(-1), [m, m])]
     assert tensor_product_sum_witness(terms, 2) is None
+
+
+def test_walk_raises_past_its_work_budget(monkeypatch):
+    # I (x) I: one stored entry times 3 columns per layer, 6 units in all
+    m = Matrix.identity(QQ, 3)
+    terms = [(QQ.one, [m, m])]
+    monkeypatch.setattr(linalg, "WALK_BUDGET", 6)
+    assert tensor_product_sum_nnz(terms, 2) == 9
+    monkeypatch.setattr(linalg, "WALK_BUDGET", 5)
+    for walk in (tensor_product_sum_witness, tensor_product_sum_nnz):
+        with pytest.raises(CapExceeded, match="reached 6 work units, over the budget 5"):
+            walk(terms, 2)
+
+
+def test_sum_cancelled_by_the_merge_does_no_work(monkeypatch):
+    rng = random.Random(11)
+    a = rand_matrix(rng, GF(3), 4, 4, density=0.7)
+    b = rand_matrix(rng, GF(3), 4, 4, density=0.7)
+    terms = [(GF(3).one, [a, b, a]), (GF(3).from_int(-1), [a, b, a])]
+    monkeypatch.setattr(linalg, "WALK_BUDGET", 0)
+    assert tensor_product_sum_witness(terms, 3) is None
+    assert tensor_product_sum_nnz(terms, 3) == 0
 
 
 def test_tensor_power_sum_witness_order():

@@ -8,7 +8,7 @@ from crown.errors import CapExceeded, HomSetViolation
 from crown.fields import GF, QQ
 from crown.graph_algebra import Algebra, annihilator_grading, is_multiplicative, q_ungraded
 from crown.graphs import build_C, graph_new
-from crown import loday
+from crown import linalg, loday
 from crown.linalg import Matrix, _merged_terms, mat_compose, tensor_product_sum_witness
 from crown.loday import (
     NatTransData,
@@ -322,9 +322,13 @@ def test_cofunctor_tensor_cap():
         cofunctor_eval(2, 2, t, -1, 1, target="C", max_tensor_dim=100)
 
 
-def test_lemma_stream_cap():
-    with pytest.raises(CapExceeded):
-        lemma_check(3, 2, QQ, max_stream_dim=100)
+def test_lemma_stream_cap(monkeypatch):
+    # the walk's work budget bounds lemma: n = 3 takes 464 units at p = 1
+    # and 2320 at p = 2, so a budget of 1000 stops p = 2 and names its total
+    monkeypatch.setattr(linalg, "WALK_BUDGET", 1000)
+    assert lemma_check(3, 1, QQ)
+    with pytest.raises(CapExceeded, match="reached 2320 work units, over the budget 1000"):
+        lemma_check(3, 2, QQ)
 
 
 def test_single_word_families_are_natural():
