@@ -24,13 +24,13 @@ def _build_parser():
         "--max-tensor-dim",
         type=int,
         default=harness.DEFAULT_MAX_TENSOR_DIM,
-        help="cap on the tensor dimension dim^p of the materialized word-power families "
-        "and Loday matrices (functor, and the iso naturality squares, checked only at p <= 2); "
+        help="cap (default %(default)s) on the tensor dimension dim^p of the materialized word-power "
+        "families and Loday matrices (functor, and the iso naturality squares, checked only at p <= 2); "
         "above it functor reports skipped and iso marks the squares skipped and reports skipped; "
         "explore materializes nothing, but above crown dim^n it still reports its family "
-        "as not computed; iso's naturality certificate and every streamed walk (lemma, transport, "
-        "explore, iso's other sub-claims) are not bounded by it: each walk has one fixed work "
-        "budget (default %(default)s)",
+        "as not computed; iso's naturality certificate and the streamed walks (lemma, transport, "
+        "explore, iso's other sub-claims) are not bounded by it: one walk decides a family at "
+        "every power, within one fixed work budget",
     )
     verify.add_argument(
         "--max-proj-points",

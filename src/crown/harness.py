@@ -250,24 +250,22 @@ def _check_lemma(config: RunConfig):
     details: dict = {}
     failures = []
     powers = {}
-    over = None  # the reason, once a power's walk has exceeded the budget
-    for p in range(1, n):
-        if over is None:
-            try:
-                witness = ld.lemma_witness(n, p, f)
-            except CapExceeded as exc:
-                over, skipped = f"cap exceeded: {exc}", range(p, n)
-        if over is not None:
-            # keep the lower powers; walk p + 1 repeats walk p's layers, so it stops at the same total
-            powers[str(p)] = {"status": "skipped", "reason": over}
-            continue
-        powers[str(p)] = "zero" if witness is None else {
-            "col": list(witness[0]),
-            "row": list(witness[1]),
-            "value": str(witness[2]),
-        }
-        if witness is not None:
-            failures.append(f"nonzero at power {p}")
+    skip_reason = None
+    try:
+        # one walk decides every power; past the budget it stops, the lower powers kept
+        for p, witness in enumerate(ld.lemma_witnesses(n, n - 1, f), start=1):
+            powers[str(p)] = "zero" if witness is None else {
+                "col": list(witness[0]),
+                "row": list(witness[1]),
+                "value": str(witness[2]),
+            }
+            if witness is not None:
+                failures.append(f"nonzero at power {p}")
+    except CapExceeded as exc:
+        skipped = range(len(powers) + 1, n)
+        for p in skipped:
+            powers[str(p)] = {"status": "skipped", "reason": f"cap exceeded: {exc}"}
+        skip_reason = f"walk budget exceeded at powers {', '.join(map(str, skipped))}"
     details["powers"] = powers
     trace = ld.lemma_proof_trace(n, min(n - 1, 2), f)
     details["trace"] = {
@@ -282,7 +280,6 @@ def _check_lemma(config: RunConfig):
     }
     if not trace.passed:
         failures.append("proof trace")
-    skip_reason = f"walk budget exceeded at powers {', '.join(map(str, skipped))}" if over else None
     return details, failures, skip_reason
 
 
@@ -418,10 +415,10 @@ def _check_functor(config: RunConfig):
 def _check_explore(config: RunConfig):
     """One power above the theorem: reported, never asserted.
 
-    Each power p of the alternating family is decided from the transposed
-    p = 1 word matrices by the streamed kernels, so no operator of
-    dimension dim^p is built: the nonzero count is the family's, and the
-    zero-test witness of the transpose is the family's lowest nonzero row
+    Every power p <= n of the alternating family is decided by one
+    streamed walk over the transposed p = 1 word matrices, so no operator
+    of dimension dim^p is built: the nonzero count is the family's, and
+    the walk's witness of the transpose is the family's lowest nonzero row
     and, in it, the lowest column, flattened in the lexicographic tensor
     basis.
     """
@@ -438,11 +435,9 @@ def _check_explore(config: RunConfig):
         return index
 
     per_power = {}
-    for p in range(1, n + 1):
-        terms = ld._power_terms(words, p)
-        nnz = la.tensor_product_sum_nnz(terms, p)
+    for p, (witness, nnz) in enumerate(la.tensor_sum_prefixes(ld._power_terms(words, n), n), start=1):
         if nnz:
-            rows, cols, v = la.tensor_product_sum_witness(terms, p)
+            rows, cols, v = witness
             per_power[str(p)] = {"first_nonzero": [flat(rows), flat(cols), str(v)], "nnz": nnz}
         else:
             per_power[str(p)] = "zero"

@@ -15,14 +15,17 @@ Both tensor-sum kernels take `terms`, a list of (coefficient, [p
 factors]) in which factor i of every term has one shape, rectangular
 allowed (`_term_shapes`).  `kron_sum` materializes the sum in one pass;
 `kron`, `kron_power`, every word-power family and every Loday map are
-calls of it.  `tensor_product_sum_witness` is the one exact zero test,
-for every tensor identity the package checks, and
-`tensor_product_sum_nnz` counts a sum's nonzero entries exactly.  Both
-read one walk (`_prefix_states`): it merges terms with equal factor
-lists, then walks column tuples one tensor factor at a time over
-deduplicated prefix states, storing one layer of distinct states, each
-with its smallest prefix and the count of prefix pairs reaching it.
-Neither materializes the sum, and `WALK_BUDGET` bounds the walk's work.
+calls of it.  `tensor_sum_prefixes` is the one exact zero test, for
+every tensor identity the package checks: one walk over a sum of p-fold
+products yields, for each q <= p in turn, the witness and the exact
+number of nonzero entries of the sum truncated to its first q factors,
+so a family of tensor powers is decided at every power by one walk.  It
+merges terms with equal factor lists, then walks column tuples one
+tensor factor at a time over deduplicated prefix states, storing one
+layer of distinct states, each with its smallest prefix and the count of
+prefix pairs reaching it.  It never materializes a sum, and
+`WALK_BUDGET` bounds its work.  `tensor_product_sum_witness` reads its
+last witness.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import math
 
 from .errors import CapExceeded
 
-WALK_BUDGET = 10_000_000  # work units of one `_prefix_states` walk, about 0.7 us each
+WALK_BUDGET = 10_000_000  # work units of one `tensor_sum_prefixes` walk, about 0.7 us each
 
 
 class Matrix:
@@ -385,118 +388,91 @@ def tensor_product_sum_witness(terms, p: int):
     sum is exactly zero, otherwise the lowest-index witness (col_tuple,
     row_tuple, value): the lowest nonzero column tuple and, inside it, the
     lowest nonzero row tuple, digit i indexing factor i's columns or rows.
-    The operator is never materialized: `_prefix_states` walks it, and
-    each last-layer state's lowest last-factor column with a nonzero sum,
-    appended to the smallest prefix reaching the state, is a candidate.
+    It is the last witness `tensor_sum_prefixes` yields.
     """
-    walk = _prefix_states(terms, p)
-    if walk is None:
-        return None
-    terms, layer, nonzero_rows = walk
-    witnesses = []
-    for vec, (prefix, _) in layer.items():
-        j = next((j for j, rows in enumerate(nonzero_rows(vec)) if rows), None)
-        if j is not None:
-            witnesses.append(prefix + (j,))
-    return _column_witness(terms, min(witnesses)) if witnesses else None
+    *_, (witness, _) = tensor_sum_prefixes(terms, p)
+    return witness
 
 
-def tensor_product_sum_nnz(terms, p: int) -> int:
-    """The exact number of nonzero entries of  sum_k  c_k * (M_k1 (x) ... (x) M_kp).
+def tensor_sum_prefixes(terms, p: int):
+    """One walk that decides a sum of p-fold products at every length q <= p.
 
-    `terms` follows the module's term contract.  The operator is never
-    materialized: each last-layer state of `_prefix_states` contributes the
-    number of (row prefix, column prefix) pairs reaching it times the
-    number of its (last column, last row) completions with a nonzero sum.
+    Yields, for q = 1..p in turn, (witness, nnz) of the sum truncated to its
+    first q factors, sum_k c_k * (M_k1 (x) ... (x) M_kq): the witness as
+    `tensor_product_sum_witness` returns it and the exact number of nonzero
+    entries; no operator is materialized.  Terms whose factor lists are
+    equal matrix by matrix (by entries, not identity) are merged first and
+    zero coefficients dropped, which leaves every truncated operator
+    unchanged; a sum that cancels in the merge yields (None, 0) with no work.
+
+    The entry at rows (r1..rq) and columns (j1..jq) is the sum over k of
+    the vector (c_k * M_k1[r1,j1] * ... * M_kq[rq,jq])_k, so column tuples
+    are walked one factor at a time with that vector over the terms as the
+    state of a (row prefix, column prefix) pair.  Pairs with equal vectors
+    have the same future, so each layer stores every distinct vector once,
+    with the lexicographically smallest column prefix reaching it (taken
+    explicitly: parents sharing one prefix, from different row prefixes,
+    are visited in turn) and the exact count of pairs reaching it.
+    Expanding layer q - 1 by factor q sums each child vector as it is
+    built, which decides length q: each nonzero sum adds its parent's
+    count to nnz, and a parent's lowest column with a nonzero sum,
+    appended to its smallest prefix, is a witness candidate.  So each
+    layer is expanded once, for every length.
+
+    Only one layer of distinct vectors is stored, the last never, and
+    `WALK_BUDGET` bounds the time: before a layer is expanded, its stored
+    entries times the factor's columns are added to the work, and past the
+    budget the walk raises `CapExceeded`, after yielding the lengths below.
     """
-    walk = _prefix_states(terms, p)
-    if walk is None:
-        return 0
-    _, layer, nonzero_rows = walk
-    return sum(count * sum(nonzero_rows(vec)) for vec, (_, count) in layer.items())
-
-
-def _prefix_states(terms, p: int):
-    """The walk shared by the tensor-sum zero test and the nonzero count.
-
-    Returns None when the merged sum has no terms, otherwise (merged terms,
-    layer, nonzero_rows).  Terms whose factor lists are equal matrix by
-    matrix (by entries, not identity) are merged first and zero
-    coefficients dropped; that leaves the operator, and so its witness
-    and nonzeros, unchanged.
-
-    The operator's entry at rows (r1..rp) and columns (j1..jp) is the sum
-    over k of the vector (c_k * M_k1[r1,j1] * ... * M_kp[rp,jp])_k, so
-    column tuples are walked one tensor factor at a time with that
-    coefficient vector over the terms as the state of a (row prefix,
-    column prefix) pair.  Pairs with equal vectors have the same future,
-    so each layer stores every distinct vector once, with two numbers:
-    the lexicographically smallest column prefix reaching it (the minimum
-    is taken explicitly, because parents sharing one prefix, from
-    different row prefixes, are visited in turn) and the exact count of
-    pairs reaching it.  `layer` maps each distinct vector after p - 1
-    factors to [smallest prefix, count]; `nonzero_rows(vec)` yields, for
-    each column j of the last factor in turn, the number of rows at which
-    appending j gives a nonzero entry sum.  The last layer is never
-    stored, so memory is bounded by one stored layer of distinct vectors,
-    and time by `WALK_BUDGET`: before a layer is expanded, the last one by
-    `nonzero_rows` too, its stored entries times the factor's columns are
-    added to the work, and past the budget the walk raises `CapExceeded`.
-    """
+    if terms:
+        field, shapes = _term_shapes(terms)
+        if len(shapes) != p:
+            raise ValueError("term arity mismatch")
+        terms = _merged_terms(field, terms)
     if not terms:
-        return None
-    field, shapes = _term_shapes(terms)
-    if len(shapes) != p:
-        raise ValueError("term arity mismatch")
-    terms = _merged_terms(field, terms)
-    if not terms:
-        return None
+        yield from [(None, 0)] * p
+        return
     zero = field.zero
     mul = field.mul
     add = field.add
     factor_cols = [[m._cols for m in mats] for _, mats in terms]
-    ncols = [c for _, c in shapes]
-
-    def row_children(vec, i, j):
-        """Coefficient vectors after appending column j of factor i, one per row."""
-        children: dict = {}
-        for k, val in vec:
-            for row, v in factor_cols[k][i][j].items():
-                children.setdefault(row, []).append((k, mul(val, v)))
-        return children.values()
-
-    def nonzero_rows(vec):
-        """For each column j of the last factor in turn, how many rows it reaches with a nonzero sum."""
-        for j in range(ncols[-1]):
-            count = 0
-            for child in row_children(vec, p - 1, j):
-                total = zero
-                for _, val in child:
-                    total = add(total, val)
-                count += total != zero
-            yield count
-
     layer = {tuple((k, coef) for k, (coef, _) in enumerate(terms)): [(), 1]}
     work = 0
-    for i in range(p):
-        work += sum(map(len, layer)) * ncols[i]
+    for i, (_, ncols) in enumerate(shapes):
+        work += sum(map(len, layer)) * ncols
         if work > WALK_BUDGET:
             raise CapExceeded(f"streamed walk reached {work} work units, over the budget {WALK_BUDGET}")
-        if i == p - 1:
-            return terms, layer, nonzero_rows
+        store = i < p - 1
         stored: dict = {}
+        lowest = None  # the smallest nonzero column tuple of length i + 1
+        nnz = 0
         for vec, (prefix, count) in layer.items():
-            for j in range(ncols[i]):
+            for j in range(ncols):
                 cand = prefix + (j,)
-                for child in row_children(vec, i, j):
-                    key = tuple(child)
-                    state = stored.get(key)
-                    if state is None:
-                        stored[key] = [cand, count]
-                    else:
-                        state[1] += count
-                        if cand < state[0]:
-                            state[0] = cand
+                children: dict = {}  # row -> the coefficient vector after appending column j
+                for k, val in vec:
+                    for row, v in factor_cols[k][i][j].items():
+                        children.setdefault(row, []).append((k, mul(val, v)))
+                hits = 0  # rows with a nonzero sum
+                for child in children.values():
+                    total = zero
+                    for _, val in child:
+                        total = add(total, val)
+                    hits += total != zero
+                    if store:
+                        key = tuple(child)
+                        state = stored.get(key)
+                        if state is None:
+                            stored[key] = [cand, count]
+                        else:
+                            state[1] += count
+                            if cand < state[0]:
+                                state[0] = cand
+                if hits:
+                    nnz += hits * count
+                    if lowest is None or cand < lowest:
+                        lowest = cand
+        yield (None if lowest is None else _column_witness(terms, lowest)), nnz
         layer = stored
 
 
@@ -519,7 +495,8 @@ def _merged_terms(field, terms):
 
 
 def _column_witness(terms, col_tuple):
-    """(col_tuple, lowest nonzero row tuple, value) of one column of the sum."""
+    """(col_tuple, lowest nonzero row tuple, value) of one column of the sum
+    truncated to its first len(col_tuple) factors."""
     column = kron_sum([
         (coef, [Matrix(m.field, m.nrows, 1, [m._cols[j]]) for m, j in zip(mats, col_tuple)])
         for coef, mats in terms
@@ -527,7 +504,7 @@ def _column_witness(terms, col_tuple):
     flat = min(column)
     value = column[flat]
     row_tuple = []
-    for m in reversed(terms[0][1]):  # mixed radix, last factor least significant
+    for m in reversed(terms[0][1][:len(col_tuple)]):  # mixed radix, last factor least significant
         flat, r = divmod(flat, m.nrows)
         row_tuple.append(r)
     return (col_tuple, tuple(reversed(row_tuple)), value)

@@ -26,14 +26,14 @@ By the mixed-product rule every identity between such families -- the
 annihilation statement (`lemma_check`), the transport squares along the
 projections (`transport_square_check`) and the mutual inverses between
 the two crowns built from the twist element (`iso_check`) -- is a sum of
-p-th powers of p = 1 matrices, decided by the one streamed zero test
-`tensor_product_sum_witness`.  Naturality is certified per word: each
-word matrix is an algebra map, so every family is natural at every power.
-`cofunctor_eval` materializes a family only for export and for the
-naturality squares `iso_check` cross-checks at p <= 2; the harness's
-`explore` reads the alternating family at every p <= n from the same
-streamed walk, through the zero test and the exact nonzero count
-`tensor_product_sum_nnz`, without building it.
+p-th powers of p = 1 matrices.  The walk over the r-th powers passes
+through every lower power, so one streamed walk, `tensor_sum_prefixes`,
+decides each family at every p <= r.  Naturality is certified per word:
+each word matrix is an algebra map, so every family is natural at every
+power.  `cofunctor_eval` materializes a family only for export and for
+the naturality squares `iso_check` cross-checks at p <= 2; the harness's
+`explore` reads the alternating family's witness and exact nonzero count
+at every p <= n from the same one walk, without building it.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .linalg import (
     mat_compose,
     mat_rank,
     tensor_product_sum_witness,
+    tensor_sum_prefixes,
     vstack,
 )
 from .monoid import MonoidAlgElem, Word, act_on_U, build_T, build_Z, gen_g, homset_member
@@ -329,21 +330,28 @@ def cofunctor_eval(
 
 # -- the annihilation statement ----------------------------------------
 
-def lemma_witness(n: int, p: int, field=QQ):
-    """Witness that the alternating family is nonzero at tensor power p, or None.
+def lemma_witnesses(n: int, r: int, field=QQ):
+    """Yield, for p = 1..r in turn, a witness that the alternating family is nonzero at power p, or None.
 
     The family is the strip-side family of the alternating element
     Z = (1 - [g_1])...(1 - [g_n]): the sum over its words, one per subset S
     of the idempotent generators with coefficient (-1)^|S|, of the p-th
-    Kronecker power of the word's strip-algebra matrix.
-    `tensor_product_sum_witness` decides it one tensor factor at a time,
-    deduplicating equal prefix states, so the full operator is never
-    materialized; past the walk's work budget it raises `CapExceeded`.
+    Kronecker power of the word's strip-algebra matrix.  One walk of
+    `tensor_sum_prefixes` decides every p <= r without materializing an
+    operator; past its work budget it raises `CapExceeded`, after
+    yielding the powers below.
     """
-    if p < 1:
+    if r < 1:
         raise ValueError("tensor power must be >= 1")
     words = _word_terms(n, build_Z(n, field), 1, 1, "B")
-    return tensor_product_sum_witness(_power_terms(words, p), p)
+    for witness, _ in tensor_sum_prefixes(_power_terms(words, r), r):
+        yield witness
+
+
+def lemma_witness(n: int, p: int, field=QQ):
+    """Witness that the alternating family is nonzero at tensor power p, or None."""
+    *_, witness = lemma_witnesses(n, p, field)
+    return witness
 
 
 def lemma_check(n: int, p: int, field=QQ) -> bool:
@@ -483,17 +491,23 @@ def _transport_products(n: int, x: MonoidAlgElem, s: int, t: int) -> list:
     ]
 
 
+def _zero_powers(terms, r: int) -> list:
+    """Whether the family of `terms`, r-fold products, is zero at each power p = 1..r."""
+    return [witness is None for witness, _ in tensor_sum_prefixes(terms, r)]
+
+
 def transport_square_check(n: int, r: int, x: MonoidAlgElem, s: int, t: int) -> bool:
     """Whether the strip and crown families commute with the projections.
 
     At each power p <= r the strip-side component after F_t^(x)p must
     equal F_s^(x)p after the crown-side component, F the projection
-    matrices.  By the mixed-product rule that is one zero test per power,
-    sum_w c_w (B_w F_t)^(x)p - sum_w c_w (F_s C_w)^(x)p = 0.  Each word's
-    square holds at p = 1, so the zero test's merge cancels the sum.
+    matrices.  By the mixed-product rule that is the family
+    sum_w c_w (B_w F_t)^(x)p - sum_w c_w (F_s C_w)^(x)p = 0, decided at
+    every p <= r by one walk.  Each word's square holds at p = 1, so the
+    walk's merge cancels the sum.
     """
     products = _transport_products(n, x, s, t)
-    return all(tensor_product_sum_witness(_power_terms(products, p), p) is None for p in range(1, r + 1))
+    return all(_zero_powers(_power_terms(products, r), r))
 
 
 @dataclass
@@ -532,11 +546,13 @@ def iso_check(
 
     With the twist element (the default) the two families run between the
     two crowns and must be mutually inverse at every power p <= n-1.  For
-    each sign s crossing to t and each p, three sub-claims are zero tests
-    over p = 1 products: inverse, sum c_w c_w' (M_w M_w')^(x)p - I^(x)p
-    over the s-words w and t-words w'; factored identity, the same terms
-    plus the alternating-element words on s (composite = I - Z-family);
-    and alternating family zero, those words alone.  With `element="Z"`
+    each sign s crossing to t, three sub-claims are families over p = 1
+    products, each decided at every p by one walk: inverse,
+    sum c_w c_w' (M_w M_w')^(x)p - I^(x)p over the s-words w and t-words
+    w'; factored identity, the same terms plus the alternating-element
+    words on s (composite = I - Z-family); and alternating family zero,
+    those words alone.  The inverse terms are walked only when the other
+    two families are both nonzero at some power.  With `element="Z"`
     (the negative control) the composites are zero, so the check must
     fail; naturality is not attempted after a failed sub-claim.
 
@@ -573,16 +589,19 @@ def iso_check(
         t = targets[s]
         products = [(field.mul(c, c2), mat_compose(m, m2)) for c, m in families[s] for c2, m2 in families[t]]
         products.append((minus_one, Matrix.identity(field, products[0][1].nrows)))
-        z_words = _word_terms(n, z, s, s, "C")
-        for p in range(1, r + 1):
-            inverse = _power_terms(products, p)
-            alternating = _power_terms(z_words, p)
-            if tensor_product_sum_witness(alternating, p) is not None:
-                z_zero = False
-            if tensor_product_sum_witness(inverse, p) is not None:
+        inverse = _power_terms(products, r)
+        alternating = _power_terms(_word_terms(n, z, s, s, "C"), r)
+        alt_zero = _zero_powers(alternating, r)
+        factored_zero = _zero_powers(inverse + alternating, r)
+        # inverse = factored - alternating: where either is zero, the inverse is zero iff both are
+        decided = all(alt or fac for alt, fac in zip(alt_zero, factored_zero))
+        inverse_zero = [a and f for a, f in zip(alt_zero, factored_zero)] if decided else _zero_powers(inverse, r)
+        for p, (alt, inv, fac) in enumerate(zip(alt_zero, inverse_zero, factored_zero), start=1):
+            z_zero = z_zero and alt
+            if not inv:
                 inverse_ok = False
                 witness.setdefault("inverse", f"composite on sign {s} differs at power {p}")
-            if tensor_product_sum_witness(inverse + alternating, p) is not None:
+            if not fac:
                 factored_ok = False
                 witness.setdefault(
                     "factored", f"composite on sign {s} power {p} breaks the factored identity"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -102,22 +103,58 @@ def test_lemma_keeps_powers_below_the_cap(monkeypatch):
 
 
 def test_lemma_skips_the_powers_above_an_exceeded_budget_unwalked(monkeypatch):
-    # walk p + 1 repeats walk p's layers, so it stops at the same total:
-    # at n = 5 over F2, p = 3 reaches 69 184 work units, over 50 000
+    # one walk decides every power and stops where its work crosses the
+    # budget: at n = 5 over F2, layer 3 reaches 69 184 work units, over 50 000
     monkeypatch.setattr(linalg, "WALK_BUDGET", 50_000)
     reason = "cap exceeded: streamed walk reached 69184 work units, over the budget 50000"
     with pytest.raises(CapExceeded) as exc:
         loday.lemma_witness(5, 4, GF(2))
     assert f"cap exceeded: {exc.value}" == reason
-    walked = []
-    real = loday.lemma_witness
-    monkeypatch.setattr(loday, "lemma_witness", lambda n, p, f: walked.append(p) or real(n, p, f))
+    walks = []  # (p, the results yielded) of each walk that loday starts
+    real = loday.tensor_sum_prefixes
+
+    def observed(terms, p):
+        yielded = []
+        walks.append((p, yielded))
+        for result in real(terms, p):
+            yielded.append(result)
+            yield result
+
+    monkeypatch.setattr(loday, "tensor_sum_prefixes", observed)
     (report,) = run_suite(RunConfig(n=5, field=GF(2), checks=("lemma",)))
-    assert walked == [1, 2, 3]
+    # started once, to p = 4; it yields p = 1, 2 and stops at layer 3
+    assert [(p, len(yielded)) for p, yielded in walks] == [(4, 2)]
     powers = report.details["powers"]
     assert [powers["1"], powers["2"]] == ["zero", "zero"]
     assert powers["3"] == powers["4"] == {"status": "skipped", "reason": reason}
     assert report.details["reason"] == "walk budget exceeded at powers 3, 4"
+
+
+def test_run_suite_walks_each_power_family_once(monkeypatch):
+    # every family is decided at all of its powers by one walk to its top
+    # power, not one walk per power; the proof trace's summands, one walk
+    # each, are not counted
+    walks = []
+    real = linalg.tensor_sum_prefixes
+
+    def counted(terms, p):
+        if sys._getframe(1).f_code.co_name != "tensor_product_sum_witness":
+            walks.append(p)
+        return real(terms, p)
+
+    monkeypatch.setattr(linalg, "tensor_sum_prefixes", counted)
+    monkeypatch.setattr(loday, "tensor_sum_prefixes", counted)
+    families = {
+        "lemma": 1,  # the alternating family on the strip
+        "transport": 9,  # the elements 1, g1..g3, h1..h3, T and Z
+        "iso": 8,  # T and the Z control: alternating and factored on each sign
+        "explore": 1,  # the alternating family on the crown, to p = n
+    }
+    for check, count in families.items():
+        walks.clear()
+        (report,) = run_suite(RunConfig(n=3, field=GF(2), checks=(check,)))
+        assert report.status in ("pass", "info"), check
+        assert walks == [3 if check == "explore" else 2] * count, check
 
 
 def test_graph_size_cap_bounds_only_the_isomorphism_searches():

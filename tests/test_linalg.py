@@ -17,8 +17,8 @@ from crown.linalg import (
     left_inverse,
     mat_compose,
     mat_rank,
-    tensor_product_sum_nnz,
     tensor_product_sum_witness,
+    tensor_sum_prefixes,
     vstack,
 )
 from conftest import (
@@ -452,6 +452,11 @@ def test_transpose_swaps_rows_and_columns():
 
 # -- streamed tensor sums ------------------------------------------------------
 
+def last_nnz(terms, p):
+    """The nonzero count of the whole sum: the last one its walk yields."""
+    return list(tensor_sum_prefixes(terms, p))[-1][1]
+
+
 def test_tensor_power_sum_cancels():
     m = Matrix.identity(QQ, 3)
     terms = [(QQ.one, [m, m]), (QQ.from_int(-1), [m, m])]
@@ -463,11 +468,10 @@ def test_walk_raises_past_its_work_budget(monkeypatch):
     m = Matrix.identity(QQ, 3)
     terms = [(QQ.one, [m, m])]
     monkeypatch.setattr(linalg, "WALK_BUDGET", 6)
-    assert tensor_product_sum_nnz(terms, 2) == 9
+    assert last_nnz(terms, 2) == 9
     monkeypatch.setattr(linalg, "WALK_BUDGET", 5)
-    for walk in (tensor_product_sum_witness, tensor_product_sum_nnz):
-        with pytest.raises(CapExceeded, match="reached 6 work units, over the budget 5"):
-            walk(terms, 2)
+    with pytest.raises(CapExceeded, match="reached 6 work units, over the budget 5"):
+        tensor_product_sum_witness(terms, 2)
 
 
 def test_sum_cancelled_by_the_merge_does_no_work(monkeypatch):
@@ -477,7 +481,7 @@ def test_sum_cancelled_by_the_merge_does_no_work(monkeypatch):
     terms = [(GF(3).one, [a, b, a]), (GF(3).from_int(-1), [a, b, a])]
     monkeypatch.setattr(linalg, "WALK_BUDGET", 0)
     assert tensor_product_sum_witness(terms, 3) is None
-    assert tensor_product_sum_nnz(terms, 3) == 0
+    assert list(tensor_sum_prefixes(terms, 3)) == [(None, 0)] * 3
 
 
 def test_tensor_power_sum_witness_order():
@@ -662,7 +666,7 @@ def test_tensor_product_sum_nnz_matches_kron_sum(field):
     for _ in range(200):
         terms, p, rect = rand_sum_case(rng, field)
         rectangular += rect
-        nnz = tensor_product_sum_nnz(terms, p)
+        nnz = last_nnz(terms, p)
         assert nnz == kron_sum(terms).nnz()
         if nnz:
             nonzero += 1
@@ -678,10 +682,89 @@ def test_tensor_product_sum_nnz_counts_every_pair_reaching_a_state(field):
     # the count is 4 * 4 and not the 4 of one visit per state.
     ones = matrix_from_rows(field, [[1, 1], [1, 1]])
     eye = Matrix.identity(field, 2)
-    assert tensor_product_sum_nnz([(field.one, [ones, ones])], 2) == 16
+    assert last_nnz([(field.one, [ones, ones])], 2) == 16
     # (J + I) (x) I: the diagonal pairs reach one state and the
     # off-diagonal pairs another, two pairs each.  Over F2 the diagonal
     # state cancels, J + I = [[0, 1], [1, 0]].
     terms = [(field.one, [ones, eye]), (field.one, [eye, eye])]
-    assert tensor_product_sum_nnz(terms, 2) == kron_sum(terms).nnz() == (8 if field is QQ else 4)
-    assert tensor_product_sum_nnz([(field.one, [ones, ones]), (field.neg(field.one), [ones, ones])], 2) == 0
+    assert last_nnz(terms, 2) == kron_sum(terms).nnz() == (8 if field is QQ else 4)
+    assert last_nnz([(field.one, [ones, ones]), (field.neg(field.one), [ones, ones])], 2) == 0
+
+
+def rand_power_case(rng, field):
+    """(terms, p) of a random power family  sum_k c_k * M_k^(x)p  with square
+    factors, and sometimes the negated terms appended, so it cancels in the merge."""
+    p = rng.randint(1, 3)
+    d = rng.randint(1, 4)
+    pool = [
+        rand_row_monomial(rng, field, d, d) if rng.random() < 0.5
+        else rand_matrix(rng, field, d, d, density=0.5, span=2)
+        for _ in range(rng.randint(1, 4))
+    ]
+    terms = [(field.from_int(rng.randint(-2, 2)), [m] * p) for m in pool]
+    if rng.random() < 0.25:
+        terms += [(field.neg(c), mats) for c, mats in terms]
+    return terms, p
+
+
+def truncated(terms, q):
+    """The terms of the sum over the first q factors."""
+    return [(c, mats[:q]) for c, mats in terms]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+def test_tensor_sum_prefixes_match_materialized_at_every_length(field):
+    # one walk to p against the materialized sum truncated to each q <= p,
+    # over power families and mixed-factor (possibly rectangular) terms
+    rng = random.Random(41)
+    seen = {"zero": 0, "nonzero": 0, "cancelled": 0, "power": 0, "mixed": 0}
+    for k in range(240):
+        if k % 2:
+            (terms, p), kind = rand_power_case(rng, field), "power"
+        else:
+            (terms, p, _), kind = rand_sum_case(rng, field), "mixed"
+        seen[kind] += 1
+        results = list(tensor_sum_prefixes(terms, p))
+        assert len(results) == p
+        for q, (witness, nnz) in enumerate(results, start=1):
+            short = truncated(terms, q)
+            assert witness == materialized_sum_witness(short, q)
+            assert nnz == kron_sum(short).nnz()
+            seen["zero" if witness is None else "nonzero"] += 1
+        if not linalg._merged_terms(field, terms):
+            assert results == [(None, 0)] * p
+            seen["cancelled"] += 1
+    assert min(seen.values()) >= 20, seen  # every kind is exercised
+
+
+# A power family on 3x3 factors over F3 and the work units its walk has
+# reached after each length, pinned from the walk that decided one power per call
+BUDGET_CASE_WORK = {1: 12, 2: 75, 3: 237}
+
+
+def budget_case():
+    rng = random.Random(7)
+    field = GF(3)
+    pool = [rand_matrix(rng, field, 3, 3, density=0.6, span=2) for _ in range(4)]
+    return [(field.from_int(c), m) for c, m in zip((1, -1, 2, 1), pool)]
+
+
+def test_walk_past_its_budget_yields_the_lengths_below_first(monkeypatch):
+    products = budget_case()
+    power = lambda q: [(c, [m] * q) for c, m in products]  # noqa: E731
+    for q, work in BUDGET_CASE_WORK.items():
+        # a walk to q alone passes at the work it reaches and raises one unit below
+        monkeypatch.setattr(linalg, "WALK_BUDGET", work)
+        tensor_product_sum_witness(power(q), q)
+        monkeypatch.setattr(linalg, "WALK_BUDGET", work - 1)
+        with pytest.raises(CapExceeded, match=f"reached {work} work units, over the budget {work - 1}"):
+            tensor_product_sum_witness(power(q), q)
+    # one walk to 3 under a budget that layer 3 crosses yields lengths 1, 2, then raises
+    monkeypatch.setattr(linalg, "WALK_BUDGET", BUDGET_CASE_WORK[3] - 1)
+    walk = tensor_sum_prefixes(power(3), 3)
+    for q in (1, 2):
+        witness, nnz = next(walk)
+        assert witness == materialized_sum_witness(power(q), q)
+        assert nnz == kron_sum(power(q)).nnz()
+    with pytest.raises(CapExceeded, match=f"reached {BUDGET_CASE_WORK[3]} work units"):
+        next(walk)

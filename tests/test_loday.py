@@ -699,6 +699,62 @@ def test_iso_sub_claims_fail_with_a_perturbed_word_matrix(monkeypatch):
             assert report.status == "FAIL"
 
 
+def three_walk_sub_claims(n, field, element):
+    """(claims, witness) of iso's streamed sub-claims from three zero tests per sign and power."""
+    x = {"T": build_T, "Z": build_Z}[element](n, field)
+    targets = ISO_TARGETS[element]
+    families = {s: loday._word_terms(n, x, s, targets[s], "C") for s in (1, -1)}
+    claims = {"inverse": True, "factored": True, "z_zero": True}
+    witness = {}
+    for s in (1, -1):
+        products = [
+            (field.mul(c, c2), mat_compose(m, m2)) for c, m in families[s] for c2, m2 in families[targets[s]]
+        ]
+        products.append((field.neg(field.one), Matrix.identity(field, products[0][1].nrows)))
+        z_words = loday._word_terms(n, build_Z(n, field), s, s, "C")
+        for p in range(1, n):
+            inverse = [(c, [m] * p) for c, m in products]
+            alternating = [(c, [m] * p) for c, m in z_words]
+            if tensor_product_sum_witness(alternating, p) is not None:
+                claims["z_zero"] = False
+            if tensor_product_sum_witness(inverse, p) is not None:
+                claims["inverse"] = False
+                witness.setdefault("inverse", f"composite on sign {s} differs at power {p}")
+            if tensor_product_sum_witness(inverse + alternating, p) is not None:
+                claims["factored"] = False
+                witness.setdefault("factored", f"composite on sign {s} power {p} breaks the factored identity")
+    if not claims["z_zero"]:
+        witness["z_component"] = "alternating-element family is not zero"
+    return claims, witness
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_iso_walks_the_inverse_only_where_the_other_two_families_do_not_decide_it(monkeypatch, field):
+    # factored = inverse + alternating, so the inverse family is walked only
+    # when both others are nonzero at some power: a perturbed alternating
+    # word makes them so, and the verdicts must be the three-walk ones
+    n = 3
+    z_word = min(build_Z(n, field).terms, key=Word.sort_key)
+    t_word = min(build_T(n, field).terms, key=Word.sort_key)
+    for element, words, walk_count, expected in (
+        ("T", [], 4, (True, True, True)),
+        ("Z", [], 4, (False, False, True)),
+        ("T", [z_word], 6, (True, False, False)),
+        ("T", [z_word, t_word], 6, (False, False, False)),
+    ):
+        with monkeypatch.context() as patch:
+            for word in words:
+                perturb_crown_word(patch, word)
+            walks = []
+            real = loday.tensor_sum_prefixes
+            patch.setattr(loday, "tensor_sum_prefixes", lambda terms, p: walks.append(p) or real(terms, p))
+            report = iso_check(n, field, element, max_tensor_dim=1)
+            claims, witness = three_walk_sub_claims(n, field, element)
+        assert walks == [n - 1] * walk_count, (element, words)
+        assert streamed_claims(report) == claims == dict(zip(("inverse", "factored", "z_zero"), expected))
+        assert report.witness == witness, (element, words)
+
+
 def test_iso_level_four_f2_with_naturality_capped():
     # the squares stop at p = 2 (72^2 is under the default tensor cap), and
     # the certificate covers every power
