@@ -185,7 +185,7 @@ def _check_graphs(config: RunConfig):
         for w in mo.wn_enumerate(n):
             gr.act_on_B(n, w)
         details["actions_valid"] = True
-    except NotAMorphism as exc:  # pragma: no cover - schema violation
+    except NotAMorphism as exc:
         details["actions_valid"] = False
         details["action_witness"] = str(exc)
         failures.append("word action broke the edge schema")

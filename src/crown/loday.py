@@ -13,7 +13,8 @@ fibre order.  Surjections with the same fibre sizes share that product
 
 `functor_check` tests composition only against generators: adjacent
 swaps and merges generate all surjections, so L(g s) = L(g) L(s) for each
-generator g and every s gives L(t s) = L(t) L(s) by induction on t.
+generator g and every s gives L(t s) = L(t) L(s) by induction on t; it
+composes each generator once per fibre-size pattern, reindexed per surjection.
 
 Acting sign words on the strip and crown graphs and applying the graph
 algebra construction gives, for every monoid-algebra element supported on
@@ -169,23 +170,40 @@ class _LodayCache:
             m = self._products[sizes] = kron_sum([(self.alg.field.one, [self._mu(k) for k in sizes])])
         return m
 
+    def _layout(self, s: Surjection) -> tuple:
+        """The fibre sizes of s and the column index of L(s) in their product, as slices.
+
+        Input position i is digit fibre_order.index(i) of a product column;
+        the last one runs fastest in L(s), so each d columns are one strided slice.
+        """
+        d = self.alg.dim
+        if d ** max(s.p, s.q) > self.cap:
+            raise CapExceeded(f"tensor dimension {d}^{max(s.p, s.q)} exceeds cap {self.cap}")
+        fibres = [s.preimages(j) for j in range(1, s.q + 1)]
+        fibre_order = [i for fibre in fibres for i in fibre]
+        weights = [d ** (s.p - 1 - fibre_order.index(i)) for i in range(1, s.p + 1)]
+        starts = [0]
+        for weight in weights[:-1]:
+            digits = [k * weight for k in range(d)]
+            starts = [c + k for c in starts for k in digits]
+        step = weights[-1]
+        return tuple(map(len, fibres)), [slice(c, c + d * step, step) for c in starts]
+
     def mat(self, s: Surjection) -> Matrix:
         m = self._mats.get(s)
         if m is None:
-            d = self.alg.dim
-            if d ** max(s.p, s.q) > self.cap:
-                raise CapExceeded(f"tensor dimension {d}^{max(s.p, s.q)} exceeds cap {self.cap}")
-            fibres = [s.preimages(j) for j in range(1, s.q + 1)]
-            fibre_order = [i for fibre in fibres for i in fibre]
-            product = self._product(tuple(len(fibre) for fibre in fibres))
-            # input position i is digit fibre_order.index(i) of the product's column index
-            index = [0]
-            for i in range(1, s.p + 1):
-                weight = d ** (s.p - 1 - fibre_order.index(i))
-                index = [c + k * weight for c in index for k in range(d)]
-            cols = product._cols
-            m = self._mats[s] = Matrix(self.alg.field, product.nrows, product.ncols, [cols[c] for c in index])
+            sizes, index = self._layout(s)
+            product = self._product(sizes)
+            m = self._mats[s] = Matrix(self.alg.field, product.nrows, product.ncols, _gather(product._cols, index))
         return m
+
+
+def _gather(cols: list, index: list) -> list:
+    """The columns that the slices of `index` pick from `cols`, in order."""
+    out = []
+    for part in index:
+        out += cols[part]
+    return out
 
 
 def loday_matrix(a: Algebra, s: Surjection, max_tensor_dim: int = DEFAULT_TENSOR_CAP) -> Matrix:
@@ -205,19 +223,26 @@ def functor_check(a: Algebra, r: int, max_tensor_dim: int = DEFAULT_TENSOR_CAP) 
     Adjacent swaps and merges generate all surjections, so given L(id) = I
     it suffices that L(g s) = L(g) L(s) for each generator g and every s:
     by induction on t = g_1...g_k, L(t) = L(g_1)...L(g_k) and L(t s) = L(t) L(s).
+    L(s) is the product P of its fibre-size pattern with its columns
+    reindexed, and a column of L(g) P depends only on that column of P, so
+    L(g) L(s) is L(g) P reindexed the same way: one composite per generator
+    and pattern, held one at a time, serves every s of the pattern.
     """
     cache = _LodayCache(a, max_tensor_dim)
     for p in range(1, r + 1):
         if cache.mat(Surjection.identity(p)) != Matrix.identity(a.field, a.dim ** p):
             return False
-    for p in range(1, r + 1):
-        for q in range(1, p + 1):
-            gens = _generating_surjections(q)
+    for p in range(2, r + 1):
+        for q in range(2, p + 1):  # no generator starts at q = 1
+            groups: dict = {}  # by fibre sizes
             for s in surjections(p, q):
-                ms = cache.mat(s)
-                for g in gens:
-                    if cache.mat(surj_compose(g, s)) != mat_compose(cache.mat(g), ms):
-                        return False
+                groups.setdefault(tuple(map(s.images.count, range(1, q + 1))), []).append(s)
+            for sizes, group in groups.items():
+                for g in _generating_surjections(q):
+                    composite = mat_compose(cache.mat(g), cache._product(sizes))._cols
+                    for s in group:
+                        if cache.mat(surj_compose(g, s))._cols != _gather(composite, cache._layout(s)[1]):
+                            return False
     return True
 
 

@@ -4,10 +4,11 @@ import sys
 
 import pytest
 
-from crown import harness, linalg, loday
+from crown import graphs, harness, linalg, loday
 from crown.errors import CapExceeded
 from crown.cli import main
 from crown.fields import GF, QQ, parse_field
+from crown.graphs import graph_new
 from crown.harness import (
     CHECK_ORDER,
     DEFAULT_MAX_TENSOR_DIM,
@@ -87,6 +88,25 @@ def test_noniso_uses_f2_for_rational_configs():
 def test_prime_field_suite_passes():
     reports = run_suite(RunConfig(n=2, field=GF(2), checks=("monoid", "lemma", "noniso")))
     assert all(r.status == "pass" for r in reports)
+
+
+def test_graphs_fails_on_a_strip_edge_that_skips_a_column(monkeypatch):
+    """x1+ -- x3+ breaks the strip's edge schema: a word with w_3 = -1 and
+    w_1 = +1 sends it to x1+ -- x3-, which is not an edge."""
+    build_B = graphs.build_B
+
+    def skewed(n):
+        b = build_B(n)
+        return graph_new(b.vertices, list(b.edges()) + [((1, 1), (3, 1))])
+
+    monkeypatch.setattr(graphs, "build_B", skewed)
+    for cache in ("_B_CACHE", "_F_CACHE", "_C_CACHE"):
+        monkeypatch.setattr(graphs, cache, {})
+    (report,) = run_suite(RunConfig(n=3, field=GF(2), checks=("graphs",)))
+    assert report.status == "fail"
+    assert report.details["actions_valid"] is False
+    assert "word action broke the edge schema" in report.details["failures"]
+    assert "(1, 1)" in report.details["action_witness"] and "(3, 1)" in report.details["action_witness"]
 
 
 def test_lemma_keeps_powers_below_the_cap(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from crown.errors import CapExceeded, HomSetViolation
 from crown.fields import GF, QQ
 from crown.graph_algebra import Algebra, annihilator_grading, is_multiplicative, q_ungraded
-from crown.graphs import build_C, graph_new
+from crown.graphs import build_C, graph_new, is_admissible
 from crown import linalg, loday
 from crown.linalg import Matrix, _merged_terms, mat_compose, tensor_product_sum_witness
 from crown.loday import (
@@ -238,13 +238,68 @@ def test_generating_surjections_reach_every_surjection():
         assert reached == {s for s in all_surjections_up_to(4) if s.p == p}, p
 
 
+def functor_differential_cases():
+    """Seeded random graphs, admissible and not, over F_2, F_3 and F_5."""
+    rng = random.Random(83)
+    cases = []
+    for field in (GF(2), GF(3), GF(5)):
+        for admissible in (True, False):
+            g = random_graph(rng, max_vertices=4, min_vertices=3, p_edge=0.5)
+            while is_admissible(g) != admissible:
+                g = random_graph(rng, max_vertices=4, min_vertices=3, p_edge=0.5)
+            tag = "admissible" if admissible else "other"
+            cases.append(pytest.param(q_ungraded(g, field), id=f"random-{tag}-{field.name}"))
+    return cases
+
+
 @pytest.mark.parametrize(
     "alg",
-    loday_differential_cases() + [pytest.param(perturbed_crown_algebra(GF(2)), id="perturbed-crown-GF(2)")],
+    loday_differential_cases()
+    + functor_differential_cases()
+    + [pytest.param(perturbed_crown_algebra(GF(2)), id="perturbed-crown-GF(2)")],
 )
 def test_functor_check_matches_the_all_pairs_oracle(alg):
     for r in (1, 2, 3):
         assert functor_check(alg, r) == reference_functor_check(alg, r), r
+
+
+def test_functor_check_composes_once_per_generator_and_fibre_size_pattern(monkeypatch):
+    # r = 2: pattern (1, 1) x {swap, merge}; r = 3 adds (1, 2) and (2, 1) x 2
+    # generators of 2 and (1, 1, 1) x the 4 generators of 3
+    calls = []
+    real = loday.mat_compose
+
+    def counted(a, b):
+        calls.append((a.nrows, b.ncols))
+        return real(a, b)
+
+    monkeypatch.setattr(loday, "mat_compose", counted)
+    alg = q_ungraded(PATH3, GF(5))
+    for r, count in ((2, 2), (3, 10)):
+        calls.clear()
+        assert functor_check(alg, r)
+        assert len(calls) == count, r
+
+
+def test_functor_check_catches_one_changed_column_of_a_shared_product(monkeypatch):
+    # every surjection 3 -> 2 with fibre sizes (1, 2) reads this product
+    alg = q_ungraded(PATH3, GF(5))
+    f = alg.field
+    product = loday._LodayCache._product
+
+    def perturbed(self, sizes):
+        m = product(self, sizes)
+        if sizes != (1, 2):
+            return m
+        cols = list(m._cols)
+        cols[0] = dict(cols[0])
+        cols[0][0] = f.add(cols[0].get(0, f.zero), f.one)
+        return Matrix(m.field, m.nrows, m.ncols, cols)
+
+    monkeypatch.setattr(loday._LodayCache, "_product", perturbed)
+    assert functor_check(alg, 2) and reference_functor_check(alg, 2)
+    assert not functor_check(alg, 3)
+    assert not reference_functor_check(alg, 3)
 
 
 @pytest.mark.parametrize("images", [(2, 3, 1), (1, 1, 1)], ids=["3-cycle", "merge-3-to-1"])
