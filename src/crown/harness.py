@@ -305,7 +305,7 @@ def _check_transport(config: RunConfig):
 def _check_iso(config: RunConfig):
     n, f = config.n, config.field
     report = ld.iso_check(n, f, max_tensor_dim=config.max_tensor_dim)
-    control = ld.iso_check(n, f, element="Z", max_tensor_dim=config.max_tensor_dim)
+    control = report.control
 
     def mode(ok):
         if ok is None:

@@ -203,7 +203,11 @@ def kron_sum(terms) -> Matrix:
     factor but the last extends the nonempty column prefixes, each holding
     its row prefix -> value entries, and the last factor's products are
     added straight into the one output, dropping entries that cancel.  No
-    per-term product is materialized and the output is never copied.
+    per-term product is materialized and the output is never copied.  The
+    empty columns of the result share one dict, as in `mat_compose`.  Each
+    column still gets a dict up front: creating them only as terms reach
+    them mixes the kept dicts with short-lived row dicts in memory, and
+    that raised the peak RSS of the small-graphs benchmark by up to 0.9 MB.
     """
     field, shapes = _term_shapes(terms)
     mul = field.mul
@@ -235,7 +239,8 @@ def kron_sum(terms) -> Matrix:
                             acc.pop(k, None)
                         else:
                             acc[k] = y
-    return Matrix(field, math.prod(r for r, _ in shapes), len(out), out)
+    empty: dict = {}
+    return Matrix(field, math.prod(r for r, _ in shapes), len(out), [col or empty for col in out])
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

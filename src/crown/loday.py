@@ -26,19 +26,20 @@ monoid algebra and never inside a tensor power.
 By the mixed-product rule every identity between such families -- the
 annihilation statement (`lemma_check`), the transport squares along the
 projections (`transport_square_check`) and the mutual inverses between
-the two crowns built from the twist element (`iso_check`) -- is a sum of
-p-th powers of p = 1 matrices.  The walk over the r-th powers passes
-through every lower power, so one streamed walk, `tensor_sum_prefixes`,
-decides each family at every p <= r.  Naturality is certified per word:
-each word matrix is an algebra map, so every family is natural at every
-power.  `cofunctor_eval` materializes a family only for export and for
-the naturality squares `iso_check` cross-checks at p <= 2; the harness's
-`explore` reads the alternating family's witness and exact nonzero count
-at every p <= n from the same one walk, without building it.
+the two crowns (`iso_check`) -- is a sum of p-th powers of p = 1
+matrices, and one streamed walk, `tensor_sum_prefixes`, decides it at
+every p <= r.  The composite of two families is the family of the
+monoid product (M_w M_w' = M_(w w'), certified on crown vertex maps), so
+iso walks at most 2^n words of x.x, and the alternating family once per
+sign for T and its control.  Naturality is certified per word: each word
+matrix is an algebra map.  Families are materialized only for export and
+iso's squares at p <= 2; `explore` reads the alternating family's
+witness and exact nonzero count at every p <= n from one walk.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 
@@ -291,11 +292,11 @@ def naturality_witness(eta: NatTransData, max_tensor_dim: int = DEFAULT_TENSOR_C
     return None
 
 
-def _action_matrix(n: int, w: Word, s, target: str, field) -> Matrix:
-    """Matrix of the induced algebra map of the action of one word."""
+def _action_matrix(n: int, w: Word, s, target: str, field, crown_map=None) -> Matrix:
+    """Matrix of the induced algebra map of the action of one word; `crown_map` is act_on_C's, if built."""
     if target == "B":
         return q_hom(act_on_B(n, w), field)
-    return q_hom(act_on_C(n, w, s), field)
+    return q_hom(act_on_C(n, w, s) if crown_map is None else crown_map, field)
 
 
 def _word_terms(n: int, x: MonoidAlgElem, s: int, t: int, target: str) -> list:
@@ -343,14 +344,16 @@ def cofunctor_eval(
     else:
         alg_src = q_ungraded(build_C(n, t)[0], field)
         alg_tgt = q_ungraded(build_C(n, s)[0], field)
-    if alg_src.dim ** r > max_tensor_dim or alg_tgt.dim ** r > max_tensor_dim:
-        raise CapExceeded(
-            f"tensor dimension {alg_src.dim}^{r} exceeds cap {max_tensor_dim}"
-        )
     # the zero element has no words; its family is the powers of the zero map
     terms = _word_terms(n, x, s, t, target) or [(field.zero, Matrix.zero(field, alg_tgt.dim, alg_src.dim))]
-    components = {p: kron_sum(_power_terms(terms, p)) for p in range(1, r + 1)}
-    return NatTransData(r, alg_src, alg_tgt, components)
+    return _family(r, alg_src, alg_tgt, terms, max_tensor_dim)
+
+
+def _family(r: int, source: Algebra, target: Algebra, terms: list, max_tensor_dim: int) -> NatTransData:
+    """The components p = 1..r of the family of (coefficient, word matrix) terms, one `kron_sum` each."""
+    if source.dim ** r > max_tensor_dim or target.dim ** r > max_tensor_dim:
+        raise CapExceeded(f"tensor dimension {source.dim}^{r} exceeds cap {max_tensor_dim}")
+    return NatTransData(r, source, target, {p: kron_sum(_power_terms(terms, p)) for p in range(1, r + 1)})
 
 
 # -- the annihilation statement ----------------------------------------
@@ -542,7 +545,6 @@ class IsoReport:
     n: int
     r: int
     field_name: str
-    element: str
     homset_ok: bool
     certified_ok: object  # every word matrix is an algebra map; None when not attempted
     squares_ok: object  # the naturality squares at p <= 2; None when not attempted
@@ -551,6 +553,7 @@ class IsoReport:
     factored_identity_ok: bool
     witness: dict = dc_field(default_factory=dict)
     skip_reason: str = ""
+    control: object = None  # on the twist element's report: the alternating element's, which must fail
 
     @property
     def status(self):
@@ -561,98 +564,118 @@ class IsoReport:
         return "SKIPPED" if self.squares_ok is None else "PASS"
 
 
-def iso_check(
-    n: int,
-    field=QQ,
-    element: str = "T",
-    max_tensor_dim: int = DEFAULT_TENSOR_CAP,
-) -> IsoReport:
-    """Verify the two crossing crown maps are natural and mutually inverse.
+class _CrownFamilies:
+    """iso's families at level n, each crown map and word matrix built once per (word, sign)."""
 
-    With the twist element (the default) the two families run between the
-    two crowns and must be mutually inverse at every power p <= n-1.  For
-    each sign s crossing to t, three sub-claims are families over p = 1
-    products, each decided at every p by one walk: inverse,
-    sum c_w c_w' (M_w M_w')^(x)p - I^(x)p over the s-words w and t-words
-    w'; factored identity, the same terms plus the alternating-element
-    words on s (composite = I - Z-family); and alternating family zero,
-    those words alone.  The inverse terms are walked only when the other
-    two families are both nonzero at some power.  With `element="Z"`
-    (the negative control) the composites are zero, so the check must
-    fail; naturality is not attempted after a failed sub-claim.
+    def __init__(self, n: int, field, max_tensor_dim: int):
+        self.n, self.field, self.cap = n, field, max_tensor_dim
+        self.crown_map = crown_map = functools.cache(lambda w, s: act_on_C(n, w, s))
+        self.matrix = functools.cache(lambda w, s: _action_matrix(n, w, s, "C", field, crown_map(w, s)))
+        # Z's family on s -> s is walked once per sign, for both elements
+        self.z = build_Z(n, field)
+        self.alternating = {s: self.terms(self.z, s) for s in (1, -1)}
+        self.alt_zero = {s: _zero_powers(_power_terms(self.alternating[s], n - 1), n - 1) for s in (1, -1)}
 
-    Naturality at every p is certified by one `is_multiplicative` call per
-    word matrix: M_w mu_2 = mu_2 (M_w (x) M_w) gives M_w mu_k = mu_k M_w^(x)k
-    by induction on k, Kronecker powers commute with reordering the input
+    def terms(self, x: MonoidAlgElem, s: int) -> list:
+        """The (coefficient, word matrix) pairs of x on the s-crown, in word order."""
+        return [(x.terms[w], self.matrix(w, s)) for w in sorted(x.terms, key=Word.sort_key)]
+
+    def act_as_products(self, x: MonoidAlgElem, s: int, t: int) -> bool:
+        """Premise (a): act_on_C(w', t) . act_on_C(w, s) == act_on_C(w w', s) for all words w, w' of x."""
+        outer = [(w2, self.crown_map(w2, t).mapping) for w2 in x.terms]
+        return all(
+            {v: image[u] for v, u in self.crown_map(w, s).mapping.items()} == self.crown_map(w * w2, s).mapping
+            for w in x.terms
+            for w2, image in outer
+        )
+
+    def report(self, x: MonoidAlgElem) -> IsoReport:
+        """The sub-claims and naturality of x's two families, as `iso_check` describes them."""
+        n, field, r = self.n, self.field, self.n - 1
+        targets = {s: act_on_U(min(x.terms, key=Word.sort_key), s) for s in (1, -1)}
+        off = next((s for s in (1, -1) if not homset_member(x, s, targets[s])), None)
+        if off is not None or targets[targets[1]] != 1:
+            reason = f"support not constant on sign {off}" if off else "families do not cross back"
+            return IsoReport(n, r, field.name, False, False, False, False, False, False, {"homset": reason})
+
+        witness: dict = {}
+        families = {s: self.terms(x, s) for s in (1, -1)}
+        sums = {s: kron_sum(_power_terms(families[s], 1)) for s in (1, -1)}
+        square = x * x
+        for s in (1, -1):
+            composites, alt_zero = self.terms(square, s), self.alt_zero[s]
+            a_s, a_t = sums[s], sums[targets[s]]
+            # a zero factor needs no product: the control's sums are its alternating families at p = 1
+            product = a_s if a_s.is_zero() else a_t if a_t.is_zero() else mat_compose(a_s, a_t)
+            if self.act_as_products(x, s, targets[s]) and product == kron_sum(_power_terms(composites, 1)):
+                inverse = _power_terms(composites + [(field.neg(field.one), Matrix.identity(field, a_s.nrows))], r)
+                factored_zero = _zero_powers(inverse + _power_terms(self.alternating[s], r), r)
+                # inverse = factored - alternating: where either is zero, the inverse is zero iff both are
+                decided = all(alt or fac for alt, fac in zip(alt_zero, factored_zero))
+                both = [a and f for a, f in zip(alt_zero, factored_zero)]
+                inverse_zero = both if decided else _zero_powers(inverse, r)
+            else:
+                inverse_zero = factored_zero = [False]  # a failed premise decides p = 1 only
+            for p, (inv, fac) in enumerate(zip(inverse_zero, factored_zero), start=1):
+                if not inv:
+                    witness.setdefault("inverse", f"composite on sign {s} differs at power {p}")
+                if not fac:
+                    witness.setdefault("factored", f"composite on sign {s} power {p} breaks the factored identity")
+        if not all(all(self.alt_zero[s]) for s in (1, -1)):
+            witness["z_component"] = "alternating-element family is not zero"
+
+        claims = tuple(key not in witness for key in ("inverse", "z_component", "factored"))
+        if not all(claims):
+            # the status is FAIL already; naturality would only cost time
+            return IsoReport(n, r, field.name, True, None, None, *claims, witness, "a streamed sub-claim failed")
+        crowns = {s: q_ungraded(build_C(n, s)[0], field) for s in (1, -1)}
+        certified_ok = True
+        for s in (1, -1):
+            for k, (_, m) in enumerate(families[s]):
+                if not is_multiplicative(crowns[targets[s]], crowns[s], m):
+                    certified_ok = False
+                    witness.setdefault(f"certificate_{s}", f"word matrix {k} on sign {s} is not an algebra map")
+        squares_ok, skip_reason = True, ""
+        try:
+            for s in (1, -1):
+                eta = _family(min(r, 2), crowns[targets[s]], crowns[s], families[s], self.cap)
+                w = naturality_witness(eta, self.cap)
+                if w is not None:
+                    squares_ok = False
+                    witness[f"naturality_{s}"] = w
+        except CapExceeded as exc:
+            squares_ok, skip_reason = None, f"cap exceeded: {exc}"
+        return IsoReport(n, r, field.name, True, certified_ok, squares_ok, *claims, witness, skip_reason)
+
+
+def iso_check(n: int, field=QQ, max_tensor_dim: int = DEFAULT_TENSOR_CAP) -> IsoReport:
+    """Verify the two crossing crown maps are natural and mutually inverse, and the control is not.
+
+    The families of the twist element T run between the two crowns and must
+    be mutually inverse at every power p <= n-1.  On each sign s crossing to
+    t their composite is the family of the monoid product x.x (T.T = 1 - Z)
+    under two premises: (a) `act_as_products`, which with q_hom's
+    contravariance gives M_w M_w' = M_(w w'); (b) at p = 1 the sum of x's
+    word matrices on s times their sum on t is the matrix of x.x.  Each
+    sub-claim is then one walk: inverse, x.x's words and -I; factored
+    identity, the same terms plus Z's words on s (composite = I - Z-family);
+    alternating family zero, Z's words alone, shared by both elements.  The
+    inverse is walked only where the other two are nonzero at some power.
+    A failed premise fails inverse and factored on its sign at p = 1 and
+    decides nothing more.  The alternating element Z (Z.Z = Z) is the
+    negative control, reported as `control`, and must fail.
+
+    Naturality is not attempted after a failed sub-claim.  It is certified
+    at every p by one `is_multiplicative` call per word matrix:
+    M_w mu_2 = mu_2 (M_w (x) M_w) gives M_w mu_k = mu_k M_w^(x)k by
+    induction on k, Kronecker powers commute with reordering the input
     positions, and sums of natural families are natural.  The squares are
     cross-checked at p <= min(n-1, 2) only; over `max_tensor_dim` they are
     not attempted and the status is SKIPPED, never PASS.
     """
     if n < 2:
         raise ValueError("crown checks need level >= 2")
-    r = n - 1
-    if element == "T":
-        x = build_T(n, field)
-    elif element == "Z":
-        x = build_Z(n, field)
-    else:
-        raise ValueError(f"unknown element {element!r}")
-
-    targets = {s: act_on_U(min(x.terms, key=Word.sort_key), s) for s in (1, -1)}
-    off = next((s for s in (1, -1) if not homset_member(x, s, targets[s])), None)
-    if off is not None or targets[targets[1]] != 1:
-        reason = f"support not constant on sign {off}" if off else "families do not cross back"
-        return IsoReport(n, r, field.name, element, False, False, False, False, False, False, {"homset": reason})
-
-    witness: dict = {}
-
-    z = build_Z(n, field)
-    families = {s: _word_terms(n, x, s, targets[s], "C") for s in (1, -1)}
-    minus_one = field.neg(field.one)
-    z_zero = inverse_ok = factored_ok = True
-    for s in (1, -1):
-        t = targets[s]
-        products = [(field.mul(c, c2), mat_compose(m, m2)) for c, m in families[s] for c2, m2 in families[t]]
-        products.append((minus_one, Matrix.identity(field, products[0][1].nrows)))
-        inverse = _power_terms(products, r)
-        alternating = _power_terms(_word_terms(n, z, s, s, "C"), r)
-        alt_zero = _zero_powers(alternating, r)
-        factored_zero = _zero_powers(inverse + alternating, r)
-        # inverse = factored - alternating: where either is zero, the inverse is zero iff both are
-        decided = all(alt or fac for alt, fac in zip(alt_zero, factored_zero))
-        inverse_zero = [a and f for a, f in zip(alt_zero, factored_zero)] if decided else _zero_powers(inverse, r)
-        for p, (alt, inv, fac) in enumerate(zip(alt_zero, inverse_zero, factored_zero), start=1):
-            z_zero = z_zero and alt
-            if not inv:
-                inverse_ok = False
-                witness.setdefault("inverse", f"composite on sign {s} differs at power {p}")
-            if not fac:
-                factored_ok = False
-                witness.setdefault(
-                    "factored", f"composite on sign {s} power {p} breaks the factored identity"
-                )
-    if not z_zero:
-        witness["z_component"] = "alternating-element family is not zero"
-
-    claims = (inverse_ok, z_zero, factored_ok)
-    if not all(claims):
-        # the status is FAIL already; naturality would only cost time
-        return IsoReport(n, r, field.name, element, True, None, None, *claims, witness, "a streamed sub-claim failed")
-    crowns = {s: q_ungraded(build_C(n, s)[0], field) for s in (1, -1)}
-    certified_ok = True
-    for s in (1, -1):
-        for k, (_, m) in enumerate(families[s]):
-            if not is_multiplicative(crowns[targets[s]], crowns[s], m):
-                certified_ok = False
-                witness.setdefault(f"certificate_{s}", f"word matrix {k} on sign {s} is not an algebra map")
-    squares_ok, skip_reason = True, ""
-    try:
-        for s in (1, -1):
-            eta = cofunctor_eval(n, min(r, 2), x, s, targets[s], target="C", max_tensor_dim=max_tensor_dim)
-            w = naturality_witness(eta, max_tensor_dim)
-            if w is not None:
-                squares_ok = False
-                witness[f"naturality_{s}"] = w
-    except CapExceeded as exc:
-        squares_ok, skip_reason = None, f"cap exceeded: {exc}"
-    return IsoReport(n, r, field.name, element, True, certified_ok, squares_ok, *claims, witness, skip_reason)
+    families = _CrownFamilies(n, field, max_tensor_dim)
+    report = families.report(build_T(n, field))
+    report.control = families.report(families.z)
+    return report

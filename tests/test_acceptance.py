@@ -151,7 +151,7 @@ def test_criterion_4_crown_isomorphism_level_two(criterion):
         report = iso_check(2, QQ)
         assert report.status == "PASS"
         assert report.certified_ok and report.squares_ok and report.inverse_ok
-        control = iso_check(2, QQ, element="Z")
+        control = report.control
         assert control.status == "FAIL"
 
 

@@ -28,7 +28,7 @@ from crown.graphs import (
     morphism_new,
 )
 from crown.linalg import Matrix, mat_compose, mat_rank
-from crown.monoid import wn_enumerate
+from crown.monoid import act_on_U, build_T, build_Z, wn_enumerate
 from conftest import (
     compose_morphisms,
     identity_morphism,
@@ -114,6 +114,21 @@ def test_q_hom_contravariant_on_composites():
         lhs = q_hom(composite, QQ)
         rhs = mat_compose(q_hom(inner, QQ), q_hom(outer, QQ))
         assert lhs == rhs
+    # crown word actions, composed pairwise as iso once did: for every pair
+    # of the twist element's words and every pair of the alternating
+    # element's, on each sign s crossing to t, M_w M_w' = M_(w w').  iso's
+    # composites from the monoid product rest on this
+    for n in (2, 3):
+        for field in (QQ, GF(2)):
+            for x in (build_T(n, field), build_Z(n, field)):
+                for s in (1, -1):
+                    t = act_on_U(next(iter(x.terms)), s)
+                    inner = {w: q_hom(act_on_C(n, w, s), field) for w in x.terms}   # Q(C^t) -> Q(C^s)
+                    outer = {w: q_hom(act_on_C(n, w, t), field) for w in x.terms}   # Q(C^s) -> Q(C^t)
+                    for w in x.terms:
+                        for w2 in x.terms:
+                            direct = q_hom(act_on_C(n, w * w2, s), field)
+                            assert mat_compose(inner[w], outer[w2]) == direct, (n, field, s, w, w2)
 
 
 def test_q_hom_collapsed_and_mirrored_edges():

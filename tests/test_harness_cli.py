@@ -167,7 +167,7 @@ def test_run_suite_walks_each_power_family_once(monkeypatch):
     families = {
         "lemma": 1,  # the alternating family on the strip
         "transport": 9,  # the elements 1, g1..g3, h1..h3, T and Z
-        "iso": 8,  # T and the Z control: alternating and factored on each sign
+        "iso": 6,  # on each sign: the alternating family, shared, and the factored ones of T and the Z control
         "explore": 1,  # the alternating family on the crown, to p = n
     }
     for check, count in families.items():

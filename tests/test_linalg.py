@@ -349,6 +349,21 @@ def test_kron_sum_orders_factors_and_scales_by_the_coefficient():
     assert kron_sum([(QQ.one, [a, b]), (QQ.from_int(-1), [a, b])]) == Matrix.zero(QQ, 6, 4)
 
 
+def test_kron_sum_shares_one_empty_column():
+    # columns no term reaches, and a column whose entries cancel, are one
+    # shared empty dict, as in mat_compose; the others are distinct
+    a = matrix_from_rows(QQ, [[1, 0, 2], [0, 0, 3]])
+    b = matrix_from_rows(QQ, [[1, 1], [0, 0]])
+    e = Matrix.from_entries(QQ, 2, 3, [(0, 0, 1)])
+    terms = [(QQ.one, [a, b]), (QQ.from_int(-1), [e, b])]  # a's column 0 cancels
+    total = kron_sum(terms)
+    assert total == brute_kron_sum(terms)
+    empty = [col for col in total._cols if not col]
+    assert len(empty) == 4 and len({id(col) for col in empty}) == 1  # columns 0..3
+    full = [col for col in total._cols if col]
+    assert len(full) == 2 and full[0] is not full[1]
+
+
 def test_kron_sum_rejects_mismatched_terms():
     a = Matrix.identity(QQ, 2)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from crown.fields import GF, QQ
 from crown.graph_algebra import Algebra, annihilator_grading, is_multiplicative, q_ungraded
 from crown.graphs import build_C, graph_new, is_admissible
 from crown import linalg, loday
-from crown.linalg import Matrix, _merged_terms, mat_compose, tensor_product_sum_witness
+from crown.linalg import Matrix, _merged_terms, kron_sum, mat_compose, tensor_product_sum_witness
 from crown.loday import (
     NatTransData,
     Surjection,
@@ -583,8 +584,8 @@ def perturb_crown_word(monkeypatch, word):
     """
     action = loday._action_matrix
 
-    def perturbed(n, w, s, target, field):
-        m = action(n, w, s, target, field)
+    def perturbed(n, w, s, target, field, *crown_map):
+        m = action(n, w, s, target, field, *crown_map)
         if target != "C" or w != word:
             return m
         return m + Matrix.from_entries(field, m.nrows, m.ncols, [(0, 0, 1)])
@@ -681,7 +682,7 @@ def test_iso_level_three_f2():
 
 
 def test_iso_negative_control_fails():
-    control = iso_check(2, QQ, element="Z")
+    control = iso_check(2, QQ).control
     assert control.status == "FAIL"
     assert not control.inverse_ok
 
@@ -689,13 +690,34 @@ def test_iso_negative_control_fails():
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_iso_skips_naturality_after_a_failed_sub_claim(monkeypatch, field):
     # the control fails in the streamed sub-claims, so neither the
-    # certificate nor the squares run
+    # certificate nor the squares run on its word matrices: both see only
+    # the twist element's, 7 words per sign at n = 3, and its two families
+    seen = {"certificate": [], "squares": []}
+    certify, squares = loday.is_multiplicative, loday.naturality_witness
+
+    def certifying(source, target, m):
+        seen["certificate"].append(m)
+        return certify(source, target, m)
+
+    def squaring(eta, *args):
+        seen["squares"].append(eta.components[1])
+        return squares(eta, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(loday, "is_multiplicative", certifying)
+        patch.setattr(loday, "naturality_witness", squaring)
+        report = iso_check(3, field)
+    twist = {s: loday._word_terms(3, build_T(3, field), s, -s, "C") for s in (1, -1)}
+    assert seen["certificate"] == [m for s in (1, -1) for _, m in twist[s]]
+    assert seen["squares"] == [kron_sum(loday._power_terms(twist[s], 1)) for s in (1, -1)]
+    assert report.status == "PASS"
+
     def raising(*args, **kwargs):
         raise AssertionError("naturality attempted after a failed sub-claim")
 
     monkeypatch.setattr(loday, "naturality_witness", raising)
     monkeypatch.setattr(loday, "is_multiplicative", raising)
-    control = iso_check(3, field, element="Z")
+    control = report.control
     assert control.status == "FAIL"
     assert control.certified_ok is None and control.squares_ok is None
     assert control.skip_reason == "a streamed sub-claim failed"
@@ -725,8 +747,9 @@ def streamed_claims(report):
 @pytest.mark.parametrize("n", [2, 3])
 def test_iso_sub_claims_match_the_materialized_composites(field, n):
     # the naturality squares are capped away, so the status is never PASS
+    twist = iso_check(n, field, max_tensor_dim=1)
     for element, build in (("T", build_T), ("Z", build_Z)):
-        report = iso_check(n, field, element, max_tensor_dim=1)
+        report = twist if element == "T" else twist.control
         assert report.squares_ok is None
         assert report.status == ("SKIPPED" if element == "T" else "FAIL")
         expected = reference_iso_claims(n, field, build(n, field), ISO_TARGETS[element])
@@ -791,11 +814,14 @@ def test_iso_walks_the_inverse_only_where_the_other_two_families_do_not_decide_i
     n = 3
     z_word = min(build_Z(n, field).terms, key=Word.sort_key)
     t_word = min(build_T(n, field).terms, key=Word.sort_key)
-    for element, words, walk_count, expected in (
-        ("T", [], 4, (True, True, True)),
-        ("Z", [], 4, (False, False, True)),
-        ("T", [z_word], 6, (True, False, False)),
-        ("T", [z_word, t_word], 6, (False, False, False)),
+    # walks per call: the shared alternating family (2), and per element
+    # and sign the factored family, plus the inverse where undecided; a
+    # perturbed twist word fails premise (b) on both signs, so neither of
+    # its families is walked
+    for words, walk_count, expected in (
+        ([], 6, {"T": (True, True, True), "Z": (False, False, True)}),
+        ([z_word], 10, {"T": (True, False, False), "Z": (False, False, False)}),
+        ([z_word, t_word], 6, {"T": (False, False, False), "Z": (False, False, False)}),
     ):
         with monkeypatch.context() as patch:
             for word in words:
@@ -803,11 +829,13 @@ def test_iso_walks_the_inverse_only_where_the_other_two_families_do_not_decide_i
             walks = []
             real = loday.tensor_sum_prefixes
             patch.setattr(loday, "tensor_sum_prefixes", lambda terms, p: walks.append(p) or real(terms, p))
-            report = iso_check(n, field, element, max_tensor_dim=1)
-            claims, witness = three_walk_sub_claims(n, field, element)
-        assert walks == [n - 1] * walk_count, (element, words)
-        assert streamed_claims(report) == claims == dict(zip(("inverse", "factored", "z_zero"), expected))
-        assert report.witness == witness, (element, words)
+            twist = iso_check(n, field, max_tensor_dim=1)
+            oracle = {element: three_walk_sub_claims(n, field, element) for element in ("T", "Z")}
+        assert walks == [n - 1] * walk_count, words
+        for element, report in (("T", twist), ("Z", twist.control)):
+            claims, witness = oracle[element]
+            assert streamed_claims(report) == claims == dict(zip(("inverse", "factored", "z_zero"), expected[element]))
+            assert report.witness == witness, (element, words)
 
 
 def test_iso_level_four_f2_with_naturality_capped():
@@ -817,7 +845,7 @@ def test_iso_level_four_f2_with_naturality_capped():
     assert report.certified_ok and report.squares_ok and report.skip_reason == ""
     assert report.inverse_ok and report.factored_identity_ok and report.z_component_zero
     assert report.status == "PASS"
-    control = iso_check(4, GF(2), element="Z")
+    control = report.control
     assert control.status == "FAIL"
     assert not control.inverse_ok and not control.factored_identity_ok
 
@@ -865,16 +893,62 @@ def test_a_perturbed_twist_word_fails_the_certificate_and_the_squares(monkeypatc
 
 
 def test_iso_materializes_nothing_above_power_two(monkeypatch):
-    # the certificate covers p = 3; the squares stop at p = 2
+    # the certificate covers p = 3; the squares stop at p = 2.  iso builds
+    # its families from the word matrices it already holds, through the
+    # same `_family` that `cofunctor_eval` materializes with
     powers = []
+    family = loday._family
 
-    def recording(n, r, *args, **kwargs):
+    def recording(r, *args):
         powers.append(r)
-        return cofunctor_eval(n, r, *args, **kwargs)
+        return family(r, *args)
 
-    monkeypatch.setattr(loday, "cofunctor_eval", recording)
+    monkeypatch.setattr(loday, "_family", recording)
     report = iso_check(4, GF(2))
     assert report.status == "PASS" and powers == [2, 2]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_iso_fails_when_a_twist_word_acts_as_another(monkeypatch, field):
+    # premise (a) reads the crown maps: one twist word's map replaced by
+    # another word's on the same hom-set, a valid morphism, breaks it, and
+    # iso must fail the inverse there, never derive it from the monoid
+    n = 3
+    w0, w1 = sorted(build_T(n, field).terms, key=Word.sort_key)[:2]
+    crown_map = loday.act_on_C
+    monkeypatch.setattr(loday, "act_on_C", lambda n, w, s: crown_map(n, w1 if w == w0 else w, s))
+    families = loday._CrownFamilies(n, field, loday.DEFAULT_TENSOR_CAP)
+    assert not families.act_as_products(build_T(n, field), 1, -1)
+    assert not families.act_as_products(build_T(n, field), -1, 1)
+    report = iso_check(n, field)
+    assert report.status == "FAIL" and report.inverse_ok is False and report.factored_identity_ok is False
+    assert report.witness["inverse"] == "composite on sign 1 differs at power 1"
+    assert report.control.status == "FAIL"
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_iso_composes_once_per_sign_and_walks_the_alternating_family_once(monkeypatch, field):
+    # the composites come from the monoid product: the only products outside
+    # the naturality squares are premise (b)'s, one per sign (the control's
+    # sums are zero and need none), where the pairwise composites took
+    # 7^2 + 8^2 per sign; Z's crown family is walked once per sign
+    n = 3
+    composes, walks = [], []
+    compose, walk = loday.mat_compose, loday.tensor_sum_prefixes
+
+    def counting(a, b):
+        if sys._getframe(1).f_code.co_name != "naturality_witness":
+            composes.append((a.nrows, b.ncols))
+        return compose(a, b)
+
+    monkeypatch.setattr(loday, "mat_compose", counting)
+    monkeypatch.setattr(loday, "tensor_sum_prefixes", lambda terms, p: walks.append(terms) or walk(terms, p))
+    report = iso_check(n, field)
+    assert report.status == "PASS" and report.control.status == "FAIL"
+    assert len(composes) == 2
+    z = build_Z(n, field)
+    alternating = [loday._power_terms(loday._word_terms(n, z, s, s, "C"), n - 1) for s in (1, -1)]
+    assert sum(terms in alternating for terms in walks) == 2  # the signs' families may be equal
 
 
 def test_nat_trans_json_shape():
