@@ -416,17 +416,16 @@ def _check_explore(config: RunConfig):
     """One power above the theorem: reported, never asserted.
 
     Every power p <= n of the alternating family is decided by one
-    streamed walk over the transposed p = 1 word matrices, so no operator
-    of dimension dim^p is built: the nonzero count is the family's, and
-    the walk's witness of the transpose is the family's lowest nonzero row
-    and, in it, the lowest column, flattened in the lexicographic tensor
-    basis.
+    streamed walk over the p = 1 word matrices, so no operator of
+    dimension dim^p is built: the walk's nonzero count is the family's,
+    and its witness is the family's lowest nonzero row and, in it, the
+    lowest column, flattened in the lexicographic tensor basis.
     """
     n, f = config.n, config.field
     crown_dim = ga.q_ungraded(gr.build_C(n, 1)[0], f).dim
     if crown_dim**n > config.max_tensor_dim:
         return {"note": f"alternating family at power {n} exceeds the tensor cap; not computed"}, [], None
-    words = [(c, m.transpose()) for c, m in ld._word_terms(n, mo.build_Z(n, f), 1, 1, "C")]
+    words = ld._word_terms(n, mo.build_Z(n, f), 1, 1, "C")
 
     def flat(digits):
         index = 0
@@ -437,7 +436,7 @@ def _check_explore(config: RunConfig):
     per_power = {}
     for p, (witness, nnz) in enumerate(la.tensor_sum_prefixes(ld._power_terms(words, n), n), start=1):
         if nnz:
-            rows, cols, v = witness
+            cols, rows, v = witness
             per_power[str(p)] = {"first_nonzero": [flat(rows), flat(cols), str(v)], "nnz": nnz}
         else:
             per_power[str(p)] = "zero"

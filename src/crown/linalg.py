@@ -17,24 +17,23 @@ allowed (`_term_shapes`).  `kron_sum` materializes the sum in one pass;
 `kron`, `kron_power`, every word-power family and every Loday map are
 calls of it.  `tensor_sum_prefixes` is the one exact zero test, for
 every tensor identity the package checks: one walk over a sum of p-fold
-products yields, for each q <= p in turn, the witness and the exact
-number of nonzero entries of the sum truncated to its first q factors,
-so a family of tensor powers is decided at every power by one walk.  It
-merges terms with equal factor lists, then walks column tuples one
-tensor factor at a time over deduplicated prefix states, storing one
-layer of distinct states, each with its smallest prefix and the count of
-prefix pairs reaching it.  It never materializes a sum, and
-`WALK_BUDGET` bounds its work.  `tensor_product_sum_witness` reads its
-last witness.
+products yields, for each q <= p in turn, the row-major first nonzero
+entry and the exact number of nonzero entries of the sum truncated to
+its first q factors, so a family of tensor powers is decided at every
+power by one walk.  It merges terms with equal factor lists, then walks
+row tuples one tensor factor at a time over deduplicated prefix states,
+never materializing a sum, and `WALK_BUDGET` bounds its work.
+`tensor_product_sum_witness` reads its last witness.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 from .errors import CapExceeded
 
-WALK_BUDGET = 10_000_000  # work units of one `tensor_sum_prefixes` walk, about 0.7 us each
+WALK_BUDGET = 10_000_000  # state entries x row kinds, summed over a walk's layers; under 1 us each
 
 
 class Matrix:
@@ -94,9 +93,6 @@ class Matrix:
 
     def is_zero(self):
         return all(not col for col in self._cols)
-
-    def transpose(self):
-        return Matrix(self.field, self.ncols, self.nrows, self._row_dicts())
 
     def to_triples(self):
         """Sorted list of (row, col, value) over nonzero entries."""
@@ -390,9 +386,9 @@ def tensor_product_sum_witness(terms, p: int):
     """Exact zero test for  sum_k  c_k * (M_k1 (x) ... (x) M_kp).
 
     `terms` follows the module's term contract.  Returns None when the
-    sum is exactly zero, otherwise the lowest-index witness (col_tuple,
-    row_tuple, value): the lowest nonzero column tuple and, inside it, the
-    lowest nonzero row tuple, digit i indexing factor i's columns or rows.
+    sum is exactly zero, otherwise the row-major first entry (col_tuple,
+    row_tuple, value): the lowest nonzero row tuple and, in it, the lowest
+    nonzero column tuple, digit i indexing factor i's columns or rows.
     It is the last witness `tensor_sum_prefixes` yields.
     """
     *_, (witness, _) = tensor_sum_prefixes(terms, p)
@@ -410,24 +406,21 @@ def tensor_sum_prefixes(terms, p: int):
     zero coefficients dropped, which leaves every truncated operator
     unchanged; a sum that cancels in the merge yields (None, 0) with no work.
 
-    The entry at rows (r1..rq) and columns (j1..jq) is the sum over k of
-    the vector (c_k * M_k1[r1,j1] * ... * M_kq[rq,jq])_k, so column tuples
-    are walked one factor at a time with that vector over the terms as the
-    state of a (row prefix, column prefix) pair.  Pairs with equal vectors
-    have the same future, so each layer stores every distinct vector once,
-    with the lexicographically smallest column prefix reaching it (taken
-    explicitly: parents sharing one prefix, from different row prefixes,
-    are visited in turn) and the exact count of pairs reaching it.
-    Expanding layer q - 1 by factor q sums each child vector as it is
-    built, which decides length q: each nonzero sum adds its parent's
-    count to nnz, and a parent's lowest column with a nonzero sum,
-    appended to its smallest prefix, is a witness candidate.  So each
-    layer is expanded once, for every length.
-
-    Only one layer of distinct vectors is stored, the last never, and
-    `WALK_BUDGET` bounds the time: before a layer is expanded, its stored
-    entries times the factor's columns are added to the work, and past the
-    budget the walk raises `CapExceeded`, after yielding the lengths below.
+    Row tuples are walked one factor at a time.  The state of a row prefix
+    is its column classes: for each column prefix it reaches, the vector
+    (k, c_k * M_k1[r1,j1] * ... * M_kq[rq,jq]) over the terms k reaching
+    it, equal vectors kept once with their number of column prefixes; for
+    row maps (word matrices, projections, I) the classes partition the
+    terms.  Equal states have the same future, so a layer stores each once,
+    with the first row prefix reaching it and their count, and the rows of
+    a factor that split every class alike (`_row_kinds`) are expanded once
+    per state, weighted by their number.  States are expanded in the order
+    stored and kinds by first row, so prefixes come in lexicographic order:
+    the first to reach a state is its smallest, and the first nonzero row
+    tuple the lowest, whose row the witness evaluates (`_row_witness`).
+    Before a layer is expanded, its state entries times the factor's row
+    kinds are added to the work; past `WALK_BUDGET` the walk raises
+    `CapExceeded`, after yielding the lengths below.
     """
     if terms:
         field, shapes = _term_shapes(terms)
@@ -437,47 +430,39 @@ def tensor_sum_prefixes(terms, p: int):
     if not terms:
         yield from [(None, 0)] * p
         return
-    zero = field.zero
-    mul = field.mul
-    add = field.add
-    factor_cols = [[m._cols for m in mats] for _, mats in terms]
-    layer = {tuple((k, coef) for k, (coef, _) in enumerate(terms)): [(), 1]}
+    zero, mul, add = field.zero, field.mul, field.add
+    distinct = {id(m): m for _, mats in terms for m in mats}
+    rows = {key: m._row_dicts() for key, m in distinct.items()}
+    kinds: dict = {}  # a layer's factor ids -> its row kinds, shared by equal layers
+    layer = {frozenset([(tuple((k, coef) for k, (coef, _) in enumerate(terms)), 1)]): [(), 1]}
     work = 0
-    for i, (_, ncols) in enumerate(shapes):
-        work += sum(map(len, layer)) * ncols
+    for i in range(p):
+        key = tuple(id(mats[i]) for _, mats in terms)
+        layer_kinds = kinds[key] if key in kinds else kinds.setdefault(key, _row_kinds([rows[k] for k in key]))
+        work += sum(len(vec) for state in layer for vec, _ in state) * len(layer_kinds)
         if work > WALK_BUDGET:
             raise CapExceeded(f"streamed walk reached {work} work units, over the budget {WALK_BUDGET}")
-        store = i < p - 1
         stored: dict = {}
-        lowest = None  # the smallest nonzero column tuple of length i + 1
-        nnz = 0
-        for vec, (prefix, count) in layer.items():
-            for j in range(ncols):
-                cand = prefix + (j,)
-                children: dict = {}  # row -> the coefficient vector after appending column j
-                for k, val in vec:
-                    for row, v in factor_cols[k][i][j].items():
-                        children.setdefault(row, []).append((k, mul(val, v)))
-                hits = 0  # rows with a nonzero sum
-                for child in children.values():
-                    total = zero
-                    for _, val in child:
-                        total = add(total, val)
-                    hits += total != zero
-                    if store:
-                        key = tuple(child)
-                        state = stored.get(key)
-                        if state is None:
-                            stored[key] = [cand, count]
-                        else:
-                            state[1] += count
-                            if cand < state[0]:
-                                state[0] = cand
+        lowest, nnz = None, 0  # the first nonzero row tuple of length i + 1, and the nonzeros
+        for state, (prefix, count) in layer.items():
+            for signature, first, size in layer_kinds:
+                hits = 0  # column tuples with a nonzero sum, in one row of the kind
+                child_state: dict = {}  # child vector -> its number of column prefixes
+                for vec, cols in state:
+                    children: dict = {}  # relabelled column -> the vector after appending it
+                    for k, val in vec:
+                        for j, v in signature[k]:
+                            children.setdefault(j, []).append((k, mul(val, v)))
+                    for child in map(tuple, children.values()):
+                        hits += cols * (reduce(add, [v for _, v in child]) != zero)
+                        if i < p - 1:  # the last layer is never stored
+                            child_state[child] = child_state.get(child, 0) + cols
                 if hits:
-                    nnz += hits * count
-                    if lowest is None or cand < lowest:
-                        lowest = cand
-        yield (None if lowest is None else _column_witness(terms, lowest)), nnz
+                    nnz += hits * count * size
+                    lowest = lowest or prefix + (first,)
+                if child_state:
+                    stored.setdefault(frozenset(child_state.items()), [prefix + (first,), 0])[1] += count * size
+        yield (None if lowest is None else _row_witness(field, terms, rows, lowest)), nnz
         layer = stored
 
 
@@ -499,17 +484,30 @@ def _merged_terms(field, terms):
     return [(coef, mats) for coef, mats in merged.values() if coef != field.zero]
 
 
-def _column_witness(terms, col_tuple):
-    """(col_tuple, lowest nonzero row tuple, value) of one column of the sum
-    truncated to its first len(col_tuple) factors."""
-    column = kron_sum([
-        (coef, [Matrix(m.field, m.nrows, 1, [m._cols[j]]) for m, j in zip(mats, col_tuple)])
-        for coef, mats in terms
-    ])._cols[0]
-    flat = min(column)
-    value = column[flat]
-    row_tuple = []
-    for m in reversed(terms[0][1][:len(col_tuple)]):  # mixed radix, last factor least significant
-        flat, r = divmod(flat, m.nrows)
-        row_tuple.append(r)
-    return (col_tuple, tuple(reversed(row_tuple)), value)
+def _row_kinds(term_rows):
+    """(signature, first row, number of rows) of each row kind of one layer,
+    given each term's factor as row dicts, in order of first row.  A row's
+    signature is its (column, value) entries term by term, columns
+    relabelled in order of first occurrence."""
+    kinds: dict = {}
+    for r in range(len(term_rows[0])):
+        labels: dict = {}
+        signature = tuple(
+            tuple((labels.setdefault(j, len(labels)), v) for j, v in sorted(rows[r].items())) for rows in term_rows
+        )
+        kinds.setdefault(signature, [r, 0])[1] += 1
+    return [(signature, first, size) for signature, (first, size) in kinds.items()]
+
+
+def _row_witness(field, terms, rows, row_tuple):
+    """(lowest nonzero column tuple, row_tuple, value) of one row of the sum
+    truncated to its first len(row_tuple) factors."""
+    row: dict = {}  # column tuple -> the row's entry
+    for coef, mats in terms:
+        partial = {(): coef}
+        for m, r in zip(mats, row_tuple):
+            partial = {cols + (j,): field.mul(v, w) for cols, v in partial.items() for j, w in rows[id(m)][r].items()}
+        for cols, v in partial.items():
+            row[cols] = field.add(row.get(cols, field.zero), v)
+    col_tuple = min(cols for cols, v in row.items() if v != field.zero)
+    return (col_tuple, row_tuple, row[col_tuple])

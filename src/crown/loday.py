@@ -27,8 +27,9 @@ By the mixed-product rule every identity between such families -- the
 annihilation statement (`lemma_check`), the transport squares along the
 projections (`transport_square_check`) and the mutual inverses between
 the two crowns (`iso_check`) -- is a sum of p-th powers of p = 1
-matrices, and one streamed walk, `tensor_sum_prefixes`, decides it at
-every p <= r.  The composite of two families is the family of the
+matrices, and one streamed walk over row tuples, `tensor_sum_prefixes`,
+decides it at every p <= r; its witness is the family's row-major first
+nonzero entry.  The composite of two families is the family of the
 monoid product (M_w M_w' = M_(w w'), certified on crown vertex maps), so
 iso walks at most 2^n words of x.x, and the alternating family once per
 sign for T and its control.  Naturality is certified per word: each word

@@ -4,7 +4,7 @@ import random
 from crown.errors import CapExceeded
 from crown.graph_algebra import q_hom
 from crown.graphs import Graph, GraphMorphism, build_C, graph_new
-from crown.linalg import Matrix, kron_power, mat_compose
+from crown.linalg import Matrix, _merged_terms, _term_shapes, kron_power, kron_sum, mat_compose
 from crown.loday import (
     DEFAULT_TENSOR_CAP,
     NatTransData,
@@ -144,6 +144,90 @@ def reference_iso_claims(n, field, x, targets) -> dict:
         "factored": factored,
         "z_zero": all(is_zero_family(z_arrows[s]) for s in (1, -1)),
     }
+
+
+def transposed(m: Matrix) -> Matrix:
+    return Matrix(m.field, m.ncols, m.nrows, m._row_dicts())
+
+
+def reference_tensor_sum_prefixes(terms, p: int):
+    """The column-tuple walk, the oracle for `linalg.tensor_sum_prefixes`.
+
+    Yields, for q = 1..p, (witness, nnz) of the sum truncated to q factors,
+    the witness column-major: (lowest nonzero column tuple, lowest nonzero
+    row tuple in it, value).  So the row-major witness of a sum is this
+    walk's witness of the transposed factors with its tuples swapped.
+    Column tuples are walked one factor at a time with, as the state of a
+    (row prefix, column prefix) pair, the vector of the terms' products;
+    each layer keeps every distinct vector once, with its smallest column
+    prefix and the number of pairs reaching it.  Same merge as the walk it
+    checks, and no work budget.
+    """
+    if terms:
+        field, shapes = _term_shapes(terms)
+        if len(shapes) != p:
+            raise ValueError("term arity mismatch")
+        terms = _merged_terms(field, terms)
+    if not terms:
+        yield from [(None, 0)] * p
+        return
+    zero, mul, add = field.zero, field.mul, field.add
+    factor_cols = [[m._cols for m in mats] for _, mats in terms]
+    layer = {tuple((k, coef) for k, (coef, _) in enumerate(terms)): [(), 1]}
+    for i, (_, ncols) in enumerate(shapes):
+        store = i < p - 1
+        stored: dict = {}
+        lowest = None  # the smallest nonzero column tuple of length i + 1
+        nnz = 0
+        for vec, (prefix, count) in layer.items():
+            for j in range(ncols):
+                cand = prefix + (j,)
+                children: dict = {}  # row -> the coefficient vector after appending column j
+                for k, val in vec:
+                    for row, v in factor_cols[k][i][j].items():
+                        children.setdefault(row, []).append((k, mul(val, v)))
+                hits = 0
+                for child in children.values():
+                    total = zero
+                    for _, val in child:
+                        total = add(total, val)
+                    hits += total != zero
+                    if store:
+                        state = stored.setdefault(tuple(child), [cand, 0])
+                        state[1] += count
+                        state[0] = min(state[0], cand)
+                if hits:
+                    nnz += hits * count
+                    if lowest is None or cand < lowest:
+                        lowest = cand
+        yield (None if lowest is None else _reference_column_witness(terms, lowest)), nnz
+        layer = stored
+
+
+def _reference_column_witness(terms, col_tuple):
+    """(col_tuple, lowest nonzero row tuple, value) of one column of the sum
+    truncated to its first len(col_tuple) factors."""
+    column = kron_sum([
+        (coef, [Matrix(m.field, m.nrows, 1, [m._cols[j]]) for m, j in zip(mats, col_tuple)])
+        for coef, mats in terms
+    ])._cols[0]
+    flat = min(column)
+    value = column[flat]
+    row_tuple = []
+    for m in reversed(terms[0][1][:len(col_tuple)]):  # mixed radix, last factor least significant
+        flat, r = divmod(flat, m.nrows)
+        row_tuple.append(r)
+    return (col_tuple, tuple(reversed(row_tuple)), value)
+
+
+def row_major_reference(terms, p: int) -> list:
+    """The oracle's (witness, nnz) at each length, its witness row-major:
+    the column walk over the transposed factors, its tuples swapped back."""
+    flipped = [(c, [transposed(m) for m in mats]) for c, mats in terms]
+    return [
+        (None if w is None else (w[1], w[0], w[2]), nnz)
+        for w, nnz in reference_tensor_sum_prefixes(flipped, p)
+    ]
 
 
 def mult_multiset(a, factors) -> dict:

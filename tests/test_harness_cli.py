@@ -22,6 +22,7 @@ from crown.harness import (
 from crown.linalg import Matrix, kron_sum
 from crown.loday import cofunctor_eval, naturality_witness
 from crown.monoid import Word, build_Z
+from conftest import row_major_reference
 
 
 def scrub_timing(payload: str) -> str:
@@ -110,9 +111,9 @@ def test_graphs_fails_on_a_strip_edge_that_skips_a_column(monkeypatch):
 
 
 def test_lemma_keeps_powers_below_the_cap(monkeypatch):
-    # at n = 5 over F2 the walk takes 69 184 work units at p = 3 and
-    # 147 392 at p = 4, so a budget of 100 000 stops p = 4 alone
-    monkeypatch.setattr(linalg, "WALK_BUDGET", 100_000)
+    # at n = 5 over F2 the walk takes 4416 work units at p = 3 and
+    # 9408 at p = 4, so a budget of 6000 stops p = 4 alone
+    monkeypatch.setattr(linalg, "WALK_BUDGET", 6000)
     (report,) = run_suite(RunConfig(n=5, field=GF(2), checks=("lemma",)))
     powers = report.details["powers"]
     assert [powers[str(p)] for p in (1, 2, 3)] == ["zero"] * 3
@@ -124,9 +125,9 @@ def test_lemma_keeps_powers_below_the_cap(monkeypatch):
 
 def test_lemma_skips_the_powers_above_an_exceeded_budget_unwalked(monkeypatch):
     # one walk decides every power and stops where its work crosses the
-    # budget: at n = 5 over F2, layer 3 reaches 69 184 work units, over 50 000
-    monkeypatch.setattr(linalg, "WALK_BUDGET", 50_000)
-    reason = "cap exceeded: streamed walk reached 69184 work units, over the budget 50000"
+    # budget: at n = 5 over F2, layer 3 reaches 4416 work units, over 3000
+    monkeypatch.setattr(linalg, "WALK_BUDGET", 3000)
+    reason = "cap exceeded: streamed walk reached 4416 work units, over the budget 3000"
     with pytest.raises(CapExceeded) as exc:
         loday.lemma_witness(5, 4, GF(2))
     assert f"cap exceeded: {exc.value}" == reason
@@ -175,6 +176,38 @@ def test_run_suite_walks_each_power_family_once(monkeypatch):
         (report,) = run_suite(RunConfig(n=3, field=GF(2), checks=(check,)))
         assert report.status in ("pass", "info"), check
         assert walks == [3 if check == "explore" else 2] * count, check
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_every_suite_walk_matches_the_column_walk_oracle(monkeypatch, field):
+    # each family the streamed checks walk at n = 2..4, the proof trace's
+    # summands included, agrees at every length with the column walk over
+    # its transposed factors
+    walks = []
+    real = linalg.tensor_sum_prefixes
+
+    def recorded(terms, p):
+        results = list(real(terms, p))
+        walks.append((terms, p, results))
+        return iter(results)
+
+    monkeypatch.setattr(linalg, "tensor_sum_prefixes", recorded)
+    monkeypatch.setattr(loday, "tensor_sum_prefixes", recorded)
+    for n in (2, 3, 4):
+        reports = run_suite(RunConfig(n=n, field=field, checks=("lemma", "transport", "iso", "explore")))
+        assert [r.status for r in reports] == ["pass", "pass", "pass", "info"], n
+    nonzero = 0
+    for terms, p, results in walks:
+        assert results == row_major_reference(terms, p)
+        nonzero += sum(witness is not None for witness, _ in results)
+    assert nonzero >= 4  # explore's top powers at n = 2, 3 and iso's families
+
+
+def test_lemma_and_transport_decide_every_power_at_level_eight():
+    reports = run_suite(RunConfig(n=8, field=GF(2), checks=("lemma", "transport")))
+    assert [r.status for r in reports] == ["pass", "pass"]
+    assert reports[0].details["powers"] == {str(p): "zero" for p in range(1, 8)}
+    assert reports[1].details["max_power"] == 7
 
 
 def test_graph_size_cap_bounds_only_the_isomorphism_searches():
@@ -273,8 +306,8 @@ def test_explore_reads_an_asymmetric_family_row_major(monkeypatch, field):
 
 
 def test_explore_materializes_nothing(monkeypatch):
-    # cofunctor_eval is never called, and every Kronecker sum built is one
-    # witness column of the p = n family, never an operator of width dim^p
+    # cofunctor_eval is never called, and no Kronecker sum wider than one
+    # column is built, so no operator of width dim^p
     def raising(*args, **kwargs):
         raise AssertionError("explore materialized a family")
 
@@ -289,7 +322,7 @@ def test_explore_materializes_nothing(monkeypatch):
     monkeypatch.setattr(linalg, "kron_sum", recording)
     (report,) = run_suite(RunConfig(n=3, field=QQ, checks=("explore",)))
     assert report.details["components"] == LEVEL_THREE_EXPLORE
-    assert widths and max(widths) == 1
+    assert all(width <= 1 for width in widths)
     (capped,) = run_suite(RunConfig(n=2, field=GF(2), checks=("explore",), max_tensor_dim=100))
     assert capped.status == "info" and "not computed" in capped.details["note"]
 

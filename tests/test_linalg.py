@@ -26,6 +26,7 @@ from conftest import (
     reference_kernel_basis_with_free,
     reference_left_inverse,
     reference_rank,
+    row_major_reference,
 )
 
 
@@ -455,16 +456,6 @@ def test_vstack_shape():
     assert mat_rank(s) == 2
 
 
-def test_transpose_swaps_rows_and_columns():
-    rng = random.Random(7)
-    for field in (QQ, GF(3)):
-        m = rand_matrix(rng, field, 3, 5)
-        t = m.transpose()
-        assert (t.nrows, t.ncols) == (5, 3)
-        assert sorted(t.to_triples()) == sorted((c, r, v) for r, c, v in m.to_triples())
-        assert t.transpose() == m
-
-
 # -- streamed tensor sums ------------------------------------------------------
 
 def last_nnz(terms, p):
@@ -479,13 +470,14 @@ def test_tensor_power_sum_cancels():
 
 
 def test_walk_raises_past_its_work_budget(monkeypatch):
-    # I (x) I: one stored entry times 3 columns per layer, 6 units in all
+    # I (x) I: the three rows of I are one row kind, so each layer is one
+    # stored entry times one kind, 2 units in all
     m = Matrix.identity(QQ, 3)
     terms = [(QQ.one, [m, m])]
-    monkeypatch.setattr(linalg, "WALK_BUDGET", 6)
+    monkeypatch.setattr(linalg, "WALK_BUDGET", 2)
     assert last_nnz(terms, 2) == 9
-    monkeypatch.setattr(linalg, "WALK_BUDGET", 5)
-    with pytest.raises(CapExceeded, match="reached 6 work units, over the budget 5"):
+    monkeypatch.setattr(linalg, "WALK_BUDGET", 1)
+    with pytest.raises(CapExceeded, match="reached 2 work units, over the budget 1"):
         tensor_product_sum_witness(terms, 2)
 
 
@@ -531,7 +523,8 @@ def rand_row_monomial(rng, field, nrows, ncols):
 
 
 def materialized_sum_witness(terms, p):
-    """Reference: build the whole sum with kron and +, then scan it.
+    """Reference: build the whole sum with kron and +, then take its first
+    entry in row-major order, as `to_triples` lists them.
 
     Row and column indices are decoded in mixed radix, factor i's digit
     ranging over its own rows or columns.
@@ -552,12 +545,11 @@ def materialized_sum_witness(terms, p):
             digits.append(digit)
         return tuple(reversed(digits))
 
-    for c in range(total.ncols):
-        col = total.col(c)
-        if col:
-            r = min(col)
-            return (unflat(c, [c for _, c in shapes]), unflat(r, [r for r, _ in shapes]), col[r])
-    return None
+    triples = total.to_triples()
+    if not triples:
+        return None
+    r, c, v = triples[0]
+    return (unflat(c, [c for _, c in shapes]), unflat(r, [r for r, _ in shapes]), v)
 
 
 def rand_sum_case(rng, field):
@@ -643,34 +635,35 @@ def test_tensor_product_sum_rejects_mismatched_terms():
         kron_sum([(QQ.one, [a]), (QQ.one, [a, a])])
 
 
-def test_tensor_product_sum_lowest_column_across_row_prefixes():
-    # Column 0 of x reaches rows 0 and 1, so after the first factor the
-    # prefix (0,) holds two row prefixes.  Row 0 cancels at last column 0
-    # and first survives at column 1; row 1 survives at column 0, which is
-    # therefore the lowest witness column even though row 0 comes first.
-    x = matrix_from_rows(QQ, [[1, 0], [1, 0]])
+def test_tensor_product_sum_lowest_row_across_column_prefixes():
+    # Row 0 of x reaches columns 0 and 1, so after the first factor the
+    # row prefix (0,) holds two column classes.  Column 0 cancels at last
+    # row 0 and first survives at row 1; column 1 survives at row 0, which
+    # is therefore the lowest witness row, and its lowest column is (1, 0)
+    # even though column 0 comes first.
+    x = matrix_from_rows(QQ, [[1, 1], [0, 0]])
     z = matrix_from_rows(QQ, [[1, 0], [0, 0]])
     y1 = Matrix.identity(QQ, 2)
     y2 = matrix_from_rows(QQ, [[1, 0], [0, 0]])
     terms = [(QQ.one, [x, y1]), (QQ.from_int(-1), [z, y2])]
     witness = tensor_product_sum_witness(terms, 2)
-    assert witness == ((0, 0), (1, 0), QQ.one)
+    assert witness == ((1, 0), (0, 0), QQ.one)
     assert witness == materialized_sum_witness(terms, 2)
 
 
 def test_tensor_product_sum_keeps_smallest_prefix_of_a_shared_state():
-    # After two factors, prefix (0, 1) from row prefix (0, 0) and prefix
-    # (0, 0) from row prefix (1, 0) reach the same coefficient vector.
-    # The first is generated earlier, but the stored prefix must be the
-    # smaller (0, 0), whose last column 0 is already nonzero at rows (1, 0, 0).
-    x1 = matrix_from_rows(QQ, [[1, 0], [1, 0]])
-    y1 = matrix_from_rows(QQ, [[1, 0], [2, 0]])
-    x2 = matrix_from_rows(QQ, [[1, 1], [0, 0]])
-    y2 = matrix_from_rows(QQ, [[1, 2], [0, 0]])
+    # After two factors, row prefix (0, 1) from column prefix (0, 0) and row
+    # prefix (0, 0) from column prefix (1, 0) reach the same state.  The
+    # stored prefix must be the smaller (0, 0), whose last row 0 is already
+    # nonzero at columns (1, 0, 0).
+    x1 = matrix_from_rows(QQ, [[1, 1], [0, 0]])
+    y1 = matrix_from_rows(QQ, [[1, 2], [0, 0]])
+    x2 = matrix_from_rows(QQ, [[1, 0], [1, 0]])
+    y2 = matrix_from_rows(QQ, [[1, 0], [2, 0]])
     eye = Matrix.identity(QQ, 2)
     terms = [(QQ.one, [x1, x2, eye]), (QQ.from_int(-1), [y1, y2, eye])]
     witness = tensor_product_sum_witness(terms, 3)
-    assert witness == ((0, 0, 0), (1, 0, 0), QQ.from_int(-1))
+    assert witness == ((1, 0, 0), (0, 0, 0), QQ.from_int(-1))
     assert witness == materialized_sum_witness(terms, 3)
 
 
@@ -752,9 +745,24 @@ def test_tensor_sum_prefixes_match_materialized_at_every_length(field):
     assert min(seen.values()) >= 20, seen  # every kind is exercised
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+def test_walk_matches_the_column_walk_oracle_at_every_length(field):
+    # the nonzero count at each length is the oracle's, and the witness is
+    # the oracle's on the transposed factors, its tuples swapped
+    rng = random.Random(53)
+    nonzero = 0
+    for k in range(240):
+        terms, p = rand_power_case(rng, field) if k % 2 else rand_sum_case(rng, field)[:2]
+        results = list(tensor_sum_prefixes(terms, p))
+        assert results == row_major_reference(terms, p)
+        nonzero += sum(witness is not None for witness, _ in results)
+    assert nonzero >= 100
+
+
 # A power family on 3x3 factors over F3 and the work units its walk has
-# reached after each length, pinned from the walk that decided one power per call
-BUDGET_CASE_WORK = {1: 12, 2: 75, 3: 237}
+# reached after each length: the entries of each layer's states times the
+# factor's row kinds, summed
+BUDGET_CASE_WORK = {1: 12, 2: 93, 3: 411}
 
 
 def budget_case():

@@ -379,11 +379,11 @@ def test_cofunctor_tensor_cap():
 
 
 def test_lemma_stream_cap(monkeypatch):
-    # the walk's work budget bounds lemma: n = 3 takes 464 units at p = 1
-    # and 2320 at p = 2, so a budget of 1000 stops p = 2 and names its total
-    monkeypatch.setattr(linalg, "WALK_BUDGET", 1000)
+    # the walk's work budget bounds lemma: n = 3 takes 32 units at p = 1
+    # and 160 at p = 2, so a budget of 100 stops p = 2 and names its total
+    monkeypatch.setattr(linalg, "WALK_BUDGET", 100)
     assert lemma_check(3, 1, QQ)
-    with pytest.raises(CapExceeded, match="reached 2320 work units, over the budget 1000"):
+    with pytest.raises(CapExceeded, match="reached 160 work units, over the budget 100"):
         lemma_check(3, 2, QQ)
 
 
