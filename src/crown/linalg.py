@@ -431,14 +431,9 @@ def tensor_sum_prefixes(terms, p: int):
         yield from [(None, 0)] * p
         return
     zero, mul, add = field.zero, field.mul, field.add
-    distinct = {id(m): m for _, mats in terms for m in mats}
-    rows = {key: m._row_dicts() for key, m in distinct.items()}
-    kinds: dict = {}  # a layer's factor ids -> its row kinds, shared by equal layers
     layer = {frozenset([(tuple((k, coef) for k, (coef, _) in enumerate(terms)), 1)]): [(), 1]}
     work = 0
-    for i in range(p):
-        key = tuple(id(mats[i]) for _, mats in terms)
-        layer_kinds = kinds[key] if key in kinds else kinds.setdefault(key, _row_kinds([rows[k] for k in key]))
+    for i, layer_kinds in enumerate(_layer_kinds(terms, p)):
         work += sum(len(vec) for state in layer for vec, _ in state) * len(layer_kinds)
         if work > WALK_BUDGET:
             raise CapExceeded(f"streamed walk reached {work} work units, over the budget {WALK_BUDGET}")
@@ -462,7 +457,7 @@ def tensor_sum_prefixes(terms, p: int):
                     lowest = lowest or prefix + (first,)
                 if child_state:
                     stored.setdefault(frozenset(child_state.items()), [prefix + (first,), 0])[1] += count * size
-        yield (None if lowest is None else _row_witness(field, terms, rows, lowest)), nnz
+        yield (None if lowest is None else _row_witness(field, terms, lowest)), nnz
         layer = stored
 
 
@@ -484,6 +479,18 @@ def _merged_terms(field, terms):
     return [(coef, mats) for coef, mats in merged.values() if coef != field.zero]
 
 
+def _layer_kinds(terms, p):
+    """The row kinds of each of the p layers, shared by layers with equal
+    factors; the row dicts they are read from are dropped on return."""
+    rows = {id(m): m._row_dicts() for _, mats in terms for m in mats}
+    keys = [tuple(id(mats[i]) for _, mats in terms) for i in range(p)]  # each layer's factor ids
+    kinds: dict = {}
+    for key in keys:
+        if key not in kinds:
+            kinds[key] = _row_kinds([rows[k] for k in key])
+    return [kinds[key] for key in keys]
+
+
 def _row_kinds(term_rows):
     """(signature, first row, number of rows) of each row kind of one layer,
     given each term's factor as row dicts, in order of first row.  A row's
@@ -499,14 +506,16 @@ def _row_kinds(term_rows):
     return [(signature, first, size) for signature, (first, size) in kinds.items()]
 
 
-def _row_witness(field, terms, rows, row_tuple):
+def _row_witness(field, terms, row_tuple):
     """(lowest nonzero column tuple, row_tuple, value) of one row of the sum
-    truncated to its first len(row_tuple) factors."""
+    truncated to its first len(row_tuple) factors, each factor's row read
+    from its columns."""
     row: dict = {}  # column tuple -> the row's entry
     for coef, mats in terms:
         partial = {(): coef}
         for m, r in zip(mats, row_tuple):
-            partial = {cols + (j,): field.mul(v, w) for cols, v in partial.items() for j, w in rows[id(m)][r].items()}
+            entries = [(j, col[r]) for j, col in enumerate(m._cols) if r in col]
+            partial = {cols + (j,): field.mul(v, w) for cols, v in partial.items() for j, w in entries}
         for cols, v in partial.items():
             row[cols] = field.add(row.get(cols, field.zero), v)
     col_tuple = min(cols for cols, v in row.items() if v != field.zero)

@@ -33,9 +33,10 @@ nonzero entry.  The composite of two families is the family of the
 monoid product (M_w M_w' = M_(w w'), certified on crown vertex maps), so
 iso walks at most 2^n words of x.x, and the alternating family once per
 sign for T and its control.  Naturality is certified per word: each word
-matrix is an algebra map.  Families are materialized only for export and
-iso's squares at p <= 2; `explore` reads the alternating family's
-witness and exact nonzero count at every p <= n from one walk.
+matrix is an algebra map, so every Loday square commutes at every power.
+Families are materialized only for export and iso's p = 1 sums;
+`explore` reads the alternating family's witness and exact nonzero count
+at every p <= n from one walk.
 """
 
 from __future__ import annotations
@@ -277,7 +278,8 @@ def naturality_witness(eta: NatTransData, max_tensor_dim: int = DEFAULT_TENSOR_C
     """First failing square, or None when every square commutes.
 
     For a surjection s: p -> q the square compares eta_q after the source
-    map with the target map after eta_p.
+    map with the target map after eta_p.  `iso` certifies naturality word
+    by word instead; this materialized form is the tests' oracle for it.
     """
     src = _LodayCache(eta.source, max_tensor_dim)
     tgt = _LodayCache(eta.target, max_tensor_dim)
@@ -335,9 +337,9 @@ def cofunctor_eval(
 
     Targets and signs are as for `_word_terms`.  Each component is one
     `kron_sum` call over the words, which never materializes a single
-    word's power.  Only export and the naturality squares at p <= 2 need
-    the materialized family; every other question about a family is a
-    streamed walk over its p = 1 word matrices.
+    word's power.  Only export needs the materialized family; every other
+    question about a family is a streamed walk over its p = 1 word
+    matrices.
     """
     field = x.field
     if target == "B":
@@ -350,10 +352,16 @@ def cofunctor_eval(
     return _family(r, alg_src, alg_tgt, terms, max_tensor_dim)
 
 
+def _check_tensor_cap(r: int, algebras, max_tensor_dim: int) -> None:
+    """The cap of every materialized family: CapExceeded when some algebra's dim^r is over it."""
+    for a in algebras:
+        if a.dim ** r > max_tensor_dim:
+            raise CapExceeded(f"tensor dimension {a.dim}^{r} exceeds cap {max_tensor_dim}")
+
+
 def _family(r: int, source: Algebra, target: Algebra, terms: list, max_tensor_dim: int) -> NatTransData:
     """The components p = 1..r of the family of (coefficient, word matrix) terms, one `kron_sum` each."""
-    if source.dim ** r > max_tensor_dim or target.dim ** r > max_tensor_dim:
-        raise CapExceeded(f"tensor dimension {source.dim}^{r} exceeds cap {max_tensor_dim}")
+    _check_tensor_cap(r, (source, target), max_tensor_dim)
     return NatTransData(r, source, target, {p: kron_sum(_power_terms(terms, p)) for p in range(1, r + 1)})
 
 
@@ -419,10 +427,10 @@ class LemmaTrace:
         )
 
 
-def _window_action_matrix(n: int, i: int, w: Word, field) -> Matrix:
-    """Matrix of the action of w restricted to window i (which is invariant)."""
+def _window_action_matrix(n: int, i: int, coords: tuple, field) -> Matrix:
+    """Matrix of the action on window i (which is invariant) of the words with `coords` on its columns."""
     fg, _ = build_F(n, i)
-    mapping = {(j, v): (j, w.coords[j - 1] * v) for (j, v) in fg.vertices}
+    mapping = {(j, v): (j, coords[j - 2 * i + 1] * v) for (j, v) in fg.vertices}
     return q_hom(morphism_new(mapping, fg, fg), field)
 
 
@@ -452,22 +460,28 @@ def lemma_proof_trace(n: int, p: int, field=QQ) -> LemmaTrace:
         left_inverse(e1)  # raises unless L @ e1 == identity
         left_ok = True
 
-    # Z's words include every g_i, which the off-window step reads
+    # Z's words include every g_i, which the off-window step reads; a
+    # window matrix depends on the window's coordinates only, two per window
     z = build_Z(n, field)
-    window_mats = {(i, w): _window_action_matrix(n, i, w, field) for i in range(1, n + 1) for w in z.terms}
+
+    def window(i, w):
+        return i, w.coords[2 * i - 2:2 * i + 1]
+
+    keys = dict.fromkeys(window(i, w) for i in range(1, n + 1) for w in z.terms)
+    window_mats = {key: _window_action_matrix(n, *key, field) for key in keys}
     # the stacked identity e1 . M_w == diag(W_i) . e1, read block by block
     intertwining_ok = True
     for w in z.terms:
         mb = _action_matrix(n, w, 1, "B", field)
         if any(
-            mat_compose(e, mb) != mat_compose(window_mats[(i, w)], e)
+            mat_compose(e, mb) != mat_compose(window_mats[window(i, w)], e)
             for i, e in enumerate(restrictions, start=1)
         ):
             intertwining_ok = False
             break
 
     off_window = [
-        window_mats[(i_prime, gen_g(n, i))]
+        window_mats[window(i_prime, gen_g(n, i))]
         for i in range(1, n + 1)
         for i_prime in range(1, n + 1)
         if i_prime != i
@@ -484,7 +498,7 @@ def lemma_proof_trace(n: int, p: int, field=QQ) -> LemmaTrace:
 
     summands_ok = True
     for tup, _ in tuples:
-        terms = [(c, [window_mats[(i, w)] for i in tup]) for w, c in z.terms.items()]
+        terms = [(c, [window_mats[window(i, w)] for i in tup]) for w, c in z.terms.items()]
         if tensor_product_sum_witness(terms, p) is not None:
             summands_ok = False
             break
@@ -548,21 +562,16 @@ class IsoReport:
     field_name: str
     homset_ok: bool
     certified_ok: object  # every word matrix is an algebra map; None when not attempted
-    squares_ok: object  # the naturality squares at p <= 2; None when not attempted
     inverse_ok: bool
     z_component_zero: bool
     factored_identity_ok: bool
     witness: dict = dc_field(default_factory=dict)
-    skip_reason: str = ""
     control: object = None  # on the twist element's report: the alternating element's, which must fail
 
     @property
     def status(self):
-        claims = (self.homset_ok, self.certified_ok, self.squares_ok, self.inverse_ok, self.z_component_zero,
-                  self.factored_identity_ok)
-        if any(ok is False for ok in claims):
-            return "FAIL"
-        return "SKIPPED" if self.squares_ok is None else "PASS"
+        claims = (self.homset_ok, self.certified_ok, self.inverse_ok, self.z_component_zero, self.factored_identity_ok)
+        return "FAIL" if any(ok is False for ok in claims) else "PASS"
 
 
 class _CrownFamilies:
@@ -570,6 +579,8 @@ class _CrownFamilies:
 
     def __init__(self, n: int, field, max_tensor_dim: int):
         self.n, self.field, self.cap = n, field, max_tensor_dim
+        self.crowns = {s: q_ungraded(build_C(n, s)[0], field) for s in (1, -1)}
+        _check_tensor_cap(1, self.crowns.values(), max_tensor_dim)  # before any word matrix or walk
         self.crown_map = crown_map = functools.cache(lambda w, s: act_on_C(n, w, s))
         self.matrix = functools.cache(lambda w, s: _action_matrix(n, w, s, "C", field, crown_map(w, s)))
         # Z's family on s -> s is walked once per sign, for both elements
@@ -592,16 +603,16 @@ class _CrownFamilies:
 
     def report(self, x: MonoidAlgElem) -> IsoReport:
         """The sub-claims and naturality of x's two families, as `iso_check` describes them."""
-        n, field, r = self.n, self.field, self.n - 1
+        n, field, r, crowns = self.n, self.field, self.n - 1, self.crowns
         targets = {s: act_on_U(min(x.terms, key=Word.sort_key), s) for s in (1, -1)}
         off = next((s for s in (1, -1) if not homset_member(x, s, targets[s])), None)
         if off is not None or targets[targets[1]] != 1:
             reason = f"support not constant on sign {off}" if off else "families do not cross back"
-            return IsoReport(n, r, field.name, False, False, False, False, False, False, {"homset": reason})
+            return IsoReport(n, r, field.name, False, False, False, False, False, {"homset": reason})
 
         witness: dict = {}
         families = {s: self.terms(x, s) for s in (1, -1)}
-        sums = {s: kron_sum(_power_terms(families[s], 1)) for s in (1, -1)}
+        sums = {s: _family(1, crowns[targets[s]], crowns[s], families[s], self.cap).components[1] for s in (1, -1)}
         square = x * x
         for s in (1, -1):
             composites, alt_zero = self.terms(square, s), self.alt_zero[s]
@@ -627,26 +638,15 @@ class _CrownFamilies:
 
         claims = tuple(key not in witness for key in ("inverse", "z_component", "factored"))
         if not all(claims):
-            # the status is FAIL already; naturality would only cost time
-            return IsoReport(n, r, field.name, True, None, None, *claims, witness, "a streamed sub-claim failed")
-        crowns = {s: q_ungraded(build_C(n, s)[0], field) for s in (1, -1)}
+            # the status is FAIL already; the certificate would only cost time
+            return IsoReport(n, r, field.name, True, None, *claims, witness)
         certified_ok = True
         for s in (1, -1):
             for k, (_, m) in enumerate(families[s]):
                 if not is_multiplicative(crowns[targets[s]], crowns[s], m):
                     certified_ok = False
                     witness.setdefault(f"certificate_{s}", f"word matrix {k} on sign {s} is not an algebra map")
-        squares_ok, skip_reason = True, ""
-        try:
-            for s in (1, -1):
-                eta = _family(min(r, 2), crowns[targets[s]], crowns[s], families[s], self.cap)
-                w = naturality_witness(eta, self.cap)
-                if w is not None:
-                    squares_ok = False
-                    witness[f"naturality_{s}"] = w
-        except CapExceeded as exc:
-            squares_ok, skip_reason = None, f"cap exceeded: {exc}"
-        return IsoReport(n, r, field.name, True, certified_ok, squares_ok, *claims, witness, skip_reason)
+        return IsoReport(n, r, field.name, True, certified_ok, *claims, witness)
 
 
 def iso_check(n: int, field=QQ, max_tensor_dim: int = DEFAULT_TENSOR_CAP) -> IsoReport:
@@ -670,9 +670,10 @@ def iso_check(n: int, field=QQ, max_tensor_dim: int = DEFAULT_TENSOR_CAP) -> Iso
     at every p by one `is_multiplicative` call per word matrix:
     M_w mu_2 = mu_2 (M_w (x) M_w) gives M_w mu_k = mu_k M_w^(x)k by
     induction on k, Kronecker powers commute with reordering the input
-    positions, and sums of natural families are natural.  The squares are
-    cross-checked at p <= min(n-1, 2) only; over `max_tensor_dim` they are
-    not attempted and the status is SKIPPED, never PASS.
+    positions, and sums of natural families are natural.  No square is
+    materialized; the status is PASS or FAIL.  The only materialized
+    families are premise (b)'s p = 1 sums, so a crown dimension over
+    `max_tensor_dim` raises `CapExceeded` before any word matrix or walk.
     """
     if n < 2:
         raise ValueError("crown checks need level >= 2")

@@ -20,7 +20,7 @@ from crown.harness import (
     run_suite,
 )
 from crown.linalg import Matrix, kron_sum
-from crown.loday import cofunctor_eval, naturality_witness
+from crown.loday import cofunctor_eval
 from crown.monoid import Word, build_Z
 from conftest import row_major_reference
 
@@ -328,17 +328,23 @@ def test_explore_materializes_nothing(monkeypatch):
 
 
 def test_iso_control_attempts_no_naturality(monkeypatch):
-    # only the twist element's two families reach naturality; the report
-    # of the control is its status and streamed witnesses, as before
+    # only the twist element's word matrices reach the naturality
+    # certificate, 3 per sign at n = 2, and no square is materialized; the
+    # report of the control is its status and streamed witnesses, as before
     calls = []
+    certify = loday.is_multiplicative
 
-    def counting(eta, cap):
-        calls.append(eta)
-        return naturality_witness(eta, cap)
+    def counting(source, target, m):
+        calls.append(m)
+        return certify(source, target, m)
 
-    monkeypatch.setattr(loday, "naturality_witness", counting)
+    def raising(*args, **kwargs):
+        raise AssertionError("naturality square materialized")
+
+    monkeypatch.setattr(loday, "is_multiplicative", counting)
+    monkeypatch.setattr(loday, "naturality_witness", raising)
     (report,) = run_suite(RunConfig(n=2, field=QQ, checks=("iso",)))
-    assert report.status == "pass" and len(calls) == 2
+    assert report.status == "pass" and len(calls) == 2 * 3
     assert report.details["negative_control"] == {
         "status": "FAIL",
         "witness": {
@@ -500,31 +506,40 @@ def test_cli_verify_level_four_iso_passes(tmp_path, capsys):
     assert "PASS    iso" in capsys.readouterr().out
     (iso,) = json.loads(path.read_text())["reports"]
     assert iso["status"] == "pass" and iso["details"]["iso"]["status"] == "PASS"
-    assert iso["details"]["iso"]["natural"] == {"certified": {"status": "pass"}, "squares_p_le_2": {"status": "pass"}}
+    assert iso["details"]["iso"]["natural"] == {"certified": {"status": "pass"}}
     assert iso["details"]["negative_control"]["status"] == "FAIL"
 
 
 def test_cli_verify_level_four_iso_skips_naturality_alone(tmp_path, capsys):
-    # 72^2 exceeds the lowered tensor cap: the p <= 2 squares are not
-    # attempted, the certificate and the streamed sub-claims hold, the
-    # negative control fails, and iso is skipped, not passed
+    # iso materializes only its p = 1 sums: a cap between the crown
+    # dimension 72 and 72^2 leaves it passing, with the certificate, the
+    # streamed sub-claims and the failing negative control; a cap below 72
+    # skips iso before any work, and transport, which materializes
+    # nothing, passes under both
     path = tmp_path / "report.json"
     rc = main(["verify", "--n", "4", "--field", "fp:2", "--checks", "iso,transport", "--max-tensor-dim", "5000",
                "--json", str(path)])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "PASS    transport" in out and "SKIPPED iso" in out
-    assert "naturality squares at p <= 2 not attempted" in out
+    assert "PASS    transport" in capsys.readouterr().out
     transport, iso = json.loads(path.read_text())["reports"]
     assert transport["details"]["max_power"] == 3
     assert all(transport["details"][name] for name in ("1", "g1", "h4", "T", "Z"))
-    assert iso["status"] == "skipped"
+    assert iso["status"] == "pass"
     claims = iso["details"]["iso"]
-    assert claims["status"] == "SKIPPED"
-    assert claims["natural"]["certified"] == {"status": "pass"}
-    assert claims["natural"]["squares_p_le_2"]["status"] == "skipped"
+    assert claims["status"] == "PASS"
+    assert claims["natural"] == {"certified": {"status": "pass"}}
     assert claims["mutually_inverse"] and claims["factored_identity"] and claims["alternating_family_zero"]
     assert iso["details"]["negative_control"]["status"] == "FAIL"
+
+    rc = main(["verify", "--n", "4", "--field", "fp:2", "--checks", "iso,transport", "--max-tensor-dim", "50",
+               "--json", str(path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "PASS    transport" in out and "SKIPPED iso" in out
+    transport, iso = json.loads(path.read_text())["reports"]
+    assert transport["status"] == "pass"
+    assert iso["status"] == "skipped"
+    assert iso["details"] == {"reason": "cap exceeded: tensor dimension 72^1 exceeds cap 50"}
 
 
 def test_cli_rejects_bad_usage(capsys):

@@ -1,6 +1,5 @@
 import itertools
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -453,7 +452,7 @@ def test_lemma_trace_fails_when_windows_do_not_intertwine(monkeypatch):
     monkeypatch.setattr(
         loday,
         "_window_action_matrix",
-        lambda n, i, w, field: Matrix.identity(field, window_action(n, i, w, field).nrows),
+        lambda n, i, coords, field: Matrix.identity(field, window_action(n, i, coords, field).nrows),
     )
     trace = lemma_proof_trace(2, 1, QQ)
     assert trace.intertwining_ok is False
@@ -461,25 +460,40 @@ def test_lemma_trace_fails_when_windows_do_not_intertwine(monkeypatch):
 
 
 def test_lemma_trace_fails_when_one_summand_matrix_is_perturbed(monkeypatch):
-    # negative control for the summand expansion over Z's words: g_1's
-    # window-1 matrix plus one entry breaks the cancellation on tuple (1, 1)
-    window_action = loday._window_action_matrix
+    # negative control for the summand expansion over Z's words: a window
+    # matrix is shared by every word with the same window coordinates, so
+    # the words pair up with opposite signs; g_1's coefficient changed by
+    # one breaks that cancellation on tuple (1, 1) and leaves the window
+    # matrices, the intertwining and the off-window step alone
+    z = build_Z(3, QQ)
     g1 = gen_g(3, 1)
+    perturbed = MonoidAlgElem(QQ, 3, {**z.terms, g1: QQ.add(z.terms[g1], QQ.one)})
+    monkeypatch.setattr(loday, "build_Z", lambda n, field: perturbed)
+    trace = lemma_proof_trace(3, 2, QQ)
+    assert trace.summand_annihilation_ok is False
+    assert trace.intertwining_ok and trace.off_window_identity_ok
 
-    def perturbed(n, i, w, field):
-        m = window_action(n, i, w, field)
-        if (i, w) == (1, g1):
-            m = m + Matrix.from_entries(field, m.nrows, m.ncols, [(0, 0, field.one)])
-        return m
 
-    monkeypatch.setattr(loday, "_window_action_matrix", perturbed)
-    assert lemma_proof_trace(3, 2, QQ).summand_annihilation_ok is False
+def test_lemma_trace_builds_two_window_matrices_per_window(monkeypatch):
+    # a window matrix reads the window's three coordinates only, and Z's
+    # words take two values there (with or without g_i)
+    built = []
+    window_action = loday._window_action_matrix
+
+    def recording(n, i, coords, field):
+        built.append((i, coords))
+        return window_action(n, i, coords, field)
+
+    monkeypatch.setattr(loday, "_window_action_matrix", recording)
+    assert lemma_proof_trace(4, 2, GF(2)).passed
+    assert sorted(built) == [(i, (1, c, 1)) for i in range(1, 5) for c in (0, 1)]
 
 
 @pytest.mark.parametrize("side", ["window", "strip"])
 def test_lemma_trace_fails_when_one_z_word_does_not_intertwine(monkeypatch, side):
-    # negative control for (ii) over Z's words: one entry more on the window-3
-    # matrix or the strip matrix of g_1 g_2 alone, a word that is no generator
+    # negative control for (ii) over Z's words: one entry more on the strip
+    # matrix of g_1 g_2 alone, a word that is no generator, or on the
+    # window-3 matrix of the words with g_3, which the off-window step never reads
     word = gen_g(3, 1) * gen_g(3, 2)
     window_action, action = loday._window_action_matrix, loday._action_matrix
 
@@ -490,8 +504,9 @@ def test_lemma_trace_fails_when_one_z_word_does_not_intertwine(monkeypatch, side
         monkeypatch.setattr(
             loday,
             "_window_action_matrix",
-            lambda n, i, w, field: bumped(window_action(n, i, w, field), field) if (i, w) == (3, word)
-            else window_action(n, i, w, field),
+            lambda n, i, coords, field: bumped(window_action(n, i, coords, field), field)
+            if (i, coords) == (3, gen_g(3, 3).coords[4:7])
+            else window_action(n, i, coords, field),
         )
     else:
         monkeypatch.setattr(
@@ -672,7 +687,7 @@ def test_transport_matches_the_materialized_squares(field, n):
 def test_iso_level_two_rationals():
     report = iso_check(2, QQ)
     assert report.status == "PASS"
-    assert report.certified_ok and report.squares_ok and report.inverse_ok
+    assert report.certified_ok and report.inverse_ok
     assert report.z_component_zero and report.factored_identity_ok
 
 
@@ -689,38 +704,31 @@ def test_iso_negative_control_fails():
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_iso_skips_naturality_after_a_failed_sub_claim(monkeypatch, field):
-    # the control fails in the streamed sub-claims, so neither the
-    # certificate nor the squares run on its word matrices: both see only
-    # the twist element's, 7 words per sign at n = 3, and its two families
-    seen = {"certificate": [], "squares": []}
-    certify, squares = loday.is_multiplicative, loday.naturality_witness
+    # the control fails in the streamed sub-claims, so the certificate never
+    # runs on its word matrices: it sees only the twist element's, 7 words
+    # per sign at n = 3, and no naturality square is materialized
+    seen = []
+    certify = loday.is_multiplicative
 
     def certifying(source, target, m):
-        seen["certificate"].append(m)
+        seen.append(m)
         return certify(source, target, m)
-
-    def squaring(eta, *args):
-        seen["squares"].append(eta.components[1])
-        return squares(eta, *args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(loday, "is_multiplicative", certifying)
-        patch.setattr(loday, "naturality_witness", squaring)
-        report = iso_check(3, field)
-    twist = {s: loday._word_terms(3, build_T(3, field), s, -s, "C") for s in (1, -1)}
-    assert seen["certificate"] == [m for s in (1, -1) for _, m in twist[s]]
-    assert seen["squares"] == [kron_sum(loday._power_terms(twist[s], 1)) for s in (1, -1)]
-    assert report.status == "PASS"
 
     def raising(*args, **kwargs):
         raise AssertionError("naturality attempted after a failed sub-claim")
 
     monkeypatch.setattr(loday, "naturality_witness", raising)
+    with monkeypatch.context() as patch:
+        patch.setattr(loday, "is_multiplicative", certifying)
+        report = iso_check(3, field)
+    twist = {s: loday._word_terms(3, build_T(3, field), s, -s, "C") for s in (1, -1)}
+    assert seen == [m for s in (1, -1) for _, m in twist[s]]
+    assert report.status == "PASS"
+
     monkeypatch.setattr(loday, "is_multiplicative", raising)
     control = report.control
     assert control.status == "FAIL"
-    assert control.certified_ok is None and control.squares_ok is None
-    assert control.skip_reason == "a streamed sub-claim failed"
+    assert control.certified_ok is None
     assert not control.inverse_ok and not control.factored_identity_ok and control.z_component_zero
     assert set(control.witness) == {"inverse", "factored"}
     with pytest.raises(AssertionError):
@@ -746,12 +754,10 @@ def streamed_claims(report):
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 @pytest.mark.parametrize("n", [2, 3])
 def test_iso_sub_claims_match_the_materialized_composites(field, n):
-    # the naturality squares are capped away, so the status is never PASS
-    twist = iso_check(n, field, max_tensor_dim=1)
+    twist = iso_check(n, field)
     for element, build in (("T", build_T), ("Z", build_Z)):
         report = twist if element == "T" else twist.control
-        assert report.squares_ok is None
-        assert report.status == ("SKIPPED" if element == "T" else "FAIL")
+        assert report.status == ("PASS" if element == "T" else "FAIL")
         expected = reference_iso_claims(n, field, build(n, field), ISO_TARGETS[element])
         assert streamed_claims(report) == expected, element
         assert expected == (
@@ -772,7 +778,7 @@ def test_iso_sub_claims_fail_with_a_perturbed_word_matrix(monkeypatch):
         ):
             with monkeypatch.context() as patch:
                 perturb_crown_word(patch, min(build(2, field).terms, key=Word.sort_key))
-                report = iso_check(2, field, max_tensor_dim=1)
+                report = iso_check(2, field)
                 assert streamed_claims(report) == reference_iso_claims(2, field, x, ISO_TARGETS["T"]) == expected
             assert report.status == "FAIL"
 
@@ -829,7 +835,7 @@ def test_iso_walks_the_inverse_only_where_the_other_two_families_do_not_decide_i
             walks = []
             real = loday.tensor_sum_prefixes
             patch.setattr(loday, "tensor_sum_prefixes", lambda terms, p: walks.append(p) or real(terms, p))
-            twist = iso_check(n, field, max_tensor_dim=1)
+            twist = iso_check(n, field)
             oracle = {element: three_walk_sub_claims(n, field, element) for element in ("T", "Z")}
         assert walks == [n - 1] * walk_count, words
         for element, report in (("T", twist), ("Z", twist.control)):
@@ -839,10 +845,9 @@ def test_iso_walks_the_inverse_only_where_the_other_two_families_do_not_decide_i
 
 
 def test_iso_level_four_f2_with_naturality_capped():
-    # the squares stop at p = 2 (72^2 is under the default tensor cap), and
-    # the certificate covers every power
+    # the certificate covers every power, and no square is materialized
     report = iso_check(4, GF(2))
-    assert report.certified_ok and report.squares_ok and report.skip_reason == ""
+    assert report.certified_ok
     assert report.inverse_ok and report.factored_identity_ok and report.z_component_zero
     assert report.status == "PASS"
     control = report.control
@@ -892,10 +897,26 @@ def test_a_perturbed_twist_word_fails_the_certificate_and_the_squares(monkeypatc
     assert report.status == "FAIL" and report.certified_ok is None
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_iso_fails_when_one_word_matrix_is_not_an_algebra_map(monkeypatch, field):
+    # the certificate is iso's only evidence of naturality: one word matrix
+    # that fails it, the first on sign -1 (after T's 7 on sign 1), fails iso
+    # with the other sub-claims still holding
+    verdicts = iter([True] * 7 + [False])
+    certify = loday.is_multiplicative
+    monkeypatch.setattr(loday, "is_multiplicative", lambda *args: next(verdicts, True) and certify(*args))
+    report = iso_check(3, field)
+    assert report.status == "FAIL" and report.certified_ok is False
+    assert report.inverse_ok and report.factored_identity_ok and report.z_component_zero
+    assert report.witness == {"certificate_-1": "word matrix 0 on sign -1 is not an algebra map"}
+    assert report.control.status == "FAIL"
+
+
 def test_iso_materializes_nothing_above_power_two(monkeypatch):
-    # the certificate covers p = 3; the squares stop at p = 2.  iso builds
-    # its families from the word matrices it already holds, through the
-    # same `_family` that `cofunctor_eval` materializes with
+    # the certificate covers every power, so iso materializes only premise
+    # (b)'s p = 1 sums, one per sign for each element, from the word
+    # matrices it already holds, through the same `_family` that
+    # `cofunctor_eval` materializes with
     powers = []
     family = loday._family
 
@@ -905,7 +926,24 @@ def test_iso_materializes_nothing_above_power_two(monkeypatch):
 
     monkeypatch.setattr(loday, "_family", recording)
     report = iso_check(4, GF(2))
-    assert report.status == "PASS" and powers == [2, 2]
+    assert report.status == "PASS" and powers == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_iso_under_a_cap_below_the_crown_dimension_does_no_work(monkeypatch, field):
+    # the crown algebras have dimension 36 at n = 2: a cap of 35 stops iso
+    # before it builds a word matrix or starts a walk; a cap of 36, below
+    # 36^2, leaves it passing
+    def raising(*args, **kwargs):
+        raise AssertionError("work started over the cap")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(loday, "tensor_sum_prefixes", raising)
+        patch.setattr(loday, "_action_matrix", raising)
+        with pytest.raises(CapExceeded, match="tensor dimension 36\\^1 exceeds cap 35"):
+            iso_check(2, field, max_tensor_dim=35)
+    report = iso_check(2, field, max_tensor_dim=36)
+    assert report.status == "PASS" and report.control.status == "FAIL"
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
@@ -928,17 +966,16 @@ def test_iso_fails_when_a_twist_word_acts_as_another(monkeypatch, field):
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_iso_composes_once_per_sign_and_walks_the_alternating_family_once(monkeypatch, field):
-    # the composites come from the monoid product: the only products outside
-    # the naturality squares are premise (b)'s, one per sign (the control's
-    # sums are zero and need none), where the pairwise composites took
-    # 7^2 + 8^2 per sign; Z's crown family is walked once per sign
+    # the composites come from the monoid product: the only products are
+    # premise (b)'s, one per sign (the control's sums are zero and need
+    # none), where the pairwise composites took 7^2 + 8^2 per sign; Z's
+    # crown family is walked once per sign
     n = 3
     composes, walks = [], []
     compose, walk = loday.mat_compose, loday.tensor_sum_prefixes
 
     def counting(a, b):
-        if sys._getframe(1).f_code.co_name != "naturality_witness":
-            composes.append((a.nrows, b.ncols))
+        composes.append((a.nrows, b.ncols))
         return compose(a, b)
 
     monkeypatch.setattr(loday, "mat_compose", counting)
