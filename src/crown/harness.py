@@ -378,14 +378,14 @@ def _check_functor(config: RunConfig):
     details: dict = {}
     failures = []
     window = ga.q_ungraded(gr.build_F(n, 1)[0], f)
-    ok_window = ld.functor_check(window, 2, max_tensor_dim=config.max_tensor_dim)
+    ok_window = ld.functor_check(window, 2)
     details["window_r2"] = ok_window
     if not ok_window:
         failures.append("window functor laws")
-    r_crown = min(n - 1, 2)
+    r_crown = n - 1
     for s, tag in ((1, "plus"), (-1, "minus")):
         alg = ga.q_ungraded(gr.build_C(n, s)[0], f)
-        ok = ld.functor_check(alg, r_crown, max_tensor_dim=config.max_tensor_dim)
+        ok = ld.functor_check(alg, r_crown)
         details[f"crown_{tag}_r{r_crown}"] = ok
         if not ok:
             failures.append(f"crown functor laws ({tag})")

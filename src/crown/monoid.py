@@ -78,9 +78,17 @@ class Word:
 
 
 def word_mul(a: Word, b: Word) -> Word:
+    """The componentwise product, not re-validated: a product of valid words is valid.
+
+    Its odd entries are products of nonzero signs, and each adjacent
+    product is (a_j a_(j+1)) (b_j b_(j+1)), a product of two values in
+    {0, 1}.
+    """
     if a.n != b.n:
         raise ValueError(f"level mismatch: {a.n} != {b.n}")
-    return Word(tuple(x * y for x, y in zip(a.coords, b.coords)))
+    w = object.__new__(Word)
+    object.__setattr__(w, "coords", tuple(x * y for x, y in zip(a.coords, b.coords)))
+    return w
 
 
 def _extend(prefixes):

@@ -9,9 +9,9 @@ from crown.loday import (
     DEFAULT_TENSOR_CAP,
     NatTransData,
     Surjection,
+    _gather,
     _LodayCache,
     cofunctor_eval,
-    naturality_witness,
     surj_compose,
     surjections,
 )
@@ -97,6 +97,28 @@ def is_zero_family(eta: NatTransData) -> bool:
 
 def is_identity_surjection(s) -> bool:
     return s.images == tuple(range(1, s.p + 1))
+
+
+def naturality_witness(eta: NatTransData):
+    """First failing square, or None when every square commutes.
+
+    For a surjection s: p -> q the square compares eta_q after the source
+    map with the target map after eta_p.  `loday.iso_check` certifies
+    naturality word by word instead; this materialized form is the oracle
+    for it.
+    """
+    src = _LodayCache(eta.source, DEFAULT_TENSOR_CAP)
+    tgt = _LodayCache(eta.target, DEFAULT_TENSOR_CAP)
+    for p in range(1, eta.r + 1):
+        for q in range(1, p + 1):
+            for s in surjections(p, q):
+                lhs = mat_compose(eta.components[q], src.mat(s))
+                rhs = mat_compose(tgt.mat(s), eta.components[p])
+                if lhs != rhs:
+                    diff = lhs - rhs
+                    r, c, v = diff.to_triples()[0]
+                    return {"surjection": repr(s), "row": r, "col": c, "value": str(v)}
+    return None
 
 
 def naturality_check(eta: NatTransData) -> bool:
@@ -276,12 +298,59 @@ def reference_loday_matrix(a, s) -> Matrix:
     return Matrix(f, d**s.q, d**s.p, cols)
 
 
+def generating_surjections(q: int) -> list:
+    """The adjacent swaps q -> q and the adjacent merges q -> q - 1.
+
+    Every surjection is a permutation (a product of adjacent swaps)
+    followed by an order-preserving surjection (a product of adjacent
+    merges), so these generate the surjection category.
+    """
+    gens = []
+    for j in range(1, q):
+        swap = list(range(1, q + 1))
+        swap[j - 1], swap[j] = j + 1, j
+        gens.append(Surjection(q, q, tuple(swap)))
+        gens.append(Surjection(q, q - 1, tuple(i if i <= j else i - 1 for i in range(1, q + 1))))
+    return gens
+
+
+def generator_functor_check(a, r: int) -> bool:
+    """The functor laws on materialized Loday matrices, composed against generators only.
+
+    The materialized oracle for `loday.functor_check`, which decides the
+    laws from the structure table.  Adjacent swaps and merges generate all
+    surjections, so given L(id) = I it suffices that L(g s) = L(g) L(s) for
+    each generator g and every s: by induction on t = g_1...g_k,
+    L(t) = L(g_1)...L(g_k) and L(t s) = L(t) L(s).  L(s) is the product P
+    of its fibre-size pattern with its columns reindexed, and a column of
+    L(g) P depends only on that column of P, so L(g) L(s) is L(g) P
+    reindexed the same way: one composite per generator and pattern, held
+    one at a time, serves every s of the pattern.
+    """
+    cache = _LodayCache(a, DEFAULT_TENSOR_CAP)
+    for p in range(1, r + 1):
+        if cache.mat(Surjection.identity(p)) != Matrix.identity(a.field, a.dim ** p):
+            return False
+    for p in range(2, r + 1):
+        for q in range(2, p + 1):  # no generator starts at q = 1
+            groups: dict = {}  # by fibre sizes
+            for s in surjections(p, q):
+                groups.setdefault(tuple(map(s.images.count, range(1, q + 1))), []).append(s)
+            for sizes, group in groups.items():
+                for g in generating_surjections(q):
+                    composite = mat_compose(cache.mat(g), cache._product(sizes))._cols
+                    for s in group:
+                        if cache.mat(surj_compose(g, s))._cols != _gather(composite, cache._layout(s)[1]):
+                            return False
+    return True
+
+
 def reference_functor_check(a, r: int) -> bool:
     """The functor laws with every composable pair (t, s) composed in full.
 
-    The oracle for `loday.functor_check`, which composes only against
-    generating surjections.  It reads the same `_LodayCache`, so a patched
-    cache reaches both.
+    The oracle for `loday.functor_check` and `generator_functor_check`.
+    It reads the same `_LodayCache` as the latter, so a patched cache
+    reaches both.
     """
     cache = _LodayCache(a, DEFAULT_TENSOR_CAP)
     for p in range(1, r + 1):

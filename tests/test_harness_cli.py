@@ -342,7 +342,7 @@ def test_iso_control_attempts_no_naturality(monkeypatch):
         raise AssertionError("naturality square materialized")
 
     monkeypatch.setattr(loday, "is_multiplicative", counting)
-    monkeypatch.setattr(loday, "naturality_witness", raising)
+    monkeypatch.setattr(loday, "_LodayCache", raising)
     (report,) = run_suite(RunConfig(n=2, field=QQ, checks=("iso",)))
     assert report.status == "pass" and len(calls) == 2 * 3
     assert report.details["negative_control"] == {

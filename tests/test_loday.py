@@ -9,6 +9,7 @@ from crown.fields import GF, QQ
 from crown.graph_algebra import Algebra, annihilator_grading, is_multiplicative, q_ungraded
 from crown.graphs import build_C, graph_new, is_admissible
 from crown import linalg, loday
+from crown.harness import RunConfig, run_suite
 from crown.linalg import Matrix, _merged_terms, kron_sum, mat_compose, tensor_product_sum_witness
 from crown.loday import (
     NatTransData,
@@ -20,7 +21,6 @@ from crown.loday import (
     lemma_proof_trace,
     lemma_witness,
     loday_matrix,
-    naturality_witness,
     surj_compose,
     surjections,
     transport_square_check,
@@ -34,13 +34,17 @@ from crown.monoid import (
     gen_g,
     gen_h,
 )
+import conftest
 from conftest import (
+    generating_surjections,
+    generator_functor_check,
     identity_family,
     is_associative,
     is_identity_family,
     is_identity_surjection,
     is_zero_family,
     naturality_check,
+    naturality_witness,
     random_graph,
     reference_functor_check,
     reference_is_multiplicative,
@@ -223,6 +227,20 @@ def test_functor_check_rejects_a_perturbed_crown_algebra():
     assert not functor_check(alg, 3)
 
 
+def test_functor_check_finds_a_failure_whose_left_side_is_structurally_zero():
+    # e0 e1 = 0, so (e0 e1) e2 = 0 makes (0, 1, 2) no candidate, while
+    # e0 (e1 e2) = e0 e3 = e5; the reversed triple (2, 1, 0) states the same
+    # equation with its left side (e2 e1) e0 = e5 nonzero.  The candidates
+    # with i <= j, (1, 2, 0) and (0, 2, 1), both hold.
+    for field in (QQ, GF(2)):
+        e = field.one
+        table = {(1, 2): {3: e}, (0, 3): {5: e}, (0, 2): {4: e}, (1, 4): {5: e}}
+        alg = Algebra(field, range(6), table)
+        assert functor_check(alg, 2)
+        assert not functor_check(alg, 3)
+        assert not reference_functor_check(alg, 3)
+
+
 def test_generating_surjections_reach_every_surjection():
     for p in range(1, 5):
         reached = {Surjection.identity(p)}
@@ -231,7 +249,7 @@ def test_generating_surjections_reach_every_surjection():
             frontier = [
                 c
                 for s in frontier
-                for g in loday._generating_surjections(s.q)
+                for g in generating_surjections(s.q)
                 if (c := surj_compose(g, s)) not in reached
             ]
             reached.update(frontier)
@@ -252,32 +270,54 @@ def functor_differential_cases():
     return cases
 
 
-@pytest.mark.parametrize(
-    "alg",
-    loday_differential_cases()
-    + functor_differential_cases()
-    + [pytest.param(perturbed_crown_algebra(GF(2)), id="perturbed-crown-GF(2)")],
-)
-def test_functor_check_matches_the_all_pairs_oracle(alg):
-    for r in (1, 2, 3):
-        assert functor_check(alg, r) == reference_functor_check(alg, r), r
+def functor_oracle_cases():
+    """The differential cases with the highest level each is compared at: 4 on `hand_algebra`, else 3."""
+    cases = (
+        loday_differential_cases()
+        + functor_differential_cases()
+        + [pytest.param(perturbed_crown_algebra(GF(2)), id="perturbed-crown-GF(2)")]
+    )
+    return [pytest.param(*case.values, 4 if case.id.startswith("hand-") else 3, id=case.id) for case in cases]
+
+
+@pytest.mark.parametrize("alg, top", functor_oracle_cases())
+def test_functor_check_matches_the_all_pairs_oracle(alg, top):
+    for r in range(1, top + 1):
+        expected = reference_functor_check(alg, r)
+        assert functor_check(alg, r) == expected, r
+        assert generator_functor_check(alg, r) == expected, r
+
+
+def test_functor_check_builds_no_loday_matrix(monkeypatch):
+    def raising(*args, **kwargs):
+        raise AssertionError("functor materialized a matrix")
+
+    for name in ("kron_sum", "mat_compose", "_LodayCache"):
+        monkeypatch.setattr(loday, name, raising)
+    for name in ("kron_sum", "mat_compose"):
+        monkeypatch.setattr(linalg, name, raising)
+    assert functor_check(hand_algebra(QQ), 2) and not functor_check(hand_algebra(QQ), 4)
+    assert functor_check(q_ungraded(build_C(4, 1)[0], GF(2)), 6)
+    (report,) = run_suite(RunConfig(n=4, field=GF(2), checks=("functor",)))
+    assert report.status == "pass" and report.details["crown_minus_r3"] is True
 
 
 def test_functor_check_composes_once_per_generator_and_fibre_size_pattern(monkeypatch):
-    # r = 2: pattern (1, 1) x {swap, merge}; r = 3 adds (1, 2) and (2, 1) x 2
-    # generators of 2 and (1, 1, 1) x the 4 generators of 3
+    # the materialized oracle: r = 2 composes pattern (1, 1) x {swap, merge};
+    # r = 3 adds (1, 2) and (2, 1) x 2 generators of 2 and (1, 1, 1) x the 4
+    # generators of 3
     calls = []
-    real = loday.mat_compose
+    real = conftest.mat_compose
 
     def counted(a, b):
         calls.append((a.nrows, b.ncols))
         return real(a, b)
 
-    monkeypatch.setattr(loday, "mat_compose", counted)
+    monkeypatch.setattr(conftest, "mat_compose", counted)
     alg = q_ungraded(PATH3, GF(5))
     for r, count in ((2, 2), (3, 10)):
         calls.clear()
-        assert functor_check(alg, r)
+        assert generator_functor_check(alg, r)
         assert len(calls) == count, r
 
 
@@ -297,8 +337,8 @@ def test_functor_check_catches_one_changed_column_of_a_shared_product(monkeypatc
         return Matrix(m.field, m.nrows, m.ncols, cols)
 
     monkeypatch.setattr(loday._LodayCache, "_product", perturbed)
-    assert functor_check(alg, 2) and reference_functor_check(alg, 2)
-    assert not functor_check(alg, 3)
+    assert generator_functor_check(alg, 2) and reference_functor_check(alg, 2)
+    assert not generator_functor_check(alg, 3)
     assert not reference_functor_check(alg, 3)
 
 
@@ -306,8 +346,8 @@ def test_functor_check_catches_one_changed_column_of_a_shared_product(monkeypatc
 def test_functor_check_catches_one_changed_entry_of_a_non_generator(monkeypatch, images):
     alg = q_ungraded(PATH3, GF(5))
     target = Surjection(3, max(images), images)
-    assert target not in loday._generating_surjections(3)
-    assert functor_check(alg, 3) and reference_functor_check(alg, 3)
+    assert target not in generating_surjections(3)
+    assert generator_functor_check(alg, 3) and reference_functor_check(alg, 3)
     mat = loday._LodayCache.mat
 
     def perturbed(self, s):
@@ -321,7 +361,7 @@ def test_functor_check_catches_one_changed_entry_of_a_non_generator(monkeypatch,
 
     monkeypatch.setattr(loday._LodayCache, "mat", perturbed)
     assert loday_matrix(alg, target) != reference_loday_matrix(alg, target)
-    assert not functor_check(alg, 3)
+    assert not generator_functor_check(alg, 3)
     assert not reference_functor_check(alg, 3)
 
 
@@ -717,7 +757,7 @@ def test_iso_skips_naturality_after_a_failed_sub_claim(monkeypatch, field):
     def raising(*args, **kwargs):
         raise AssertionError("naturality attempted after a failed sub-claim")
 
-    monkeypatch.setattr(loday, "naturality_witness", raising)
+    monkeypatch.setattr(loday, "_LodayCache", raising)
     with monkeypatch.context() as patch:
         patch.setattr(loday, "is_multiplicative", certifying)
         report = iso_check(3, field)

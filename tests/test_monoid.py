@@ -99,6 +99,17 @@ def test_word_mul_level_mismatch():
         word_mul(Word.identity(1), Word.identity(2))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_word_mul_equals_the_validated_word(n):
+    # word_mul does not re-validate its product; every product must pass validation
+    words = wn_enumerate(n)
+    for a in words:
+        for b in words:
+            validated = Word(tuple(x * y for x, y in zip(a.coords, b.coords)))
+            ab = word_mul(a, b)
+            assert ab == validated and hash(ab) == hash(validated)
+
+
 # -- generators -----------------------------------------------------------------
 
 def test_generator_displays():
