@@ -25,11 +25,11 @@ def _build_parser():
         type=int,
         default=harness.DEFAULT_MAX_TENSOR_DIM,
         help="cap (default %(default)s) on the tensor dimension dim^p of the materialized matrices, "
-        "in verify only iso's p = 1 sums: iso is skipped before any work when the crown dimension exceeds it; "
-        "functor decides its laws from the structure table and is not bounded by it; explore materializes nothing, but above "
-        "crown dim^n it still reports its family as not computed; the streamed walks (lemma, transport, "
-        "explore, iso's sub-claims) are not bounded by it: one walk decides a family at every power, "
-        "within one fixed work budget",
+        "in verify only iso's crown word matrices (p = 1): iso is skipped before any work when the crown "
+        "dimension exceeds it; functor decides its laws from the structure table and is not bounded by it; "
+        "explore materializes nothing, but above crown dim^n it still reports its family as not computed; "
+        "the streamed walks (lemma, transport, explore, iso's sub-claims) are not bounded by it: one walk "
+        "decides a family at every power, within one fixed work budget",
     )
     verify.add_argument(
         "--max-proj-points",

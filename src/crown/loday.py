@@ -30,11 +30,11 @@ the two crowns (`iso_check`) -- is a sum of p-th powers of p = 1
 matrices, and one streamed walk over row tuples, `tensor_sum_prefixes`,
 decides it at every p <= r; its witness is the family's row-major first
 nonzero entry.  The composite of two families is the family of the
-monoid product (M_w M_w' = M_(w w'), certified on crown vertex maps), so
-iso walks at most 2^n words of x.x, and the alternating family once per
-sign for T and its control.  Naturality is certified per word: each word
-matrix is an algebra map, so every Loday square commutes at every power.
-Families are materialized only for export and iso's p = 1 sums;
+monoid product (M_w M_w' = M_(w w'), certified by each word's p = 1
+transport square), so iso walks at most 2^n words of x.x, and the
+alternating family once per sign for T and its control.  Naturality is
+certified per word: each word matrix is an algebra map, so every Loday
+square commutes at every power.  Only export materializes a family;
 `explore` reads the alternating family's witness and exact nonzero count
 at every p <= n from one walk.
 """
@@ -271,11 +271,9 @@ class NatTransData:
         }
 
 
-def _action_matrix(n: int, w: Word, s, target: str, field, crown_map=None) -> Matrix:
-    """Matrix of the induced algebra map of the action of one word; `crown_map` is act_on_C's, if built."""
-    if target == "B":
-        return q_hom(act_on_B(n, w), field)
-    return q_hom(act_on_C(n, w, s) if crown_map is None else crown_map, field)
+def _action_matrix(n: int, w: Word, s, target: str, field) -> Matrix:
+    """Matrix of the induced algebra map of the action of one word."""
+    return q_hom(act_on_B(n, w) if target == "B" else act_on_C(n, w, s), field)
 
 
 def _word_terms(n: int, x: MonoidAlgElem, s: int, t: int, target: str) -> list:
@@ -325,20 +323,15 @@ def cofunctor_eval(
         alg_tgt = q_ungraded(build_C(n, s)[0], field)
     # the zero element has no words; its family is the powers of the zero map
     terms = _word_terms(n, x, s, t, target) or [(field.zero, Matrix.zero(field, alg_tgt.dim, alg_src.dim))]
-    return _family(r, alg_src, alg_tgt, terms, max_tensor_dim)
+    _check_tensor_cap(r, (alg_src, alg_tgt), max_tensor_dim)
+    return NatTransData(r, alg_src, alg_tgt, {p: kron_sum(_power_terms(terms, p)) for p in range(1, r + 1)})
 
 
 def _check_tensor_cap(r: int, algebras, max_tensor_dim: int) -> None:
-    """The cap of every materialized family: CapExceeded when some algebra's dim^r is over it."""
+    """CapExceeded when some algebra's dim^r is over the cap."""
     for a in algebras:
         if a.dim ** r > max_tensor_dim:
             raise CapExceeded(f"tensor dimension {a.dim}^{r} exceeds cap {max_tensor_dim}")
-
-
-def _family(r: int, source: Algebra, target: Algebra, terms: list, max_tensor_dim: int) -> NatTransData:
-    """The components p = 1..r of the family of (coefficient, word matrix) terms, one `kron_sum` each."""
-    _check_tensor_cap(r, (source, target), max_tensor_dim)
-    return NatTransData(r, source, target, {p: kron_sum(_power_terms(terms, p)) for p in range(1, r + 1)})
 
 
 # -- the annihilation statement ----------------------------------------
@@ -511,8 +504,9 @@ def _transport_products(n: int, x: MonoidAlgElem, s: int, t: int) -> list:
 
 
 def _zero_powers(terms, r: int) -> list:
-    """Whether the family of `terms`, r-fold products, is zero at each power p = 1..r."""
-    return [witness is None for witness, _ in tensor_sum_prefixes(terms, r)]
+    """Whether the family of `terms`, r-fold products, is zero at each power p = 1..r, up to its first nonzero."""
+    zeros = list(itertools.takewhile(bool, (witness is None for witness, _ in tensor_sum_prefixes(terms, r))))
+    return zeros if len(zeros) == r else zeros + [False]  # the walk stopped at its first nonzero power
 
 
 def transport_square_check(n: int, r: int, x: MonoidAlgElem, s: int, t: int) -> bool:
@@ -551,14 +545,20 @@ class IsoReport:
 
 
 class _CrownFamilies:
-    """iso's families at level n, each crown map and word matrix built once per (word, sign)."""
+    """iso's families at level n, each word matrix and p = 1 square built once per (word, sign)."""
 
     def __init__(self, n: int, field, max_tensor_dim: int):
-        self.n, self.field, self.cap = n, field, max_tensor_dim
+        self.n, self.field = n, field
         self.crowns = {s: q_ungraded(build_C(n, s)[0], field) for s in (1, -1)}
         _check_tensor_cap(1, self.crowns.values(), max_tensor_dim)  # before any word matrix or walk
-        self.crown_map = crown_map = functools.cache(lambda w, s: act_on_C(n, w, s))
-        self.matrix = functools.cache(lambda w, s: _action_matrix(n, w, s, "C", field, crown_map(w, s)))
+        self.matrix = matrix = functools.cache(lambda w, s: _action_matrix(n, w, s, "C", field))
+        f = {s: q_hom(build_C(n, s)[1], field) for s in (1, -1)}  # the projection matrices F_s
+        self.injective = {s: mat_rank(f[s]) == f[s].ncols for s in (1, -1)}
+        # the p = 1 transport square F_s C_w = B_w F_t of w on the s-crown, t = w.s; B_w is not kept
+        self.square = functools.cache(
+            lambda w, s: mat_compose(f[s], matrix(w, s))
+            == mat_compose(_action_matrix(n, w, s, "B", field), f[act_on_U(w, s)])
+        )
         # Z's family on s -> s is walked once per sign, for both elements
         self.z = build_Z(n, field)
         self.alternating = {s: self.terms(self.z, s) for s in (1, -1)}
@@ -568,14 +568,13 @@ class _CrownFamilies:
         """The (coefficient, word matrix) pairs of x on the s-crown, in word order."""
         return [(x.terms[w], self.matrix(w, s)) for w in sorted(x.terms, key=Word.sort_key)]
 
-    def act_as_products(self, x: MonoidAlgElem, s: int, t: int) -> bool:
-        """Premise (a): act_on_C(w', t) . act_on_C(w, s) == act_on_C(w w', s) for all words w, w' of x."""
-        outer = [(w2, self.crown_map(w2, t).mapping) for w2 in x.terms]
-        return all(
-            {v: image[u] for v, u in self.crown_map(w, s).mapping.items()} == self.crown_map(w * w2, s).mapping
-            for w in x.terms
-            for w2, image in outer
-        )
+    def premise(self, x: MonoidAlgElem, square: MonoidAlgElem, s: int, t: int) -> bool:
+        """Whether each word of x on s and t, and of `square` = x.x on s, has its p = 1 square, F_s injective.
+
+        Then C_w C_w' = C_(w w'): F_s C_w C_w' = B_w F_t C_w' = B_w B_w' F_s = F_s C_(w w'), as B_w B_w' = B_(w w').
+        """
+        checks = ((s, x.terms), (t, x.terms), (s, square.terms))
+        return self.injective[s] and all(self.square(w, sign) for sign, words in checks for w in words)
 
     def report(self, x: MonoidAlgElem) -> IsoReport:
         """The sub-claims and naturality of x's two families, as `iso_check` describes them."""
@@ -587,16 +586,11 @@ class _CrownFamilies:
             return IsoReport(n, r, field.name, False, False, False, False, False, {"homset": reason})
 
         witness: dict = {}
-        families = {s: self.terms(x, s) for s in (1, -1)}
-        sums = {s: _family(1, crowns[targets[s]], crowns[s], families[s], self.cap).components[1] for s in (1, -1)}
         square = x * x
         for s in (1, -1):
             composites, alt_zero = self.terms(square, s), self.alt_zero[s]
-            a_s, a_t = sums[s], sums[targets[s]]
-            # a zero factor needs no product: the control's sums are its alternating families at p = 1
-            product = a_s if a_s.is_zero() else a_t if a_t.is_zero() else mat_compose(a_s, a_t)
-            if self.act_as_products(x, s, targets[s]) and product == kron_sum(_power_terms(composites, 1)):
-                inverse = _power_terms(composites + [(field.neg(field.one), Matrix.identity(field, a_s.nrows))], r)
+            if self.premise(x, square, s, targets[s]):
+                inverse = _power_terms(composites + [(field.neg(field.one), Matrix.identity(field, crowns[s].dim))], r)
                 factored_zero = _zero_powers(inverse + _power_terms(self.alternating[s], r), r)
                 # inverse = factored - alternating: where either is zero, the inverse is zero iff both are
                 decided = all(alt or fac for alt, fac in zip(alt_zero, factored_zero))
@@ -604,7 +598,7 @@ class _CrownFamilies:
                 inverse_zero = both if decided else _zero_powers(inverse, r)
             else:
                 inverse_zero = factored_zero = [False]  # a failed premise decides p = 1 only
-            for p, (inv, fac) in enumerate(zip(inverse_zero, factored_zero), start=1):
+            for p, (inv, fac) in enumerate(itertools.zip_longest(inverse_zero, factored_zero, fillvalue=True), 1):
                 if not inv:
                     witness.setdefault("inverse", f"composite on sign {s} differs at power {p}")
                 if not fac:
@@ -618,7 +612,7 @@ class _CrownFamilies:
             return IsoReport(n, r, field.name, True, None, *claims, witness)
         certified_ok = True
         for s in (1, -1):
-            for k, (_, m) in enumerate(families[s]):
+            for k, (_, m) in enumerate(self.terms(x, s)):
                 if not is_multiplicative(crowns[targets[s]], crowns[s], m):
                     certified_ok = False
                     witness.setdefault(f"certificate_{s}", f"word matrix {k} on sign {s} is not an algebra map")
@@ -631,25 +625,26 @@ def iso_check(n: int, field=QQ, max_tensor_dim: int = DEFAULT_TENSOR_CAP) -> Iso
     The families of the twist element T run between the two crowns and must
     be mutually inverse at every power p <= n-1.  On each sign s crossing to
     t their composite is the family of the monoid product x.x (T.T = 1 - Z)
-    under two premises: (a) `act_as_products`, which with q_hom's
-    contravariance gives M_w M_w' = M_(w w'); (b) at p = 1 the sum of x's
-    word matrices on s times their sum on t is the matrix of x.x.  Each
-    sub-claim is then one walk: inverse, x.x's words and -I; factored
-    identity, the same terms plus Z's words on s (composite = I - Z-family);
-    alternating family zero, Z's words alone, shared by both elements.  The
-    inverse is walked only where the other two are nonzero at some power.
-    A failed premise fails inverse and factored on its sign at p = 1 and
-    decides nothing more.  The alternating element Z (Z.Z = Z) is the
-    negative control, reported as `control`, and must fail.
+    under one premise, checked per word (`_CrownFamilies.premise`): the
+    p = 1 transport square F_s C_w = B_w F_t, F the projection matrices and
+    B and C the strip and crown word matrices, for the words of x on both
+    signs and of x.x on s, with F_s injective.  Each sub-claim is then one
+    walk, stopped at its first nonzero power: inverse, x.x's words and -I;
+    factored identity, the same terms plus Z's words on s (composite =
+    I - Z-family); alternating family zero, Z's words alone, shared by both
+    elements.  The inverse is walked only where the other two are first
+    nonzero at the same power.  A failed premise fails inverse and factored
+    on its sign at p = 1 and walks nothing more.  The alternating element Z
+    (Z.Z = Z) is the negative control, reported as `control`, and must fail.
 
     Naturality is not attempted after a failed sub-claim.  It is certified
     at every p by one `is_multiplicative` call per word matrix:
     M_w mu_2 = mu_2 (M_w (x) M_w) gives M_w mu_k = mu_k M_w^(x)k by
     induction on k, Kronecker powers commute with reordering the input
-    positions, and sums of natural families are natural.  No square is
-    materialized; the status is PASS or FAIL.  The only materialized
-    families are premise (b)'s p = 1 sums, so a crown dimension over
-    `max_tensor_dim` raises `CapExceeded` before any word matrix or walk.
+    positions, and sums of natural families are natural.  No family is
+    materialized; the status is PASS or FAIL.  The cap bounds iso's crown
+    word matrices, at p = 1: a crown dimension over `max_tensor_dim` raises
+    `CapExceeded` before any word matrix or walk.
     """
     if n < 2:
         raise ValueError("crown checks need level >= 2")

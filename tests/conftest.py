@@ -3,7 +3,7 @@ import random
 
 from crown.errors import CapExceeded
 from crown.graph_algebra import q_hom
-from crown.graphs import Graph, GraphMorphism, build_C, graph_new
+from crown.graphs import Graph, GraphMorphism, act_on_C, build_C, graph_new
 from crown.linalg import Matrix, _merged_terms, _term_shapes, kron_power, kron_sum, mat_compose
 from crown.loday import (
     DEFAULT_TENSOR_CAP,
@@ -166,6 +166,21 @@ def reference_iso_claims(n, field, x, targets) -> dict:
         "factored": factored,
         "z_zero": all(is_zero_family(z_arrows[s]) for s in (1, -1)),
     }
+
+
+def reference_act_as_products(n, x, s, t) -> bool:
+    """act_on_C(w', t) o act_on_C(w, s) == act_on_C(w w', s) for all words w, w' of x, as vertex maps.
+
+    The oracle for iso's per-word p = 1 squares, which imply it.  x must
+    be supported on the s -> t hom-set.
+    """
+    inner = {w: act_on_C(n, w, s).mapping for w in x.terms}
+    outer = {w: act_on_C(n, w, t).mapping for w in x.terms}
+    return all(
+        {v: outer[w2][u] for v, u in inner[w].items()} == act_on_C(n, w * w2, s).mapping
+        for w in x.terms
+        for w2 in x.terms
+    )
 
 
 def transposed(m: Matrix) -> Matrix:

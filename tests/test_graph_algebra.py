@@ -131,6 +131,19 @@ def test_q_hom_contravariant_on_composites():
                             assert mat_compose(inner[w], outer[w2]) == direct, (n, field, s, w, w2)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_strip_word_matrices_multiply_as_their_words(field):
+    # B_w B_w' = B_(w w') for every pair of level-n words, n <= 3: the strip
+    # action is column-wise, so the words' maps commute and compose to the
+    # product's, and q_hom is contravariant.  iso's per-word squares give
+    # its composites only through this
+    for n in (1, 2, 3):
+        strip = {w: q_hom(act_on_B(n, w), field) for w in wn_enumerate(n)}
+        for w, m in strip.items():
+            for w2, m2 in strip.items():
+                assert mat_compose(m, m2) == strip[w * w2], (n, w, w2)
+
+
 def test_q_hom_collapsed_and_mirrored_edges():
     # a-b maps onto the mirror (v, u) of H's edge representative (u, v);
     # b-c collapses onto u, so its orbit pulls back into d:u with weight 2

@@ -511,7 +511,7 @@ def test_cli_verify_level_four_iso_passes(tmp_path, capsys):
 
 
 def test_cli_verify_level_four_iso_skips_naturality_alone(tmp_path, capsys):
-    # iso materializes only its p = 1 sums: a cap between the crown
+    # the cap bounds only iso's crown word matrices: a cap between the crown
     # dimension 72 and 72^2 leaves it passing, with the certificate, the
     # streamed sub-claims and the failing negative control; a cap below 72
     # skips iso before any work, and transport, which materializes

@@ -46,6 +46,7 @@ from conftest import (
     naturality_check,
     naturality_witness,
     random_graph,
+    reference_act_as_products,
     reference_functor_check,
     reference_is_multiplicative,
     reference_iso_claims,
@@ -631,17 +632,17 @@ def transport_elements(n, f):
     return elements
 
 
-def perturb_crown_word(monkeypatch, word):
-    """Change entry (0, 0) of the crown matrices of one word by one.
+def perturb_crown_word(monkeypatch, word, signs=(1, -1)):
+    """Change entry (0, 0) of the crown matrices of one word, on the given signs, by one.
 
     One word, not all: an element whose coefficients sum to zero (the
     alternating one) would cancel a perturbation shared by every word.
     """
     action = loday._action_matrix
 
-    def perturbed(n, w, s, target, field, *crown_map):
-        m = action(n, w, s, target, field, *crown_map)
-        if target != "C" or w != word:
+    def perturbed(n, w, s, target, field):
+        m = action(n, w, s, target, field)
+        if target != "C" or w != word or s not in signs:
             return m
         return m + Matrix.from_entries(field, m.nrows, m.ncols, [(0, 0, 1)])
 
@@ -862,12 +863,13 @@ def test_iso_walks_the_inverse_only_where_the_other_two_families_do_not_decide_i
     t_word = min(build_T(n, field).terms, key=Word.sort_key)
     # walks per call: the shared alternating family (2), and per element
     # and sign the factored family, plus the inverse where undecided; a
-    # perturbed twist word fails premise (b) on both signs, so neither of
-    # its families is walked
+    # perturbed word fails the p = 1 square of its element on both signs,
+    # so neither of that element's families is walked (z_word is the
+    # identity, a word of the control but not of T.T = 1 - Z)
     for words, walk_count, expected in (
         ([], 6, {"T": (True, True, True), "Z": (False, False, True)}),
-        ([z_word], 10, {"T": (True, False, False), "Z": (False, False, False)}),
-        ([z_word, t_word], 6, {"T": (False, False, False), "Z": (False, False, False)}),
+        ([z_word], 6, {"T": (True, False, False), "Z": (False, False, False)}),
+        ([z_word, t_word], 2, {"T": (False, False, False), "Z": (False, False, False)}),
     ):
         with monkeypatch.context() as patch:
             for word in words:
@@ -952,21 +954,19 @@ def test_iso_fails_when_one_word_matrix_is_not_an_algebra_map(monkeypatch, field
     assert report.control.status == "FAIL"
 
 
-def test_iso_materializes_nothing_above_power_two(monkeypatch):
-    # the certificate covers every power, so iso materializes only premise
-    # (b)'s p = 1 sums, one per sign for each element, from the word
-    # matrices it already holds, through the same `_family` that
-    # `cofunctor_eval` materializes with
-    powers = []
-    family = loday._family
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_iso_materializes_nothing(monkeypatch, field):
+    # the certificate covers every power and the premise is one p = 1
+    # square per word, so iso builds no family: no Kronecker sum, and no
+    # call of `cofunctor_eval`, the one materializer left
+    def raising(*args, **kwargs):
+        raise AssertionError("iso materialized a family")
 
-    def recording(r, *args):
-        powers.append(r)
-        return family(r, *args)
-
-    monkeypatch.setattr(loday, "_family", recording)
-    report = iso_check(4, GF(2))
-    assert report.status == "PASS" and powers == [1, 1, 1, 1]
+    monkeypatch.setattr(loday, "kron_sum", raising)
+    monkeypatch.setattr(loday, "cofunctor_eval", raising)
+    for n in (2, 3, 4):
+        report = iso_check(n, field)
+        assert report.status == "PASS" and report.control.status == "FAIL", n
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
@@ -988,28 +988,150 @@ def test_iso_under_a_cap_below_the_crown_dimension_does_no_work(monkeypatch, fie
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_iso_fails_when_a_twist_word_acts_as_another(monkeypatch, field):
-    # premise (a) reads the crown maps: one twist word's map replaced by
-    # another word's on the same hom-set, a valid morphism, breaks it, and
+    # one twist word's crown map replaced by another word's on the same
+    # hom-set, a valid morphism: its p = 1 square fails on both signs, and
     # iso must fail the inverse there, never derive it from the monoid
     n = 3
     w0, w1 = sorted(build_T(n, field).terms, key=Word.sort_key)[:2]
     crown_map = loday.act_on_C
     monkeypatch.setattr(loday, "act_on_C", lambda n, w, s: crown_map(n, w1 if w == w0 else w, s))
     families = loday._CrownFamilies(n, field, loday.DEFAULT_TENSOR_CAP)
-    assert not families.act_as_products(build_T(n, field), 1, -1)
-    assert not families.act_as_products(build_T(n, field), -1, 1)
+    assert not families.square(w0, 1) and not families.square(w0, -1)
+    assert families.square(w1, 1) and families.square(w1, -1)
     report = iso_check(n, field)
     assert report.status == "FAIL" and report.inverse_ok is False and report.factored_identity_ok is False
     assert report.witness["inverse"] == "composite on sign 1 differs at power 1"
     assert report.control.status == "FAIL"
 
 
+def pairwise_products(families, x, s, t):
+    """Whether M_w M_w' == M_(w w') for every pair of words of x, w on s and w' on t."""
+    return all(
+        mat_compose(families.matrix(w, s), families.matrix(w2, t)) == families.matrix(w * w2, s)
+        for w in x.terms
+        for w2 in x.terms
+    )
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2)])
-def test_iso_composes_once_per_sign_and_walks_the_alternating_family_once(monkeypatch, field):
-    # the composites come from the monoid product: the only products are
-    # premise (b)'s, one per sign (the control's sums are zero and need
-    # none), where the pairwise composites took 7^2 + 8^2 per sign; Z's
-    # crown family is walked once per sign
+@pytest.mark.parametrize("n", [2, 3])
+def test_word_squares_match_the_pairwise_crown_products(monkeypatch, field, n):
+    # differential test, with iso's old pairwise premise as the oracle: the
+    # per-word p = 1 squares hold exactly where every pair of words acts as
+    # its product, on crown vertex maps and on word matrices; with one word
+    # acting as another, all three fail
+    for swapped in (False, True):
+        for element, build in (("T", build_T), ("Z", build_Z)):
+            x = build(n, field)
+            with monkeypatch.context() as patch:
+                if swapped:
+                    w0, w1 = sorted(x.terms, key=Word.sort_key)[:2]
+                    crown_map = loday.act_on_C
+                    mutant = lambda n, w, s: crown_map(n, w1 if w == w0 else w, s)
+                    patch.setattr(loday, "act_on_C", mutant)
+                    patch.setattr(conftest, "act_on_C", mutant)
+                families = loday._CrownFamilies(n, field, loday.DEFAULT_TENSOR_CAP)
+                for s, t in ISO_TARGETS[element].items():
+                    premise = families.premise(x, x * x, s, t)
+                    reference = reference_act_as_products(n, x, s, t)
+                    assert premise == reference == pairwise_products(families, x, s, t) == (not swapped), (element, s)
+    # matrix-level corruptions, which the vertex maps cannot see: a perturbed
+    # crown matrix of a word of T.T that is no word of T, and of a word of T
+    # on sign -1 alone, fail the squares and the pairwise products on both
+    # signs (each sign composes T's words on the other)
+    x = build_T(n, field)
+    for word, signs in ((min((x * x).terms, key=Word.sort_key), (1, -1)), (min(x.terms, key=Word.sort_key), (-1,))):
+        with monkeypatch.context() as patch:
+            perturb_crown_word(patch, word, signs)
+            families = loday._CrownFamilies(n, field, loday.DEFAULT_TENSOR_CAP)
+            for s in (1, -1):
+                assert not families.premise(x, x * x, s, -s) and not pairwise_products(families, x, s, -s), (word, s)
+                assert reference_act_as_products(n, x, s, -s)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_iso_control_fails_its_premise_with_a_perturbed_identity_word(monkeypatch, field):
+    # E00 added to the identity word's crown matrix: E00 E00 = E00, so the
+    # control's p = 1 sums still multiply as Z.Z = Z, but the identity's
+    # square F_s (I + E00) = F_s fails, F_s being injective.  The control
+    # then fails its premise on both signs and walks none of its families,
+    # with the three-walk verdicts and witnesses
+    n = 3
+    perturb_crown_word(monkeypatch, Word.identity(n))
+    families = loday._CrownFamilies(n, field, loday.DEFAULT_TENSOR_CAP)
+    z = families.z
+    assert not families.square(Word.identity(n), 1) and not families.square(Word.identity(n), -1)
+    assert not any(families.premise(z, z * z, s, s) for s in (1, -1))
+
+    def raising(*args, **kwargs):
+        raise AssertionError("the control walked a family")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(loday, "tensor_sum_prefixes", raising)
+        control = families.report(z)
+    claims, witness = three_walk_sub_claims(n, field, "Z")
+    assert streamed_claims(control) == claims == {"inverse": False, "factored": False, "z_zero": False}
+    assert control.witness == witness
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_iso_walks_stop_at_the_first_nonzero_power(monkeypatch, field):
+    # powers read per walk at n = 4: the alternating family on each sign and
+    # T's factored family on each sign are zero at every power p <= 3; the
+    # control's factored family is nonzero at p = 1, so its walks end there
+    # and decide the inverse with no walk of their own
+    consumed = []
+    walk = loday.tensor_sum_prefixes
+
+    def counting(terms, p):
+        consumed.append(0)
+        for item in walk(terms, p):
+            consumed[-1] += 1
+            yield item
+
+    monkeypatch.setattr(loday, "tensor_sum_prefixes", counting)
+    report = iso_check(4, field)
+    assert report.status == "PASS" and report.control.status == "FAIL"
+    assert consumed == [3, 3, 3, 3, 1, 1]
+
+
+def test_iso_reads_each_walk_to_its_own_first_nonzero_power(monkeypatch):
+    # each walk's list ends at its first nonzero power: with the alternating
+    # family first nonzero at p = 2 and the factored one at p = 3, the
+    # inverse (factored - alternating) is first nonzero at p = 2, and the
+    # factored failure at p = 3, past the end of the inverse's list, must
+    # still be reported
+    n = 4
+    families = loday._CrownFamilies(n, QQ, loday.DEFAULT_TENSOR_CAP)
+    families.alt_zero = {s: [True, False] for s in (1, -1)}
+    monkeypatch.setattr(loday, "_zero_powers", lambda terms, r: [True, True, False])
+    report = families.report(build_T(n, QQ))
+    assert report.witness == {
+        "inverse": "composite on sign 1 differs at power 2",
+        "factored": "composite on sign 1 power 3 breaks the factored identity",
+        "z_component": "alternating-element family is not zero",
+    }
+
+
+def test_iso_premise_needs_an_injective_projection(monkeypatch):
+    # the squares give C_w C_w' = C_(w w') only because F_s C = F_s C'
+    # forces C = C': a projection below full column rank fails the premise
+    # on both signs, and iso with it
+    monkeypatch.setattr(loday, "mat_rank", lambda m: m.ncols - 1)
+    families = loday._CrownFamilies(2, QQ, loday.DEFAULT_TENSOR_CAP)
+    x = build_T(2, QQ)
+    assert not any(families.premise(x, x * x, s, -s) for s in (1, -1))
+    report = iso_check(2, QQ)
+    assert report.status == "FAIL" and not report.inverse_ok and not report.factored_identity_ok
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_iso_composes_linearly_in_the_words_and_walks_the_alternating_family_once(monkeypatch, field):
+    # the composites come from the monoid product under one p = 1 square
+    # per (word, sign), two products each: T's 7 words and T.T's 7 on each
+    # sign, and the identity on each sign, the one word of Z.Z = Z that
+    # T.T = 1 - Z lacks; 30 squares, where the pairwise composites took
+    # 7^2 + 8^2 per sign.  Z's crown family is walked once per sign
     n = 3
     composes, walks = [], []
     compose, walk = loday.mat_compose, loday.tensor_sum_prefixes
@@ -1022,7 +1144,7 @@ def test_iso_composes_once_per_sign_and_walks_the_alternating_family_once(monkey
     monkeypatch.setattr(loday, "tensor_sum_prefixes", lambda terms, p: walks.append(terms) or walk(terms, p))
     report = iso_check(n, field)
     assert report.status == "PASS" and report.control.status == "FAIL"
-    assert len(composes) == 2
+    assert len(composes) == 60
     z = build_Z(n, field)
     alternating = [loday._power_terms(loday._word_terms(n, z, s, s, "C"), n - 1) for s in (1, -1)]
     assert sum(terms in alternating for terms in walks) == 2  # the signs' families may be equal
