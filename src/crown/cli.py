@@ -35,8 +35,8 @@ def _build_parser():
         "--max-proj-points",
         type=int,
         default=harness.DEFAULT_MAX_PROJ_POINTS,
-        help="cap on the p^dim1 degree-1 vectors that noniso's reconstruction enumerates; "
-        "above it noniso reports skipped (default %(default)s)",
+        help="cap on the p^dim1 degree-1 vectors that noniso enumerates to cross-check its reconstruction "
+        "certificate on the level-min(n, 2) crowns; above it noniso reports skipped (default %(default)s)",
     )
     verify.add_argument(
         "--max-graph-size",

@@ -15,19 +15,17 @@ representative pair.  `is_multiplicative` certifies such a matrix.
 
 The reconstruction pipeline recovers an admissible graph from its
 algebra: regrade it via the annihilator (an `Algebra` whose first dim1
-basis vectors span degree 1), enumerate projective classes of degree-1
-elements over a prime field, and keep the points minimal in the
-dependence preorder ([a] depends on [b] iff a*b != 0).
-Minimality is decided per point by one linear test, the same for every
-prime field: with K_a = {x : a*x = 0}, dep(b) lies inside dep(a) iff
-K_a lies inside K_b, so those b form the subspace
-S_a = {b : b*x = 0 for x in K_a}, and [a] is minimal iff dim S_a = 1.
-Each point costs one forward elimination, which finds K_a; dim S_a
-depends on K_a alone, so it is computed once per distinct K_a.  The cost
-is linear in the number of points; DEFAULT_POINT_CAP bounds the p^dim1
-degree-1 vectors enumerated.  For admissible graphs the minimal
-points are exactly the vertex indicator classes and dependence
-restricted to them is the graph relation.
+basis vectors span degree 1) and keep the projective degree-1 points
+minimal in the dependence preorder ([a] depends on [b] iff a*b != 0);
+for admissible graphs they are the vertex indicator classes, and
+dependence among them is the graph relation.  `_certified_representatives`
+reads them off the degree-1 basis where three premises hold, as they do
+for every graph algebra over every field; elsewhere, and as its
+cross-check, `_minimal_representatives` enumerates the p^dim1 points
+over a prime field, at most DEFAULT_POINT_CAP, with one linear test per
+point: with K_a = {x : a*x = 0}, dep(b) lies inside dep(a) iff K_a lies
+inside K_b, so [a] is minimal iff S_a = {b : b*x = 0 for x in K_a} has
+dimension 1.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import CapExceeded, NotACover
-from .graphs import Graph, GraphMorphism, graph_new, is_cover
+from .graphs import Graph, GraphMorphism, graph_new, is_cover, vertex_label_str
 from .linalg import Matrix, _add_scaled, _echelon, _kernel_basis, kernel_basis_with_free, mat_rank, vstack
 
 # bounds p^dim1, the degree-1 vectors enumerated by the minimality test
@@ -77,35 +75,22 @@ class Algebra:
                     _add_scaled(f, out, f.mul(va, vb), prod)
         return out
 
-    def label_str(self, i):
-        return _label_str(self.basis[i])
-
     def to_json(self):
         f = self.field
-        triples = []
-        for (i, j), vec in sorted(self._table.items()):
-            for k in sorted(vec):
-                triples.append([i, j, k, f.scalar_to_json(vec[k])])
+        triples = [[i, j, k, f.scalar_to_json(vec[k])]
+                   for (i, j), vec in sorted(self._table.items()) for k in sorted(vec)]
         return {
             "field": f.name,
-            "basis": [self.label_str(i) for i in range(self.dim)],
+            "basis": [_label_str(label) for label in self.basis],
             "structure_constants": triples,
         }
 
 
 def _label_str(label) -> str:
-    from .graphs import vertex_label_str
-
-    if isinstance(label, tuple):
-        tag = label[0]
-        if tag == "v":
-            return "v:" + vertex_label_str(label[1])
-        if tag == "d":
-            return "d:" + vertex_label_str(label[1])
-        if tag == "e":
-            return "e:" + vertex_label_str(label[1]) + "|" + vertex_label_str(label[2])
-        if tag == "nil":
-            return "nil:" + _label_str(label[1])
+    if isinstance(label, tuple) and label[0] in ("v", "d", "e"):
+        return label[0] + ":" + "|".join(map(vertex_label_str, label[1:]))
+    if isinstance(label, tuple) and label[0] == "nil":
+        return "nil:" + _label_str(label[1])
     return str(label)
 
 
@@ -298,17 +283,13 @@ def _sparse(pt):
 
 
 def _minimal_representatives(ag: Algebra, max_points: int):
-    """Normalized representatives of the minimal points, in lex order.
+    """Normalized representatives of the minimal points, in lex order, by enumeration.
 
-    dep(b) is inside dep(a) iff K_a = {x : a*x = 0} lies inside K_b, so the
-    points whose dependence set lies inside a's form the subspace
-    S_a = {b : b*x = 0 for x in a basis of K_a}, which contains a.  [a] is
-    minimal (no other point's dependence set is contained in or equal to
-    its own) iff dim S_a = 1.  Each point costs one forward elimination of
-    x -> a*x: at full rank K_a = 0 and dim S_a = d1.  Otherwise its RREF
-    kernel basis, which K_a alone determines, keys dim S_a, so a second
-    elimination runs once per distinct K_a.  The work is linear in the
-    number of points.
+    [a] is minimal iff dim S_a = 1 (see the module docstring).  Each point
+    costs one forward elimination of x -> a*x: at full rank K_a = 0 and
+    dim S_a = d1.  Otherwise its RREF kernel basis, which K_a alone
+    determines, keys dim S_a, so a second elimination runs once per
+    distinct K_a.  The work is linear in the number of points.
     """
     f = ag.field
     d1 = ag.dim1
@@ -362,6 +343,37 @@ def _minimal_representatives(ag: Algebra, max_points: int):
     return chosen
 
 
+def _certified_representatives(ag: Algebra):
+    """The minimal points read off the degree-1 basis e_i, or None where a premise fails.
+
+    With N[i] = {j : e_i e_j != 0}, the premises are: each e_i e_j is 0 or
+    a nonzero multiple of one degree-2 basis vector, no two unordered pairs
+    share that vector, and e_i e_i != 0.  Then a*x = 0 iff a_i x_i = 0 and
+    a_i x_j + a_j x_i = 0 for each i in supp a and j in N[i], so K_a is the
+    set of coordinate vectors vanishing on N[supp a], the union of N[i] over
+    i in supp a.  A point with two or more coordinates is not minimal: each
+    i in its support has dep(e_i) inside dep(a), as N[i] lies in N[supp a].
+    And S_(e_i) is spanned by the e_j with N[j] inside N[i], so [e_i] is
+    minimal iff no j != i has that.  Such a j lies in N[j], hence in N[i].
+    Field-generic, in `_minimal_representatives`' lex order.
+    """
+    neighbours = [set() for _ in range(ag.dim1)]
+    targets = set()
+    for (i, j), vec in ag._table.items():
+        if len(vec) != 1 or not targets.isdisjoint(vec):
+            return None
+        targets.update(vec)
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    if any(i not in nb for i, nb in enumerate(neighbours)):
+        return None
+    return [
+        tuple(int(k == i) for k in range(ag.dim1))
+        for i, nb in enumerate(neighbours)
+        if not any(j != i and neighbours[j] <= nb for j in nb)
+    ]
+
+
 def minimal_points(ag: Algebra, max_points: int = DEFAULT_POINT_CAP) -> frozenset:
     """The minimal projective classes in the dependence preorder.
 
@@ -374,18 +386,18 @@ def minimal_points(ag: Algebra, max_points: int = DEFAULT_POINT_CAP) -> frozense
 
 
 def reconstruct_graph(a: Algebra, max_points: int = DEFAULT_POINT_CAP) -> Graph:
-    """Recover a graph from an ungraded algebra.
+    """Recover a graph from an ungraded algebra; for an admissible graph's, one isomorphic to it.
 
-    Regrades by the annihilator, finds the minimal projective points and
-    links two of them when their representatives multiply to something
-    nonzero.  For the algebra of an admissible graph this returns a graph
-    isomorphic to the original.
+    Regrades by the annihilator and takes the minimal points from
+    `_certified_representatives`, or where its premises fail from the
+    enumeration, which needs a prime field and p^dim1 within the cap.
     """
     ag = annihilator_grading(a)
-    chosen = _minimal_representatives(ag, max_points)
-    edges = [
-        (x, y)
-        for x, y in itertools.combinations(chosen, 2)
-        if ag.mult(_sparse(x), _sparse(y))
-    ]
+    chosen = _certified_representatives(ag)
+    return _points_graph(ag, _minimal_representatives(ag, max_points) if chosen is None else chosen)
+
+
+def _points_graph(ag: Algebra, chosen) -> Graph:
+    """The graph on the chosen points, linked where they multiply to nonzero: e_i e_j != 0 for basis points."""
+    edges = [(x, y) for x, y in itertools.combinations(chosen, 2) if ag.mult(_sparse(x), _sparse(y))]
     return graph_new(sorted(chosen), edges)

@@ -15,6 +15,7 @@ is 0 exactly when no report failed.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -134,10 +135,10 @@ def _check_monoid(config: RunConfig):
     details: dict = {}
     failures = []
 
-    count_n = min(n, mo.DEFAULT_LEVEL_CAP)
-    words = mo.wn_enumerate(count_n)
-    details["word_count"] = {"n": count_n, "count": len(words), "expected": 2 * 3**count_n}
-    if len(words) != 2 * 3**count_n:
+    count = mo.word_count(n)
+    details["word_count"] = {"n": n, "count": count, "expected": 2 * 3**n}
+    enumerated_n = min(n, mo.DEFAULT_LEVEL_CAP)  # the enumeration cross-checks the forward pass here
+    if count != 2 * 3**n or len(mo.wn_enumerate(enumerated_n)) != mo.word_count(enumerated_n):
         failures.append("word count")
 
     small = min(n, 3)
@@ -330,47 +331,48 @@ def _check_noniso(config: RunConfig):
     n = config.n
     details: dict = {}
     failures = []
-    c_plus = gr.build_C(n, 1)[0]
-    c_minus = gr.build_C(n, -1)[0]
-    iso = gr.graphs_isomorphic(c_plus, c_minus, max_vertices=config.max_graph_size)
+    crowns = {s: gr.build_C(n, s)[0] for s in (1, -1)}
+    iso = gr.graphs_isomorphic(crowns[1], crowns[-1], max_vertices=config.max_graph_size)
     details["graphs_isomorphic"] = iso
     if iso:
         failures.append("crowns reported isomorphic")
-    scans = {s: gr.valency2_cycle_count(gr.build_C(n, s)[0]) for s in (1, -1)}
+    scans = {s: gr.valency2_cycle_count(crowns[s]) for s in (1, -1)}
     details["cycle_components"] = {"plus": scans[1].count, "minus": scans[-1].count}
     if (scans[1].count, scans[-1].count) != (2, 1):
         failures.append("cycle component counts")
 
-    f2 = GF(2)
     if not config.field.is_prime_field:
         details["reconstruction_field_note"] = "projective enumeration needs a finite field; using fp:2"
-        recon_field = f2
-    else:
-        recon_field = config.field
-    crowns = {1: c_plus, -1: c_minus}
-    skip_reason = None
+    field = config.field if config.field.is_prime_field else GF(2)
+    graded = functools.cache(lambda m, s: ga.annihilator_grading(ga.q_ungraded(gr.build_C(m, s)[0], field)))
+    level = min(n, 2)  # the enumeration cross-checks the certificate here
     try:
-        rebuilt = {
-            s: ga.reconstruct_graph(ga.q_ungraded(c, recon_field), max_points=config.max_proj_points)
-            for s, c in crowns.items()
-        }
+        agrees = all(ga._certified_representatives(ag) == ga._minimal_representatives(ag, config.max_proj_points)
+                     for ag in (graded(level, s) for s in (1, -1)))
     except CapExceeded as exc:
-        cap_note = f"cap exceeded: {exc}"
-        details["reconstruction"] = {"status": "skipped", "reason": cap_note}
-        skip_reason = f"reconstruction not attempted: {cap_note}"
-    else:
-        recon = {}
-        for s, tag in ((1, "plus"), (-1, "minus")):
-            round_trip = gr.graphs_isomorphic(crowns[s], rebuilt[s], max_vertices=config.max_graph_size)
-            recon[tag] = {"round_trip": round_trip, "vertices": len(rebuilt[s].vertices)}
-            if not round_trip:
-                failures.append(f"reconstruction round trip ({tag})")
-        rebuilt_iso = gr.graphs_isomorphic(rebuilt[1], rebuilt[-1], max_vertices=config.max_graph_size)
-        recon["rebuilt_pair_isomorphic"] = rebuilt_iso
-        if rebuilt_iso:
+        details["reconstruction"] = {"status": "skipped", "reason": f"cap exceeded: {exc}"}
+        return details, failures, f"reconstruction not attempted: cap exceeded: {exc}"
+    recon = details["reconstruction"] = {"method": "degree-1 basis certificate",
+                                         "cross_check": {"level": level, "agrees": agrees}}
+    if not agrees:
+        failures.append(f"certificate differs from the enumeration at level {level}")
+    rebuilt = {}
+    for s, tag in ((1, "plus"), (-1, "minus")):
+        chosen = ga._certified_representatives(graded(n, s))
+        if chosen is None:
+            recon[tag] = {"premise": False}
+            failures.append(f"certificate premise fails ({tag})")
+            continue
+        rebuilt[s] = ga._points_graph(graded(n, s), chosen)
+        round_trip = gr.graphs_isomorphic(crowns[s], rebuilt[s], max_vertices=config.max_graph_size)
+        recon[tag] = {"round_trip": round_trip, "vertices": len(rebuilt[s].vertices)}
+        if not round_trip:
+            failures.append(f"reconstruction round trip ({tag})")
+    if len(rebuilt) == 2:
+        recon["rebuilt_pair_isomorphic"] = gr.graphs_isomorphic(*rebuilt.values(), max_vertices=config.max_graph_size)
+        if recon["rebuilt_pair_isomorphic"]:
             failures.append("reconstructed crowns isomorphic")
-        details["reconstruction"] = recon
-    return details, failures, skip_reason
+    return details, failures, None
 
 
 def _check_functor(config: RunConfig):

@@ -545,7 +545,7 @@ class IsoReport:
 
 
 class _CrownFamilies:
-    """iso's families at level n, each word matrix and p = 1 square built once per (word, sign)."""
+    """iso's families at level n: each word matrix built once per (word, sign), its p = 1 squares once per word."""
 
     def __init__(self, n: int, field, max_tensor_dim: int):
         self.n, self.field = n, field
@@ -554,11 +554,12 @@ class _CrownFamilies:
         self.matrix = matrix = functools.cache(lambda w, s: _action_matrix(n, w, s, "C", field))
         f = {s: q_hom(build_C(n, s)[1], field) for s in (1, -1)}  # the projection matrices F_s
         self.injective = {s: mat_rank(f[s]) == f[s].ncols for s in (1, -1)}
-        # the p = 1 transport square F_s C_w = B_w F_t of w on the s-crown, t = w.s; B_w is not kept
-        self.square = functools.cache(
-            lambda w, s: mat_compose(f[s], matrix(w, s))
-            == mat_compose(_action_matrix(n, w, s, "B", field), f[act_on_U(w, s)])
-        )
+
+        @functools.cache
+        def squares(w):  # the p = 1 transport squares F_s C_w = B_w F_t on both signs s, t = w.s
+            b = _action_matrix(n, w, None, "B", field)  # B_w: the same on both signs, and not kept
+            return {s: mat_compose(f[s], matrix(w, s)) == mat_compose(b, f[act_on_U(w, s)]) for s in (1, -1)}
+        self.square = lambda w, s: squares(w)[s]
         # Z's family on s -> s is walked once per sign, for both elements
         self.z = build_Z(n, field)
         self.alternating = {s: self.terms(self.z, s) for s in (1, -1)}

@@ -103,27 +103,31 @@ def _extend(prefixes):
     return out
 
 
+_WN_CACHE: dict = {}
+
+
 def wn_enumerate(n: int, max_level: int = DEFAULT_LEVEL_CAP):
     """All words of level n, each exactly once, sorted; count is 2*3^n."""
     if n < 1:
         raise ValueError("level must be >= 1")
     if n > max_level:
         raise CapExceeded(f"level {n} exceeds cap {max_level}")
-    return _wn_enumerate_cached(n)
-
-
-_WN_CACHE: dict = {}
-
-
-def _wn_enumerate_cached(n):
     words = _WN_CACHE.get(n)
     if words is None:
         prefixes = [(1,), (-1,)]
         for _ in range(n):
             prefixes = _extend(prefixes)
-        words = tuple(sorted((Word(c) for c in prefixes), key=Word.sort_key))
-        _WN_CACHE[n] = words
+        words = _WN_CACHE[n] = tuple(sorted((Word(c) for c in prefixes), key=Word.sort_key))
     return words
+
+
+def word_count(n: int) -> int:
+    """The number of level-n words, by a forward pass over positions under `_validate_coords`'s rules."""
+    counts = {1: 1, -1: 1}  # last coordinate -> valid prefixes ending in it
+    for j in range(2, 2 * n + 2):
+        signs = (1, -1) if j % 2 else (1, -1, 0)  # odd positions are nonzero
+        counts = {c: sum(k for last, k in counts.items() if last * c != -1) for c in signs}
+    return sum(counts.values())
 
 
 def gen_g(n: int, i: int) -> Word:

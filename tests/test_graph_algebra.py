@@ -6,7 +6,9 @@ import pytest
 from crown.errors import CapExceeded, NotACover
 from crown.fields import GF, QQ
 from crown.graph_algebra import (
+    _certified_representatives,
     _minimal_representatives,
+    _points_graph,
     annihilator_grading,
     Algebra,
     cover_injectivity,
@@ -515,3 +517,77 @@ def test_minimal_representatives_match_the_two_elimination_path(name, graph, p):
     ag = annihilator_grading(q_ungraded(graph, GF(p)))
     cap = p**ag.dim1
     assert _minimal_representatives(ag, cap) == reference_minimal_representatives(ag, cap)
+
+
+# -- differential: the degree-1 basis certificate against the enumeration --
+
+def graph_key(g):
+    return g.vertices, g.relation
+
+
+CERTIFICATE_CASES = (
+    MINIMALITY_CASES
+    + [(f"path3-fp{p}", PATH3, p) for p in (2, 3, 5)]
+    + [(f"crown{s:+d}-n3-fp2", build_C(3, s)[0], 2) for s in (1, -1)]
+)
+
+
+@pytest.mark.parametrize("name,graph,p", CERTIFICATE_CASES, ids=[c[0] for c in CERTIFICATE_CASES])
+def test_certificate_matches_the_enumeration(name, graph, p):
+    # the seeded random graphs, admissible or not, the crowns at n = 2 and 3
+    # and PATH3: the certificate holds on every graph algebra, picks the
+    # enumeration's points in its order, and rebuilds the same graph
+    ag = annihilator_grading(q_ungraded(graph, GF(p)))
+    cap = p**ag.dim1
+    enumerated = _minimal_representatives(ag, cap)
+    assert _certified_representatives(ag) == enumerated
+    rebuilt = reconstruct_graph(q_ungraded(graph, GF(p)), max_points=1)  # the cap would stop any enumeration
+    assert graph_key(rebuilt) == graph_key(_points_graph(ag, enumerated))
+
+
+def test_certificate_drops_the_middle_of_a_path():
+    # N[a] = {a, b} lies inside N[b] = {a, b, c}: b is not minimal, and the
+    # rebuilt graph has the two ends alone, unlinked
+    ag = annihilator_grading(q_ungraded(PATH3, GF(2)))
+    assert _certified_representatives(ag) == [(1, 0, 0), (0, 0, 1)]
+    assert reconstruct_graph(q_ungraded(PATH3, GF(2))).edge_count == 0
+
+
+def test_certificate_reconstructs_over_the_rationals():
+    # field-generic: no prime field and no enumeration are needed
+    for s in (1, -1):
+        crown = build_C(4, s)[0]
+        assert graphs_isomorphic(crown, reconstruct_graph(q_ungraded(crown, QQ), max_points=1))
+
+
+def _degree_one_two(field, dim1, products):
+    """An algebra on dim1 degree-1 and 4 degree-2 basis vectors with the given products e_i e_j."""
+    return Algebra(field, [f"e{i}" for i in range(dim1)] + ["m", "n", "o", "q"],
+                   {pair: {dim1 + k: field.from_int(v) for k, v in vec.items()} for pair, vec in products.items()})
+
+
+# negative controls for each premise, each a regradable non-graph algebra
+PREMISE_CONTROLS = {
+    # the algebra of test_minimal_points_when_products_cancel: e0 e1 = m + n
+    # is on two degree-2 vectors, and shares each with a square
+    "cancelling products": (2, {(0, 0): {0: 1}, (0, 1): {0: 1, 1: 1}, (1, 1): {1: 1}}),
+    # e0 e1 = m + n again, but on vectors no other product hits: the first premise fails alone
+    "a product on two vectors": (2, {(0, 0): {2: 1}, (0, 1): {0: 1, 1: 1}, (1, 1): {3: 1}}),
+    # e0 e1 and e1 e2 both hit o
+    "two pairs share a target": (3, {(0, 0): {0: 1}, (1, 1): {1: 1}, (2, 2): {3: 1}, (0, 1): {2: 1}, (1, 2): {2: 1}}),
+    # e1 e1 = 0
+    "a square vanishes": (2, {(0, 0): {0: 1}, (0, 1): {1: 1}}),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("control", sorted(PREMISE_CONTROLS))
+def test_certificate_declines_where_a_premise_fails(control, p):
+    dim1, products = PREMISE_CONTROLS[control]
+    alg = _degree_one_two(GF(p), dim1, products)
+    ag = annihilator_grading(alg)
+    assert ag.dim1 == dim1
+    assert _certified_representatives(ag) is None
+    assert graph_key(reconstruct_graph(alg)) == graph_key(_points_graph(ag, _minimal_representatives(ag, p**dim1)))
+    with pytest.raises(CapExceeded):
+        reconstruct_graph(alg, max_points=p**dim1 - 1)  # the fallback keeps its cap

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from crown import graph_algebra as ga
 from crown import graphs, harness, linalg, loday
+from crown import monoid as mo
 from crown.errors import CapExceeded
 from crown.cli import main
 from crown.fields import GF, QQ, parse_field
@@ -70,14 +72,71 @@ def test_reconstruction_downgrades_on_cap():
 
 
 def test_noniso_rebuilds_both_crowns_at_level_three():
-    # 2^15 degree-1 vectors per crown, exactly the default point cap;
-    # about 10 s on a 2-core machine
+    # the certificate rebuilds the level-3 crowns, and the enumeration
+    # cross-checks it at level 2 only: well under a second
     (report,) = run_suite(RunConfig(n=3, field=GF(2), checks=("noniso",)))
     assert report.status == "pass", report.details
     recon = report.details["reconstruction"]
     for tag in ("plus", "minus"):
         assert recon[tag] == {"round_trip": True, "vertices": 15}
     assert recon["rebuilt_pair_isomorphic"] is False
+
+
+@pytest.mark.parametrize("field", ["fp:2", "rational"])
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_noniso_passes_by_the_certificate(n, field):
+    # no enumeration at level n: the certificate rebuilds both crowns, and
+    # the enumeration cross-checks it on the level-2 crowns
+    (report,) = run_suite(RunConfig(n=n, field=parse_field(field), checks=("noniso",)))
+    assert report.status == "pass", report.details
+    recon = report.details["reconstruction"]
+    assert recon["method"] == "degree-1 basis certificate"
+    assert recon["cross_check"] == {"level": 2, "agrees": True}
+    for tag in ("plus", "minus"):
+        assert recon[tag] == {"round_trip": True, "vertices": 5 * n}
+    assert recon["rebuilt_pair_isomorphic"] is False
+
+
+def test_noniso_fails_where_the_certificate_disagrees_or_declines(monkeypatch):
+    certified = ga._certified_representatives
+    # one point dropped: the cross-check disagrees, and the rebuilt crowns lose a vertex
+    monkeypatch.setattr(ga, "_certified_representatives", lambda ag: certified(ag)[1:])
+    (report,) = run_suite(RunConfig(n=3, field=GF(2), checks=("noniso",)))
+    assert report.status == "fail"
+    assert report.details["reconstruction"]["cross_check"] == {"level": 2, "agrees": False}
+    assert "certificate differs from the enumeration at level 2" in report.details["failures"]
+    # a premise failing at level 3 alone: the cross-check agrees, and nothing is rebuilt
+    monkeypatch.setattr(ga, "_certified_representatives", lambda ag: None if ag.dim1 == 15 else certified(ag))
+    (report,) = run_suite(RunConfig(n=3, field=GF(2), checks=("noniso",)))
+    assert report.status == "fail"
+    recon = report.details["reconstruction"]
+    assert recon["cross_check"] == {"level": 2, "agrees": True}
+    assert recon["plus"] == recon["minus"] == {"premise": False}
+    assert "rebuilt_pair_isomorphic" not in recon
+    assert report.details["failures"] == ["certificate premise fails (plus)", "certificate premise fails (minus)"]
+
+
+def test_monoid_counts_its_words_at_the_level_asked(monkeypatch):
+    # the forward pass counts at n = 9, past the enumeration's cap, which
+    # cross-checks it at level 8; T.T + Z = 1 is the slow part at this
+    # level and is tested elsewhere, so it is stubbed here
+    monkeypatch.setattr(mo, "check_T_squared", lambda n, f: True)
+    (report,) = run_suite(RunConfig(n=9, field=GF(2), checks=("monoid",)))
+    assert report.status == "pass", report.details
+    assert report.details["word_count"] == {"n": 9, "count": 39366, "expected": 39366}
+    # a level-8 enumeration missing a word fails the cross-check
+    enumerate_words = mo.wn_enumerate
+    monkeypatch.setattr(mo, "wn_enumerate", lambda n: enumerate_words(n)[n == 8:])
+    (report,) = run_suite(RunConfig(n=9, field=GF(2), checks=("monoid",)))
+    assert report.details["failures"] == ["word count"]
+
+
+def test_cli_verify_level_four_skips_nothing(capsys):
+    rc = main(["verify", "--n", "4", "--field", "fp:2"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "SKIPPED" not in out and "FAIL" not in out
+    assert "PASS    noniso" in out
 
 
 def test_noniso_uses_f2_for_rational_configs():
@@ -491,12 +550,14 @@ def test_cli_verify_skips_at_level_one(capsys):
 
 
 def test_cli_verify_skips_noniso_above_the_point_cap(capsys):
-    # 2^20 degree-1 vectors at n = 4: not attempted, reported, exit 0
-    rc = main(["verify", "--n", "4", "--field", "fp:2", "--checks", "noniso"])
+    # the certificate's cross-check enumerates the level-2 crowns, 2^10
+    # degree-1 vectors each: over a lowered cap it is not attempted, and
+    # the skip is reported with exit 0
+    rc = main(["verify", "--n", "4", "--field", "fp:2", "--checks", "noniso", "--max-proj-points", "100"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "SKIPPED noniso" in out
-    assert "2^20 projective vectors exceed cap 32768" in out
+    assert "2^10 projective vectors exceed cap 100" in out
 
 
 def test_cli_verify_level_four_iso_passes(tmp_path, capsys):

@@ -1004,6 +1004,28 @@ def test_iso_fails_when_a_twist_word_acts_as_another(monkeypatch, field):
     assert report.control.status == "FAIL"
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_iso_builds_each_strip_matrix_once_per_word(monkeypatch, field, n):
+    # B_w does not depend on the sign, so both signs' squares of a word
+    # share one strip matrix: one build per distinct word of T, T.T, Z and
+    # Z.Z, that is the 2^n - 1 words of T and the 2^n of Z
+    action, built = loday._action_matrix, []
+
+    def counting(n, w, s, target, field):
+        if target == "B":
+            built.append(w)
+        return action(n, w, s, target, field)
+
+    monkeypatch.setattr(loday, "_action_matrix", counting)
+    report = iso_check(n, field)
+    assert report.status == "PASS" and report.control.status == "FAIL"
+    t, z = build_T(n, field), build_Z(n, field)
+    words = set(t.terms) | set((t * t).terms) | set(z.terms) | set((z * z).terms)
+    assert len(built) == len(set(built)) == len(words) == 2 ** (n + 1) - 1
+    assert set(built) == words
+
+
 def pairwise_products(families, x, s, t):
     """Whether M_w M_w' == M_(w w') for every pair of words of x, w on s and w' on t."""
     return all(

@@ -16,6 +16,7 @@ from crown.monoid import (
     gen_h,
     homset_member,
     wn_enumerate,
+    word_count,
     word_mul,
 )
 
@@ -71,6 +72,15 @@ def test_enumeration_matches_brute_force(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_enumeration_count(n):
     assert len(wn_enumerate(n)) == 2 * 3**n
+
+
+def test_forward_pass_counts_the_words():
+    # against the brute-force filter, the enumeration to its cap, and 2 * 3^n beyond
+    for n in (1, 2, 3):
+        assert word_count(n) == len(brute_force_words(n))
+    for n in range(1, 9):
+        assert word_count(n) == len(wn_enumerate(n))
+    assert [word_count(n) for n in range(9, 21)] == [2 * 3**n for n in range(9, 21)]
 
 
 def test_enumeration_cap():
