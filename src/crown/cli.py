@@ -28,7 +28,7 @@ def _build_parser():
         "in verify only iso's crown word matrices (p = 1): iso is skipped before any work when the crown "
         "dimension exceeds it; functor decides its laws from the structure table and is not bounded by it; "
         "explore materializes nothing, but above crown dim^n it still reports its family as not computed; "
-        "the streamed walks (lemma, transport, explore, iso's sub-claims) are not bounded by it: one walk "
+        "the streamed walks (transport, explore, iso's sub-claims) are not bounded by it: one walk "
         "decides a family at every power, within one fixed work budget",
     )
     verify.add_argument(

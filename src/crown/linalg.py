@@ -23,7 +23,6 @@ its first q factors, so a family of tensor powers is decided at every
 power by one walk.  It merges terms with equal factor lists, then walks
 row tuples one tensor factor at a time over deduplicated prefix states,
 never materializing a sum, and `WALK_BUDGET` bounds its work.
-`tensor_product_sum_witness` reads its last witness.
 """
 
 from __future__ import annotations
@@ -382,26 +381,16 @@ def left_inverse(a: Matrix) -> Matrix:
 
 # -- tensor sums ---------------------------------------------------------
 
-def tensor_product_sum_witness(terms, p: int):
-    """Exact zero test for  sum_k  c_k * (M_k1 (x) ... (x) M_kp).
-
-    `terms` follows the module's term contract.  Returns None when the
-    sum is exactly zero, otherwise the row-major first entry (col_tuple,
-    row_tuple, value): the lowest nonzero row tuple and, in it, the lowest
-    nonzero column tuple, digit i indexing factor i's columns or rows.
-    It is the last witness `tensor_sum_prefixes` yields.
-    """
-    *_, (witness, _) = tensor_sum_prefixes(terms, p)
-    return witness
-
-
 def tensor_sum_prefixes(terms, p: int):
     """One walk that decides a sum of p-fold products at every length q <= p.
 
     Yields, for q = 1..p in turn, (witness, nnz) of the sum truncated to its
-    first q factors, sum_k c_k * (M_k1 (x) ... (x) M_kq): the witness as
-    `tensor_product_sum_witness` returns it and the exact number of nonzero
-    entries; no operator is materialized.  Terms whose factor lists are
+    first q factors, sum_k c_k * (M_k1 (x) ... (x) M_kq): the witness,
+    None when that sum is exactly zero and otherwise its row-major first
+    entry (col_tuple, row_tuple, value) -- the lowest nonzero row tuple
+    and, in it, the lowest nonzero column tuple, digit i indexing factor
+    i's columns or rows -- and the exact number of nonzero entries; no
+    operator is materialized.  Terms whose factor lists are
     equal matrix by matrix (by entries, not identity) are merged first and
     zero coefficients dropped, which leaves every truncated operator
     unchanged; a sum that cancels in the merge yields (None, 0) with no work.

@@ -24,23 +24,29 @@ Kronecker power of the word's matrix (`_word_terms`), linear in the
 monoid algebra and never inside a tensor power.
 
 By the mixed-product rule every identity between such families -- the
-annihilation statement (`lemma_check`), the transport squares along the
-projections (`transport_square_check`) and the mutual inverses between
-the two crowns (`iso_check`) -- is a sum of p-th powers of p = 1
-matrices, and one streamed walk over row tuples, `tensor_sum_prefixes`,
-decides it at every p <= r; its witness is the family's row-major first
-nonzero entry.  The composite of two families is the family of the
-monoid product (M_w M_w' = M_(w w'), certified by each word's p = 1
-transport square), so iso walks at most 2^n words of x.x, and the
-alternating family once per sign for T and its control.  Naturality is
-certified per word: each word matrix is an algebra map, so every Loday
-square commutes at every power.  Only export materializes a family;
-`explore` reads the alternating family's witness and exact nonzero count
-at every p <= n from one walk.
+annihilation statement, the transport squares along the projections
+(`transport_square_check`) and the mutual inverses between the two
+crowns (`iso_check`) -- is a sum of p-th powers of p = 1 matrices, and
+one streamed walk over row tuples, `tensor_sum_prefixes`, decides it at
+every p <= r; its witness is the family's row-major first nonzero entry.
+The annihilation statement is proved instead, at every p <= n - 1, by
+the paper's structural argument (`lemma_proof_trace`): injective
+windows, intertwining window actions, and Z's words paired by each g_i
+so that every window tuple missing i cancels.  `lemma_check` keeps the
+walk as the exact zero test at any p.  The composite of two families is
+the family of the monoid product (M_w M_w' = M_(w w'), certified by each
+word's p = 1 transport square), so iso walks at most 2^n words of x.x;
+its alternating family follows from the trace and the same squares, and
+is walked only where they fail.  Naturality is certified per word: each
+word matrix is an algebra map, so every Loday square commutes at every
+power.  Only export materializes a family; `explore` reads the
+alternating family's witness and exact nonzero count at every p <= n
+from one walk.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
@@ -55,7 +61,6 @@ from .linalg import (
     left_inverse,
     mat_compose,
     mat_rank,
-    tensor_product_sum_witness,
     tensor_sum_prefixes,
     vstack,
 )
@@ -336,38 +341,31 @@ def _check_tensor_cap(r: int, algebras, max_tensor_dim: int) -> None:
 
 # -- the annihilation statement ----------------------------------------
 
-def lemma_witnesses(n: int, r: int, field=QQ):
-    """Yield, for p = 1..r in turn, a witness that the alternating family is nonzero at power p, or None.
+def lemma_witness(n: int, p: int, field=QQ):
+    """Witness that the alternating family is nonzero at tensor power p, or None.
 
     The family is the strip-side family of the alternating element
     Z = (1 - [g_1])...(1 - [g_n]): the sum over its words, one per subset S
     of the idempotent generators with coefficient (-1)^|S|, of the p-th
     Kronecker power of the word's strip-algebra matrix.  One walk of
-    `tensor_sum_prefixes` decides every p <= r without materializing an
-    operator; past its work budget it raises `CapExceeded`, after
-    yielding the powers below.
+    `tensor_sum_prefixes` decides it without materializing an operator;
+    past its work budget it raises `CapExceeded`.
     """
-    if r < 1:
+    if p < 1:
         raise ValueError("tensor power must be >= 1")
     words = _word_terms(n, build_Z(n, field), 1, 1, "B")
-    for witness, _ in tensor_sum_prefixes(_power_terms(words, r), r):
-        yield witness
-
-
-def lemma_witness(n: int, p: int, field=QQ):
-    """Witness that the alternating family is nonzero at tensor power p, or None."""
-    *_, witness = lemma_witnesses(n, p, field)
+    *_, (witness, _) = tensor_sum_prefixes(_power_terms(words, p), p)
     return witness
 
 
 def lemma_check(n: int, p: int, field=QQ) -> bool:
-    """Exact-zero verification of the annihilation statement at power p."""
+    """Exact-zero verification of the annihilation statement at power p, by the walk."""
     return lemma_witness(n, p, field) is None
 
 
 @dataclass
 class LemmaTrace:
-    """Mechanized replay of the annihilation argument at a given power."""
+    """The steps of the annihilation argument, which prove every power up to p."""
 
     n: int
     p: int
@@ -378,7 +376,6 @@ class LemmaTrace:
     ep_rank: int
     ep_full_column_rank: bool
     intertwining_ok: bool
-    tuples: list  # (index tuple, chosen missing index)
     missing_index_always_exists: bool
     off_window_identity_ok: bool
     summand_annihilation_ok: bool
@@ -404,18 +401,23 @@ def _window_action_matrix(n: int, i: int, coords: tuple, field) -> Matrix:
 
 
 def lemma_proof_trace(n: int, p: int, field=QQ) -> LemmaTrace:
-    """Re-run the structural steps behind the annihilation statement.
+    """Prove the annihilation statement at every power up to p by its structural steps.
 
-    (i) the stacked window restrictions are injective on the strip algebra
-    (full column rank, certified by an explicit left inverse; the tensor
-    power inherits injectivity through the Kronecker mixed-product rule,
-    which the linear-algebra suite tests separately);
-    (ii) the stacked map intertwines the word actions, for every word of Z;
-    (iii) every length-p index tuple misses some window index i, and g_i
-    acts as the identity on all windows of the tuple, so the alternating
-    element annihilates that summand -- re-verified by direct expansion:
-    the sum over Z's words of the Kronecker product of the word's matrices
-    on the tuple's windows is zero.
+    E is the stacked window restrictions, and W_i(w) the action of word w
+    on window i, which reads the word's three coordinates there.
+    (i) E has full column rank, certified by an explicit left inverse L, so
+    E^(x)p is injective with left inverse L^(x)p (mixed-product rule);
+    (ii) E M_w = diag_i W_i(w) E for every word w of Z, so
+    E^(x)p Z^(p) = (sum_w c_w D(w)^(x)p) E^(x)p, where D(w)^(x)p is block
+    diagonal over the window tuples tau, with blocks
+    W_tau1(w) (x) ... (x) W_taup(w);
+    (iii) pairing: for each i, w -> w g_i is a bijection from Z's words
+    with coordinate 2i nonzero onto Z's other words, and each pair has
+    opposite coefficients and equal coordinates on every window j != i.
+    A tuple of p < n windows misses some i, and its block cancels in the
+    pairs of that i, so Z^(p) = 0.  No sum over words or tuples is formed.
+    The off-window step, g_i acting as the identity on every other window,
+    is reported alongside.
     """
     if not 1 <= p < n:
         raise ValueError("trace requires 1 <= p < n")
@@ -429,48 +431,42 @@ def lemma_proof_trace(n: int, p: int, field=QQ) -> LemmaTrace:
         left_inverse(e1)  # raises unless L @ e1 == identity
         left_ok = True
 
-    # Z's words include every g_i, which the off-window step reads; a
-    # window matrix depends on the window's coordinates only, two per window
+    # a window matrix depends on the window's coordinates only: two per window for Z's words
     z = build_Z(n, field)
 
     def window(i, w):
         return i, w.coords[2 * i - 2:2 * i + 1]
 
-    keys = dict.fromkeys(window(i, w) for i in range(1, n + 1) for w in z.terms)
-    window_mats = {key: _window_action_matrix(n, *key, field) for key in keys}
+    window_mat = functools.cache(lambda i, coords: _window_action_matrix(n, i, coords, field))
     # the stacked identity e1 . M_w == diag(W_i) . e1, read block by block
     intertwining_ok = True
     for w in z.terms:
         mb = _action_matrix(n, w, 1, "B", field)
         if any(
-            mat_compose(e, mb) != mat_compose(window_mats[window(i, w)], e)
+            mat_compose(e, mb) != mat_compose(window_mat(*window(i, w)), e)
             for i, e in enumerate(restrictions, start=1)
         ):
             intertwining_ok = False
             break
 
     off_window = [
-        window_mats[window(i_prime, gen_g(n, i))]
+        window_mat(*window(i_prime, gen_g(n, i)))
         for i in range(1, n + 1)
         for i_prime in range(1, n + 1)
         if i_prime != i
     ]
     off_window_ok = all(m == Matrix.identity(field, m.nrows) for m in off_window)
 
-    tuples = []
-    missing_ok = True
-    for tup in itertools.product(range(1, n + 1), repeat=p):
-        missing = next((i for i in range(1, n + 1) if i not in tup), None)
-        if missing is None:
-            missing_ok = False
-        tuples.append((tup, missing))
-
-    summands_ok = True
-    for tup, _ in tuples:
-        terms = [(c, [window_mats[window(i, w)] for i in tup]) for w, c in z.terms.items()]
-        if tensor_product_sum_witness(terms, p) is not None:
-            summands_ok = False
-            break
+    def pairs_cancel(i):
+        g = gen_g(n, i)
+        free = [w for w in z.terms if w.coords[2 * i - 1]]
+        images = [w * g for w in free]
+        off = [j for j in range(1, n + 1) if j != i]
+        # a bijection onto Z's other words: each is the image of exactly one word
+        return collections.Counter(images) == dict.fromkeys(z.terms.keys() - set(free), 1) and all(
+            z.terms[v] == field.neg(z.terms[w]) and all(window(j, v) == window(j, w) for j in off)
+            for w, v in zip(free, images)
+        )
 
     return LemmaTrace(
         n=n,
@@ -482,10 +478,9 @@ def lemma_proof_trace(n: int, p: int, field=QQ) -> LemmaTrace:
         ep_rank=e1_rank**p,
         ep_full_column_rank=full,
         intertwining_ok=intertwining_ok,
-        tuples=tuples,
-        missing_index_always_exists=missing_ok,
+        missing_index_always_exists=p < n,
         off_window_identity_ok=off_window_ok,
-        summand_annihilation_ok=summands_ok,
+        summand_annihilation_ok=all(pairs_cancel(i) for i in range(1, n + 1)),
     )
 
 
@@ -560,10 +555,17 @@ class _CrownFamilies:
             b = _action_matrix(n, w, None, "B", field)  # B_w: the same on both signs, and not kept
             return {s: mat_compose(f[s], matrix(w, s)) == mat_compose(b, f[act_on_U(w, s)]) for s in (1, -1)}
         self.square = lambda w, s: squares(w)[s]
-        # Z's family on s -> s is walked once per sign, for both elements
+        # Z's family on s -> s is zero at every power when the strip's is (the
+        # lemma's trace), each word's square holds and F_s is injective:
+        # F_s^(x)p C_Z^(p) = B_Z^(p) F_s^(x)p = 0.  Elsewhere it is walked, once per sign
         self.z = build_Z(n, field)
         self.alternating = {s: self.terms(self.z, s) for s in (1, -1)}
-        self.alt_zero = {s: _zero_powers(_power_terms(self.alternating[s], n - 1), n - 1) for s in (1, -1)}
+        proved = lemma_proof_trace(n, n - 1, field).passed
+        self.alt_zero = {
+            s: [True] * (n - 1) if proved and self.injective[s] and all(self.square(w, s) for w in self.z.terms)
+            else _zero_powers(_power_terms(self.alternating[s], n - 1), n - 1)
+            for s in (1, -1)
+        }
 
     def terms(self, x: MonoidAlgElem, s: int) -> list:
         """The (coefficient, word matrix) pairs of x on the s-crown, in word order."""
@@ -632,10 +634,14 @@ def iso_check(n: int, field=QQ, max_tensor_dim: int = DEFAULT_TENSOR_CAP) -> Iso
     signs and of x.x on s, with F_s injective.  Each sub-claim is then one
     walk, stopped at its first nonzero power: inverse, x.x's words and -I;
     factored identity, the same terms plus Z's words on s (composite =
-    I - Z-family); alternating family zero, Z's words alone, shared by both
-    elements.  The inverse is walked only where the other two are first
-    nonzero at the same power.  A failed premise fails inverse and factored
-    on its sign at p = 1 and walks nothing more.  The alternating element Z
+    I - Z-family).  The alternating family, Z's words alone, shared by
+    both elements, is zero at every power on sign s by a proof, not a
+    walk, where the lemma's trace passes (B_Z^(p) = 0), every word of Z
+    has its p = 1 square on s and F_s is injective:
+    F_s^(x)p C_Z^(p) = B_Z^(p) F_s^(x)p = 0, and F_s^(x)p is injective;
+    elsewhere it is walked.  The inverse is walked only where the other
+    two are first nonzero at the same power.  A failed premise fails
+    inverse and factored on its sign at p = 1 and walks nothing more.  The alternating element Z
     (Z.Z = Z) is the negative control, reported as `control`, and must fail.
 
     Naturality is not attempted after a failed sub-claim.  It is certified

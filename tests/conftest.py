@@ -4,6 +4,7 @@ import random
 from crown.errors import CapExceeded
 from crown.graph_algebra import q_hom
 from crown.graphs import Graph, GraphMorphism, act_on_C, build_C, graph_new
+from crown import linalg
 from crown.linalg import Matrix, _merged_terms, _term_shapes, kron_power, kron_sum, mat_compose
 from crown.loday import (
     DEFAULT_TENSOR_CAP,
@@ -181,6 +182,17 @@ def reference_act_as_products(n, x, s, t) -> bool:
         for w in x.terms
         for w2 in x.terms
     )
+
+
+def tensor_product_sum_witness(terms, p: int):
+    """Exact zero test for  sum_k  c_k * (M_k1 (x) ... (x) M_kp): the last witness `linalg.tensor_sum_prefixes` yields.
+
+    `terms` follows the linalg module's term contract.  None when the sum
+    is exactly zero, otherwise its row-major first entry (col_tuple,
+    row_tuple, value).
+    """
+    *_, (witness, _) = linalg.tensor_sum_prefixes(terms, p)
+    return witness
 
 
 def transposed(m: Matrix) -> Matrix:

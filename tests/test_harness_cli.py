@@ -1,6 +1,5 @@
 import hashlib
 import json
-import sys
 
 import pytest
 
@@ -97,6 +96,37 @@ def test_noniso_passes_by_the_certificate(n, field):
     assert recon["rebuilt_pair_isomorphic"] is False
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_noniso_runs_three_isomorphism_searches(monkeypatch, n):
+    # the crown pair and the two round trips; the rebuilt pair is then
+    # isomorphic iff the crowns are, and is not searched
+    searches = []
+    search = graphs.graphs_isomorphic
+    monkeypatch.setattr(graphs, "graphs_isomorphic", lambda *args, **kw: searches.append(args) or search(*args, **kw))
+    (report,) = run_suite(RunConfig(n=n, field=GF(2), checks=("noniso",)))
+    assert report.status == "pass", report.details
+    assert len(searches) == 3
+    assert report.details["reconstruction"]["rebuilt_pair_isomorphic"] is False
+
+
+def test_noniso_reports_no_rebuilt_pair_after_a_failed_round_trip(monkeypatch):
+    # negative control: a rebuilt crown missing one edge fails its round
+    # trip, so the rebuilt pair is not derived from the crowns
+    points_graph = ga._points_graph
+
+    def dropping(ag, chosen):
+        g = points_graph(ag, chosen)
+        return graph_new(g.vertices, list(g.edges())[1:])
+
+    monkeypatch.setattr(ga, "_points_graph", dropping)
+    (report,) = run_suite(RunConfig(n=3, field=GF(2), checks=("noniso",)))
+    assert report.status == "fail"
+    recon = report.details["reconstruction"]
+    assert recon["plus"]["round_trip"] is False and recon["minus"]["round_trip"] is False
+    assert "rebuilt_pair_isomorphic" not in recon
+    assert report.details["failures"] == ["reconstruction round trip (plus)", "reconstruction round trip (minus)"]
+
+
 def test_noniso_fails_where_the_certificate_disagrees_or_declines(monkeypatch):
     certified = ga._certified_representatives
     # one point dropped: the cross-check disagrees, and the rebuilt crowns lose a vertex
@@ -169,65 +199,70 @@ def test_graphs_fails_on_a_strip_edge_that_skips_a_column(monkeypatch):
     assert "(1, 1)" in report.details["action_witness"] and "(3, 1)" in report.details["action_witness"]
 
 
-def test_lemma_keeps_powers_below_the_cap(monkeypatch):
-    # at n = 5 over F2 the walk takes 4416 work units at p = 3 and
-    # 9408 at p = 4, so a budget of 6000 stops p = 4 alone
-    monkeypatch.setattr(linalg, "WALK_BUDGET", 6000)
+def test_lemma_passes_under_a_lowered_walk_budget(monkeypatch):
+    # the proof trace decides every power with no walk, so a budget of 0,
+    # which stops every walk, leaves lemma at n = 5 over F2 passing
+    monkeypatch.setattr(linalg, "WALK_BUDGET", 0)
     (report,) = run_suite(RunConfig(n=5, field=GF(2), checks=("lemma",)))
-    powers = report.details["powers"]
-    assert [powers[str(p)] for p in (1, 2, 3)] == ["zero"] * 3
-    assert powers["4"]["status"] == "skipped"
-    assert powers["4"]["reason"].startswith("cap exceeded: streamed walk reached ")
-    assert report.status == "skipped"
-    assert report.details["reason"] == "walk budget exceeded at powers 4"
+    assert report.status == "pass"
+    assert report.details["powers"] == {str(p): "zero" for p in range(1, 5)}
+    assert "reason" not in report.details
 
 
-def test_lemma_skips_the_powers_above_an_exceeded_budget_unwalked(monkeypatch):
-    # one walk decides every power and stops where its work crosses the
-    # budget: at n = 5 over F2, layer 3 reaches 4416 work units, over 3000
+def test_lemma_starts_no_walk(monkeypatch):
+    # the walk still bounds its own work: at n = 5 over F2 its layer 3
+    # reaches 4416 work units, over 3000; lemma starts no walk, so the
+    # budget does not reach it
     monkeypatch.setattr(linalg, "WALK_BUDGET", 3000)
-    reason = "cap exceeded: streamed walk reached 4416 work units, over the budget 3000"
-    with pytest.raises(CapExceeded) as exc:
+    with pytest.raises(CapExceeded, match="streamed walk reached 4416 work units, over the budget 3000"):
         loday.lemma_witness(5, 4, GF(2))
-    assert f"cap exceeded: {exc.value}" == reason
-    walks = []  # (p, the results yielded) of each walk that loday starts
-    real = loday.tensor_sum_prefixes
 
-    def observed(terms, p):
-        yielded = []
-        walks.append((p, yielded))
-        for result in real(terms, p):
-            yielded.append(result)
-            yield result
+    def raising(*args, **kwargs):
+        raise AssertionError("lemma started a walk")
 
-    monkeypatch.setattr(loday, "tensor_sum_prefixes", observed)
+    monkeypatch.setattr(linalg, "tensor_sum_prefixes", raising)
+    monkeypatch.setattr(loday, "tensor_sum_prefixes", raising)
     (report,) = run_suite(RunConfig(n=5, field=GF(2), checks=("lemma",)))
-    # started once, to p = 4; it yields p = 1, 2 and stops at layer 3
-    assert [(p, len(yielded)) for p, yielded in walks] == [(4, 2)]
-    powers = report.details["powers"]
-    assert [powers["1"], powers["2"]] == ["zero", "zero"]
-    assert powers["3"] == powers["4"] == {"status": "skipped", "reason": reason}
-    assert report.details["reason"] == "walk budget exceeded at powers 3, 4"
+    assert report.status == "pass"
+    assert report.details["powers"] == {str(p): "zero" for p in range(1, 5)}
+
+
+def test_lemma_fails_with_the_proof_trace(monkeypatch):
+    # one entry more on window 1's matrix of the words without g_1 breaks
+    # step (ii); the check fails on the trace and reports no powers
+    window_action = loday._window_action_matrix
+
+    def bumped(n, i, coords, field):
+        m = window_action(n, i, coords, field)
+        if (i, coords) != (1, (1, 1, 1)):
+            return m
+        return m + Matrix.from_entries(field, m.nrows, m.ncols, [(0, 0, field.one)])
+
+    monkeypatch.setattr(loday, "_window_action_matrix", bumped)
+    for field in (QQ, GF(2)):
+        (report,) = run_suite(RunConfig(n=3, field=field, checks=("lemma",)))
+        assert report.status == "fail"
+        assert report.details["failures"] == ["proof trace"]
+        assert "powers" not in report.details
+        assert report.details["trace"]["intertwining_ok"] is False
 
 
 def test_run_suite_walks_each_power_family_once(monkeypatch):
     # every family is decided at all of its powers by one walk to its top
-    # power, not one walk per power; the proof trace's summands, one walk
-    # each, are not counted
+    # power, not one walk per power, or by a certificate with no walk
     walks = []
     real = linalg.tensor_sum_prefixes
 
     def counted(terms, p):
-        if sys._getframe(1).f_code.co_name != "tensor_product_sum_witness":
-            walks.append(p)
+        walks.append(p)
         return real(terms, p)
 
     monkeypatch.setattr(linalg, "tensor_sum_prefixes", counted)
     monkeypatch.setattr(loday, "tensor_sum_prefixes", counted)
     families = {
-        "lemma": 1,  # the alternating family on the strip
+        "lemma": 0,  # the proof trace decides the alternating family on the strip
         "transport": 9,  # the elements 1, g1..g3, h1..h3, T and Z
-        "iso": 6,  # on each sign: the alternating family, shared, and the factored ones of T and the Z control
+        "iso": 4,  # on each sign the factored families of T and the Z control; the alternating one is certified
         "explore": 1,  # the alternating family on the crown, to p = n
     }
     for check, count in families.items():
@@ -239,9 +274,8 @@ def test_run_suite_walks_each_power_family_once(monkeypatch):
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_every_suite_walk_matches_the_column_walk_oracle(monkeypatch, field):
-    # each family the streamed checks walk at n = 2..4, the proof trace's
-    # summands included, agrees at every length with the column walk over
-    # its transposed factors
+    # each family the streamed checks walk at n = 2..4 agrees at every
+    # length with the column walk over its transposed factors
     walks = []
     real = linalg.tensor_sum_prefixes
 
@@ -276,21 +310,22 @@ def test_graph_size_cap_bounds_only_the_isomorphism_searches():
 
 
 def test_one_walk_budget_bounds_every_streamed_check(monkeypatch):
-    # transport's sums cancel in the merge, so they do no work; every
-    # other streamed claim walks, and over the budget its check is skipped
+    # transport's sums cancel in the merge, so they do no work, and lemma
+    # walks nothing; every other streamed claim walks, and over the budget
+    # its check is skipped
     monkeypatch.setattr(linalg, "WALK_BUDGET", 0)
     checks = ("lemma", "transport", "iso", "explore")
     reports = {r.check: r for r in run_suite(RunConfig(n=2, field=GF(2), checks=checks))}
     assert reports["transport"].status == "pass"
-    assert reports["lemma"].details["reason"] == "walk budget exceeded at powers 1"
+    assert reports["lemma"].status == "pass"
     for check in ("iso", "explore"):
         assert reports[check].status == "skipped"
         assert reports[check].details["reason"].startswith("cap exceeded: streamed walk reached ")
 
 
-@pytest.mark.parametrize("n, power", [(2, 1), (3, 2), (4, 2)])
+@pytest.mark.parametrize("n, power", [(2, 1), (3, 2), (4, 3)])
 def test_lemma_reports_the_power_its_trace_replays(n, power):
-    # the zero test covers every p <= n - 1, the trace only p = min(n - 1, 2)
+    # the trace proves every p <= n - 1 and reports its top power, n - 1
     (report,) = run_suite(RunConfig(n=n, field=GF(2), checks=("lemma",)))
     assert report.status == "pass"
     assert list(report.details["powers"]) == [str(p) for p in range(1, n)]

@@ -17,7 +17,6 @@ from crown.linalg import (
     left_inverse,
     mat_compose,
     mat_rank,
-    tensor_product_sum_witness,
     tensor_sum_prefixes,
     vstack,
 )
@@ -27,6 +26,7 @@ from conftest import (
     reference_left_inverse,
     reference_rank,
     row_major_reference,
+    tensor_product_sum_witness,
 )
 
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -8,9 +9,9 @@ from crown.errors import CapExceeded, HomSetViolation
 from crown.fields import GF, QQ
 from crown.graph_algebra import Algebra, annihilator_grading, is_multiplicative, q_ungraded
 from crown.graphs import build_C, graph_new, is_admissible
-from crown import linalg, loday
+from crown import linalg, loday, monoid
 from crown.harness import RunConfig, run_suite
-from crown.linalg import Matrix, _merged_terms, kron_sum, mat_compose, tensor_product_sum_witness
+from crown.linalg import Matrix, _merged_terms, kron_sum, mat_compose
 from crown.loday import (
     NatTransData,
     Surjection,
@@ -52,6 +53,7 @@ from conftest import (
     reference_iso_claims,
     reference_loday_matrix,
     reference_transport_square_check,
+    tensor_product_sum_witness,
 )
 
 
@@ -476,8 +478,6 @@ def test_lemma_trace_level_two():
     assert trace.missing_index_always_exists
     assert trace.summand_annihilation_ok
     assert trace.passed
-    assert [t for t, _ in trace.tuples] == [(1,), (2,)]
-    assert all(missing is not None for _, missing in trace.tuples)
 
 
 def test_lemma_trace_level_three():
@@ -501,11 +501,11 @@ def test_lemma_trace_fails_when_windows_do_not_intertwine(monkeypatch):
 
 
 def test_lemma_trace_fails_when_one_summand_matrix_is_perturbed(monkeypatch):
-    # negative control for the summand expansion over Z's words: a window
-    # matrix is shared by every word with the same window coordinates, so
-    # the words pair up with opposite signs; g_1's coefficient changed by
-    # one breaks that cancellation on tuple (1, 1) and leaves the window
-    # matrices, the intertwining and the off-window step alone
+    # negative control for the pairing step over Z's words: a window matrix
+    # is shared by every word with the same window coordinates, so the words
+    # w and w g_i pair up with opposite signs; g_1's coefficient changed by
+    # one breaks the pair (1, g_1) and leaves the window matrices, the
+    # intertwining and the off-window step alone
     z = build_Z(3, QQ)
     g1 = gen_g(3, 1)
     perturbed = MonoidAlgElem(QQ, 3, {**z.terms, g1: QQ.add(z.terms[g1], QQ.one)})
@@ -513,6 +513,48 @@ def test_lemma_trace_fails_when_one_summand_matrix_is_perturbed(monkeypatch):
     trace = lemma_proof_trace(3, 2, QQ)
     assert trace.summand_annihilation_ok is False
     assert trace.intertwining_ok and trace.off_window_identity_ok
+
+
+@pytest.mark.parametrize("word", ["g1", "g1g2"])
+def test_lemma_trace_fails_when_one_z_coefficient_is_flipped(monkeypatch, word):
+    # negative control for step (iii): one of Z's coefficients negated, on a
+    # generator or on a product of two, breaks the opposite signs of its
+    # pairs; steps (i) and (ii) hold, and the walk confirms the family is nonzero
+    n = 3
+    z = build_Z(n, QQ)
+    w = gen_g(n, 1) if word == "g1" else gen_g(n, 1) * gen_g(n, 2)
+    flipped = MonoidAlgElem(QQ, n, {**z.terms, w: QQ.neg(z.terms[w])})
+    monkeypatch.setattr(loday, "build_Z", lambda n, field: flipped)
+    trace = lemma_proof_trace(n, n - 1, QQ)
+    assert trace.summand_annihilation_ok is False and trace.passed is False
+    assert trace.intertwining_ok and trace.off_window_identity_ok and trace.left_inverse_verified
+    assert not lemma_check(n, 1, QQ)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+@pytest.mark.parametrize("moved", ["first", "last", "every"])
+def test_lemma_trace_fails_when_gen_g_moves_a_foreign_window(monkeypatch, field, moved):
+    # negative control for step (iii): g_1, g_n or every g_i patched to zero
+    # also the middle coordinate of another window, so w and w g_i differ
+    # off window i.  With g_n moved, the pairs of every other g_i still
+    # hold; with every g_i moved to g_i g_(i+1) at n = 2, Z = 1 - g_1 g_2
+    # pairs by each patched g_i, with opposite coefficients, and only the
+    # window coordinates tell.  Z, built from the patched generators, is
+    # then nonzero at p = n - 1
+    real = monoid.gen_g
+    for n in (2, 3):
+        foreign = {"first": {1: 2}, "last": {n: 1}, "every": {i: i % n + 1 for i in range(1, n + 1)}}[moved]
+
+        def moving(n, i):
+            return real(n, i) * real(n, foreign[i]) if i in foreign else real(n, i)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(monoid, "gen_g", moving)
+            patch.setattr(loday, "gen_g", moving)
+            trace = lemma_proof_trace(n, n - 1, field)
+            assert trace.summand_annihilation_ok is False and trace.passed is False, n
+            assert trace.intertwining_ok, n
+            assert not lemma_check(n, n - 1, field), n
 
 
 def test_lemma_trace_builds_two_window_matrices_per_window(monkeypatch):
@@ -565,6 +607,15 @@ def test_lemma_trace_fails_when_one_z_word_does_not_intertwine(monkeypatch, side
 def test_lemma_trace_requires_power_below_level():
     with pytest.raises(ValueError):
         lemma_proof_trace(2, 2, QQ)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_lemma_trace_passes_where_the_walk_is_zero(field, n):
+    # differential test, with the walk as the oracle: the trace proves every
+    # power p <= n - 1, and the walk finds the strip family zero at each
+    assert lemma_proof_trace(n, n - 1, field).passed
+    assert all(lemma_check(n, p, field) for p in range(1, n))
 
 
 # -- naturality -------------------------------------------------------------------------
@@ -861,13 +912,14 @@ def test_iso_walks_the_inverse_only_where_the_other_two_families_do_not_decide_i
     n = 3
     z_word = min(build_Z(n, field).terms, key=Word.sort_key)
     t_word = min(build_T(n, field).terms, key=Word.sort_key)
-    # walks per call: the shared alternating family (2), and per element
-    # and sign the factored family, plus the inverse where undecided; a
-    # perturbed word fails the p = 1 square of its element on both signs,
-    # so neither of that element's families is walked (z_word is the
-    # identity, a word of the control but not of T.T = 1 - Z)
+    # walks per call: per element and sign the factored family, plus the
+    # inverse where undecided, plus the shared alternating family where a
+    # word of Z fails its square, so that the lemma's certificate does not
+    # carry over; a perturbed word fails the p = 1 square of its element on
+    # both signs, so neither of that element's families is walked (z_word
+    # is the identity, a word of the control but not of T.T = 1 - Z)
     for words, walk_count, expected in (
-        ([], 6, {"T": (True, True, True), "Z": (False, False, True)}),
+        ([], 4, {"T": (True, True, True), "Z": (False, False, True)}),
         ([z_word], 6, {"T": (True, False, False), "Z": (False, False, False)}),
         ([z_word, t_word], 2, {"T": (False, False, False), "Z": (False, False, False)}),
     ):
@@ -1009,7 +1061,9 @@ def test_iso_fails_when_a_twist_word_acts_as_another(monkeypatch, field):
 def test_iso_builds_each_strip_matrix_once_per_word(monkeypatch, field, n):
     # B_w does not depend on the sign, so both signs' squares of a word
     # share one strip matrix: one build per distinct word of T, T.T, Z and
-    # Z.Z, that is the 2^n - 1 words of T and the 2^n of Z
+    # Z.Z, that is the 2^n - 1 words of T and the 2^n of Z; the lemma's
+    # trace, which certifies the alternating family, builds one more per
+    # word of Z
     action, built = loday._action_matrix, []
 
     def counting(n, w, s, target, field):
@@ -1022,8 +1076,8 @@ def test_iso_builds_each_strip_matrix_once_per_word(monkeypatch, field, n):
     assert report.status == "PASS" and report.control.status == "FAIL"
     t, z = build_T(n, field), build_Z(n, field)
     words = set(t.terms) | set((t * t).terms) | set(z.terms) | set((z * z).terms)
-    assert len(built) == len(set(built)) == len(words) == 2 ** (n + 1) - 1
-    assert set(built) == words
+    assert len(set(built)) == len(words) == 2 ** (n + 1) - 1
+    assert collections.Counter(built) == collections.Counter([*words, *z.terms])
 
 
 def pairwise_products(families, x, s, t):
@@ -1098,10 +1152,10 @@ def test_iso_control_fails_its_premise_with_a_perturbed_identity_word(monkeypatc
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_iso_walks_stop_at_the_first_nonzero_power(monkeypatch, field):
-    # powers read per walk at n = 4: the alternating family on each sign and
-    # T's factored family on each sign are zero at every power p <= 3; the
-    # control's factored family is nonzero at p = 1, so its walks end there
-    # and decide the inverse with no walk of their own
+    # powers read per walk at n = 4: the alternating family is certified and
+    # not walked; T's factored family on each sign is zero at every power
+    # p <= 3; the control's factored family is nonzero at p = 1, so its
+    # walks end there and decide the inverse with no walk of their own
     consumed = []
     walk = loday.tensor_sum_prefixes
 
@@ -1114,7 +1168,7 @@ def test_iso_walks_stop_at_the_first_nonzero_power(monkeypatch, field):
     monkeypatch.setattr(loday, "tensor_sum_prefixes", counting)
     report = iso_check(4, field)
     assert report.status == "PASS" and report.control.status == "FAIL"
-    assert consumed == [3, 3, 3, 3, 1, 1]
+    assert consumed == [3, 3, 1, 1]
 
 
 def test_iso_reads_each_walk_to_its_own_first_nonzero_power(monkeypatch):
@@ -1148,12 +1202,14 @@ def test_iso_premise_needs_an_injective_projection(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
-def test_iso_composes_linearly_in_the_words_and_walks_the_alternating_family_once(monkeypatch, field):
+def test_iso_composes_linearly_in_the_words_and_walks_no_alternating_family(monkeypatch, field):
     # the composites come from the monoid product under one p = 1 square
     # per (word, sign), two products each: T's 7 words and T.T's 7 on each
     # sign, and the identity on each sign, the one word of Z.Z = Z that
     # T.T = 1 - Z lacks; 30 squares, where the pairwise composites took
-    # 7^2 + 8^2 per sign.  Z's crown family is walked once per sign
+    # 7^2 + 8^2 per sign.  The lemma's trace adds its intertwining, two
+    # products per window for each of Z's 8 words.  Z's crown family is
+    # certified from the trace and the squares, and walked on no sign
     n = 3
     composes, walks = [], []
     compose, walk = loday.mat_compose, loday.tensor_sum_prefixes
@@ -1166,10 +1222,68 @@ def test_iso_composes_linearly_in_the_words_and_walks_the_alternating_family_onc
     monkeypatch.setattr(loday, "tensor_sum_prefixes", lambda terms, p: walks.append(terms) or walk(terms, p))
     report = iso_check(n, field)
     assert report.status == "PASS" and report.control.status == "FAIL"
-    assert len(composes) == 60
+    assert len(composes) == 60 + 2 * n * 2**n
     z = build_Z(n, field)
     alternating = [loday._power_terms(loday._word_terms(n, z, s, s, "C"), n - 1) for s in (1, -1)]
-    assert sum(terms in alternating for terms in walks) == 2  # the signs' families may be equal
+    assert walks and not any(terms in alternating for terms in walks)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_certified_alternating_family_matches_its_walk(monkeypatch, field, n):
+    # differential test, with the walk as the oracle: the certificate sets
+    # alt_zero on both signs without a walk, to what the walk reads
+    with monkeypatch.context() as patch:
+        patch.setattr(loday, "tensor_sum_prefixes", lambda terms, p: pytest.fail("walked while certifying"))
+        families = loday._CrownFamilies(n, field, loday.DEFAULT_TENSOR_CAP)
+    for s in (1, -1):
+        walked = loday._zero_powers(loday._power_terms(families.alternating[s], n - 1), n - 1)
+        assert families.alt_zero[s] == walked == [True] * (n - 1), s
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+@pytest.mark.parametrize("premise", ["trace", "projection", "square"])
+def test_the_alternating_family_is_walked_where_its_certificate_premise_fails(monkeypatch, field, premise):
+    # the certificate needs the lemma's trace, F_s injective and every Z
+    # word's square on s: with the trace failing (one window matrix with an
+    # entry more) or neither projection injective, the family is walked on
+    # both signs; with the identity word's crown matrix perturbed on sign -1
+    # alone, on that sign alone, where the walk then finds it nonzero
+    n = 2
+    if premise == "trace":
+        window_action = loday._window_action_matrix
+
+        def bumped(n, i, coords, field):
+            m = window_action(n, i, coords, field)
+            return m + Matrix.from_entries(field, m.nrows, m.ncols, [(0, 0, field.one)]) if i == 1 else m
+
+        monkeypatch.setattr(loday, "_window_action_matrix", bumped)
+    elif premise == "projection":
+        rank = loday.mat_rank
+        crown_dim = q_ungraded(build_C(n, 1)[0], field).dim
+        monkeypatch.setattr(loday, "mat_rank", lambda m: m.ncols - 1 if m.ncols == crown_dim else rank(m))
+    else:
+        perturb_crown_word(monkeypatch, Word.identity(n), signs=(-1,))
+    walks, walk = [], loday.tensor_sum_prefixes
+    monkeypatch.setattr(loday, "tensor_sum_prefixes", lambda terms, p: walks.append(terms) or walk(terms, p))
+    families = loday._CrownFamilies(n, field, loday.DEFAULT_TENSOR_CAP)
+    walked = [s for s in (1, -1) if loday._power_terms(families.alternating[s], n - 1) in walks]
+    assert walked == ([-1] if premise == "square" else [1, -1])
+    assert len(walks) == len(walked)
+    assert families.alt_zero == {1: [True], -1: [premise != "square"]}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+@pytest.mark.parametrize("n", [3, 4])
+def test_iso_starts_no_walk_of_the_alternating_family(monkeypatch, field, n):
+    # every walk iso starts has terms other than Z's alone, on either sign
+    z = build_Z(n, field)
+    alternating = [loday._power_terms(loday._word_terms(n, z, s, s, "C"), n - 1) for s in (1, -1)]
+    walks, walk = [], loday.tensor_sum_prefixes
+    monkeypatch.setattr(loday, "tensor_sum_prefixes", lambda terms, p: walks.append(terms) or walk(terms, p))
+    report = iso_check(n, field)
+    assert report.status == "PASS" and report.control.status == "FAIL"
+    assert len(walks) == 4 and not any(terms in alternating for terms in walks)
 
 
 def test_nat_trans_json_shape():
