@@ -9,9 +9,15 @@ otherwise.  All other products vanish, so the dimension is
 |vertices| + (|vertices| + #edges).
 
 A graph morphism f: G -> H induces an algebra map Q(H) -> Q(G) by pulling
-functions back along f.  `q_hom` returns its plain `Matrix`: on the orbit
-basis the column of an orbit is the sum over ordered preimages of a fixed
-representative pair.  `is_multiplicative` certifies such a matrix.
+functions back along f.  Its matrix (rows in Q(G)'s basis) has one nonzero
+per row, so `q_rows` builds it as a row map: a tuple with one entry per
+row, (column, integer weight), or None for a zero row.  A vertex row has
+weight 1 at its image, an orbit row weight 1 at its representative's
+image orbit, or 2 where f collapses the edge onto a vertex.  Row r of A.B
+is A's weight times B's row at A's column (`rows_compose`).  Weights are
+reduced into a field only to compare (`rows_equal`, over F_2 a weight 2
+is a zero row) or to convert, as `q_hom` does, into the `Matrix` that a
+rank, left inverse, certificate (`is_multiplicative`) or walk needs.
 
 The reconstruction pipeline recovers an admissible graph from its
 algebra: regrade it via the annihilator (an `Algebra` whose first dim1
@@ -30,6 +36,7 @@ dimension 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import CapExceeded, NotACover
@@ -146,26 +153,54 @@ def q_ungraded(g: Graph, field) -> Algebra:
     return cached
 
 
-def q_hom(f: GraphMorphism, field) -> Matrix:
-    """The matrix of the induced algebra map Q(target) -> Q(source).
+@functools.cache
+def _units(dim: int) -> tuple:
+    """The weight-1 entries (c, 1), c < dim, shared by every row map of that width."""
+    return tuple((c, 1) for c in range(dim))
 
-    One column per basis vector of Q(target), expressed in the basis of
-    Q(source).  `is_multiplicative` certifies that it is an algebra map.
-    """
-    g, h = f.source, f.target
-    one = field.one
-    ng, nh = len(g.vertices), len(h.vertices)
-    g_orbit, _ = _orbits(g)
-    _, h_representative = _orbits(h)
-    entries = [(g.index(x), h.index(f.mapping[x]), one) for x in g.vertices]
-    for a, b in g.relation:
-        # only preimages of the representative count: a pair landing on its
-        # mirror is skipped, and both orientations of a collapsed edge land
-        # on the diagonal, so that orbit pulls back with weight 2
-        col = h_representative.get((f.mapping[a], f.mapping[b]))
-        if col is not None:
-            entries.append((ng + g_orbit[(a, b)], nh + col, one))
-    return Matrix.from_entries(field, q_ungraded(g, field).dim, q_ungraded(h, field).dim, entries)
+
+def q_rows(f: GraphMorphism) -> tuple:
+    """The row map of the induced algebra map Q(target) -> Q(source), as the module docstring defines it."""
+    g, h, m = f.source, f.target, f.mapping
+    nh = len(h.vertices)
+    h_orbit, h_representative = _orbits(h)
+    units = _units(nh + len(h_representative))
+    rows = [units[h.index(m[x])] for x in g.vertices]
+    for a, b in _orbits(g)[1]:  # the representatives, in orbit index order
+        col = h_orbit.get((m[a], m[b]))  # None only where f is no morphism
+        rows.append(None if col is None else (nh + col, 2) if a != b and m[a] == m[b] else units[nh + col])
+    return tuple(rows)
+
+
+def rows_compose(a: tuple, b: tuple) -> tuple:
+    """The row map of the product a.b."""
+    picked = [e and b[e[0]] for e in a]  # b's row at a's column, None for a zero row
+    return tuple(x if x is None or e[1] == 1 else (x[0], e[1] * x[1]) for e, x in zip(a, picked))
+
+
+def _reduced(rows: tuple, field) -> list:
+    """The rows with their weights reduced into the field, None where a weight vanishes there."""
+    weights = [None if e is None else field.from_int(e[1]) for e in rows]
+    return [None if w is None or w == field.zero else (e[0], w) for e, w in zip(rows, weights)]
+
+
+def rows_equal(a: tuple, b: tuple, field) -> bool:
+    """Whether two row maps are one matrix over the field."""
+    return a == b or _reduced(a, field) == _reduced(b, field)
+
+
+def rows_matrix(field, rows: tuple, ncols: int | None = None) -> Matrix:
+    """The row map as a `Matrix` over the field, with ncols columns, by default as many as rows."""
+    cols = [{} for _ in range(len(rows) if ncols is None else ncols)]
+    for r, e in enumerate(_reduced(rows, field)):
+        if e is not None:
+            cols[e[0]][r] = e[1]
+    return Matrix(field, len(rows), len(cols), cols)
+
+
+def q_hom(f: GraphMorphism, field) -> Matrix:
+    """The matrix of the induced algebra map Q(target) -> Q(source): `q_rows` over the field."""
+    return rows_matrix(field, q_rows(f), q_ungraded(f.target, field).dim)
 
 
 def is_multiplicative(source: Algebra, target: Algebra, m: Matrix) -> bool:

@@ -274,11 +274,13 @@ def _check_transport(config: RunConfig):
         elements.append((f"h{i}", mo.MonoidAlgElem.from_word(f, h), 1, mo.act_on_U(h, 1)))
     elements.append(("T", mo.build_T(n, f), -1, 1))
     elements.append(("Z", mo.build_Z(n, f), 1, 1))
-    details: dict = {"max_power": n - 1}
+    details: dict = {"max_power": n - 1, "walked": []}
     failures = []
     for name, x, s, t in elements:
-        ok = ld.transport_square_check(n, n - 1, x, s, t)
+        ok, walked = ld._transport_verdict(n, n - 1, x, s, t)
         details[name] = ok
+        if walked:  # some word's square failed, so the family was walked
+            details["walked"].append(name)
         if not ok:
             failures.append(name)
     return details, failures, None

@@ -17,31 +17,27 @@ for r >= 3, associative, and associativity is compared on the basis
 triples where either side can be nonzero.
 
 Acting sign words on the strip and crown graphs and applying the graph
-algebra construction gives, for every monoid-algebra element supported on
-a hom-set of the sign action, a family of matrices between tensor powers:
+algebra construction gives each word an integer row map
+(`graph_algebra.q_rows`), and every monoid-algebra element supported on
+a hom-set of the sign action a family of matrices between tensor powers:
 at power p, the sum over words of the coefficient times the p-th
-Kronecker power of the word's matrix (`_word_terms`), linear in the
-monoid algebra and never inside a tensor power.
+Kronecker power of the word's matrix (`_word_terms`).
 
-By the mixed-product rule every identity between such families -- the
-annihilation statement, the transport squares along the projections
-(`transport_square_check`) and the mutual inverses between the two
-crowns (`iso_check`) -- is a sum of p-th powers of p = 1 matrices, and
-one streamed walk over row tuples, `tensor_sum_prefixes`, decides it at
-every p <= r; its witness is the family's row-major first nonzero entry.
-The annihilation statement is proved instead, at every p <= n - 1, by
-the paper's structural argument (`lemma_proof_trace`): injective
-windows, intertwining window actions, and Z's words paired by each g_i
-so that every window tuple missing i cancels.  `lemma_check` keeps the
-walk as the exact zero test at any p.  The composite of two families is
-the family of the monoid product (M_w M_w' = M_(w w'), certified by each
-word's p = 1 transport square), so iso walks at most 2^n words of x.x;
-its alternating family follows from the trace and the same squares, and
-is walked only where they fail.  Naturality is certified per word: each
-word matrix is an algebra map, so every Loday square commutes at every
-power.  Only export materializes a family; `explore` reads the
-alternating family's witness and exact nonzero count at every p <= n
-from one walk.
+By the mixed-product rule every identity between such families is a sum
+of p-th powers of p = 1 products, so it holds at every power where its
+terms cancel at p = 1: each word's transport square F_s C_w = B_w F_t
+(`_word_square`), a comparison of row maps, proves `transport_square_check`
+and iso's composites (M_w M_w' = M_(w w'), so iso walks at most 2^n words
+of x.x) without a walk.  Elsewhere one streamed walk over row tuples,
+`tensor_sum_prefixes`, decides a family at every p <= r; its witness is
+the family's row-major first nonzero entry.  The annihilation statement is
+proved at every p <= n - 1 by the paper's structural argument
+(`lemma_proof_trace`): injective windows, intertwining window actions, and
+Z's words paired by each g_i; iso's alternating family follows from it and
+Z's squares.  `lemma_check` keeps the walk as the exact zero test at any p.
+Naturality is certified per word (each word matrix is an algebra map).
+Only export materializes a family; `explore` reads the alternating
+family's witness and exact nonzero count at every p <= n from one walk.
 """
 
 from __future__ import annotations
@@ -53,17 +49,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import CapExceeded, HomSetViolation
 from .fields import QQ
-from .graph_algebra import Algebra, is_multiplicative, q_hom, q_ungraded
+from .graph_algebra import Algebra, is_multiplicative, q_rows, q_ungraded, rows_compose, rows_equal, rows_matrix
 from .graphs import act_on_B, act_on_C, build_B, build_C, build_F, morphism_new
-from .linalg import (
-    Matrix,
-    kron_sum,
-    left_inverse,
-    mat_compose,
-    mat_rank,
-    tensor_sum_prefixes,
-    vstack,
-)
+from .linalg import Matrix, kron_sum, left_inverse, mat_rank, tensor_sum_prefixes, vstack
 from .monoid import MonoidAlgElem, Word, act_on_U, build_T, build_Z, gen_g, homset_member
 
 DEFAULT_SURJECTION_CAP = 6
@@ -276,17 +264,23 @@ class NatTransData:
         }
 
 
-def _action_matrix(n: int, w: Word, s, target: str, field) -> Matrix:
-    """Matrix of the induced algebra map of the action of one word."""
-    return q_hom(act_on_B(n, w) if target == "B" else act_on_C(n, w, s), field)
+def _action_rows(n: int, w: Word, s, target: str) -> tuple:
+    """Row map of the induced algebra map of one word's action: on the strip for "B", from the s-crown for "C"."""
+    return q_rows(act_on_B(n, w) if target == "B" else act_on_C(n, w, s))
 
 
-def _word_terms(n: int, x: MonoidAlgElem, s: int, t: int, target: str) -> list:
-    """The (coefficient, word matrix) pairs of x, in word order.
+@functools.cache
+def _projection_rows(n: int, s: int) -> tuple:
+    """Row map of the projection matrix F_s, from the s-crown's algebra to the strip's."""
+    return q_rows(build_C(n, s)[1])
 
-    For target "B" the matrices act on the strip algebra (signs are
+
+def _word_rows(n: int, x: MonoidAlgElem, s: int, t: int, target: str):
+    """The (coefficient, word row map) pairs of x in word order, each built when it is reached.
+
+    For target "B" the row maps act on the strip algebra (signs are
     ignored); for target "C" x must be supported on the (s -> t) hom-set,
-    and the matrices map the t-crown algebra to the s-crown one.
+    and the row maps map the t-crown algebra to the s-crown one.
     """
     if x.n != n:
         raise ValueError(f"level mismatch: element has level {x.n}, expected {n}")
@@ -294,8 +288,12 @@ def _word_terms(n: int, x: MonoidAlgElem, s: int, t: int, target: str) -> list:
         raise ValueError(f"unknown target {target!r}")
     if target == "C" and not homset_member(x, s, t):
         raise HomSetViolation(f"element is not supported on the {s}->{t} hom-set")
-    words = sorted(x.terms, key=Word.sort_key)
-    return [(x.terms[w], _action_matrix(n, w, s, target, x.field)) for w in words]
+    return ((x.terms[w], _action_rows(n, w, s, target)) for w in sorted(x.terms, key=Word.sort_key))
+
+
+def _word_terms(n: int, x: MonoidAlgElem, s: int, t: int, target: str) -> list:
+    """The (coefficient, word matrix) pairs of x, in word order, as for `_word_rows`."""
+    return [(c, rows_matrix(x.field, rows)) for c, rows in _word_rows(n, x, s, t, target)]
 
 
 def _power_terms(products, p: int) -> list:
@@ -393,14 +391,14 @@ class LemmaTrace:
         )
 
 
-def _window_action_matrix(n: int, i: int, coords: tuple, field) -> Matrix:
-    """Matrix of the action on window i (which is invariant) of the words with `coords` on its columns."""
+def _window_rows(n: int, i: int, coords: tuple) -> tuple:
+    """Row map of the action on window i (which is invariant) of the words with `coords` on its columns."""
     fg, _ = build_F(n, i)
     mapping = {(j, v): (j, coords[j - 2 * i + 1] * v) for (j, v) in fg.vertices}
-    return q_hom(morphism_new(mapping, fg, fg), field)
+    return q_rows(morphism_new(mapping, fg, fg))
 
 
-def lemma_proof_trace(n: int, p: int, field=QQ) -> LemmaTrace:
+def lemma_proof_trace(n: int, p: int, field=QQ, strips=None) -> LemmaTrace:
     """Prove the annihilation statement at every power up to p by its structural steps.
 
     E is the stacked window restrictions, and W_i(w) the action of word w
@@ -417,13 +415,13 @@ def lemma_proof_trace(n: int, p: int, field=QQ) -> LemmaTrace:
     A tuple of p < n windows misses some i, and its block cancels in the
     pairs of that i, so Z^(p) = 0.  No sum over words or tuples is formed.
     The off-window step, g_i acting as the identity on every other window,
-    is reported alongside.
+    is reported alongside.  Step (ii) compares row maps; `strips`, when
+    given, holds the strip row map of each word of Z, not rebuilt then.
     """
     if not 1 <= p < n:
         raise ValueError("trace requires 1 <= p < n")
-    incls = [build_F(n, i)[1] for i in range(1, n + 1)]
-    restrictions = [q_hom(e, field) for e in incls]
-    e1 = vstack(restrictions)
+    restrictions = [q_rows(build_F(n, i)[1]) for i in range(1, n + 1)]
+    e1 = vstack([rows_matrix(field, e, q_ungraded(build_B(n), field).dim) for e in restrictions])
     e1_rank = mat_rank(e1)
     full = e1_rank == e1.ncols
     left_ok = False
@@ -437,25 +435,22 @@ def lemma_proof_trace(n: int, p: int, field=QQ) -> LemmaTrace:
     def window(i, w):
         return i, w.coords[2 * i - 2:2 * i + 1]
 
-    window_mat = functools.cache(lambda i, coords: _window_action_matrix(n, i, coords, field))
-    # the stacked identity e1 . M_w == diag(W_i) . e1, read block by block
-    intertwining_ok = True
-    for w in z.terms:
-        mb = _action_matrix(n, w, 1, "B", field)
-        if any(
-            mat_compose(e, mb) != mat_compose(window_mat(*window(i, w)), e)
-            for i, e in enumerate(restrictions, start=1)
-        ):
-            intertwining_ok = False
-            break
+    window_rows = functools.cache(lambda i, coords: _window_rows(n, i, coords))
+    # the stacked identity e1 . M_w == diag(W_i) . e1, block by block, up to the first failure
+    strip = ((w, _action_rows(n, w, None, "B") if strips is None else strips[w]) for w in z.terms)
+    intertwining_ok = all(
+        rows_equal(rows_compose(e, mb), rows_compose(window_rows(*window(i, w)), e), field)
+        for w, mb in strip
+        for i, e in enumerate(restrictions, start=1)
+    )
 
     off_window = [
-        window_mat(*window(i_prime, gen_g(n, i)))
+        window_rows(*window(i_prime, gen_g(n, i)))
         for i in range(1, n + 1)
         for i_prime in range(1, n + 1)
         if i_prime != i
     ]
-    off_window_ok = all(m == Matrix.identity(field, m.nrows) for m in off_window)
+    off_window_ok = all(rows_equal(m, tuple((r, 1) for r in range(len(m))), field) for m in off_window)
 
     def pairs_cancel(i):
         g = gen_g(n, i)
@@ -486,16 +481,17 @@ def lemma_proof_trace(n: int, p: int, field=QQ) -> LemmaTrace:
 
 # -- transport squares and the crown isomorphism -------------------------
 
+def _word_square(n: int, s: int, t: int, b: tuple, c: tuple, field) -> bool:
+    """Whether a word's p = 1 transport square F_s C_w = B_w F_t holds, s -> t its hom-set, B_w = b and C_w = c."""
+    return rows_equal(rows_compose(_projection_rows(n, s), c), rows_compose(b, _projection_rows(n, t)), field)
+
+
 def _transport_products(n: int, x: MonoidAlgElem, s: int, t: int) -> list:
     """The (c_w, B_w F_t) and (-c_w, F_s C_w) pairs of x's words, B strip and C crown."""
-    field = x.field
-    f_s = q_hom(build_C(n, s)[1], field)
-    f_t = q_hom(build_C(n, t)[1], field)
-    strip = _word_terms(n, x, s, t, "B")
-    crown = _word_terms(n, x, s, t, "C")
-    return [(c, mat_compose(m, f_t)) for c, m in strip] + [
-        (field.neg(c), mat_compose(f_s, m)) for c, m in crown
-    ]
+    f_s, f_t, field = _projection_rows(n, s), _projection_rows(n, t), x.field
+    strip = [(c, rows_compose(b, f_t)) for c, b in _word_rows(n, x, s, t, "B")]
+    crown = [(field.neg(c), rows_compose(f_s, m)) for c, m in _word_rows(n, x, s, t, "C")]
+    return [(c, rows_matrix(field, rows, q_ungraded(build_C(n, t)[0], field).dim)) for c, rows in strip + crown]
 
 
 def _zero_powers(terms, r: int) -> list:
@@ -504,18 +500,24 @@ def _zero_powers(terms, r: int) -> list:
     return zeros if len(zeros) == r else zeros + [False]  # the walk stopped at its first nonzero power
 
 
+def _transport_verdict(n: int, r: int, x: MonoidAlgElem, s: int, t: int) -> tuple:
+    """(`transport_square_check`'s verdict, whether it walked), holding one word's row maps at a time."""
+    pairs = zip(_word_rows(n, x, s, t, "C"), _word_rows(n, x, s, t, "B"))
+    if all(_word_square(n, s, t, b, c, x.field) for (_, c), (_, b) in pairs):
+        return True, False
+    return all(_zero_powers(_power_terms(_transport_products(n, x, s, t), r), r)), True
+
+
 def transport_square_check(n: int, r: int, x: MonoidAlgElem, s: int, t: int) -> bool:
     """Whether the strip and crown families commute with the projections.
 
     At each power p <= r the strip-side component after F_t^(x)p must
     equal F_s^(x)p after the crown-side component, F the projection
-    matrices.  By the mixed-product rule that is the family
-    sum_w c_w (B_w F_t)^(x)p - sum_w c_w (F_s C_w)^(x)p = 0, decided at
-    every p <= r by one walk.  Each word's square holds at p = 1, so the
-    walk's merge cancels the sum.
+    matrices: the family sum_w c_w ((B_w F_t)^(x)p - (F_s C_w)^(x)p) = 0.
+    Where each word's p = 1 square holds every term is zero, so no walk
+    runs; where one fails the sum can still cancel, and one walk decides it.
     """
-    products = _transport_products(n, x, s, t)
-    return all(_zero_powers(_power_terms(products, r), r))
+    return _transport_verdict(n, r, x, s, t)[0]
 
 
 @dataclass
@@ -540,27 +542,31 @@ class IsoReport:
 
 
 class _CrownFamilies:
-    """iso's families at level n: each word matrix built once per (word, sign), its p = 1 squares once per word."""
+    """iso's families at level n: crown row maps once per (word, sign), strip row maps and squares once per word.
+
+    Each word matrix iso walks or certifies is converted from the crown row map whose square was checked.
+    """
 
     def __init__(self, n: int, field, max_tensor_dim: int):
         self.n, self.field = n, field
         self.crowns = {s: q_ungraded(build_C(n, s)[0], field) for s in (1, -1)}
         _check_tensor_cap(1, self.crowns.values(), max_tensor_dim)  # before any word matrix or walk
-        self.matrix = matrix = functools.cache(lambda w, s: _action_matrix(n, w, s, "C", field))
-        f = {s: q_hom(build_C(n, s)[1], field) for s in (1, -1)}  # the projection matrices F_s
-        self.injective = {s: mat_rank(f[s]) == f[s].ncols for s in (1, -1)}
+        self.rows = functools.cache(lambda w, s: _action_rows(n, w, s, "C"))
+        dim = self.crowns[1].dim
+        self.injective = {s: mat_rank(rows_matrix(field, _projection_rows(n, s), dim)) == dim for s in (1, -1)}
+        self.z = build_Z(n, field)
+        strips = {w: _action_rows(n, w, None, "B") for w in self.z.terms}  # read by the trace, then by Z's squares
 
         @functools.cache
-        def squares(w):  # the p = 1 transport squares F_s C_w = B_w F_t on both signs s, t = w.s
-            b = _action_matrix(n, w, None, "B", field)  # B_w: the same on both signs, and not kept
-            return {s: mat_compose(f[s], matrix(w, s)) == mat_compose(b, f[act_on_U(w, s)]) for s in (1, -1)}
+        def squares(w):  # the p = 1 transport squares on both signs s, t = w.s
+            b = strips.pop(w, None) or _action_rows(n, w, None, "B")  # B_w: the same on both signs, and not kept
+            return {s: _word_square(n, s, act_on_U(w, s), b, self.rows(w, s), field) for s in (1, -1)}
         self.square = lambda w, s: squares(w)[s]
         # Z's family on s -> s is zero at every power when the strip's is (the
         # lemma's trace), each word's square holds and F_s is injective:
         # F_s^(x)p C_Z^(p) = B_Z^(p) F_s^(x)p = 0.  Elsewhere it is walked, once per sign
-        self.z = build_Z(n, field)
         self.alternating = {s: self.terms(self.z, s) for s in (1, -1)}
-        proved = lemma_proof_trace(n, n - 1, field).passed
+        proved = lemma_proof_trace(n, n - 1, field, strips).passed
         self.alt_zero = {
             s: [True] * (n - 1) if proved and self.injective[s] and all(self.square(w, s) for w in self.z.terms)
             else _zero_powers(_power_terms(self.alternating[s], n - 1), n - 1)
@@ -569,7 +575,8 @@ class _CrownFamilies:
 
     def terms(self, x: MonoidAlgElem, s: int) -> list:
         """The (coefficient, word matrix) pairs of x on the s-crown, in word order."""
-        return [(x.terms[w], self.matrix(w, s)) for w in sorted(x.terms, key=Word.sort_key)]
+        words = sorted(x.terms, key=Word.sort_key)
+        return [(x.terms[w], rows_matrix(self.field, self.rows(w, s))) for w in words]
 
     def premise(self, x: MonoidAlgElem, square: MonoidAlgElem, s: int, t: int) -> bool:
         """Whether each word of x on s and t, and of `square` = x.x on s, has its p = 1 square, F_s injective.

@@ -2,7 +2,7 @@ import itertools
 import random
 
 from crown.errors import CapExceeded
-from crown.graph_algebra import q_hom
+from crown.graph_algebra import _orbits, q_ungraded
 from crown.graphs import Graph, GraphMorphism, act_on_C, build_C, graph_new
 from crown import linalg
 from crown.linalg import Matrix, _merged_terms, _term_shapes, kron_power, kron_sum, mat_compose
@@ -16,7 +16,7 @@ from crown.loday import (
     surj_compose,
     surjections,
 )
-from crown.monoid import build_Z
+from crown.monoid import MonoidAlgElem, act_on_U, build_T, build_Z, gen_g, gen_h
 
 
 def random_graph(rng: random.Random, max_vertices=6, min_vertices=2, p_edge=0.4):
@@ -42,6 +42,38 @@ def relabeled_copy(g: Graph, seed: int) -> Graph:
         [names[v] for v in perm],
         [(names[a], names[b]) for a, b in g.edges()],
     )
+
+
+def reference_q_hom(f: GraphMorphism, field) -> Matrix:
+    """The matrix of the induced algebra map Q(target) -> Q(source), built entry by entry.
+
+    One entry per vertex, and one per ordered related pair of the source
+    whose image is its orbit's representative; entries accumulate, so both
+    orientations of a collapsed edge give weight 2 on the diagonal.  The
+    oracle for `graph_algebra.q_rows` and its conversion `q_hom`.
+    """
+    g, h = f.source, f.target
+    one = field.one
+    ng, nh = len(g.vertices), len(h.vertices)
+    g_orbit, _ = _orbits(g)
+    _, h_representative = _orbits(h)
+    entries = [(g.index(x), h.index(f.mapping[x]), one) for x in g.vertices]
+    for a, b in g.relation:
+        col = h_representative.get((f.mapping[a], f.mapping[b]))
+        if col is not None:
+            entries.append((ng + g_orbit[(a, b)], nh + col, one))
+    return Matrix.from_entries(field, q_ungraded(g, field).dim, q_ungraded(h, field).dim, entries)
+
+
+def with_row(rows: tuple, r: int, entry) -> tuple:
+    """The row map with row r replaced by `entry`, a (column, weight) pair or None."""
+    return rows[:r] + (entry,) + rows[r + 1:]
+
+
+def bumped_row(rows: tuple, r: int = 0, by: int = 1) -> tuple:
+    """Row r's weight changed by `by`: the matrix plus `by` times the unit matrix at (r, the row's column)."""
+    column, weight = rows[r]
+    return with_row(rows, r, (column, weight + by))
 
 
 def matrix_from_rows(field, rows) -> Matrix:
@@ -134,13 +166,25 @@ def reference_transport_square_check(n, r, x, s, t) -> bool:
     field = x.field
     b_side = cofunctor_eval(n, r, x, s, t, target="B")
     c_side = cofunctor_eval(n, r, x, s, t, target="C")
-    f_s = q_hom(build_C(n, s)[1], field)
-    f_t = q_hom(build_C(n, t)[1], field)
+    f_s = reference_q_hom(build_C(n, s)[1], field)
+    f_t = reference_q_hom(build_C(n, t)[1], field)
     return all(
         mat_compose(b_side.components[p], kron_power(f_t, p))
         == mat_compose(kron_power(f_s, p), c_side.components[p])
         for p in range(1, r + 1)
     )
+
+
+def transport_elements(n, f):
+    """The transport check's elements: (name, element, s, t)."""
+    elements = [("1", MonoidAlgElem.one(f, n), 1, 1)]
+    for i in range(1, n + 1):
+        elements.append((f"g{i}", MonoidAlgElem.from_word(f, gen_g(n, i)), 1, 1))
+        h = gen_h(n, i)
+        elements.append((f"h{i}", MonoidAlgElem.from_word(f, h), 1, act_on_U(h, 1)))
+    elements.append(("T", build_T(n, f), -1, 1))
+    elements.append(("Z", build_Z(n, f), 1, 1))
+    return elements
 
 
 def reference_iso_claims(n, field, x, targets) -> dict:

@@ -20,10 +20,10 @@ from crown.harness import (
     report_json,
     run_suite,
 )
-from crown.linalg import Matrix, kron_sum
+from crown.linalg import kron_sum
 from crown.loday import cofunctor_eval
 from crown.monoid import Word, build_Z
-from conftest import row_major_reference
+from conftest import bumped_row, row_major_reference, with_row
 
 
 def scrub_timing(payload: str) -> str:
@@ -228,17 +228,15 @@ def test_lemma_starts_no_walk(monkeypatch):
 
 
 def test_lemma_fails_with_the_proof_trace(monkeypatch):
-    # one entry more on window 1's matrix of the words without g_1 breaks
-    # step (ii); the check fails on the trace and reports no powers
-    window_action = loday._window_action_matrix
+    # row 0's weight one more on window 1's matrix of the words without g_1
+    # breaks step (ii); the check fails on the trace and reports no powers
+    window_action = loday._window_rows
 
-    def bumped(n, i, coords, field):
-        m = window_action(n, i, coords, field)
-        if (i, coords) != (1, (1, 1, 1)):
-            return m
-        return m + Matrix.from_entries(field, m.nrows, m.ncols, [(0, 0, field.one)])
+    def bumped(n, i, coords):
+        rows = window_action(n, i, coords)
+        return bumped_row(rows) if (i, coords) == (1, (1, 1, 1)) else rows
 
-    monkeypatch.setattr(loday, "_window_action_matrix", bumped)
+    monkeypatch.setattr(loday, "_window_rows", bumped)
     for field in (QQ, GF(2)):
         (report,) = run_suite(RunConfig(n=3, field=field, checks=("lemma",)))
         assert report.status == "fail"
@@ -261,7 +259,7 @@ def test_run_suite_walks_each_power_family_once(monkeypatch):
     monkeypatch.setattr(loday, "tensor_sum_prefixes", counted)
     families = {
         "lemma": 0,  # the proof trace decides the alternating family on the strip
-        "transport": 9,  # the elements 1, g1..g3, h1..h3, T and Z
+        "transport": 0,  # every word's square holds, which proves each element at every power
         "iso": 4,  # on each sign the factored families of T and the Z control; the alternating one is certified
         "explore": 1,  # the alternating family on the crown, to p = n
     }
@@ -380,22 +378,24 @@ def test_explore_matches_the_materialized_family(n, field):
 
 @pytest.mark.parametrize("field", [QQ, GF(3)])
 def test_explore_reads_an_asymmetric_family_row_major(monkeypatch, field):
-    # One alternating word gains entries (0, 2) and (1, 1), so at p = 1 the
-    # family is exactly those two: row-major order puts (0, 2) first and
-    # column-major order (1, 1).  The pinned families have their first
-    # entry on the diagonal and cannot tell the two orders apart.
-    action = loday._action_matrix
+    # One alternating word, the identity (coefficient 1), gets row 1's
+    # weight one more and row 2 sent from column 2 to column 0, so at p = 1
+    # the family is exactly +(1, 1), +(2, 0) and -(2, 2): row-major order
+    # puts (1, 1) first and column-major order (2, 0).  The pinned families
+    # have their first entry on the diagonal and cannot tell the two orders apart.
+    action = loday._action_rows
     word = min(build_Z(2, field).terms, key=Word.sort_key)
+    assert word == Word.identity(2)
 
-    def perturbed(n, w, s, target, field):
-        m = action(n, w, s, target, field)
+    def perturbed(n, w, s, target):
+        rows = action(n, w, s, target)
         if target != "C" or w != word:
-            return m
-        return m + Matrix.from_entries(field, m.nrows, m.ncols, [(0, 2, 1), (1, 1, 1)])
+            return rows
+        return with_row(bumped_row(rows, 1), 2, (0, 1))
 
-    monkeypatch.setattr(loday, "_action_matrix", perturbed)
+    monkeypatch.setattr(loday, "_action_rows", perturbed)
     (report,) = run_suite(RunConfig(n=2, field=field, checks=("explore",)))
-    assert report.details["components"]["1"] == {"first_nonzero": [0, 2, "1"], "nnz": 2}
+    assert report.details["components"]["1"] == {"first_nonzero": [1, 1, "1"], "nnz": 3}
     assert report.details["components"] == materialized_explore(2, field)
 
 

@@ -7,18 +7,18 @@ st = hypothesis.strategies
 
 from crown import loday  # noqa: E402
 from crown.fields import GF, QQ  # noqa: E402
-from crown.linalg import Matrix  # noqa: E402
 from crown.monoid import MonoidAlgElem, Word, build_Z  # noqa: E402
+from conftest import with_row  # noqa: E402
 
 
 @st.composite
 def perturbations(draw):
-    """A level n <= 4, a field, and a change: new coefficients of Z, or one window-matrix entry more.
+    """A level n <= 4, a field, and a change: new coefficients of Z, or one window-matrix row replaced.
 
     Coefficients are Z's times a nonzero scale, which keeps every pair
     opposite, with up to two words then set to values in -2..2 (0 drops
-    the word).  The entry is added on window i's matrix of the words with
-    or without g_i.
+    the word).  The row, of window i's matrix of the words with or without
+    g_i, gets a new column and weight.
     """
     n = draw(st.integers(2, 4))
     field = draw(st.sampled_from([QQ, GF(2), GF(3)]))
@@ -44,15 +44,13 @@ def test_a_passing_trace_implies_a_zero_walk(case):
             patch.setattr(loday, "build_Z", lambda n, field: z)
         else:
             _, key, row, col, value = change
-            window_action = loday._window_action_matrix
+            window_action = loday._window_rows
 
-            def bumped(n, i, coords, f):
-                m = window_action(n, i, coords, f)
-                if (i, coords) != key:
-                    return m
-                return m + Matrix.from_entries(f, m.nrows, m.ncols, [(row % m.nrows, col % m.ncols, f.from_int(value))])
+            def changed(n, i, coords):
+                rows = window_action(n, i, coords)  # a window map's rows and columns are one basis
+                return with_row(rows, row % len(rows), (col % len(rows), value)) if (i, coords) == key else rows
 
-            patch.setattr(loday, "_window_action_matrix", bumped)
+            patch.setattr(loday, "_window_rows", changed)
         trace = loday.lemma_proof_trace(n, n - 1, field)
         hypothesis.event(f"trace passed: {trace.passed}")
         if trace.passed:

@@ -352,7 +352,7 @@ def test_kron_sum_orders_factors_and_scales_by_the_coefficient():
 
 def test_kron_sum_shares_one_empty_column():
     # columns no term reaches, and a column whose entries cancel, are one
-    # shared empty dict, as in mat_compose; the others are distinct
+    # shared empty dict; the others are distinct
     a = matrix_from_rows(QQ, [[1, 0, 2], [0, 0, 3]])
     b = matrix_from_rows(QQ, [[1, 1], [0, 0]])
     e = Matrix.from_entries(QQ, 2, 3, [(0, 0, 1)])

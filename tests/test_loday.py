@@ -1,4 +1,3 @@
-import collections
 import itertools
 import random
 from fractions import Fraction
@@ -7,7 +6,7 @@ import pytest
 
 from crown.errors import CapExceeded, HomSetViolation
 from crown.fields import GF, QQ
-from crown.graph_algebra import Algebra, annihilator_grading, is_multiplicative, q_ungraded
+from crown.graph_algebra import Algebra, annihilator_grading, is_multiplicative, q_ungraded, rows_matrix
 from crown.graphs import build_C, graph_new, is_admissible
 from crown import linalg, loday, monoid
 from crown.harness import RunConfig, run_suite
@@ -37,6 +36,8 @@ from crown.monoid import (
 )
 import conftest
 from conftest import (
+    bumped_row,
+    transport_elements,
     generating_surjections,
     generator_functor_check,
     identity_family,
@@ -295,7 +296,7 @@ def test_functor_check_builds_no_loday_matrix(monkeypatch):
     def raising(*args, **kwargs):
         raise AssertionError("functor materialized a matrix")
 
-    for name in ("kron_sum", "mat_compose", "_LodayCache"):
+    for name in ("kron_sum", "_LodayCache"):
         monkeypatch.setattr(loday, name, raising)
     for name in ("kron_sum", "mat_compose"):
         monkeypatch.setattr(linalg, name, raising)
@@ -489,11 +490,11 @@ def test_lemma_trace_level_three():
 
 def test_lemma_trace_fails_when_windows_do_not_intertwine(monkeypatch):
     # negative control: every word acting as the identity on every window
-    window_action = loday._window_action_matrix
+    window_action = loday._window_rows
     monkeypatch.setattr(
         loday,
-        "_window_action_matrix",
-        lambda n, i, coords, field: Matrix.identity(field, window_action(n, i, coords, field).nrows),
+        "_window_rows",
+        lambda n, i, coords: tuple((r, 1) for r in range(len(window_action(n, i, coords)))),
     )
     trace = lemma_proof_trace(2, 1, QQ)
     assert trace.intertwining_ok is False
@@ -561,42 +562,37 @@ def test_lemma_trace_builds_two_window_matrices_per_window(monkeypatch):
     # a window matrix reads the window's three coordinates only, and Z's
     # words take two values there (with or without g_i)
     built = []
-    window_action = loday._window_action_matrix
+    window_action = loday._window_rows
 
-    def recording(n, i, coords, field):
+    def recording(n, i, coords):
         built.append((i, coords))
-        return window_action(n, i, coords, field)
+        return window_action(n, i, coords)
 
-    monkeypatch.setattr(loday, "_window_action_matrix", recording)
+    monkeypatch.setattr(loday, "_window_rows", recording)
     assert lemma_proof_trace(4, 2, GF(2)).passed
     assert sorted(built) == [(i, (1, c, 1)) for i in range(1, 5) for c in (0, 1)]
 
 
 @pytest.mark.parametrize("side", ["window", "strip"])
 def test_lemma_trace_fails_when_one_z_word_does_not_intertwine(monkeypatch, side):
-    # negative control for (ii) over Z's words: one entry more on the strip
-    # matrix of g_1 g_2 alone, a word that is no generator, or on the
-    # window-3 matrix of the words with g_3, which the off-window step never reads
+    # negative control for (ii) over Z's words: row 0's weight one more on
+    # the strip matrix of g_1 g_2 alone, a word that is no generator, or on
+    # the window-3 matrix of the words with g_3, which the off-window step never reads
     word = gen_g(3, 1) * gen_g(3, 2)
-    window_action, action = loday._window_action_matrix, loday._action_matrix
-
-    def bumped(m, field):
-        return m + Matrix.from_entries(field, m.nrows, m.ncols, [(0, 0, field.one)])
-
+    window_action, action = loday._window_rows, loday._action_rows
     if side == "window":
         monkeypatch.setattr(
             loday,
-            "_window_action_matrix",
-            lambda n, i, coords, field: bumped(window_action(n, i, coords, field), field)
+            "_window_rows",
+            lambda n, i, coords: bumped_row(window_action(n, i, coords))
             if (i, coords) == (3, gen_g(3, 3).coords[4:7])
-            else window_action(n, i, coords, field),
+            else window_action(n, i, coords),
         )
     else:
         monkeypatch.setattr(
             loday,
-            "_action_matrix",
-            lambda n, w, s, target, field: bumped(action(n, w, s, target, field), field) if w == word
-            else action(n, w, s, target, field),
+            "_action_rows",
+            lambda n, w, s, target: bumped_row(action(n, w, s, target)) if w == word else action(n, w, s, target),
         )
     trace = lemma_proof_trace(3, 2, QQ)
     assert trace.intertwining_ok is False
@@ -671,33 +667,21 @@ def test_transport_standard_set_level_two():
         assert transport_square_check(n, 1, x, s, t)
 
 
-def transport_elements(n, f):
-    """The transport check's elements: (name, element, s, t)."""
-    elements = [("1", MonoidAlgElem.one(f, n), 1, 1)]
-    for i in range(1, n + 1):
-        elements.append((f"g{i}", MonoidAlgElem.from_word(f, gen_g(n, i)), 1, 1))
-        h = gen_h(n, i)
-        elements.append((f"h{i}", MonoidAlgElem.from_word(f, h), 1, act_on_U(h, 1)))
-    elements.append(("T", build_T(n, f), -1, 1))
-    elements.append(("Z", build_Z(n, f), 1, 1))
-    return elements
-
-
 def perturb_crown_word(monkeypatch, word, signs=(1, -1)):
-    """Change entry (0, 0) of the crown matrices of one word, on the given signs, by one.
+    """Change row 0's weight in the crown row maps of one word, on the given signs, by one.
 
-    One word, not all: an element whose coefficients sum to zero (the
-    alternating one) would cancel a perturbation shared by every word.
+    That adds the unit matrix at row 0's column, E00 for the identity
+    word; over F_2 row 0 becomes zero.  One word, not all: an element
+    whose coefficients sum to zero (the alternating one) would cancel a
+    perturbation shared by every word.
     """
-    action = loday._action_matrix
+    action = loday._action_rows
 
-    def perturbed(n, w, s, target, field):
-        m = action(n, w, s, target, field)
-        if target != "C" or w != word or s not in signs:
-            return m
-        return m + Matrix.from_entries(field, m.nrows, m.ncols, [(0, 0, 1)])
+    def perturbed(n, w, s, target):
+        rows = action(n, w, s, target)
+        return bumped_row(rows) if target == "C" and w == word and s in signs else rows
 
-    monkeypatch.setattr(loday, "_action_matrix", perturbed)
+    monkeypatch.setattr(loday, "_action_rows", perturbed)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
@@ -726,40 +710,40 @@ def test_transport_fails_with_a_perturbed_word_matrix(monkeypatch, field):
 
 
 def test_transport_fails_with_a_perturbed_projection(monkeypatch):
-    q_hom = loday.q_hom
-
-    def perturbed(morphism, field):
-        m = q_hom(morphism, field)
-        if m.nrows == m.ncols:  # a word matrix; only the strip-by-crown projections change
-            return m
-        return m + Matrix.from_entries(field, m.nrows, m.ncols, [(0, 0, 1)])
-
-    monkeypatch.setattr(loday, "q_hom", perturbed)
+    # row 0's weight one more on both projections, so every word's square
+    # fails and the walk finds the sum nonzero
+    projection = loday._projection_rows
+    monkeypatch.setattr(loday, "_projection_rows", lambda n, s: bumped_row(projection(n, s)))
     for field in (QQ, GF(2)):
         x = build_T(3, field)
         products = loday._transport_products(3, x, -1, 1)
         for p in (1, 2):
             assert tensor_product_sum_witness(loday._power_terms(products, p), p) is not None
+        assert loday._transport_verdict(3, 2, x, -1, 1) == (False, True)
         assert not transport_square_check(3, 2, x, -1, 1)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_transport_checks_every_power(monkeypatch, field):
-    # +E on one strip word and -E on another leave the p = 1 sum unchanged
-    # but not the squares of the words, so only p = 2 fails
+    # +E on one strip word and -E on another, row 0's weight one more and
+    # one less (both words send row 0 to column 0), leave the p = 1 sum
+    # unchanged but not the squares of the words: the per-word proof fails,
+    # and the walk passes p = 1 and fails p = 2
     n = 3
     g1, g2 = gen_g(n, 1), gen_g(n, 2)
     x = MonoidAlgElem.from_word(field, g1) + MonoidAlgElem.from_word(field, g2)
-    action = loday._action_matrix
+    action = loday._action_rows
 
-    def perturbed(n, w, s, target, field):
-        m = action(n, w, s, target, field)
+    def perturbed(n, w, s, target):
+        rows = action(n, w, s, target)
         if target != "B" or w not in (g1, g2):
-            return m
-        bump = Matrix.from_entries(field, m.nrows, m.ncols, [(0, 0, 1 if w == g1 else -1)])
-        return m + bump
+            return rows
+        return bumped_row(rows, 0, 1 if w == g1 else -1)
 
-    monkeypatch.setattr(loday, "_action_matrix", perturbed)
+    monkeypatch.setattr(loday, "_action_rows", perturbed)
+    assert action(n, g1, 1, "B")[0] == action(n, g2, 1, "B")[0] == (0, 1)
+    assert loday._transport_verdict(n, 1, x, 1, 1) == (True, True)
+    assert loday._transport_verdict(n, 2, x, 1, 1) == (False, True)
     assert transport_square_check(n, 1, x, 1, 1)
     assert reference_transport_square_check(n, 1, x, 1, 1)
     assert not transport_square_check(n, 2, x, 1, 1)
@@ -1031,7 +1015,7 @@ def test_iso_under_a_cap_below_the_crown_dimension_does_no_work(monkeypatch, fie
 
     with monkeypatch.context() as patch:
         patch.setattr(loday, "tensor_sum_prefixes", raising)
-        patch.setattr(loday, "_action_matrix", raising)
+        patch.setattr(loday, "_action_rows", raising)
         with pytest.raises(CapExceeded, match="tensor dimension 36\\^1 exceeds cap 35"):
             iso_check(2, field, max_tensor_dim=35)
     report = iso_check(2, field, max_tensor_dim=36)
@@ -1060,33 +1044,34 @@ def test_iso_fails_when_a_twist_word_acts_as_another(monkeypatch, field):
 @pytest.mark.parametrize("n", [2, 3])
 def test_iso_builds_each_strip_matrix_once_per_word(monkeypatch, field, n):
     # B_w does not depend on the sign, so both signs' squares of a word
-    # share one strip matrix: one build per distinct word of T, T.T, Z and
+    # share one strip row map: one build per distinct word of T, T.T, Z and
     # Z.Z, that is the 2^n - 1 words of T and the 2^n of Z; the lemma's
-    # trace, which certifies the alternating family, builds one more per
-    # word of Z
-    action, built = loday._action_matrix, []
+    # trace, which certifies the alternating family, reads Z's strip row
+    # maps from the squares and builds none
+    action, built = loday._action_rows, []
 
-    def counting(n, w, s, target, field):
+    def counting(n, w, s, target):
         if target == "B":
             built.append(w)
-        return action(n, w, s, target, field)
+        return action(n, w, s, target)
 
-    monkeypatch.setattr(loday, "_action_matrix", counting)
+    monkeypatch.setattr(loday, "_action_rows", counting)
     report = iso_check(n, field)
     assert report.status == "PASS" and report.control.status == "FAIL"
     t, z = build_T(n, field), build_Z(n, field)
     words = set(t.terms) | set((t * t).terms) | set(z.terms) | set((z * z).terms)
-    assert len(set(built)) == len(words) == 2 ** (n + 1) - 1
-    assert collections.Counter(built) == collections.Counter([*words, *z.terms])
+    assert len(built) == len(set(built)) == len(words) == 2 ** (n + 1) - 1
+    assert set(built) == words
 
 
 def pairwise_products(families, x, s, t):
-    """Whether M_w M_w' == M_(w w') for every pair of words of x, w on s and w' on t."""
-    return all(
-        mat_compose(families.matrix(w, s), families.matrix(w2, t)) == families.matrix(w * w2, s)
-        for w in x.terms
-        for w2 in x.terms
-    )
+    """Whether M_w M_w' == M_(w w') for every pair of words of x, w on s and w' on t, as `Matrix` products."""
+    dim = families.crowns[s].dim
+
+    def matrix(w, sign):
+        return rows_matrix(families.field, families.rows(w, sign), dim)
+
+    return all(mat_compose(matrix(w, s), matrix(w2, t)) == matrix(w * w2, s) for w in x.terms for w2 in x.terms)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
@@ -1208,17 +1193,17 @@ def test_iso_composes_linearly_in_the_words_and_walks_no_alternating_family(monk
     # sign, and the identity on each sign, the one word of Z.Z = Z that
     # T.T = 1 - Z lacks; 30 squares, where the pairwise composites took
     # 7^2 + 8^2 per sign.  The lemma's trace adds its intertwining, two
-    # products per window for each of Z's 8 words.  Z's crown family is
-    # certified from the trace and the squares, and walked on no sign
+    # row-map products per window for each of Z's 8 words.  Z's crown
+    # family is certified from the trace and the squares, and walked on no sign
     n = 3
     composes, walks = [], []
-    compose, walk = loday.mat_compose, loday.tensor_sum_prefixes
+    compose, walk = loday.rows_compose, loday.tensor_sum_prefixes
 
     def counting(a, b):
-        composes.append((a.nrows, b.ncols))
+        composes.append(len(a))
         return compose(a, b)
 
-    monkeypatch.setattr(loday, "mat_compose", counting)
+    monkeypatch.setattr(loday, "rows_compose", counting)
     monkeypatch.setattr(loday, "tensor_sum_prefixes", lambda terms, p: walks.append(terms) or walk(terms, p))
     report = iso_check(n, field)
     assert report.status == "PASS" and report.control.status == "FAIL"
@@ -1251,13 +1236,13 @@ def test_the_alternating_family_is_walked_where_its_certificate_premise_fails(mo
     # alone, on that sign alone, where the walk then finds it nonzero
     n = 2
     if premise == "trace":
-        window_action = loday._window_action_matrix
+        window_action = loday._window_rows
 
-        def bumped(n, i, coords, field):
-            m = window_action(n, i, coords, field)
-            return m + Matrix.from_entries(field, m.nrows, m.ncols, [(0, 0, field.one)]) if i == 1 else m
+        def bumped(n, i, coords):
+            rows = window_action(n, i, coords)
+            return bumped_row(rows) if i == 1 else rows
 
-        monkeypatch.setattr(loday, "_window_action_matrix", bumped)
+        monkeypatch.setattr(loday, "_window_rows", bumped)
     elif premise == "projection":
         rank = loday.mat_rank
         crown_dim = q_ungraded(build_C(n, 1)[0], field).dim
