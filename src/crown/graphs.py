@@ -20,10 +20,11 @@ s = +1 and swapping them when s = -1 (the Moebius crown).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .errors import CapExceeded, IllDefinedQuotient, NotAMorphism
-from .monoid import SIGN_CHAR, Word, act_on_U
+from .errors import CapExceeded, NotAMorphism
+from .monoid import SIGN_CHAR, Word, act_on_U, position_signs, stretch_counts
 
 DEFAULT_GRAPH_CAP = 64
 
@@ -170,10 +171,6 @@ def is_cover(fs) -> bool:
 
 # -- strip and crown builders ------------------------------------------
 
-def _column_signs(j):
-    return (1, -1) if j % 2 == 1 else (1, -1, 0)
-
-
 _B_CACHE: dict = {}
 
 
@@ -184,7 +181,7 @@ def build_B(n: int) -> Graph:
     g = _B_CACHE.get(n)
     if g is not None:
         return g
-    vertices = [(j, v) for j in range(1, 2 * n + 2) for v in _column_signs(j)]
+    vertices = [(j, v) for j in range(1, 2 * n + 2) for v in position_signs(j)]
     edges = []
     for i in range(1, n + 1):
         a, b, c = 2 * i - 1, 2 * i, 2 * i + 1
@@ -250,52 +247,56 @@ def build_C(n: int, s: int):
     return c, proj
 
 
-def act_on_B(n: int, w: Word) -> GraphMorphism:
-    """The endomorphism of the strip sending x_j^v to x_j^{w_j v}."""
+def _word_map(n: int, w: Word, vertices) -> dict:
+    """x_j^v -> x_j^{w_j v} on the given column vertices."""
     if w.n != n:
         raise ValueError(f"level mismatch: word has level {w.n}, expected {n}")
+    return {(j, v): (j, w.coords[j - 1] * v) for (j, v) in vertices}
+
+
+def act_on_B(n: int, w: Word) -> GraphMorphism:
+    """The endomorphism of the strip sending x_j^v to x_j^{w_j v}."""
     b = build_B(n)
-    mapping = {(j, v): (j, w.coords[j - 1] * v) for (j, v) in b.vertices}
-    return morphism_new(mapping, b, b)
+    return morphism_new(_word_map(n, w, b.vertices), b, b)
 
 
 def act_on_C(n: int, w: Word, s: int) -> GraphMorphism:
-    """The induced map on crowns, from the s-crown to the (w.s)-crown.
+    """The induced map on crowns, from the s-crown to the t = (w.s)-crown.
 
-    Computed as the unique vertex map commuting with both projections;
-    raises IllDefinedQuotient if no such map exists.
+    Read off the word, x_j^v -> x_j^{w_j v} on columns 1..2n, and validated.
+    It commutes with both projections, since x_{2n+1}^v goes either way to
+    x_1^{w_1 s v} = x_1^{t w_{2n+1} v}; so no quotient conflict can arise,
+    and nothing raises `IllDefinedQuotient` any more.
     """
-    t = act_on_U(w, s)
-    c_s, f_s = build_C(n, s)
-    c_t, f_t = build_C(n, t)
-    w_b = act_on_B(n, w)
-    mapping: dict = {}
-    for x in w_b.source.vertices:
-        src = f_s.mapping[x]
-        dst = f_t.mapping[w_b.mapping[x]]
-        prev = mapping.get(src)
-        if prev is not None and prev != dst:
-            raise IllDefinedQuotient(
-                f"quotient map conflict at {src!r}: {prev!r} vs {dst!r}"
-            )
-        mapping[src] = dst
-    return morphism_new(mapping, c_s, c_t)
+    c_s, _ = build_C(n, s)
+    c_t, _ = build_C(n, act_on_U(w, s))
+    return morphism_new(_word_map(n, w, c_s.vertices), c_s, c_t)
+
+
+def certify_word_actions(g: Graph) -> None:
+    """Prove, pair by pair, that every word maps g, with vertices (j, v) as in `build_B`, into itself.
+
+    The image of a related pair (x_j^a, x_k^b) depends only on (w_j, w_k),
+    and `stretch_counts(j, k)` names the pairs that words take, across any
+    columns between; each must keep the pair related (on the diagonal:
+    the image is a vertex).  Raises NotAMorphism with the first broken
+    pair, vertices before edges, naming the word pair that breaks it.
+    """
+    for x, y in [(v, v) for v in g.vertices] + g.edges():
+        (j, a), (k, b) = sorted((x, y))
+        for wj, wk in stretch_counts(j, k):
+            if ((j, wj * a), (k, wk * b)) not in g.relation:
+                raise NotAMorphism(((j, a), (k, b)), f"words with (w_{j}, w_{k}) = ({wj}, {wk}) break the relation")
 
 
 # -- predicates and invariants ------------------------------------------
 
 def is_admissible(g: Graph) -> bool:
     """For any two distinct vertices x, y there must be a z related to y
-    but not to x (the relation includes the diagonal)."""
-    verts = g.vertices
-    rel = g.relation
-    for x in verts:
-        for y in verts:
-            if x == y:
-                continue
-            if not any((x, z) not in rel and (y, z) in rel for z in verts):
-                return False
-    return True
+    but not to x (the relation includes the diagonal): no closed
+    neighbourhood N[y] lies inside another vertex's N[x]."""
+    closed = [frozenset(g.neighbors(v)).union((v,)) for v in g.vertices]
+    return not any(ny <= nx for nx, ny in itertools.permutations(closed, 2))
 
 
 @dataclass(frozen=True)

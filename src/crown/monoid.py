@@ -91,16 +91,14 @@ def word_mul(a: Word, b: Word) -> Word:
     return w
 
 
-def _extend(prefixes):
-    out = []
-    for coords in prefixes:
-        last = coords[-1]
-        # next even entry is 0 or repeats the last sign; after a 0 the next
-        # odd entry is free, otherwise it is forced
-        out.append(coords + (0, 1))
-        out.append(coords + (0, -1))
-        out.append(coords + (last, last))
-    return out
+def position_signs(j: int) -> tuple:
+    """The signs that position j (1-based) of a word may hold: odd positions are nonzero."""
+    return (1, -1) if j % 2 else (1, -1, 0)
+
+
+def next_signs(last: int, j: int) -> list:
+    """The signs position j may hold after `last` at position j - 1: no adjacent product is -1."""
+    return [c for c in position_signs(j) if last * c != -1]
 
 
 _WN_CACHE: dict = {}
@@ -114,20 +112,34 @@ def wn_enumerate(n: int, max_level: int = DEFAULT_LEVEL_CAP):
         raise CapExceeded(f"level {n} exceeds cap {max_level}")
     words = _WN_CACHE.get(n)
     if words is None:
-        prefixes = [(1,), (-1,)]
-        for _ in range(n):
-            prefixes = _extend(prefixes)
+        prefixes = [(c,) for c in position_signs(1)]
+        for j in range(2, 2 * n + 2):
+            after = {last: next_signs(last, j) for last in position_signs(j - 1)}
+            prefixes = [p + (c,) for p in prefixes for c in after[p[-1]]]
         words = _WN_CACHE[n] = tuple(sorted((Word(c) for c in prefixes), key=Word.sort_key))
     return words
 
 
+def stretch_counts(j: int, k: int) -> dict:
+    """The valid assignments of positions j..k, counted by their end signs (w_j, w_k).
+
+    Each extends to a whole word of any level with 2n+1 >= k (repeat a
+    nonzero end sign outwards; a 0 may stand next to any sign), so the
+    keys are exactly the pairs (w_j, w_k) that words take.
+    """
+    counts = {(c, c): 1 for c in position_signs(j)}
+    for i in range(j + 1, k + 1):
+        step: dict = {}
+        for (first, last), m in counts.items():
+            for c in next_signs(last, i):
+                step[first, c] = step.get((first, c), 0) + m
+        counts = step
+    return counts
+
+
 def word_count(n: int) -> int:
-    """The number of level-n words, by a forward pass over positions under `_validate_coords`'s rules."""
-    counts = {1: 1, -1: 1}  # last coordinate -> valid prefixes ending in it
-    for j in range(2, 2 * n + 2):
-        signs = (1, -1) if j % 2 else (1, -1, 0)  # odd positions are nonzero
-        counts = {c: sum(k for last, k in counts.items() if last * c != -1) for c in signs}
-    return sum(counts.values())
+    """The number of level-n words, by the forward pass over all 2n+1 positions."""
+    return sum(stretch_counts(1, 2 * n + 1).values())
 
 
 def gen_g(n: int, i: int) -> Word:

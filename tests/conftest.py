@@ -1,9 +1,9 @@
 import itertools
 import random
 
-from crown.errors import CapExceeded
+from crown.errors import CapExceeded, IllDefinedQuotient, NotAMorphism
 from crown.graph_algebra import _orbits, q_ungraded
-from crown.graphs import Graph, GraphMorphism, act_on_C, build_C, graph_new
+from crown.graphs import Graph, GraphMorphism, act_on_B, act_on_C, build_C, graph_new, morphism_new
 from crown import linalg
 from crown.linalg import Matrix, _merged_terms, _term_shapes, kron_power, kron_sum, mat_compose
 from crown.loday import (
@@ -16,7 +16,7 @@ from crown.loday import (
     surj_compose,
     surjections,
 )
-from crown.monoid import MonoidAlgElem, act_on_U, build_T, build_Z, gen_g, gen_h
+from crown.monoid import MonoidAlgElem, act_on_U, build_T, build_Z, gen_g, gen_h, wn_enumerate
 
 
 def random_graph(rng: random.Random, max_vertices=6, min_vertices=2, p_edge=0.4):
@@ -83,6 +83,48 @@ def matrix_from_rows(field, rows) -> Matrix:
         raise ValueError("ragged rows")
     entries = [(r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row)]
     return Matrix.from_entries(field, len(rows), ncols, entries)
+
+
+def reference_action_witness(n: int, b: Graph):
+    """The first pair of b that some level-n word's map x_j^v -> x_j^{w_j v} breaks, or None.
+
+    Builds and validates all 2*3^n maps: the oracle for
+    `graphs.certify_word_actions`.
+    """
+    for w in wn_enumerate(n):
+        try:
+            morphism_new({(j, v): (j, w.coords[j - 1] * v) for (j, v) in b.vertices}, b, b)
+        except NotAMorphism as exc:
+            return exc.witness
+    return None
+
+
+def reference_act_on_C(n, w, s) -> GraphMorphism:
+    """The crown map as the unique vertex map commuting with both projections.
+
+    Pushes the validated strip map through the two projections and raises
+    IllDefinedQuotient on a conflict: the oracle for `graphs.act_on_C`.
+    """
+    c_s, f_s = build_C(n, s)
+    c_t, f_t = build_C(n, act_on_U(w, s))
+    w_b = act_on_B(n, w)
+    mapping: dict = {}
+    for x in w_b.source.vertices:
+        src, dst = f_s.mapping[x], f_t.mapping[w_b.mapping[x]]
+        if mapping.setdefault(src, dst) != dst:
+            raise IllDefinedQuotient(f"quotient map conflict at {src!r}: {mapping[src]!r} vs {dst!r}")
+    return morphism_new(mapping, c_s, c_t)
+
+
+def reference_is_admissible(g: Graph) -> bool:
+    """Every ordered pair of distinct vertices x, y has a z related to y but not to x: the oracle for `is_admissible`."""
+    rel = g.relation
+    return all(
+        any((x, z) not in rel and (y, z) in rel for z in g.vertices)
+        for x in g.vertices
+        for y in g.vertices
+        if x != y
+    )
 
 
 def identity_morphism(g: Graph) -> GraphMorphism:

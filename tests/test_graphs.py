@@ -9,6 +9,7 @@ from crown.graphs import (
     build_B,
     build_C,
     build_F,
+    certify_word_actions,
     graph_new,
     graphs_isomorphic,
     is_admissible,
@@ -19,7 +20,15 @@ from crown.graphs import (
     valency2_cycle_count,
 )
 from crown.monoid import Word, act_on_U, gen_g, gen_h, wn_enumerate, word_mul
-from conftest import compose_morphisms, identity_morphism, random_graph, relabeled_copy
+from conftest import (
+    compose_morphisms,
+    identity_morphism,
+    random_graph,
+    reference_act_on_C,
+    reference_action_witness,
+    reference_is_admissible,
+    relabeled_copy,
+)
 
 
 # -- construction -------------------------------------------------------------
@@ -217,8 +226,8 @@ def test_act_on_C_crosses_to_the_other_crown():
 
 
 @pytest.mark.parametrize("s", [1, -1])
-def test_act_on_C_commutes_with_projections_exhaustive_n2(s):
-    n = 2
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_act_on_C_commutes_with_projections_exhaustive(n, s):
     _, f_s = build_C(n, s)
     for w in wn_enumerate(n):
         t = act_on_U(w, s)
@@ -227,6 +236,13 @@ def test_act_on_C_commutes_with_projections_exhaustive_n2(s):
         act_b = act_on_B(n, w)
         for x in build_B(n).vertices:
             assert act_c.mapping[f_s.mapping[x]] == f_t.mapping[act_b.mapping[x]]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("s", [1, -1])
+def test_act_on_C_matches_the_quotient_construction(n, s):
+    for w in wn_enumerate(n):
+        assert act_on_C(n, w, s) == reference_act_on_C(n, w, s), w
 
 
 def test_act_on_C_functorial_on_sampled_pairs():
@@ -243,6 +259,56 @@ def test_act_on_C_functorial_on_sampled_pairs():
             assert compose_morphisms(outer, inner).mapping == direct.mapping
 
 
+# -- the per-edge certificate of the word action ------------------------------
+
+def strip_variant(n, add=(), drop=()):
+    b = build_B(n)
+    return graph_new(b.vertices, [e for e in b.edges() if e not in drop] + list(add))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_certificate_agrees_with_the_enumeration_on_the_strip(n):
+    b = build_B(n)
+    certify_word_actions(b)  # raises NotAMorphism on a broken pair
+    assert reference_action_witness(n, b) is None
+
+
+STRIP_CONTROLS = {
+    "skip column": {"add": [((1, 1), (3, 1))]},
+    "added edge": {"add": [((2, 1), (4, 1))]},  # the word +++0+++ sends it to x2+ -- x4^0
+    "dropped rung": {"drop": [((1, 1), (2, 0))]},
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("control", STRIP_CONTROLS)
+def test_certificate_fails_where_the_enumeration_does(control, n):
+    g = strip_variant(n, **STRIP_CONTROLS[control])
+    assert reference_action_witness(n, g) is not None
+    with pytest.raises(NotAMorphism) as exc:
+        certify_word_actions(g)
+    # the named pair is one that some word really breaks
+    (j, a), (k, b) = exc.value.witness
+    assert any(((j, w.coords[j - 1] * a), (k, w.coords[k - 1] * b)) not in g.relation for w in wn_enumerate(n))
+
+
+def test_certificate_names_the_word_pair_across_the_skipped_column():
+    with pytest.raises(NotAMorphism) as exc:
+        certify_word_actions(strip_variant(3, **STRIP_CONTROLS["skip column"]))
+    assert exc.value.witness == ((1, 1), (3, 1))
+    assert "(w_1, w_3)" in str(exc.value)
+
+
+def test_certificate_checks_that_every_image_is_a_vertex():
+    # no edges at all, and column 2 has no x2^0 for w_2 = 0 to reach
+    g = graph_new([v for v in build_B(1).vertices if v != (2, 0)], [])
+    with pytest.raises(ValueError, match="not a target vertex"):
+        reference_action_witness(1, g)
+    with pytest.raises(NotAMorphism) as exc:
+        certify_word_actions(g)
+    assert exc.value.witness == ((2, 1), (2, 1))
+
+
 # -- predicates -------------------------------------------------------------------
 
 def test_admissibility_examples():
@@ -250,6 +316,21 @@ def test_admissibility_examples():
     assert not is_admissible(graph_new(["a", "b"], [("a", "b")]))  # complete on 2
     for s in (1, -1):
         assert is_admissible(build_C(2, s)[0])
+
+
+def test_is_admissible_matches_the_triple_loop():
+    rng = random.Random(2027)
+    verdicts = set()
+    for _ in range(3000):
+        g = random_graph(rng, max_vertices=7, min_vertices=1, p_edge=rng.choice((0.2, 0.5, 0.8)))
+        verdict = is_admissible(g)
+        assert verdict == reference_is_admissible(g), g.to_json()
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    for n in (2, 3, 4):
+        for s in (1, -1):
+            c = build_C(n, s)[0]
+            assert is_admissible(c) and reference_is_admissible(c)
 
 
 def test_crowns_triangle_free_without_pendants():

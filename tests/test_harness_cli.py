@@ -199,6 +199,38 @@ def test_graphs_fails_on_a_strip_edge_that_skips_a_column(monkeypatch):
     assert "(1, 1)" in report.details["action_witness"] and "(3, 1)" in report.details["action_witness"]
 
 
+@pytest.mark.parametrize("add, drop", [([((2, 1), (4, 1))], []), ([], [((1, 1), (2, 0))])], ids=["added edge", "dropped rung"])
+def test_graphs_fails_on_an_added_edge_or_a_dropped_rung(monkeypatch, add, drop):
+    """x2+ -- x4+ is broken by the word +++0+++; without the rung x1+ -- x2^0,
+    g1 sends the rung x1+ -- x2+ onto a non-edge.  Either way the certificate
+    fails, and the generators' maps, which would raise, are not built."""
+    build_B = graphs.build_B
+
+    def variant(n):
+        b = build_B(n)
+        return graph_new(b.vertices, [e for e in b.edges() if e not in drop] + add)
+
+    monkeypatch.setattr(graphs, "build_B", variant)
+    for cache in ("_B_CACHE", "_F_CACHE", "_C_CACHE"):
+        monkeypatch.setattr(graphs, cache, {})
+    (report,) = run_suite(RunConfig(n=3, field=GF(2), checks=("graphs",)))
+    assert report.status == "fail"
+    assert report.details["actions_valid"] is False
+    assert "word action broke the edge schema" in report.details["failures"]
+    assert "off_window_identity" not in report.details
+
+
+@pytest.mark.parametrize("field", [GF(2), QQ], ids=["fp2", "rational"])
+@pytest.mark.parametrize("n", [9, 12])
+def test_graphs_passes_past_the_word_enumeration_cap(n, field):
+    (report,) = run_suite(RunConfig(n=n, field=field, checks=("graphs",)))
+    assert report.status == "pass", report.details
+    assert report.details["action_mode"] == "per-edge certificate"
+    assert report.details["actions_valid"] is True
+    text = json.dumps(report.details).lower()
+    assert "reason" not in report.details and "skipped" not in text and "not computed" not in text
+
+
 def test_lemma_passes_under_a_lowered_walk_budget(monkeypatch):
     # the proof trace decides every power with no walk, so a budget of 0,
     # which stops every walk, leaves lemma at n = 5 over F2 passing
@@ -302,7 +334,7 @@ def test_lemma_and_transport_decide_every_power_at_level_eight():
 
 
 def test_graph_size_cap_bounds_only_the_isomorphism_searches():
-    # graphs runs no search; the level cap bounds its word actions
+    # graphs runs no search and enumerates no words: its word actions are proved per edge
     reports = run_suite(RunConfig(n=2, checks=("graphs", "noniso"), max_graph_size=5))
     assert [r.status for r in reports] == ["pass", "skipped"]
 

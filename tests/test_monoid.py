@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -15,6 +16,7 @@ from crown.monoid import (
     gen_g,
     gen_h,
     homset_member,
+    stretch_counts,
     wn_enumerate,
     word_count,
     word_mul,
@@ -81,6 +83,16 @@ def test_forward_pass_counts_the_words():
     for n in range(1, 9):
         assert word_count(n) == len(wn_enumerate(n))
     assert [word_count(n) for n in range(9, 21)] == [2 * 3**n for n in range(9, 21)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stretch_counts_match_the_brute_force_filter(n):
+    # every valid stretch of positions j..k is the restriction of a word
+    words = brute_force_words(n)
+    for j in range(1, 2 * n + 2):
+        for k in range(j, 2 * n + 2):
+            stretches = {w[j - 1:k] for w in words}
+            assert stretch_counts(j, k) == dict(collections.Counter((t[0], t[-1]) for t in stretches))
 
 
 def test_enumeration_cap():
