@@ -13,11 +13,14 @@ functions back along f.  Its matrix (rows in Q(G)'s basis) has one nonzero
 per row, so `q_rows` builds it as a row map: a tuple with one entry per
 row, (column, integer weight), or None for a zero row.  A vertex row has
 weight 1 at its image, an orbit row weight 1 at its representative's
-image orbit, or 2 where f collapses the edge onto a vertex.  Row r of A.B
-is A's weight times B's row at A's column (`rows_compose`).  Weights are
-reduced into a field only to compare (`rows_equal`, over F_2 a weight 2
-is a zero row) or to convert, as `q_hom` does, into the `Matrix` that a
-rank, left inverse, certificate (`is_multiplicative`) or walk needs.
+image orbit, or 2 where f collapses the edge onto a vertex.  A sign word's
+map x_j^v -> x_j^(w_j v) needs no morphism: `sign_rows` reads each row off
+the word's signs at the row's columns, from a plan tabulated and checked
+once per graph pair.  Row r of A.B is A's weight times B's row at A's
+column (`rows_compose`).  Weights are reduced into a field only to compare
+(`rows_equal`, over F_2 a weight 2 is a zero row) or to convert, as
+`q_hom` does, into the `Matrix` that a rank, left inverse, certificate
+(`is_multiplicative`) or walk needs.
 
 The reconstruction pipeline recovers an admissible graph from its
 algebra: regrade it via the annihilator (an `Algebra` whose first dim1
@@ -39,7 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .errors import CapExceeded, NotACover
+from .errors import CapExceeded, NotACover, NotAMorphism
 from .graphs import Graph, GraphMorphism, graph_new, is_cover, vertex_label_str
 from .linalg import Matrix, _add_scaled, _echelon, _kernel_basis, kernel_basis_with_free, mat_rank, vstack
 
@@ -159,23 +162,57 @@ def _units(dim: int) -> tuple:
     return tuple((c, 1) for c in range(dim))
 
 
+def _pullback(g: Graph, h: Graph) -> tuple:
+    """The source pair of each row of a map from g to h, vertices first and then g's orbit representatives, and `entry`.
+
+    entry(r, u, v) is row r's entry where the map sends its pair to (u, v), None where h does not relate them.
+    """
+    (h_orbit, h_representative), nh, nv = _orbits(h), len(h.vertices), len(g.vertices)
+    units = _units(nh + len(h_representative))
+    pairs = [(v, v) for v in g.vertices] + list(_orbits(g)[1])
+
+    def entry(r, u, v):
+        col = h_orbit.get((u, v))
+        collapsed = u == v and pairs[r][0] != pairs[r][1]  # an edge onto a vertex
+        return None if col is None else units[h.index(u)] if r < nv else (nh + col, 2) if collapsed else units[nh + col]
+    return pairs, entry
+
+
 def q_rows(f: GraphMorphism) -> tuple:
     """The row map of the induced algebra map Q(target) -> Q(source), as the module docstring defines it."""
-    g, h, m = f.source, f.target, f.mapping
-    nh = len(h.vertices)
-    h_orbit, h_representative = _orbits(h)
-    units = _units(nh + len(h_representative))
-    rows = [units[h.index(m[x])] for x in g.vertices]
-    for a, b in _orbits(g)[1]:  # the representatives, in orbit index order
-        col = h_orbit.get((m[a], m[b]))  # None only where f is no morphism
-        rows.append(None if col is None else (nh + col, 2) if a != b and m[a] == m[b] else units[nh + col])
-    return tuple(rows)
+    pairs, entry = _pullback(f.source, f.target)
+    return tuple([entry(r, f.mapping[x], f.mapping[y]) for r, (x, y) in enumerate(pairs)])
+
+
+_PLAN_CACHE: dict = {}
+
+
+def sign_rows(g: Graph, h: Graph, coords) -> tuple:
+    """`q_rows` of x_j^v -> x_j^(c_j v) from g to h, c_j = coords[j - 1] as in a word, read off the plan of (g, h).
+
+    The plan, built once and keyed by content like `_orbits`, holds per row
+    its pair's coordinate indices and its entry for each sign pair whose
+    images h relates; a missing entry raises NotAMorphism with the pair.
+    """
+    key = (g.vertices, g.relation, h.vertices, h.relation)
+    cached = _PLAN_CACHE.get(key)
+    if cached is None:
+        (pairs, entry), plan = _pullback(g, h), []
+        for r, ((j, a), (k, b)) in enumerate(pairs):
+            signs = itertools.product((1, -1, 0), repeat=2) if j != k else [(c, c) for c in (1, -1, 0)]
+            table = {(cj, ck): entry(r, (j, cj * a), (k, ck * b)) for cj, ck in signs}
+            plan.append((j - 1, k - 1, {c: e for c, e in table.items() if e is not None}))
+        cached = _PLAN_CACHE[key] = pairs, plan
+    pairs, plan = cached
+    try:
+        return tuple([table[coords[j], coords[k]] for j, k, table in plan])
+    except KeyError:
+        raise NotAMorphism(next(p for p, (j, k, t) in zip(pairs, plan) if (coords[j], coords[k]) not in t)) from None
 
 
 def rows_compose(a: tuple, b: tuple) -> tuple:
-    """The row map of the product a.b."""
-    picked = [e and b[e[0]] for e in a]  # b's row at a's column, None for a zero row
-    return tuple(x if x is None or e[1] == 1 else (x[0], e[1] * x[1]) for e, x in zip(a, picked))
+    """The row map of the product a.b: row r is b's row at a's column, times a's weight."""
+    return tuple([None if e is None or (x := b[e[0]]) is None else x if e[1] == 1 else (x[0], e[1] * x[1]) for e in a])
 
 
 def _reduced(rows: tuple, field) -> list:

@@ -261,12 +261,10 @@ def act_on_B(n: int, w: Word) -> GraphMorphism:
 
 
 def act_on_C(n: int, w: Word, s: int) -> GraphMorphism:
-    """The induced map on crowns, from the s-crown to the t = (w.s)-crown.
+    """The induced map from the s-crown to the t = (w.s)-crown, x_j^v -> x_j^{w_j v} on columns 1..2n, validated.
 
-    Read off the word, x_j^v -> x_j^{w_j v} on columns 1..2n, and validated.
     It commutes with both projections, since x_{2n+1}^v goes either way to
-    x_1^{w_1 s v} = x_1^{t w_{2n+1} v}; so no quotient conflict can arise,
-    and nothing raises `IllDefinedQuotient` any more.
+    x_1^{w_1 s v} = x_1^{t w_{2n+1} v}.
     """
     c_s, _ = build_C(n, s)
     c_t, _ = build_C(n, act_on_U(w, s))

@@ -18,7 +18,7 @@ triples where either side can be nonzero.
 
 Acting sign words on the strip and crown graphs and applying the graph
 algebra construction gives each word an integer row map
-(`graph_algebra.q_rows`), and every monoid-algebra element supported on
+(`graph_algebra.sign_rows`), and every monoid-algebra element supported on
 a hom-set of the sign action a family of matrices between tensor powers:
 at power p, the sum over words of the coefficient times the p-th
 Kronecker power of the word's matrix (`_word_terms`).
@@ -49,8 +49,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import CapExceeded, HomSetViolation
 from .fields import QQ
-from .graph_algebra import Algebra, is_multiplicative, q_rows, q_ungraded, rows_compose, rows_equal, rows_matrix
-from .graphs import act_on_B, act_on_C, build_B, build_C, build_F, morphism_new
+from .graph_algebra import Algebra, is_multiplicative, q_rows, q_ungraded, rows_compose, rows_equal, rows_matrix, sign_rows
+from .graphs import build_B, build_C, build_F
 from .linalg import Matrix, kron_sum, left_inverse, mat_rank, tensor_sum_prefixes, vstack
 from .monoid import MonoidAlgElem, Word, act_on_U, build_T, build_Z, gen_g, homset_member
 
@@ -266,7 +266,8 @@ class NatTransData:
 
 def _action_rows(n: int, w: Word, s, target: str) -> tuple:
     """Row map of the induced algebra map of one word's action: on the strip for "B", from the s-crown for "C"."""
-    return q_rows(act_on_B(n, w) if target == "B" else act_on_C(n, w, s))
+    g, h = (build_B(n), build_B(n)) if target == "B" else (build_C(n, s)[0], build_C(n, act_on_U(w, s))[0])
+    return sign_rows(g, h, w.coords)
 
 
 @functools.cache
@@ -394,8 +395,7 @@ class LemmaTrace:
 def _window_rows(n: int, i: int, coords: tuple) -> tuple:
     """Row map of the action on window i (which is invariant) of the words with `coords` on its columns."""
     fg, _ = build_F(n, i)
-    mapping = {(j, v): (j, coords[j - 2 * i + 1] * v) for (j, v) in fg.vertices}
-    return q_rows(morphism_new(mapping, fg, fg))
+    return sign_rows(fg, fg, (0,) * (2 * i - 2) + coords)  # coords sit on columns 2i-1..2i+1
 
 
 def lemma_proof_trace(n: int, p: int, field=QQ, strips=None) -> LemmaTrace:

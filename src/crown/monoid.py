@@ -15,6 +15,7 @@ w_1 * w_{2n+1} * s.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import CapExceeded, RejectedWord
@@ -84,10 +85,10 @@ def word_mul(a: Word, b: Word) -> Word:
     product is (a_j a_(j+1)) (b_j b_(j+1)), a product of two values in
     {0, 1}.
     """
-    if a.n != b.n:
+    if len(a.coords) != len(b.coords):
         raise ValueError(f"level mismatch: {a.n} != {b.n}")
     w = object.__new__(Word)
-    object.__setattr__(w, "coords", tuple(x * y for x, y in zip(a.coords, b.coords)))
+    object.__setattr__(w, "coords", tuple(map(operator.mul, a.coords, b.coords)))
     return w
 
 

@@ -1029,8 +1029,8 @@ def test_iso_fails_when_a_twist_word_acts_as_another(monkeypatch, field):
     # iso must fail the inverse there, never derive it from the monoid
     n = 3
     w0, w1 = sorted(build_T(n, field).terms, key=Word.sort_key)[:2]
-    crown_map = loday.act_on_C
-    monkeypatch.setattr(loday, "act_on_C", lambda n, w, s: crown_map(n, w1 if w == w0 else w, s))
+    action = loday._action_rows
+    monkeypatch.setattr(loday, "_action_rows", lambda n, w, s, target: action(n, w1 if target == "C" and w == w0 else w, s, target))
     families = loday._CrownFamilies(n, field, loday.DEFAULT_TENSOR_CAP)
     assert not families.square(w0, 1) and not families.square(w0, -1)
     assert families.square(w1, 1) and families.square(w1, -1)
@@ -1087,10 +1087,10 @@ def test_word_squares_match_the_pairwise_crown_products(monkeypatch, field, n):
             with monkeypatch.context() as patch:
                 if swapped:
                     w0, w1 = sorted(x.terms, key=Word.sort_key)[:2]
-                    crown_map = loday.act_on_C
-                    mutant = lambda n, w, s: crown_map(n, w1 if w == w0 else w, s)
-                    patch.setattr(loday, "act_on_C", mutant)
-                    patch.setattr(conftest, "act_on_C", mutant)
+                    crown_map, action = conftest.act_on_C, loday._action_rows
+                    swap = lambda w, target: w1 if target == "C" and w == w0 else w
+                    patch.setattr(loday, "_action_rows", lambda n, w, s, target: action(n, swap(w, target), s, target))
+                    patch.setattr(conftest, "act_on_C", lambda n, w, s: crown_map(n, swap(w, "C"), s))
                 families = loday._CrownFamilies(n, field, loday.DEFAULT_TENSOR_CAP)
                 for s, t in ISO_TARGETS[element].items():
                     premise = families.premise(x, x * x, s, t)
