@@ -156,6 +156,6 @@ def parse_field(text: str):
     """Parse a field tag: ``rational`` or ``fp:<p>``."""
     if text == "rational":
         return QQ
-    if text.startswith("fp:"):
+    if text.startswith("fp:") and text[3:].isdecimal():
         return GF(int(text[3:]))
     raise ValueError(f"unknown field tag {text!r} (expected 'rational' or 'fp:<p>')")

@@ -34,7 +34,8 @@ cross-check, `_minimal_representatives` enumerates the p^dim1 points
 over a prime field, at most DEFAULT_POINT_CAP, with one linear test per
 point: with K_a = {x : a*x = 0}, dep(b) lies inside dep(a) iff K_a lies
 inside K_b, so [a] is minimal iff S_a = {b : b*x = 0 for x in K_a} has
-dimension 1.
+dimension 1.  Over F_2 it runs on bit-packed columns, over odd primes on
+sparse rows; both list the points in `_enumerate_projective`'s order.
 """
 
 from __future__ import annotations
@@ -341,7 +342,7 @@ def annihilator_grading(a: Algebra) -> Algebra:
 # -- projective enumeration and reconstruction ----------------------------
 
 def _enumerate_projective(field, dim):
-    """Normalized representatives (first nonzero coordinate = 1), lex order."""
+    """Normalized representatives (first nonzero coordinate = 1): lead position first, then the tail in lex order."""
     p = field.p
     for lead in range(dim):
         prefix = (0,) * lead + (1,)
@@ -355,13 +356,13 @@ def _sparse(pt):
 
 
 def _minimal_representatives(ag: Algebra, max_points: int):
-    """Normalized representatives of the minimal points, in lex order, by enumeration.
+    """Normalized representatives of the minimal points, by enumeration, in `_enumerate_projective`'s order.
 
-    [a] is minimal iff dim S_a = 1 (see the module docstring).  Each point
-    costs one forward elimination of x -> a*x: at full rank K_a = 0 and
-    dim S_a = d1.  Otherwise its RREF kernel basis, which K_a alone
-    determines, keys dim S_a, so a second elimination runs once per
-    distinct K_a.  The work is linear in the number of points.
+    That is lead position first, then the tail in lex order.  [a] is
+    minimal iff dim S_a = 1 (see the module docstring).  Each point costs
+    one forward elimination of x -> a*x: at full rank K_a = 0 and dim S_a
+    = d1.  Otherwise its RREF kernel basis, which K_a alone determines,
+    keys dim S_a, so a second elimination runs once per distinct K_a.
     """
     f = ag.field
     d1 = ag.dim1
@@ -371,6 +372,8 @@ def _minimal_representatives(ag: Algebra, max_points: int):
         raise ValueError("projective enumeration requires a prime field")
     if f.p ** d1 > max_points:
         raise CapExceeded(f"{f.p}^{d1} projective vectors exceed cap {max_points}")
+    if f.p == 2:
+        return _minimal_representatives_f2(ag)
     mul, add, zero = f.mul, f.add, f.zero
     # nonzero structure constants e_i * e_j = sum_k v e_k, grouped by j
     by_col = [
@@ -413,6 +416,42 @@ def _minimal_representatives(ag: Algebra, max_points: int):
         if dim == 1:
             chosen.append(pt)
     return chosen
+
+
+def _f2_kernel(cols) -> list:
+    """A kernel basis, as masks over the column indices, of the F_2 matrix with these int columns."""
+    pivots, kernel = {}, []  # pivots: lowest set bit -> (reduced column, mask of the columns combined into it)
+    for i, c in enumerate(cols):
+        combo = 1 << i
+        while c and (hit := pivots.get(c & -c)):
+            c, combo = c ^ hit[0], combo ^ hit[1]
+        if c:
+            pivots[c & -c] = c, combo
+        else:
+            kernel.append(combo)  # its top bit is i
+    return kernel
+
+
+def _minimal_representatives_f2(ag: Algebra) -> list:
+    """`_minimal_representatives` over F_2, walking the points in Gray-code order: one XOR of e_j's columns a step."""
+    d1 = ag.dim1
+    # column i of x -> e_j*x as an int, bit k set where e_j e_i has e_k
+    table = [[sum(1 << k for k, v in ag.product_basis(i, j).items() if v) for i in range(d1)] for j in range(d1)]
+    cols, point, dim_s, chosen = [0] * d1, 0, {(): d1}, []
+    for j in ((step & -step).bit_length() - 1 for step in range(1, 2**d1)):
+        point ^= 1 << j
+        cols = [c ^ e for c, e in zip(cols, table[j])]
+        key = ()  # the RREF of K_a: the top bits of its basis ascend, so reduce each vector by those below
+        for x in _f2_kernel(cols):
+            key += (functools.reduce(lambda y, r: min(y, y ^ r), reversed(key), x),)
+        if key not in dim_s:  # the stacked maps b -> x*b over x in K_a, block t shifted by t*dim bits
+            stacked = [0] * d1
+            for t, k in ((t, k) for t, x in enumerate(key) for k in range(d1) if x >> k & 1):
+                stacked = [c ^ e << t * ag.dim for c, e in zip(stacked, table[k])]
+            dim_s[key] = len(_f2_kernel(stacked))
+        if dim_s[key] == 1:
+            chosen.append(tuple(point >> i & 1 for i in range(d1)))
+    return sorted(chosen, key=lambda pt: (pt.index(1), pt))
 
 
 def _certified_representatives(ag: Algebra):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from crown import graph_algebra
 from crown.errors import CapExceeded, NotACover
 from crown.fields import GF, QQ
 from crown.graph_algebra import (
@@ -444,6 +445,21 @@ def test_minimal_points_cap():
         minimal_points(annihilator_grading(q_ungraded(SQUARE, GF(2))), max_points=8)
 
 
+def test_f2_enumeration_cap_and_errors(monkeypatch):
+    # the F_2 path keeps the shared checks, made before any column is built:
+    # one point under 2^dim1 is refused with the cap's message, 2^dim1 runs
+    ag = annihilator_grading(q_ungraded(SQUARE, GF(2)))
+    assert ag.dim1 == 4
+    assert _minimal_representatives(ag, 16) == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    monkeypatch.setattr(graph_algebra, "_minimal_representatives_f2", None)  # any work would fail
+    with pytest.raises(CapExceeded, match=r"^2\^4 projective vectors exceed cap 15$"):
+        _minimal_representatives(ag, 15)
+    with pytest.raises(ValueError, match="^the algebra is not regraded; see annihilator_grading$"):
+        _minimal_representatives(q_ungraded(SQUARE, GF(2)), 2**15)
+    with pytest.raises(ValueError, match="^projective enumeration requires a prime field$"):
+        _minimal_representatives(annihilator_grading(q_ungraded(SQUARE, QQ)), 2**15)
+
+
 # -- reconstruction --------------------------------------------------------------------
 
 def test_reconstruct_single_vertex():
@@ -517,6 +533,16 @@ def test_minimal_representatives_match_the_two_elimination_path(name, graph, p):
     ag = annihilator_grading(q_ungraded(graph, GF(p)))
     cap = p**ag.dim1
     assert _minimal_representatives(ag, cap) == reference_minimal_representatives(ag, cap)
+
+
+@pytest.mark.parametrize("s", [1, -1])
+def test_f2_enumeration_of_the_level_two_crowns(s):
+    # noniso's cross-check: 1023 points of F_2^10 per crown, compared as lists
+    ag = annihilator_grading(q_ungraded(build_C(2, s)[0], GF(2)))
+    assert ag.dim1 == 10
+    enumerated = _minimal_representatives(ag, 2**10)
+    assert enumerated == reference_minimal_representatives(ag, 2**10) == _certified_representatives(ag)
+    assert enumerated == [tuple(int(k == i) for k in range(10)) for i in range(10)]
 
 
 # -- differential: the degree-1 basis certificate against the enumeration --

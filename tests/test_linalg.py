@@ -66,6 +66,17 @@ def test_parse_field_round_trip():
         parse_field("float")
 
 
+@pytest.mark.parametrize("tag", ["fp:x", "fp:", "fp:2.0", "fp:-3", "float"])
+def test_parse_field_names_a_malformed_tag(tag):
+    with pytest.raises(ValueError, match=rf"^unknown field tag '{tag}' \(expected 'rational' or 'fp:<p>'\)$"):
+        parse_field(tag)
+
+
+def test_parse_field_rejects_a_composite_modulus():
+    with pytest.raises(ValueError, match="^not a prime: 4$"):
+        parse_field("fp:4")
+
+
 def test_rational_scalar_json():
     x = QQ.coerce("3/2") - QQ.coerce(1)
     assert QQ.scalar_to_json(x) == "1/2"

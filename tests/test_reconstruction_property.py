@@ -1,4 +1,4 @@
-"""Property tests of the degree-1 basis certificate against the projective enumeration."""
+"""Property tests of the degree-1 basis certificate and of the projective enumeration against their references."""
 
 import pytest
 
@@ -16,6 +16,7 @@ from crown.graph_algebra import (  # noqa: E402
     reconstruct_graph,
 )
 from crown.graphs import graph_new  # noqa: E402
+from conftest import reference_minimal_representatives  # noqa: E402
 
 # the largest vertex count per prime that keeps p^dim1 small for the enumeration
 MAX_DIM1 = {2: 7, 3: 5, 5: 4}
@@ -74,3 +75,13 @@ def test_certificate_is_exact_or_declines(alg):
     certified = _certified_representatives(ag)
     assert certified is None or certified == enumerated
     assert graph_key(reconstruct_graph(alg)) == graph_key(_points_graph(ag, enumerated))
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.one_of(degree_one_two_algebras(), graphs().map(lambda case: q_ungraded(*case))))
+def test_enumeration_matches_the_reference_as_a_list(alg):
+    # order-sensitive: the F_2 path walks its points in Gray-code order and
+    # must still list them in the reference's lead-major lex order
+    ag = annihilator_grading(alg)
+    cap = alg.field.p**ag.dim1
+    assert _minimal_representatives(ag, cap) == reference_minimal_representatives(ag, cap)
