@@ -45,7 +45,7 @@ import itertools
 
 from .errors import CapExceeded, NotACover, NotAMorphism
 from .graphs import Graph, GraphMorphism, graph_new, is_cover, vertex_label_str
-from .linalg import Matrix, _add_scaled, _echelon, _kernel_basis, kernel_basis_with_free, mat_rank, vstack
+from .linalg import Matrix, _add_scaled, _echelon, _kernel_basis, mat_rank, vstack
 
 # bounds p^dim1, the degree-1 vectors enumerated by the minimality test
 DEFAULT_POINT_CAP = 2**15
@@ -295,45 +295,29 @@ def annihilator_grading(a: Algebra) -> Algebra:
     """
     f = a.field
     d = a.dim
-    entries = []
-    for j in range(d):
-        for i in range(d):
-            vec = a.product_basis(j, i)
-            for k, v in vec.items():
-                entries.append((i * d + k, j, v))
-    stacked = Matrix.from_entries(f, d * d, d, entries)
-    kernel, free_cols = kernel_basis_with_free(stacked)
+    # the stacked d^2 x d matrix of x -> (e_i x)_i, row (i, k) holding the e_k-coefficients, read off the table
+    rows: dict = {}
+    for (i, j), vec in a._table.items():
+        for k, v in vec.items():
+            if v != f.zero:
+                rows.setdefault((i, k), {})[j] = v
+                rows.setdefault((j, k), {})[i] = v
+    kernel, free_cols = _kernel_basis(f, _echelon(f, rows.values(), d), d)
     pivot_cols = tuple(c for c in range(d) if c not in set(free_cols))
-    kernel_by_free = {fc: vec for fc, vec in zip(free_cols, kernel)}
     d1 = len(pivot_cols)
-
-    def reduce(vec: dict):
-        """Split vec into (pivot-coordinate part, kernel coefficients)."""
-        kcoeffs = {}
-        rest = dict(vec)
-        for fc in free_cols:
-            c = rest.get(fc)
-            if c is None:
-                continue
-            kcoeffs[fc] = c
-            _add_scaled(f, rest, f.neg(c), kernel_by_free[fc])
-        return rest, kcoeffs
-
     labels = [a.basis[p] for p in pivot_cols] + [("nil", a.basis[fc]) for fc in free_cols]
-    free_pos = {fc: d1 + i for i, fc in enumerate(free_cols)}
     table = {}
     for ii, p in enumerate(pivot_cols):
         for jj in range(ii, d1):
             w = a.product_basis(p, pivot_cols[jj])
-            if not w:
-                continue
-            rest, kcoeffs = reduce(w)
+            # w less its kernel part: each kernel vector is 1 at its free column, otherwise on pivot columns
+            rest = dict(w)
+            for fc, vec in zip(free_cols, kernel):
+                if fc in w:
+                    _add_scaled(f, rest, f.neg(w[fc]), vec)
             if rest:
-                raise ValueError(
-                    "products do not land in the annihilator; "
-                    "the algebra admits no degree-1,2 regrading"
-                )
-            vec = {free_pos[fc]: v for fc, v in kcoeffs.items()}
+                raise ValueError("products do not land in the annihilator; the algebra admits no degree-1,2 regrading")
+            vec = {d1 + k: w[fc] for k, fc in enumerate(free_cols) if fc in w}
             if vec:
                 table[(ii, jj)] = vec
     return Algebra(f, labels, table, dim1=d1)

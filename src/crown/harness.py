@@ -142,12 +142,12 @@ def _check_monoid(config: RunConfig):
         failures.append("word count")
 
     small = min(n, 3)
-    closure_words = mo.wn_enumerate(small)
+    closure_words = [w.coords for w in mo.wn_enumerate(small)]  # coordinate tuples: no Word per product
     closure_set = set(closure_words)
     closed = commutative = True
     for k, a in enumerate(closure_words):  # unordered pairs: a*b and b*a once each
         for b in closure_words[k:]:
-            ab, ba = a * b, b * a
+            ab, ba = mo.coords_mul(a, b), mo.coords_mul(b, a)
             closed = closed and ab in closure_set and ba in closure_set
             commutative = commutative and ab == ba
     details["closure"] = {"n": small, "closed": closed, "commutative": commutative}

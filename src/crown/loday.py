@@ -27,14 +27,14 @@ By the mixed-product rule every identity between such families is a sum
 of p-th powers of p = 1 products, so it holds at every power where its
 terms cancel at p = 1: each word's transport square F_s C_w = B_w F_t
 (`_word_square`), a comparison of row maps, proves `transport_square_check`
-and iso's composites (M_w M_w' = M_(w w'), so iso walks at most 2^n words
-of x.x) without a walk.  Elsewhere one streamed walk over row tuples,
+and iso's composites (M_w M_w' = M_(w w'), so x's is x.x's family)
+without a walk.  Elsewhere one streamed walk over row tuples,
 `tensor_sum_prefixes`, decides a family at every p <= r; its witness is
 the family's row-major first nonzero entry.  The annihilation statement is
 proved at every p <= n - 1 by the paper's structural argument
-(`lemma_proof_trace`): injective windows, intertwining window actions, and
-Z's words paired by each g_i; iso's alternating family follows from it and
-Z's squares.  `lemma_check` keeps the walk as the exact zero test at any p.
+(`lemma_proof_trace`); iso's alternating family follows from it and Z's
+squares, and T's two families from T.T = 1 - Z, the family map being
+linear.  `lemma_check` keeps the walk as the exact zero test at any p.
 Naturality is certified per word (each word matrix is an algebra map).
 Only export materializes a family; `explore` reads the alternating
 family's witness and exact nonzero count at every p <= n from one walk.
@@ -49,10 +49,10 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import CapExceeded, HomSetViolation
 from .fields import QQ
-from .graph_algebra import Algebra, is_multiplicative, q_rows, q_ungraded, rows_compose, rows_equal, rows_matrix, sign_rows
+from .graph_algebra import Algebra, _units, is_multiplicative, q_rows, q_ungraded, rows_compose, rows_equal, rows_matrix, sign_rows
 from .graphs import build_B, build_C, build_F
 from .linalg import Matrix, kron_sum, left_inverse, mat_rank, tensor_sum_prefixes, vstack
-from .monoid import MonoidAlgElem, Word, act_on_U, build_T, build_Z, gen_g, homset_member
+from .monoid import MonoidAlgElem, Word, act_on_U, alternating_factors, build_T, build_Z, factored_square, gen_g, homset_member, twist_factors
 
 DEFAULT_SURJECTION_CAP = 6
 DEFAULT_TENSOR_CAP = 200_000
@@ -450,7 +450,7 @@ def lemma_proof_trace(n: int, p: int, field=QQ, strips=None) -> LemmaTrace:
         for i_prime in range(1, n + 1)
         if i_prime != i
     ]
-    off_window_ok = all(rows_equal(m, tuple((r, 1) for r in range(len(m))), field) for m in off_window)
+    off_window_ok = all(rows_equal(m, _units(len(m)), field) for m in off_window)
 
     def pairs_cancel(i):
         g = gen_g(n, i)
@@ -541,10 +541,14 @@ class IsoReport:
         return "FAIL" if any(ok is False for ok in claims) else "PASS"
 
 
+def _one_minus_z(square: MonoidAlgElem, z: MonoidAlgElem) -> bool:  # whether x.x, as `square`, is 1 - Z exactly
+    return square + z == MonoidAlgElem.one(z.field, z.n)
+
+
 class _CrownFamilies:
     """iso's families at level n: crown row maps once per (word, sign), strip row maps and squares once per word.
 
-    Each word matrix iso walks or certifies is converted from the crown row map whose square was checked.
+    Each word matrix iso walks or certifies is converted, when read, from the crown row map whose square was checked.
     """
 
     def __init__(self, n: int, field, max_tensor_dim: int):
@@ -562,21 +566,17 @@ class _CrownFamilies:
             b = strips.pop(w, None) or _action_rows(n, w, None, "B")  # B_w: the same on both signs, and not kept
             return {s: _word_square(n, s, act_on_U(w, s), b, self.rows(w, s), field) for s in (1, -1)}
         self.square = lambda w, s: squares(w)[s]
-        # Z's family on s -> s is zero at every power when the strip's is (the
-        # lemma's trace), each word's square holds and F_s is injective:
-        # F_s^(x)p C_Z^(p) = B_Z^(p) F_s^(x)p = 0.  Elsewhere it is walked, once per sign
-        self.alternating = {s: self.terms(self.z, s) for s in (1, -1)}
+        # Z's family on s, certified zero as `iso_check` says (F_s^(x)p C_Z^(p) = B_Z^(p) F_s^(x)p = 0), else walked
         proved = lemma_proof_trace(n, n - 1, field, strips).passed
         self.alt_zero = {
             s: [True] * (n - 1) if proved and self.injective[s] and all(self.square(w, s) for w in self.z.terms)
-            else _zero_powers(_power_terms(self.alternating[s], n - 1), n - 1)
+            else _zero_powers(_power_terms(self.terms(self.z, s), n - 1), n - 1)
             for s in (1, -1)
         }
 
-    def terms(self, x: MonoidAlgElem, s: int) -> list:
-        """The (coefficient, word matrix) pairs of x on the s-crown, in word order."""
-        words = sorted(x.terms, key=Word.sort_key)
-        return [(x.terms[w], rows_matrix(self.field, self.rows(w, s))) for w in words]
+    def terms(self, x: MonoidAlgElem, s: int):
+        """The (coefficient, word matrix) pairs of x on the s-crown in word order, each converted when reached."""
+        return ((x.terms[w], rows_matrix(self.field, self.rows(w, s))) for w in sorted(x.terms, key=Word.sort_key))
 
     def premise(self, x: MonoidAlgElem, square: MonoidAlgElem, s: int, t: int) -> bool:
         """Whether each word of x on s and t, and of `square` = x.x on s, has its p = 1 square, F_s injective.
@@ -586,8 +586,8 @@ class _CrownFamilies:
         checks = ((s, x.terms), (t, x.terms), (s, square.terms))
         return self.injective[s] and all(self.square(w, sign) for sign, words in checks for w in words)
 
-    def report(self, x: MonoidAlgElem) -> IsoReport:
-        """The sub-claims and naturality of x's two families, as `iso_check` describes them."""
+    def report(self, x: MonoidAlgElem, square: MonoidAlgElem) -> IsoReport:
+        """The sub-claims and naturality of x's two families, x.x = `square`, as `iso_check` describes them."""
         n, field, r, crowns = self.n, self.field, self.n - 1, self.crowns
         targets = {s: act_on_U(min(x.terms, key=Word.sort_key), s) for s in (1, -1)}
         off = next((s for s in (1, -1) if not homset_member(x, s, targets[s])), None)
@@ -596,18 +596,23 @@ class _CrownFamilies:
             return IsoReport(n, r, field.name, False, False, False, False, False, {"homset": reason})
 
         witness: dict = {}
-        square = x * x
+        cancels = _one_minus_z(square, self.z)
         for s in (1, -1):
-            composites, alt_zero = self.terms(square, s), self.alt_zero[s]
-            if self.premise(x, square, s, targets[s]):
+            alt_zero = self.alt_zero[s]
+            if not self.premise(x, square, s, targets[s]):
+                inverse_zero = factored_zero = [False]  # a failed premise decides p = 1 only
+            elif cancels and rows_equal(self.rows(Word.identity(n), s), _units(crowns[s].dim), field):
+                # linear in x, [1]'s family I^(x)p: x.x's is I^(x)p - Z's, so the inverse is -(Z's), the factored 0
+                inverse_zero, factored_zero = alt_zero, [True] * r
+            else:
+                composites = list(self.terms(square, s))
+                alternating = composites if square == self.z else self.terms(self.z, s)
                 inverse = _power_terms(composites + [(field.neg(field.one), Matrix.identity(field, crowns[s].dim))], r)
-                factored_zero = _zero_powers(inverse + _power_terms(self.alternating[s], r), r)
+                factored_zero = _zero_powers(inverse + _power_terms(alternating, r), r)
                 # inverse = factored - alternating: where either is zero, the inverse is zero iff both are
                 decided = all(alt or fac for alt, fac in zip(alt_zero, factored_zero))
                 both = [a and f for a, f in zip(alt_zero, factored_zero)]
                 inverse_zero = both if decided else _zero_powers(inverse, r)
-            else:
-                inverse_zero = factored_zero = [False]  # a failed premise decides p = 1 only
             for p, (inv, fac) in enumerate(itertools.zip_longest(inverse_zero, factored_zero, fillvalue=True), 1):
                 if not inv:
                     witness.setdefault("inverse", f"composite on sign {s} differs at power {p}")
@@ -634,22 +639,22 @@ def iso_check(n: int, field=QQ, max_tensor_dim: int = DEFAULT_TENSOR_CAP) -> Iso
 
     The families of the twist element T run between the two crowns and must
     be mutually inverse at every power p <= n-1.  On each sign s crossing to
-    t their composite is the family of the monoid product x.x (T.T = 1 - Z)
-    under one premise, checked per word (`_CrownFamilies.premise`): the
-    p = 1 transport square F_s C_w = B_w F_t, F the projection matrices and
-    B and C the strip and crown word matrices, for the words of x on both
-    signs and of x.x on s, with F_s injective.  Each sub-claim is then one
-    walk, stopped at its first nonzero power: inverse, x.x's words and -I;
-    factored identity, the same terms plus Z's words on s (composite =
-    I - Z-family).  The alternating family, Z's words alone, shared by
-    both elements, is zero at every power on sign s by a proof, not a
-    walk, where the lemma's trace passes (B_Z^(p) = 0), every word of Z
-    has its p = 1 square on s and F_s is injective:
-    F_s^(x)p C_Z^(p) = B_Z^(p) F_s^(x)p = 0, and F_s^(x)p is injective;
-    elsewhere it is walked.  The inverse is walked only where the other
-    two are first nonzero at the same power.  A failed premise fails
-    inverse and factored on its sign at p = 1 and walks nothing more.  The alternating element Z
-    (Z.Z = Z) is the negative control, reported as `control`, and must fail.
+    t their composite is the family of x.x (`monoid.factored_square`) under
+    one premise checked per word (`_CrownFamilies.premise`): the p = 1
+    transport square F_s C_w = B_w F_t, F the projections and B and C the
+    strip and crown word matrices, for x's words on both signs and x.x's
+    on s, with F_s injective.  The sub-claims are families of word
+    matrices: inverse, x.x's words and -I; factored identity, the same plus
+    Z's words on s; alternating, Z's words alone.  The last is zero at
+    every power on s, unwalked, where the lemma's trace passes, Z's words
+    have their squares on s and F_s is injective:
+    F_s^(x)p C_Z^(p) = B_Z^(p) F_s^(x)p = 0.  Where x.x = 1 - Z exactly
+    (T) and the identity word's crown row map on s is the identity, the
+    inverse family is -(Z's) and the factored one zero, by linearity in x.
+    Elsewhere, as for the control Z (Z.Z = Z, reported as `control`, which
+    must fail), each is one walk, stopped at its first nonzero power, the
+    inverse only where the other two are first nonzero at the same power.
+    A failed premise fails inverse and factored on its sign at p = 1.
 
     Naturality is not attempted after a failed sub-claim.  It is certified
     at every p by one `is_multiplicative` call per word matrix:
@@ -663,6 +668,6 @@ def iso_check(n: int, field=QQ, max_tensor_dim: int = DEFAULT_TENSOR_CAP) -> Iso
     if n < 2:
         raise ValueError("crown checks need level >= 2")
     families = _CrownFamilies(n, field, max_tensor_dim)
-    report = families.report(build_T(n, field))
-    report.control = families.report(families.z)
+    report = families.report(build_T(n, field), factored_square(n, field, twist_factors(n)))
+    report.control = families.report(families.z, factored_square(n, field, alternating_factors(n)))
     return report

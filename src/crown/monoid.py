@@ -8,9 +8,9 @@ identity is the all-+1 word.
 
 The monoid algebra consists of finite formal sums of words with field
 coefficients.  `build_T` and `build_Z` construct the two distinguished
-elements satisfying T^2 = 1 - Z, and `act_on_U` / `homset_member` expose
-the action of words on the two signs {+1, -1}: a word w carries s to
-w_1 * w_{2n+1} * s.
+elements satisfying T^2 = 1 - Z, `factored_square` squares them from their
+factored forms, and `act_on_U` / `homset_member` expose the action of
+words on the two signs {+1, -1}: a word w carries s to w_1 * w_{2n+1} * s.
 """
 
 from __future__ import annotations
@@ -88,8 +88,13 @@ def word_mul(a: Word, b: Word) -> Word:
     if len(a.coords) != len(b.coords):
         raise ValueError(f"level mismatch: {a.n} != {b.n}")
     w = object.__new__(Word)
-    object.__setattr__(w, "coords", tuple(map(operator.mul, a.coords, b.coords)))
+    object.__setattr__(w, "coords", coords_mul(a.coords, b.coords))
     return w
+
+
+def coords_mul(a: tuple, b: tuple) -> tuple:
+    """`word_mul`'s rule on coordinate tuples of one length: the componentwise product."""
+    return tuple(map(operator.mul, a, b))
 
 
 def position_signs(j: int) -> tuple:
@@ -266,35 +271,57 @@ class MonoidAlgElem:
         return cls.from_terms(field, n, pairs)
 
 
-def build_T(n: int, field) -> MonoidAlgElem:
-    """The element sum_i (1-[g_1])...(1-[g_{i-1}])[h_i], fully expanded."""
+def _expand(n: int, field, factors) -> MonoidAlgElem:
+    """sum c P_k [u] over the (c, k, u) `factors`, P_k = (1-[g_1])...(1-[g_k]), fully expanded: one product per k."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    one = MonoidAlgElem.one(field, n)
+    one = prefix = MonoidAlgElem.one(field, n)
     acc = MonoidAlgElem.zero(field, n)
-    prefix = one
-    for i in range(1, n + 1):
-        acc = acc + prefix * MonoidAlgElem.from_word(field, gen_h(n, i))
-        prefix = prefix * (one - MonoidAlgElem.from_word(field, gen_g(n, i)))
+    for k in range(max((k for _, k, _ in factors), default=-1) + 1):
+        if k:
+            prefix = prefix * (one - MonoidAlgElem.from_word(field, gen_g(n, k)))
+        acc = acc + prefix * MonoidAlgElem.from_terms(field, n, [(c, u) for c, j, u in factors if j == k])
     return acc
+
+
+def twist_factors(n: int) -> list:
+    """T = sum_i P_(i-1) [h_i] as `_expand`'s (coefficient, k, word) factors."""
+    return [(1, i - 1, gen_h(n, i)) for i in range(1, n + 1)]
+
+
+def alternating_factors(n: int) -> list:
+    """Z = P_n [1] as `_expand`'s factors."""
+    return [(1, n, Word.identity(n))] if n >= 1 else []
+
+
+def build_T(n: int, field) -> MonoidAlgElem:
+    """The element sum_i (1-[g_1])...(1-[g_{i-1}])[h_i], fully expanded."""
+    return _expand(n, field, twist_factors(n))
 
 
 def build_Z(n: int, field) -> MonoidAlgElem:
     """The element (1-[g_1])...(1-[g_n]), fully expanded."""
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    one = MonoidAlgElem.one(field, n)
-    acc = one
+    return _expand(n, field, alternating_factors(n))
+
+
+def factored_square(n: int, field, factors) -> MonoidAlgElem:
+    """x.x for x = sum c P_k [u] over the (c, k, u) `factors`, without the expanded product.
+
+    Each g_i checked idempotent (else ValueError), P_a P_b = P_max(a,b) in the commutative monoid, so
+    x.x = sum c c' P_max(k,k') [u u']: about 2n 2^n word products for T, against (2^n - 1)^2 expanded.
+    """
     for i in range(1, n + 1):
-        acc = acc * (one - MonoidAlgElem.from_word(field, gen_g(n, i)))
-    return acc
+        if word_mul(gen_g(n, i), gen_g(n, i)) != gen_g(n, i):
+            raise ValueError(f"generator g_{i} is not idempotent")
+    return _expand(n, field, [
+        (field.mul(field.coerce(a), field.coerce(b)), max(ka, kb), word_mul(ua, ub))
+        for a, ka, ua in factors for b, kb, ub in factors
+    ])
 
 
 def check_T_squared(n: int, field) -> bool:
-    """Whether T^2 + Z equals 1 exactly in the monoid algebra."""
-    t = build_T(n, field)
-    z = build_Z(n, field)
-    return t * t + z == MonoidAlgElem.one(field, n)
+    """Whether T^2 + Z equals 1 exactly in the monoid algebra, T^2 by `factored_square`."""
+    return factored_square(n, field, twist_factors(n)) + build_Z(n, field) == MonoidAlgElem.one(field, n)
 
 
 def act_on_U(w: Word, s: int) -> int:

@@ -2,10 +2,10 @@ import itertools
 import random
 
 from crown.errors import CapExceeded, IllDefinedQuotient, NotAMorphism
-from crown.graph_algebra import _orbits, q_ungraded
+from crown.graph_algebra import Algebra, _orbits, q_ungraded
 from crown.graphs import Graph, GraphMorphism, act_on_B, act_on_C, build_C, graph_new, morphism_new
 from crown import linalg
-from crown.linalg import Matrix, _merged_terms, _term_shapes, kron_power, kron_sum, mat_compose
+from crown.linalg import Matrix, _add_scaled, _merged_terms, _term_shapes, kernel_basis_with_free, kron_power, kron_sum, mat_compose
 from crown.loday import (
     DEFAULT_TENSOR_CAP,
     NatTransData,
@@ -617,3 +617,59 @@ def reference_is_multiplicative(source, target, m: Matrix) -> bool:
     products = Matrix(source.field, source.dim, len(pairs), [source.product_basis(i, j) for i, j in pairs])
     left = mat_compose(m, products)
     return all(left.col(c) == target.mult(m.col(i), m.col(j)) for c, (i, j) in enumerate(pairs))
+
+
+def expanded_factors(n, field, factors) -> MonoidAlgElem:
+    """sum c P_k [u] over the (c, k, u) factors, P_k = (1 - [g_1])...(1 - [g_k]), by expanded products."""
+    one = MonoidAlgElem.one(field, n)
+    prefixes = [one]
+    for i in range(1, n + 1):
+        prefixes.append(prefixes[-1] * (one - MonoidAlgElem.from_word(field, gen_g(n, i))))
+    acc = MonoidAlgElem.zero(field, n)
+    for c, k, u in factors:
+        acc = acc + prefixes[k] * MonoidAlgElem.from_word(field, u, c)
+    return acc
+
+
+def expanded_square(x: MonoidAlgElem) -> MonoidAlgElem:
+    """x.x by the expanded convolution, every pair of words: the oracle of `monoid.factored_square`."""
+    return x * x
+
+
+def reference_annihilator_grading(a) -> Algebra:
+    """`graph_algebra.annihilator_grading` on the stacked d^2 x d product matrix, built entry by entry.
+
+    Row i*d + k, column j holds the e_k-coefficient of e_j e_i; the kernel
+    of that matrix is the annihilator.  The oracle of the table-read rows.
+    """
+    f = a.field
+    d = a.dim
+    entries = []
+    for j in range(d):
+        for i in range(d):
+            for k, v in a.product_basis(j, i).items():
+                entries.append((i * d + k, j, v))
+    kernel, free_cols = kernel_basis_with_free(Matrix.from_entries(f, d * d, d, entries))
+    pivot_cols = tuple(c for c in range(d) if c not in set(free_cols))
+    kernel_by_free = dict(zip(free_cols, kernel))
+    d1 = len(pivot_cols)
+    labels = [a.basis[p] for p in pivot_cols] + [("nil", a.basis[fc]) for fc in free_cols]
+    free_pos = {fc: d1 + i for i, fc in enumerate(free_cols)}
+    table = {}
+    for ii, p in enumerate(pivot_cols):
+        for jj in range(ii, d1):
+            w = a.product_basis(p, pivot_cols[jj])
+            if not w:
+                continue
+            kcoeffs, rest = {}, dict(w)
+            for fc in free_cols:
+                c = rest.get(fc)
+                if c is not None:
+                    kcoeffs[fc] = c
+                    _add_scaled(f, rest, f.neg(c), kernel_by_free[fc])
+            if rest:
+                raise ValueError("products do not land in the annihilator; the algebra admits no degree-1,2 regrading")
+            vec = {free_pos[fc]: v for fc, v in kcoeffs.items()}
+            if vec:
+                table[(ii, jj)] = vec
+    return Algebra(f, labels, table, dim1=d1)

@@ -148,9 +148,7 @@ def test_noniso_fails_where_the_certificate_disagrees_or_declines(monkeypatch):
 
 def test_monoid_counts_its_words_at_the_level_asked(monkeypatch):
     # the forward pass counts at n = 9, past the enumeration's cap, which
-    # cross-checks it at level 8; T.T + Z = 1 is the slow part at this
-    # level and is tested elsewhere, so it is stubbed here
-    monkeypatch.setattr(mo, "check_T_squared", lambda n, f: True)
+    # cross-checks it at level 8; T.T + Z = 1 comes from the factored form
     (report,) = run_suite(RunConfig(n=9, field=GF(2), checks=("monoid",)))
     assert report.status == "pass", report.details
     assert report.details["word_count"] == {"n": 9, "count": 39366, "expected": 39366}
@@ -292,7 +290,9 @@ def test_run_suite_walks_each_power_family_once(monkeypatch):
     families = {
         "lemma": 0,  # the proof trace decides the alternating family on the strip
         "transport": 0,  # every word's square holds, which proves each element at every power
-        "iso": 4,  # on each sign the factored families of T and the Z control; the alternating one is certified
+        # on each sign the Z control's factored family; T's are read off T.T = 1 - Z and
+        # the alternating one is certified
+        "iso": 2,
         "explore": 1,  # the alternating family on the crown, to p = n
     }
     for check, count in families.items():

@@ -37,6 +37,7 @@ from crown.monoid import (
 import conftest
 from conftest import (
     bumped_row,
+    expanded_square,
     transport_elements,
     generating_surjections,
     generator_functor_check,
@@ -901,9 +902,12 @@ def test_iso_walks_the_inverse_only_where_the_other_two_families_do_not_decide_i
     # word of Z fails its square, so that the lemma's certificate does not
     # carry over; a perturbed word fails the p = 1 square of its element on
     # both signs, so neither of that element's families is walked (z_word
-    # is the identity, a word of the control but not of T.T = 1 - Z)
+    # is the identity, a word of the control but not of T.T = 1 - Z).  T's
+    # families are read off T.T = 1 - Z, unwalked, only while the identity
+    # word's crown row map is the identity, so with z_word perturbed they
+    # are walked
     for words, walk_count, expected in (
-        ([], 4, {"T": (True, True, True), "Z": (False, False, True)}),
+        ([], 2, {"T": (True, True, True), "Z": (False, False, True)}),
         ([z_word], 6, {"T": (True, False, False), "Z": (False, False, False)}),
         ([z_word, t_word], 2, {"T": (False, False, False), "Z": (False, False, False)}),
     ):
@@ -1129,7 +1133,7 @@ def test_iso_control_fails_its_premise_with_a_perturbed_identity_word(monkeypatc
 
     with monkeypatch.context() as patch:
         patch.setattr(loday, "tensor_sum_prefixes", raising)
-        control = families.report(z)
+        control = families.report(z, expanded_square(z))
     claims, witness = three_walk_sub_claims(n, field, "Z")
     assert streamed_claims(control) == claims == {"inverse": False, "factored": False, "z_zero": False}
     assert control.witness == witness
@@ -1138,9 +1142,11 @@ def test_iso_control_fails_its_premise_with_a_perturbed_identity_word(monkeypatc
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_iso_walks_stop_at_the_first_nonzero_power(monkeypatch, field):
     # powers read per walk at n = 4: the alternating family is certified and
-    # not walked; T's factored family on each sign is zero at every power
-    # p <= 3; the control's factored family is nonzero at p = 1, so its
-    # walks end there and decide the inverse with no walk of their own
+    # not walked; T's families are read off T.T = 1 - Z, and walked only
+    # with that identity check patched to fail, when T's factored family on
+    # each sign is zero at every power p <= 3; the control's factored
+    # family is nonzero at p = 1, so its walks end there and decide the
+    # inverse with no walk of their own
     consumed = []
     walk = loday.tensor_sum_prefixes
 
@@ -1153,6 +1159,11 @@ def test_iso_walks_stop_at_the_first_nonzero_power(monkeypatch, field):
     monkeypatch.setattr(loday, "tensor_sum_prefixes", counting)
     report = iso_check(4, field)
     assert report.status == "PASS" and report.control.status == "FAIL"
+    assert consumed == [1, 1]
+    consumed.clear()
+    monkeypatch.setattr(loday, "_one_minus_z", lambda square, z: False)
+    walked = iso_check(4, field)
+    assert walked == report
     assert consumed == [3, 3, 1, 1]
 
 
@@ -1161,17 +1172,72 @@ def test_iso_reads_each_walk_to_its_own_first_nonzero_power(monkeypatch):
     # family first nonzero at p = 2 and the factored one at p = 3, the
     # inverse (factored - alternating) is first nonzero at p = 2, and the
     # factored failure at p = 3, past the end of the inverse's list, must
-    # still be reported
+    # still be reported; T's families are walked, not read off T.T = 1 - Z,
+    # with that identity check patched to fail
     n = 4
     families = loday._CrownFamilies(n, QQ, loday.DEFAULT_TENSOR_CAP)
     families.alt_zero = {s: [True, False] for s in (1, -1)}
     monkeypatch.setattr(loday, "_zero_powers", lambda terms, r: [True, True, False])
-    report = families.report(build_T(n, QQ))
+    monkeypatch.setattr(loday, "_one_minus_z", lambda square, z: False)
+    t = build_T(n, QQ)
+    report = families.report(t, expanded_square(t))
     assert report.witness == {
         "inverse": "composite on sign 1 differs at power 2",
         "factored": "composite on sign 1 power 3 breaks the factored identity",
         "z_component": "alternating-element family is not zero",
     }
+
+
+def test_iso_reads_the_inverse_family_off_the_alternating_one(monkeypatch):
+    # read off T.T = 1 - Z, T's inverse family is -(Z's), so it fails where
+    # the alternating one does, and its factored family is zero; the walks
+    # agree, with the alternating family first nonzero at p = 2
+    n = 4
+    t = build_T(n, QQ)
+    families = loday._CrownFamilies(n, QQ, loday.DEFAULT_TENSOR_CAP)
+    families.alt_zero = {s: [True, False] for s in (1, -1)}
+    read = families.report(t, expanded_square(t))
+    monkeypatch.setattr(loday, "_one_minus_z", lambda square, z: False)
+    assert families.report(t, expanded_square(t)) == read
+    assert read.witness == {
+        "inverse": "composite on sign 1 differs at power 2",
+        "z_component": "alternating-element family is not zero",
+    }
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_iso_falls_back_to_the_walks_where_the_identity_check_fails(monkeypatch, field, n):
+    # T's families are read off T.T = 1 - Z only where that identity holds
+    # and the identity word's crown row map is the identity.  With the
+    # identity check patched to fail T is walked on both signs, and with the
+    # identity word perturbed on sign -1, on that sign; either way the
+    # report is the one with every family walked, and the control fails at
+    # p = 1 on sign 1
+    def run(cancels, perturbed):
+        walks, walk = [], loday.tensor_sum_prefixes
+        with monkeypatch.context() as patch:
+            patch.setattr(loday, "tensor_sum_prefixes", lambda terms, p: walks.append(p) or walk(terms, p))
+            if not cancels:
+                patch.setattr(loday, "_one_minus_z", lambda square, z: False)
+            if perturbed:
+                perturb_crown_word(patch, Word.identity(n), signs=(-1,))
+            oracle = three_walk_sub_claims(n, field, "T")
+            return iso_check(n, field), len(walks), oracle
+
+    for perturbed, counts in ((False, (2, 4)), (True, (4, 5))):
+        read, read_walks, oracle = run(True, perturbed)
+        walked, all_walks, _ = run(False, perturbed)
+        assert read == walked and (read_walks, all_walks) == counts, perturbed
+        assert (streamed_claims(read), read.witness) == oracle
+        assert read.status == ("FAIL" if perturbed else "PASS")
+        assert read.control.status == "FAIL"
+        assert read.control.witness["inverse"] == "composite on sign 1 differs at power 1"
+        assert read.control.witness["factored"] == "composite on sign 1 power 1 breaks the factored identity"
+    # perturbed, T's sign -1 is walked: its inverse holds and its factored
+    # family fails, where reading -(Z's family) off the identity would have
+    # swapped the two verdicts
+    assert streamed_claims(read) == {"inverse": True, "factored": False, "z_zero": False}
 
 
 def test_iso_premise_needs_an_injective_projection(monkeypatch):
@@ -1217,12 +1283,13 @@ def test_iso_composes_linearly_in_the_words_and_walks_no_alternating_family(monk
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_certified_alternating_family_matches_its_walk(monkeypatch, field, n):
     # differential test, with the walk as the oracle: the certificate sets
-    # alt_zero on both signs without a walk, to what the walk reads
+    # alt_zero on both signs without a walk, to what the walk, run here on
+    # Z's crown word matrices, reads
     with monkeypatch.context() as patch:
         patch.setattr(loday, "tensor_sum_prefixes", lambda terms, p: pytest.fail("walked while certifying"))
         families = loday._CrownFamilies(n, field, loday.DEFAULT_TENSOR_CAP)
     for s in (1, -1):
-        walked = loday._zero_powers(loday._power_terms(families.alternating[s], n - 1), n - 1)
+        walked = loday._zero_powers(loday._power_terms(families.terms(families.z, s), n - 1), n - 1)
         assert families.alt_zero[s] == walked == [True] * (n - 1), s
 
 
@@ -1252,7 +1319,7 @@ def test_the_alternating_family_is_walked_where_its_certificate_premise_fails(mo
     walks, walk = [], loday.tensor_sum_prefixes
     monkeypatch.setattr(loday, "tensor_sum_prefixes", lambda terms, p: walks.append(terms) or walk(terms, p))
     families = loday._CrownFamilies(n, field, loday.DEFAULT_TENSOR_CAP)
-    walked = [s for s in (1, -1) if loday._power_terms(families.alternating[s], n - 1) in walks]
+    walked = [s for s in (1, -1) if loday._power_terms(families.terms(families.z, s), n - 1) in walks]
     assert walked == ([-1] if premise == "square" else [1, -1])
     assert len(walks) == len(walked)
     assert families.alt_zero == {1: [True], -1: [premise != "square"]}
@@ -1261,14 +1328,21 @@ def test_the_alternating_family_is_walked_where_its_certificate_premise_fails(mo
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 @pytest.mark.parametrize("n", [3, 4])
 def test_iso_starts_no_walk_of_the_alternating_family(monkeypatch, field, n):
-    # every walk iso starts has terms other than Z's alone, on either sign
+    # every walk iso starts has terms other than Z's alone, on either sign:
+    # the control's factored family per sign, and T's per sign where T is
+    # walked, with the identity check T.T = 1 - Z patched to fail
     z = build_Z(n, field)
     alternating = [loday._power_terms(loday._word_terms(n, z, s, s, "C"), n - 1) for s in (1, -1)]
     walks, walk = [], loday.tensor_sum_prefixes
     monkeypatch.setattr(loday, "tensor_sum_prefixes", lambda terms, p: walks.append(terms) or walk(terms, p))
-    report = iso_check(n, field)
-    assert report.status == "PASS" and report.control.status == "FAIL"
-    assert len(walks) == 4 and not any(terms in alternating for terms in walks)
+    for cancels, count in ((True, 2), (False, 4)):
+        walks.clear()
+        with monkeypatch.context() as patch:
+            if not cancels:
+                patch.setattr(loday, "_one_minus_z", lambda square, z: False)
+            report = iso_check(n, field)
+        assert report.status == "PASS" and report.control.status == "FAIL"
+        assert len(walks) == count and not any(terms in alternating for terms in walks)
 
 
 def test_nat_trans_json_shape():
