@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import graphs as gr
@@ -25,11 +26,12 @@ def _build_parser():
         type=int,
         default=harness.DEFAULT_MAX_TENSOR_DIM,
         help="cap (default %(default)s) on the tensor dimension dim^p of the materialized matrices, "
-        "in verify only iso's crown word matrices (p = 1): iso is skipped before any work when the crown "
-        "dimension exceeds it; functor decides its laws from the structure table and is not bounded by it; "
+        "in verify only iso's crown dimension (p = 1), the width of the word row maps it walks and of the "
+        "word matrices it certifies: iso is skipped before any work when the crown dimension exceeds it; "
+        "functor decides its laws from the structure table and is not bounded by it; "
         "explore materializes nothing, but above crown dim^n it still reports its family as not computed; "
-        "the streamed walks (transport, explore, iso's sub-claims) are not bounded by it: one walk "
-        "decides a family at every power, within one fixed work budget",
+        "the streamed walks (transport, explore, iso's sub-claims) are not bounded by it: one walk over "
+        "the words' row maps decides a family at every power, within one fixed work budget",
     )
     verify.add_argument(
         "--max-proj-points",
@@ -78,9 +80,20 @@ def _config_from(args) -> harness.RunConfig:
     )
 
 
+def _check_writable(path: str) -> None:
+    """ValueError naming `path` unless a file can be written there, so that no work is done first."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: it is a directory")
+    if not os.access(directory, os.W_OK):
+        raise ValueError(f"cannot write {path}: {directory} is not a writable directory")
+
+
 def _cmd_verify(args) -> int:
     config = _config_from(args)
     config.validate()
+    if args.json_path:
+        _check_writable(args.json_path)
     reports = harness.run_suite(config)
     for r in reports:
         print(f"{r.status.upper():7s} {r.check}  ({r.elapsed_ms} ms)")
@@ -100,6 +113,7 @@ def _cmd_export(args) -> int:
         field=parse_field(args.field),
         max_tensor_dim=args.max_tensor_dim,
     )
+    _check_writable(args.out)
     path = harness.export_objects(config, args.what, args.out)
     print(f"wrote {args.what} for n={args.n} to {path}")
     return 0

@@ -17,10 +17,12 @@ image orbit, or 2 where f collapses the edge onto a vertex.  A sign word's
 map x_j^v -> x_j^(w_j v) needs no morphism: `sign_rows` reads each row off
 the word's signs at the row's columns, from a plan tabulated and checked
 once per graph pair.  Row r of A.B is A's weight times B's row at A's
-column (`rows_compose`).  Weights are reduced into a field only to compare
-(`rows_equal`, over F_2 a weight 2 is a zero row) or to convert, as
-`q_hom` does, into the `Matrix` that a rank, left inverse, certificate
-(`is_multiplicative`) or walk needs.
+column (`rows_compose`).  Weights are reduced into a field
+(`linalg._reduced`) only to compare (`rows_equal`, over F_2 a weight 2 is
+a zero row), to walk a power family of row maps
+(`linalg.tensor_sum_prefixes`), or to convert, as `q_hom` does, into the
+`Matrix` that a rank, left inverse or certificate (`is_multiplicative`)
+needs.
 
 The reconstruction pipeline recovers an admissible graph from its
 algebra: regrade it via the annihilator (an `Algebra` whose first dim1
@@ -45,7 +47,7 @@ import itertools
 
 from .errors import CapExceeded, NotACover, NotAMorphism
 from .graphs import Graph, GraphMorphism, graph_new, is_cover, vertex_label_str
-from .linalg import Matrix, _add_scaled, _echelon, _kernel_basis, mat_rank, vstack
+from .linalg import Matrix, _add_scaled, _echelon, _kernel_basis, _reduced, mat_rank, vstack
 
 # bounds p^dim1, the degree-1 vectors enumerated by the minimality test
 DEFAULT_POINT_CAP = 2**15
@@ -214,12 +216,6 @@ def sign_rows(g: Graph, h: Graph, coords) -> tuple:
 def rows_compose(a: tuple, b: tuple) -> tuple:
     """The row map of the product a.b: row r is b's row at a's column, times a's weight."""
     return tuple([None if e is None or (x := b[e[0]]) is None else x if e[1] == 1 else (x[0], e[1] * x[1]) for e in a])
-
-
-def _reduced(rows: tuple, field) -> list:
-    """The rows with their weights reduced into the field, None where a weight vanishes there."""
-    weights = [None if e is None else field.from_int(e[1]) for e in rows]
-    return [None if w is None or w == field.zero else (e[0], w) for e, w in zip(rows, weights)]
 
 
 def rows_equal(a: tuple, b: tuple, field) -> bool:

@@ -377,7 +377,7 @@ def _check_explore(config: RunConfig):
     """One power above the theorem: reported, never asserted.
 
     Every power p <= n of the alternating family is decided by one
-    streamed walk over the p = 1 word matrices, so no operator of
+    streamed walk over the words' crown row maps, so no operator of
     dimension dim^p is built: the walk's nonzero count is the family's,
     and its witness is the family's lowest nonzero row and, in it, the
     lowest column, flattened in the lexicographic tensor basis.
@@ -386,7 +386,7 @@ def _check_explore(config: RunConfig):
     crown_dim = ga.q_ungraded(gr.build_C(n, 1)[0], f).dim
     if crown_dim**n > config.max_tensor_dim:
         return {"note": f"alternating family at power {n} exceeds the tensor cap; not computed"}, [], None
-    words = ld._word_terms(n, mo.build_Z(n, f), 1, 1, "C")
+    words = list(ld._word_rows(n, mo.build_Z(n, f), 1, 1, "C"))
 
     def flat(digits):
         index = 0
@@ -395,7 +395,7 @@ def _check_explore(config: RunConfig):
         return index
 
     per_power = {}
-    for p, (witness, nnz) in enumerate(la.tensor_sum_prefixes(ld._power_terms(words, n), n), start=1):
+    for p, (witness, nnz) in enumerate(la.tensor_sum_prefixes(f, words, n), start=1):
         if nnz:
             cols, rows, v = witness
             per_power[str(p)] = {"first_nonzero": [flat(rows), flat(cols), str(v)], "nnz": nnz}

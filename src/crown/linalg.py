@@ -11,18 +11,20 @@ in lexicographic order with the FIRST factor most significant, so the flat
 index is i1*d^(p-1) + ... + ip.  Kronecker products follow the same
 convention: kron(a, b)[(i1,i2),(j1,j2)] = a[i1,j1] * b[i2,j2].
 
-Both tensor-sum kernels take `terms`, a list of (coefficient, [p
-factors]) in which factor i of every term has one shape, rectangular
-allowed (`_term_shapes`).  `kron_sum` materializes the sum in one pass;
-`kron`, `kron_power`, every word-power family and every Loday map are
-calls of it.  `tensor_sum_prefixes` is the one exact zero test, for
-every tensor identity the package checks: one walk over a sum of p-fold
-products yields, for each q <= p in turn, the row-major first nonzero
-entry and the exact number of nonzero entries of the sum truncated to
-its first q factors, so a family of tensor powers is decided at every
-power by one walk.  It merges terms with equal factor lists, then walks
-row tuples one tensor factor at a time over deduplicated prefix states,
-never materializing a sum, and `WALK_BUDGET` bounds its work.
+`kron_sum` takes `terms`, a list of (coefficient, [p factors]) in which
+factor i of every term has one shape, rectangular allowed
+(`_term_shapes`), and materializes the sum in one pass; `kron`,
+`kron_power`, every exported word-power family and every Loday map are
+calls of it.  `tensor_sum_prefixes` is the one exact zero test, for every
+tensor identity the package checks, and it decides power families: a list
+of (coefficient, integer row map) pairs, the maps of graph morphisms with
+at most one nonzero per row.  One walk yields, for each q <= p in turn,
+the row-major first nonzero entry and the exact number of nonzero entries
+of  sum_k c_k * M_k^(x)q,  so a family is decided at every power by one
+walk.  It merges terms whose row maps are equal over the field
+(`_reduced`, the one reduction of integer weights into a field), then
+walks row tuples one tensor factor at a time over deduplicated prefix
+states, never materializing a sum, and `WALK_BUDGET` bounds its work.
 """
 
 from __future__ import annotations
@@ -361,131 +363,113 @@ def left_inverse(a: Matrix) -> Matrix:
 
 # -- tensor sums ---------------------------------------------------------
 
-def tensor_sum_prefixes(terms, p: int):
-    """One walk that decides a sum of p-fold products at every length q <= p.
+def _reduced(rows: tuple, field) -> tuple:
+    """The row map with its weights reduced into the field, None where a weight vanishes there."""
+    weights = [None if e is None else field.from_int(e[1]) for e in rows]
+    return tuple([None if w is None or w == field.zero else (e[0], w) for e, w in zip(rows, weights)])
 
-    Yields, for q = 1..p in turn, (witness, nnz) of the sum truncated to its
-    first q factors, sum_k c_k * (M_k1 (x) ... (x) M_kq): the witness,
-    None when that sum is exactly zero and otherwise its row-major first
-    entry (col_tuple, row_tuple, value) -- the lowest nonzero row tuple
-    and, in it, the lowest nonzero column tuple, digit i indexing factor
-    i's columns or rows -- and the exact number of nonzero entries; no
-    operator is materialized.  Terms whose factor lists are
-    equal matrix by matrix (by entries, not identity) are merged first and
-    zero coefficients dropped, which leaves every truncated operator
-    unchanged; a sum that cancels in the merge yields (None, 0) with no work.
+
+def tensor_sum_prefixes(field, family, p: int):
+    """One walk that decides a power family at every power q <= p.
+
+    `family` is a list of (coefficient, row map) pairs, the row maps as
+    `graph_algebra` defines them, all with one number of rows (else
+    ValueError); columns need not match rows.  Yields, for q = 1..p in
+    turn, (witness, nnz) of  sum_k c_k * M_k^(x)q: the witness, None when
+    that sum is exactly zero and otherwise its row-major first entry
+    (col_tuple, row_tuple, value) -- the lowest nonzero row tuple and, in
+    it, the lowest nonzero column tuple, digit i indexing factor i's
+    columns or rows -- and the exact number of nonzero entries; no
+    operator is materialized.  Terms whose row maps are equal over the
+    field (`_reduced`) are merged first and zero coefficients dropped,
+    which leaves every power unchanged; a family that cancels in the merge
+    yields (None, 0) with no work.
 
     Row tuples are walked one factor at a time.  The state of a row prefix
     is its column classes: for each column prefix it reaches, the vector
-    (k, c_k * M_k1[r1,j1] * ... * M_kq[rq,jq]) over the terms k reaching
-    it, equal vectors kept once with their number of column prefixes; for
-    row maps (word matrices, projections, I) the classes partition the
-    terms.  Equal states have the same future, so a layer stores each once,
-    with the first row prefix reaching it and their count, and the rows of
-    a factor that split every class alike (`_row_kinds`) are expanded once
-    per state, weighted by their number.  States are expanded in the order
-    stored and kinds by first row, so prefixes come in lexicographic order:
-    the first to reach a state is its smallest, and the first nonzero row
-    tuple the lowest, whose row the witness evaluates (`_row_witness`).
-    Before a layer is expanded, its state entries times the factor's row
-    kinds are added to the work; past `WALK_BUDGET` the walk raises
-    `CapExceeded`, after yielding the lengths below.
+    (k, c_k * M_k[r1,j1] * ... * M_k[rq,jq]) over the terms k reaching it.
+    A row of a row map has at most one entry, so a term reaches at most one
+    column prefix: the classes partition the terms reaching the row prefix,
+    and no two are equal.  Equal states have the same future, so a layer
+    stores each once, with the first row prefix reaching it and their
+    count, and the rows that split every class alike (`_row_kinds`, one
+    list for every factor) are expanded once per state, weighted by their
+    number.  States are expanded in the order stored and kinds by first
+    row, so prefixes come in lexicographic order: the first to reach a
+    state is its smallest, and the first nonzero row tuple the lowest,
+    whose row the witness evaluates (`_row_witness`).  Before a layer is
+    expanded, its state entries times the row kinds are added to the work;
+    past `WALK_BUDGET` the walk raises `CapExceeded`, after yielding the
+    powers below.
     """
-    if terms:
-        field, shapes = _term_shapes(terms)
-        if len(shapes) != p:
-            raise ValueError("term arity mismatch")
-        terms = _merged_terms(field, terms)
+    terms = _merged_terms(field, family)
     if not terms:
         yield from [(None, 0)] * p
         return
     zero, mul, add = field.zero, field.mul, field.add
-    layer = {frozenset([(tuple((k, coef) for k, (coef, _) in enumerate(terms)), 1)]): [(), 1]}
+    kinds = _row_kinds([rows for _, rows in terms])
+    layer = {frozenset([tuple((k, coef) for k, (coef, _) in enumerate(terms))]): [(), 1]}
     work = 0
-    for i, layer_kinds in enumerate(_layer_kinds(terms, p)):
-        work += sum(len(vec) for state in layer for vec, _ in state) * len(layer_kinds)
+    for i in range(p):
+        work += sum(len(vec) for state in layer for vec in state) * len(kinds)
         if work > WALK_BUDGET:
             raise CapExceeded(f"streamed walk reached {work} work units, over the budget {WALK_BUDGET}")
         stored: dict = {}
         lowest, nnz = None, 0  # the first nonzero row tuple of length i + 1, and the nonzeros
         for state, (prefix, count) in layer.items():
-            for signature, first, size in layer_kinds:
+            for signature, first, size in kinds:
                 hits = 0  # column tuples with a nonzero sum, in one row of the kind
-                child_state: dict = {}  # child vector -> its number of column prefixes
-                for vec, cols in state:
+                child_state = []  # the child vectors, one per column prefix
+                for vec in state:
                     children: dict = {}  # relabelled column -> the vector after appending it
                     for k, val in vec:
-                        for j, v in signature[k]:
-                            children.setdefault(j, []).append((k, mul(val, v)))
+                        if (e := signature[k]) is not None:
+                            children.setdefault(e[0], []).append((k, mul(val, e[1])))
                     for child in map(tuple, children.values()):
-                        hits += cols * (reduce(add, [v for _, v in child]) != zero)
+                        hits += reduce(add, [v for _, v in child]) != zero
                         if i < p - 1:  # the last layer is never stored
-                            child_state[child] = child_state.get(child, 0) + cols
+                            child_state.append(child)
                 if hits:
                     nnz += hits * count * size
                     lowest = lowest or prefix + (first,)
                 if child_state:
-                    stored.setdefault(frozenset(child_state.items()), [prefix + (first,), 0])[1] += count * size
+                    stored.setdefault(frozenset(child_state), [prefix + (first,), 0])[1] += count * size
         yield (None if lowest is None else _row_witness(field, terms, lowest)), nnz
         layer = stored
 
 
-def _merged_terms(field, terms):
-    """The terms with equal factor lists merged and zero coefficients dropped."""
-    seen: dict = {}  # (shape, column sizes) -> the first matrix of each content
-
-    def first_equal(m):
-        bucket = seen.setdefault((m.nrows, m.ncols, tuple(map(len, m._cols))), [])
-        first = next((x for x in bucket if x is m or x._cols == m._cols), None)
-        if first is None:
-            bucket.append(first := m)
-        return id(first)
-
+def _merged_terms(field, family):
+    """The family's (coefficient, reduced row map) terms, merged by row map, zero coefficients dropped."""
     merged: dict = {}
-    for coef, mats in terms:
-        key = tuple(map(first_equal, mats))
-        merged[key] = [field.add(merged[key][0], coef) if key in merged else coef, mats]
-    return [(coef, mats) for coef, mats in merged.values() if coef != field.zero]
+    for coef, rows in family:
+        key = _reduced(rows, field)
+        merged[key] = field.add(merged[key], coef) if key in merged else coef
+    if len({len(rows) for rows in merged}) > 1:
+        raise ValueError("the row maps of a family must have one number of rows")
+    return [(coef, rows) for rows, coef in merged.items() if coef != field.zero]
 
 
-def _layer_kinds(terms, p):
-    """The row kinds of each of the p layers, shared by layers with equal
-    factors; the row dicts they are read from are dropped on return."""
-    rows = {id(m): m._row_dicts() for _, mats in terms for m in mats}
-    keys = [tuple(id(mats[i]) for _, mats in terms) for i in range(p)]  # each layer's factor ids
+def _row_kinds(maps):
+    """(signature, first row, number of rows) of each row kind of the terms'
+    row maps, in order of first row.  A row's signature is its entry term by
+    term, None or (column, value), columns relabelled in order of first
+    occurrence."""
     kinds: dict = {}
-    for key in keys:
-        if key not in kinds:
-            kinds[key] = _row_kinds([rows[k] for k in key])
-    return [kinds[key] for key in keys]
-
-
-def _row_kinds(term_rows):
-    """(signature, first row, number of rows) of each row kind of one layer,
-    given each term's factor as row dicts, in order of first row.  A row's
-    signature is its (column, value) entries term by term, columns
-    relabelled in order of first occurrence."""
-    kinds: dict = {}
-    for r in range(len(term_rows[0])):
+    for r, entries in enumerate(zip(*maps)):
         labels: dict = {}
-        signature = tuple(
-            tuple((labels.setdefault(j, len(labels)), v) for j, v in sorted(rows[r].items())) for rows in term_rows
-        )
+        signature = tuple(None if e is None else (labels.setdefault(e[0], len(labels)), e[1]) for e in entries)
         kinds.setdefault(signature, [r, 0])[1] += 1
     return [(signature, first, size) for signature, (first, size) in kinds.items()]
 
 
 def _row_witness(field, terms, row_tuple):
-    """(lowest nonzero column tuple, row_tuple, value) of one row of the sum
-    truncated to its first len(row_tuple) factors, each factor's row read
-    from its columns."""
+    """(lowest nonzero column tuple, row_tuple, value) of one row of the
+    family's power len(row_tuple), each term's entry read off its row map."""
     row: dict = {}  # column tuple -> the row's entry
-    for coef, mats in terms:
-        partial = {(): coef}
-        for m, r in zip(mats, row_tuple):
-            entries = [(j, col[r]) for j, col in enumerate(m._cols) if r in col]
-            partial = {cols + (j,): field.mul(v, w) for cols, v in partial.items() for j, w in entries}
-        for cols, v in partial.items():
-            row[cols] = field.add(row.get(cols, field.zero), v)
+    for coef, rows in terms:
+        entries = [rows[r] for r in row_tuple]
+        if None not in entries:
+            cols = tuple(e[0] for e in entries)
+            row[cols] = field.add(row.get(cols, field.zero), reduce(field.mul, [e[1] for e in entries], coef))
     col_tuple = min(cols for cols, v in row.items() if v != field.zero)
     return (col_tuple, row_tuple, row[col_tuple])

@@ -21,7 +21,8 @@ algebra construction gives each word an integer row map
 (`graph_algebra.sign_rows`), and every monoid-algebra element supported on
 a hom-set of the sign action a family of matrices between tensor powers:
 at power p, the sum over words of the coefficient times the p-th
-Kronecker power of the word's matrix (`_word_terms`).
+Kronecker power of the word's matrix, its power family of
+(coefficient, row map) pairs (`_word_rows`).
 
 By the mixed-product rule every identity between such families is a sum
 of p-th powers of p = 1 products, so it holds at every power where its
@@ -29,13 +30,15 @@ terms cancel at p = 1: each word's transport square F_s C_w = B_w F_t
 (`_word_square`), a comparison of row maps, proves `transport_square_check`
 and iso's composites (M_w M_w' = M_(w w'), so x's is x.x's family)
 without a walk.  Elsewhere one streamed walk over row tuples,
-`tensor_sum_prefixes`, decides a family at every p <= r; its witness is
-the family's row-major first nonzero entry.  The annihilation statement is
-proved at every p <= n - 1 by the paper's structural argument
-(`lemma_proof_trace`); iso's alternating family follows from it and Z's
-squares, and T's two families from T.T = 1 - Z, the family map being
-linear.  `lemma_check` keeps the walk as the exact zero test at any p.
-Naturality is certified per word (each word matrix is an algebra map).
+`tensor_sum_prefixes`, decides a power family of row maps at every
+p <= r; its witness is the family's row-major first nonzero entry.  The
+annihilation statement is proved at every p <= n - 1 by the paper's
+structural argument (`lemma_proof_trace`); iso's alternating family
+follows from it and Z's squares, and T's two families from T.T = 1 - Z,
+the family map being linear.  `lemma_check` keeps the walk as the exact
+zero test at any p.
+Naturality is certified per word (each word matrix is an algebra map);
+there and in export alone a word's row map becomes a `Matrix`.
 Only export materializes a family; `explore` reads the alternating
 family's witness and exact nonzero count at every p <= n from one walk.
 """
@@ -292,16 +295,6 @@ def _word_rows(n: int, x: MonoidAlgElem, s: int, t: int, target: str):
     return ((x.terms[w], _action_rows(n, w, s, target)) for w in sorted(x.terms, key=Word.sort_key))
 
 
-def _word_terms(n: int, x: MonoidAlgElem, s: int, t: int, target: str) -> list:
-    """The (coefficient, word matrix) pairs of x, in word order, as for `_word_rows`."""
-    return [(c, rows_matrix(x.field, rows)) for c, rows in _word_rows(n, x, s, t, target)]
-
-
-def _power_terms(products, p: int) -> list:
-    """The terms of  sum c * M^(x)p  over (c, M) pairs."""
-    return [(c, [m] * p) for c, m in products]
-
-
 def cofunctor_eval(
     n: int,
     r: int,
@@ -313,11 +306,11 @@ def cofunctor_eval(
 ) -> NatTransData:
     """Materialize x's family of tensor-power maps for p = 1..r.
 
-    Targets and signs are as for `_word_terms`.  Each component is one
-    `kron_sum` call over the words, which never materializes a single
-    word's power.  Only export needs the materialized family; every other
-    question about a family is a streamed walk over its p = 1 word
-    matrices.
+    Targets and signs are as for `_word_rows`.  Each component is one
+    `kron_sum` call over the word matrices, which never materializes a
+    single word's power.  Only export needs the materialized family; every
+    other question about a family is a streamed walk over its word row
+    maps.
     """
     field = x.field
     if target == "B":
@@ -326,9 +319,11 @@ def cofunctor_eval(
         alg_src = q_ungraded(build_C(n, t)[0], field)
         alg_tgt = q_ungraded(build_C(n, s)[0], field)
     # the zero element has no words; its family is the powers of the zero map
-    terms = _word_terms(n, x, s, t, target) or [(field.zero, Matrix.zero(field, alg_tgt.dim, alg_src.dim))]
+    words = [(c, rows_matrix(field, rows)) for c, rows in _word_rows(n, x, s, t, target)]
+    words = words or [(field.zero, Matrix.zero(field, alg_tgt.dim, alg_src.dim))]
     _check_tensor_cap(r, (alg_src, alg_tgt), max_tensor_dim)
-    return NatTransData(r, alg_src, alg_tgt, {p: kron_sum(_power_terms(terms, p)) for p in range(1, r + 1)})
+    components = {p: kron_sum([(c, [m] * p) for c, m in words]) for p in range(1, r + 1)}
+    return NatTransData(r, alg_src, alg_tgt, components)
 
 
 def _check_tensor_cap(r: int, algebras, max_tensor_dim: int) -> None:
@@ -347,13 +342,13 @@ def lemma_witness(n: int, p: int, field=QQ):
     Z = (1 - [g_1])...(1 - [g_n]): the sum over its words, one per subset S
     of the idempotent generators with coefficient (-1)^|S|, of the p-th
     Kronecker power of the word's strip-algebra matrix.  One walk of
-    `tensor_sum_prefixes` decides it without materializing an operator;
-    past its work budget it raises `CapExceeded`.
+    `tensor_sum_prefixes` over the words' strip row maps decides it
+    without materializing an operator; past its work budget it raises
+    `CapExceeded`.
     """
     if p < 1:
         raise ValueError("tensor power must be >= 1")
-    words = _word_terms(n, build_Z(n, field), 1, 1, "B")
-    *_, (witness, _) = tensor_sum_prefixes(_power_terms(words, p), p)
+    *_, (witness, _) = tensor_sum_prefixes(field, list(_word_rows(n, build_Z(n, field), 1, 1, "B")), p)
     return witness
 
 
@@ -487,16 +482,15 @@ def _word_square(n: int, s: int, t: int, b: tuple, c: tuple, field) -> bool:
 
 
 def _transport_products(n: int, x: MonoidAlgElem, s: int, t: int) -> list:
-    """The (c_w, B_w F_t) and (-c_w, F_s C_w) pairs of x's words, B strip and C crown."""
+    """The (c_w, B_w F_t) and (-c_w, F_s C_w) row maps of x's words, B strip and C crown."""
     f_s, f_t, field = _projection_rows(n, s), _projection_rows(n, t), x.field
     strip = [(c, rows_compose(b, f_t)) for c, b in _word_rows(n, x, s, t, "B")]
-    crown = [(field.neg(c), rows_compose(f_s, m)) for c, m in _word_rows(n, x, s, t, "C")]
-    return [(c, rows_matrix(field, rows, q_ungraded(build_C(n, t)[0], field).dim)) for c, rows in strip + crown]
+    return strip + [(field.neg(c), rows_compose(f_s, m)) for c, m in _word_rows(n, x, s, t, "C")]
 
 
-def _zero_powers(terms, r: int) -> list:
-    """Whether the family of `terms`, r-fold products, is zero at each power p = 1..r, up to its first nonzero."""
-    zeros = list(itertools.takewhile(bool, (witness is None for witness, _ in tensor_sum_prefixes(terms, r))))
+def _zero_powers(field, family: list, r: int) -> list:
+    """Whether a power family of row maps is zero at each power p = 1..r, up to its first nonzero."""
+    zeros = list(itertools.takewhile(bool, (witness is None for witness, _ in tensor_sum_prefixes(field, family, r))))
     return zeros if len(zeros) == r else zeros + [False]  # the walk stopped at its first nonzero power
 
 
@@ -505,7 +499,7 @@ def _transport_verdict(n: int, r: int, x: MonoidAlgElem, s: int, t: int) -> tupl
     pairs = zip(_word_rows(n, x, s, t, "C"), _word_rows(n, x, s, t, "B"))
     if all(_word_square(n, s, t, b, c, x.field) for (_, c), (_, b) in pairs):
         return True, False
-    return all(_zero_powers(_power_terms(_transport_products(n, x, s, t), r), r)), True
+    return all(_zero_powers(x.field, _transport_products(n, x, s, t), r)), True
 
 
 def transport_square_check(n: int, r: int, x: MonoidAlgElem, s: int, t: int) -> bool:
@@ -548,7 +542,7 @@ def _one_minus_z(square: MonoidAlgElem, z: MonoidAlgElem) -> bool:  # whether x.
 class _CrownFamilies:
     """iso's families at level n: crown row maps once per (word, sign), strip row maps and squares once per word.
 
-    Each word matrix iso walks or certifies is converted, when read, from the crown row map whose square was checked.
+    iso walks the crown row maps whose squares were checked, and converts one to a `Matrix` only to certify it.
     """
 
     def __init__(self, n: int, field, max_tensor_dim: int):
@@ -570,13 +564,13 @@ class _CrownFamilies:
         proved = lemma_proof_trace(n, n - 1, field, strips).passed
         self.alt_zero = {
             s: [True] * (n - 1) if proved and self.injective[s] and all(self.square(w, s) for w in self.z.terms)
-            else _zero_powers(_power_terms(self.terms(self.z, s), n - 1), n - 1)
+            else _zero_powers(field, self.terms(self.z, s), n - 1)
             for s in (1, -1)
         }
 
-    def terms(self, x: MonoidAlgElem, s: int):
-        """The (coefficient, word matrix) pairs of x on the s-crown in word order, each converted when reached."""
-        return ((x.terms[w], rows_matrix(self.field, self.rows(w, s))) for w in sorted(x.terms, key=Word.sort_key))
+    def terms(self, x: MonoidAlgElem, s: int) -> list:
+        """The (coefficient, crown row map) pairs of x on the s-crown in word order: its power family."""
+        return [(x.terms[w], self.rows(w, s)) for w in sorted(x.terms, key=Word.sort_key)]
 
     def premise(self, x: MonoidAlgElem, square: MonoidAlgElem, s: int, t: int) -> bool:
         """Whether each word of x on s and t, and of `square` = x.x on s, has its p = 1 square, F_s injective.
@@ -605,14 +599,12 @@ class _CrownFamilies:
                 # linear in x, [1]'s family I^(x)p: x.x's is I^(x)p - Z's, so the inverse is -(Z's), the factored 0
                 inverse_zero, factored_zero = alt_zero, [True] * r
             else:
-                composites = list(self.terms(square, s))
-                alternating = composites if square == self.z else self.terms(self.z, s)
-                inverse = _power_terms(composites + [(field.neg(field.one), Matrix.identity(field, crowns[s].dim))], r)
-                factored_zero = _zero_powers(inverse + _power_terms(alternating, r), r)
+                inverse = self.terms(square, s) + [(field.neg(field.one), _units(crowns[s].dim))]
+                factored_zero = _zero_powers(field, inverse + self.terms(self.z, s), r)
                 # inverse = factored - alternating: where either is zero, the inverse is zero iff both are
                 decided = all(alt or fac for alt, fac in zip(alt_zero, factored_zero))
                 both = [a and f for a, f in zip(alt_zero, factored_zero)]
-                inverse_zero = both if decided else _zero_powers(inverse, r)
+                inverse_zero = both if decided else _zero_powers(field, inverse, r)
             for p, (inv, fac) in enumerate(itertools.zip_longest(inverse_zero, factored_zero, fillvalue=True), 1):
                 if not inv:
                     witness.setdefault("inverse", f"composite on sign {s} differs at power {p}")
@@ -627,8 +619,8 @@ class _CrownFamilies:
             return IsoReport(n, r, field.name, True, None, *claims, witness)
         certified_ok = True
         for s in (1, -1):
-            for k, (_, m) in enumerate(self.terms(x, s)):
-                if not is_multiplicative(crowns[targets[s]], crowns[s], m):
+            for k, (_, rows) in enumerate(self.terms(x, s)):
+                if not is_multiplicative(crowns[targets[s]], crowns[s], rows_matrix(field, rows)):
                     certified_ok = False
                     witness.setdefault(f"certificate_{s}", f"word matrix {k} on sign {s} is not an algebra map")
         return IsoReport(n, r, field.name, True, certified_ok, *claims, witness)

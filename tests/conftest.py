@@ -2,10 +2,10 @@ import itertools
 import random
 
 from crown.errors import CapExceeded, IllDefinedQuotient, NotAMorphism
-from crown.graph_algebra import Algebra, _orbits, q_ungraded
+from crown.graph_algebra import Algebra, _orbits, q_ungraded, rows_matrix
 from crown.graphs import Graph, GraphMorphism, act_on_B, act_on_C, build_C, graph_new, morphism_new
-from crown import linalg
-from crown.linalg import Matrix, _add_scaled, _merged_terms, _term_shapes, kernel_basis_with_free, kron_power, kron_sum, mat_compose
+from crown import linalg, loday
+from crown.linalg import Matrix, _add_scaled, kernel_basis_with_free, kron_power, kron_sum, mat_compose
 from crown.loday import (
     DEFAULT_TENSOR_CAP,
     NatTransData,
@@ -271,14 +271,35 @@ def reference_act_as_products(n, x, s, t) -> bool:
 
 
 def tensor_product_sum_witness(terms, p: int):
-    """Exact zero test for  sum_k  c_k * (M_k1 (x) ... (x) M_kp): the last witness `linalg.tensor_sum_prefixes` yields.
+    """Exact zero test for  sum_k  c_k * (M_k1 (x) ... (x) M_kp), `Matrix` factors: the column walk's last witness.
 
     `terms` follows the linalg module's term contract.  None when the sum
     is exactly zero, otherwise its row-major first entry (col_tuple,
     row_tuple, value).
     """
-    *_, (witness, _) = linalg.tensor_sum_prefixes(terms, p)
+    return row_major_reference(terms, p)[-1][0]
+
+
+def family_witness(field, family, p: int):
+    """The last witness `linalg.tensor_sum_prefixes` yields on a power family: None iff its p-th power is zero."""
+    *_, (witness, _) = linalg.tensor_sum_prefixes(field, family, p)
     return witness
+
+
+def family_terms(field, family, p: int) -> list:
+    """The `kron_sum` terms of a power family's p-th power: each row map as a `Matrix`, as wide as the widest map reaches."""
+    ncols = 1 + max((e[0] for _, rows in family for e in rows if e is not None), default=0)
+    return [(c, [rows_matrix(field, rows, ncols)] * p) for c, rows in family]
+
+
+def word_matrices(n, x, s, t, target) -> list:
+    """The (coefficient, word matrix) pairs of x in word order: `loday._word_rows` converted by `rows_matrix`."""
+    return [(c, rows_matrix(x.field, rows)) for c, rows in loday._word_rows(n, x, s, t, target)]
+
+
+def family_reference(field, family, p: int) -> list:
+    """The oracle's (witness, nnz) at each power of a power family, fed the `rows_matrix` conversions."""
+    return row_major_reference(family_terms(field, family, p), p)
 
 
 def transposed(m: Matrix) -> Matrix:
@@ -295,17 +316,14 @@ def reference_tensor_sum_prefixes(terms, p: int):
     Column tuples are walked one factor at a time with, as the state of a
     (row prefix, column prefix) pair, the vector of the terms' products;
     each layer keeps every distinct vector once, with its smallest column
-    prefix and the number of pairs reaching it.  Same merge as the walk it
-    checks, and no work budget.
+    prefix and the number of pairs reaching it.  No merge, as the sums it
+    forms are the operator's own, and no work budget.
     """
-    if terms:
-        field, shapes = _term_shapes(terms)
-        if len(shapes) != p:
-            raise ValueError("term arity mismatch")
-        terms = _merged_terms(field, terms)
     if not terms:
         yield from [(None, 0)] * p
         return
+    field = terms[0][1][0].field
+    shapes = [(m.nrows, m.ncols) for m in terms[0][1]]
     zero, mul, add = field.zero, field.mul, field.add
     factor_cols = [[m._cols for m in mats] for _, mats in terms]
     layer = {tuple((k, coef) for k, (coef, _) in enumerate(terms)): [(), 1]}

@@ -23,7 +23,7 @@ from crown.harness import (
 from crown.linalg import kron_sum
 from crown.loday import cofunctor_eval
 from crown.monoid import Word, build_Z
-from conftest import bumped_row, row_major_reference, with_row
+from conftest import bumped_row, family_reference, with_row
 
 
 def scrub_timing(payload: str) -> str:
@@ -281,9 +281,9 @@ def test_run_suite_walks_each_power_family_once(monkeypatch):
     walks = []
     real = linalg.tensor_sum_prefixes
 
-    def counted(terms, p):
+    def counted(field, family, p):
         walks.append(p)
-        return real(terms, p)
+        return real(field, family, p)
 
     monkeypatch.setattr(linalg, "tensor_sum_prefixes", counted)
     monkeypatch.setattr(loday, "tensor_sum_prefixes", counted)
@@ -305,13 +305,14 @@ def test_run_suite_walks_each_power_family_once(monkeypatch):
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_every_suite_walk_matches_the_column_walk_oracle(monkeypatch, field):
     # each family the streamed checks walk at n = 2..4 agrees at every
-    # length with the column walk over its transposed factors
+    # power with the column walk over its transposed word matrices
     walks = []
     real = linalg.tensor_sum_prefixes
 
-    def recorded(terms, p):
-        results = list(real(terms, p))
-        walks.append((terms, p, results))
+    def recorded(walk_field, family, p):
+        assert walk_field == field
+        results = list(real(field, family, p))
+        walks.append((family, p, results))
         return iter(results)
 
     monkeypatch.setattr(linalg, "tensor_sum_prefixes", recorded)
@@ -320,10 +321,53 @@ def test_every_suite_walk_matches_the_column_walk_oracle(monkeypatch, field):
         reports = run_suite(RunConfig(n=n, field=field, checks=("lemma", "transport", "iso", "explore")))
         assert [r.status for r in reports] == ["pass", "pass", "pass", "info"], n
     nonzero = 0
-    for terms, p, results in walks:
-        assert results == row_major_reference(terms, p)
+    for family, p, results in walks:
+        assert results == family_reference(field, family, p)
         nonzero += sum(witness is not None for witness, _ in results)
     assert nonzero >= 4  # explore's top powers at n = 2, 3 and iso's families
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_every_suite_walk_receives_row_maps(monkeypatch, field):
+    # every check at n = 2..4 hands the walk (coefficient, row map) pairs,
+    # each row map a tuple of None or (column, integer weight), never a Matrix
+    walks = []
+    real = linalg.tensor_sum_prefixes
+
+    def recorded(walk_field, family, p):
+        walks.append(family)
+        return real(walk_field, family, p)
+
+    monkeypatch.setattr(linalg, "tensor_sum_prefixes", recorded)
+    monkeypatch.setattr(loday, "tensor_sum_prefixes", recorded)
+    for n in (2, 3, 4):
+        assert harness.exit_code_for(run_suite(RunConfig(n=n, field=field))) == 0, n
+    assert walks
+    for family in walks:
+        assert isinstance(family, list) and family
+        for _, rows in family:
+            assert isinstance(rows, tuple)
+            assert all(e is None or (type(e) is tuple and len(e) == 2 and type(e[1]) is int) for e in rows)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_iso_converts_row_maps_only_to_rank_and_certify(monkeypatch, field):
+    # at n = 3 iso makes a Matrix of a row map only for the lemma trace's n
+    # stacked window restrictions, the two projections' injectivity ranks
+    # and the naturality certificate, one per word of T on each sign,
+    # 2 * (2^n - 1): 3 + 2 + 14.  Its walks read the row maps themselves.
+    n, calls = 3, []
+    real = ga.rows_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ga, "rows_matrix", counted)
+    monkeypatch.setattr(loday, "rows_matrix", counted)
+    (report,) = run_suite(RunConfig(n=n, field=field, checks=("iso",)))
+    assert report.status == "pass"
+    assert len(calls) == n + 2 + 2 * (2**n - 1) == 19
 
 
 def test_lemma_and_transport_decide_every_power_at_level_eight():
@@ -674,6 +718,23 @@ def test_cli_rejects_bad_usage(capsys):
     assert main(["verify", "--field", "float32"]) == 2
     assert main(["nosuchcommand"]) == 2
     assert main(["verify", "--checks", "nosuch"]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--n", "2", "--json"],
+    ["export", "--what", "graphs", "--n", "2", "--out"],
+])
+def test_cli_rejects_an_unwritable_output_before_any_work(monkeypatch, tmp_path, capsys, command):
+    # a missing directory, or a directory as the file, is a usage error
+    # (exit 2) named before any check runs or any object is built
+    def raising(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(harness, "run_suite", raising)
+    monkeypatch.setattr(harness, "export_objects", raising)
+    for path in (tmp_path / "no" / "such" / "r.json", tmp_path):
+        assert main(command + [str(path)]) == 2
+        assert f"error: cannot write {path}" in capsys.readouterr().err
 
 
 def test_cli_reports_a_cap_as_an_error(tmp_path, capsys):

@@ -21,12 +21,13 @@ from crown.linalg import (
     vstack,
 )
 from conftest import (
+    family_reference,
+    family_terms,
+    family_witness,
     matrix_from_rows,
     reference_kernel_basis_with_free,
     reference_left_inverse,
     reference_rank,
-    row_major_reference,
-    tensor_product_sum_witness,
 )
 
 
@@ -469,68 +470,54 @@ def test_vstack_shape():
 
 # -- streamed tensor sums ------------------------------------------------------
 
-def last_nnz(terms, p):
-    """The nonzero count of the whole sum: the last one its walk yields."""
-    return list(tensor_sum_prefixes(terms, p))[-1][1]
+def units(dim):
+    """The identity as a row map."""
+    return tuple((c, 1) for c in range(dim))
+
+
+def last_nnz(field, family, p):
+    """The nonzero count of the family's p-th power: the last one its walk yields."""
+    return list(tensor_sum_prefixes(field, family, p))[-1][1]
 
 
 def test_tensor_power_sum_cancels():
-    m = Matrix.identity(QQ, 3)
-    terms = [(QQ.one, [m, m]), (QQ.from_int(-1), [m, m])]
-    assert tensor_product_sum_witness(terms, 2) is None
+    assert family_witness(QQ, [(QQ.one, units(3)), (QQ.from_int(-1), units(3))], 2) is None
 
 
 def test_walk_raises_past_its_work_budget(monkeypatch):
     # I (x) I: the three rows of I are one row kind, so each layer is one
     # stored entry times one kind, 2 units in all
-    m = Matrix.identity(QQ, 3)
-    terms = [(QQ.one, [m, m])]
+    family = [(QQ.one, units(3))]
     monkeypatch.setattr(linalg, "WALK_BUDGET", 2)
-    assert last_nnz(terms, 2) == 9
+    assert last_nnz(QQ, family, 2) == 9
     monkeypatch.setattr(linalg, "WALK_BUDGET", 1)
     with pytest.raises(CapExceeded, match="reached 2 work units, over the budget 1"):
-        tensor_product_sum_witness(terms, 2)
+        family_witness(QQ, family, 2)
 
 
 def test_sum_cancelled_by_the_merge_does_no_work(monkeypatch):
+    # the second row map is the first over F3, its weights 3 more, so the
+    # two terms merge and cancel
     rng = random.Random(11)
-    a = rand_matrix(rng, GF(3), 4, 4, density=0.7)
-    b = rand_matrix(rng, GF(3), 4, 4, density=0.7)
-    terms = [(GF(3).one, [a, b, a]), (GF(3).from_int(-1), [a, b, a])]
+    a = rand_row_map(rng, 4, 4)
+    shifted = tuple(None if e is None else (e[0], e[1] + 3) for e in a)
+    family = [(GF(3).one, a), (GF(3).from_int(-1), shifted)]
     monkeypatch.setattr(linalg, "WALK_BUDGET", 0)
-    assert tensor_product_sum_witness(terms, 3) is None
-    assert list(tensor_sum_prefixes(terms, 3)) == [(None, 0)] * 3
+    assert family_witness(GF(3), family, 3) is None
+    assert list(tensor_sum_prefixes(GF(3), family, 3)) == [(None, 0)] * 3
 
 
 def test_tensor_power_sum_witness_order():
-    m = Matrix.identity(QQ, 2)
-    witness = tensor_product_sum_witness([(QQ.one, [m, m])], 2)
+    witness = family_witness(QQ, [(QQ.one, units(2))], 2)
     assert witness == ((0, 0), (0, 0), QQ.one)
 
 
-def test_tensor_product_sum_mixed_factors():
-    rng = random.Random(5)
-    a = rand_matrix(rng, QQ, 3, 3, density=0.7)
-    b = rand_matrix(rng, QQ, 3, 3, density=0.7)
-    # a(x)b - a(x)b = 0 but a(x)b - b(x)a generally is not
-    assert tensor_product_sum_witness(
-        [(QQ.one, [a, b]), (QQ.from_int(-1), [a, b])], 2
-    ) is None
-    direct = kron(a, b) - kron(b, a)
-    witness = tensor_product_sum_witness(
-        [(QQ.one, [a, b]), (QQ.from_int(-1), [b, a])], 2
+def rand_row_map(rng, nrows, ncols):
+    """A random integer row map: per row None or (column, weight), weight 2 vanishing over F2."""
+    return tuple(
+        (rng.randrange(ncols), rng.choice([1, 1, 2, -1, 3])) if rng.random() < 0.8 else None
+        for _ in range(nrows)
     )
-    assert (witness is None) == direct.is_zero()
-
-
-def rand_row_monomial(rng, field, nrows, ncols):
-    """A matrix with at most one nonzero per row, like a word action."""
-    entries = [
-        (r, rng.randrange(ncols), field.from_int(rng.choice([1, 1, 2, -1])))
-        for r in range(nrows)
-        if rng.random() < 0.8
-    ]
-    return Matrix.from_entries(field, nrows, ncols, entries)
 
 
 def materialized_sum_witness(terms, p):
@@ -563,39 +550,27 @@ def materialized_sum_witness(terms, p):
     return (unflat(c, [c for _, c in shapes]), unflat(r, [r for r, _ in shapes]), v)
 
 
-def rand_sum_case(rng, field):
-    """(terms, p, rectangular) of a random tensor sum: square or per-factor
-    rectangular shapes, row-monomial or dense factors, and sometimes the
-    negated terms appended so that the sum cancels in whole or in part."""
+def rand_power_case(rng, field):
+    """(family, p, rectangular) of a random power family  sum_k c_k * M_k^(x)p
+    of row maps, square or rectangular, with sometimes a row map that equals
+    another only over the field appended, and sometimes the negated terms,
+    all or all but one, so that the family cancels in the merge in whole or
+    in part."""
     p = rng.randint(1, 3)
-    rectangular = False
-    if rng.random() < 0.5:
-        d = rng.randint(1, 4)
-        shapes = [(d, d)] * p
-    else:
-        # factor i of every term has its own, possibly rectangular, shape
-        shapes = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(p)]
-        rectangular = any(r != c for r, c in shapes)
-    pools = {}  # equal shapes share one pool, so equal factor lists recur
-    for r, c in shapes:
-        if (r, c) not in pools:
-            pools[(r, c)] = [
-                rand_row_monomial(rng, field, r, c) if rng.random() < 0.5
-                else rand_matrix(rng, field, r, c, density=0.6, span=2)
-                for _ in range(rng.randint(1, 3))
-            ]
-    terms = [
-        (field.from_int(rng.randint(-2, 2)), [rng.choice(pools[shape]) for shape in shapes])
-        for _ in range(rng.randint(1, 5))
-    ]
+    nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+    pool = [rand_row_map(rng, nrows, ncols) for _ in range(rng.randint(1, 3))]
+    shift = getattr(field, "p", 0)  # the characteristic
+    if shift and rng.random() < 0.4:
+        # equal over the field only: each weight moved by the characteristic
+        pool.append(tuple(None if e is None else (e[0], e[1] + shift) for e in rng.choice(pool)))
+    family = [(field.from_int(rng.randint(-2, 2)), rng.choice(pool)) for _ in range(rng.randint(1, 5))]
     if rng.random() < 0.4:
-        # append the negated terms, sometimes all but one, so the halves cancel
-        negated = [(field.neg(c), mats) for c, mats in terms]
+        negated = [(field.neg(c), rows) for c, rows in family]
         if rng.random() < 0.5:
             negated.pop(rng.randrange(len(negated)))
-        terms += negated
-        rng.shuffle(terms)
-    return terms, p, rectangular
+        family += negated
+        rng.shuffle(family)
+    return family, p, nrows != ncols
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
@@ -603,10 +578,10 @@ def test_tensor_product_sum_witness_matches_materialized(field):
     rng = random.Random(11)
     nonzero = zero = rectangular = 0
     for _ in range(200):
-        terms, p, rect = rand_sum_case(rng, field)
+        family, p, rect = rand_power_case(rng, field)
         rectangular += rect
-        witness = tensor_product_sum_witness(terms, p)
-        assert witness == materialized_sum_witness(terms, p)
+        witness = family_witness(field, family, p)
+        assert witness == materialized_sum_witness(family_terms(field, family, p), p)
         if witness is None:
             zero += 1
         else:
@@ -616,66 +591,56 @@ def test_tensor_product_sum_witness_matches_materialized(field):
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
 def test_tensor_product_sum_merges_equal_factor_lists(field):
-    # A term split into two halves, the second written with equal but
-    # distinct matrix objects, merges back into the unsplit term: the
-    # witness is the unsplit sum's and the unmerged materialized sum's.
+    # A term split into two halves, the second written with a row map equal
+    # to the first over the field only (a weight moved by the characteristic,
+    # or over Q a distinct but equal tuple, and a zero row written as a
+    # weight that vanishes), merges back into the unsplit term: the witness
+    # is the unsplit family's and the unmerged materialized family's.
     rng = random.Random(23)
+    shift = getattr(field, "p", 0)  # the characteristic
     for _ in range(40):
-        a, x = (rand_matrix(rng, field, 2, 3, density=0.6, span=2) for _ in range(2))
-        b, y = (rand_row_monomial(rng, field, 3, 2) for _ in range(2))
+        a, x = (rand_row_map(rng, 3, 2) for _ in range(2))
         c1, c2, half = (field.from_int(rng.randint(-2, 2)) for _ in range(3))
-
-        def copy(m):
-            return Matrix.from_entries(field, m.nrows, m.ncols, m.to_triples())
-
-        unsplit = [(c1, [a, b]), (c2, [x, y])]
-        split = [(half, [a, b]), (c2, [x, y]), (field.sub(c1, half), [copy(a), copy(b)])]
-        witness = tensor_product_sum_witness(split, 2)
-        assert witness == tensor_product_sum_witness(unsplit, 2)
-        assert witness == materialized_sum_witness(split, 2)
+        equal = tuple((0, shift) if e is None and shift else None if e is None else (e[0], e[1] + shift) for e in a)
+        assert equal is not a and (shift == 0 or equal != a)
+        unsplit = [(c1, a), (c2, x)]
+        split = [(half, a), (c2, x), (field.sub(c1, half), equal)]
+        witness = family_witness(field, split, 2)
+        assert witness == family_witness(field, unsplit, 2)
+        assert witness == materialized_sum_witness(family_terms(field, split, 2), 2)
 
 
 def test_tensor_product_sum_rejects_mismatched_terms():
+    with pytest.raises(ValueError):
+        family_witness(QQ, [(QQ.one, units(2)), (QQ.one, units(3))], 2)  # the row maps differ in rows
     a = Matrix.identity(QQ, 2)
-    b = Matrix.zero(QQ, 2, 3)
-    with pytest.raises(ValueError):
-        tensor_product_sum_witness([(QQ.one, [a, b]), (QQ.one, [b, a])], 2)  # factor 1 changes shape
-    with pytest.raises(ValueError):
-        tensor_product_sum_witness([(QQ.one, [a, b])], 3)  # arity is not p
     with pytest.raises(ValueError):
         kron_sum([(QQ.one, [a]), (QQ.one, [a, a])])
 
 
 def test_tensor_product_sum_lowest_row_across_column_prefixes():
-    # Row 0 of x reaches columns 0 and 1, so after the first factor the
-    # row prefix (0,) holds two column classes.  Column 0 cancels at last
-    # row 0 and first survives at row 1; column 1 survives at row 0, which
-    # is therefore the lowest witness row, and its lowest column is (1, 0)
-    # even though column 0 comes first.
-    x = matrix_from_rows(QQ, [[1, 1], [0, 0]])
-    z = matrix_from_rows(QQ, [[1, 0], [0, 0]])
-    y1 = Matrix.identity(QQ, 2)
-    y2 = matrix_from_rows(QQ, [[1, 0], [0, 0]])
-    terms = [(QQ.one, [x, y1]), (QQ.from_int(-1), [z, y2])]
-    witness = tensor_product_sum_witness(terms, 2)
-    assert witness == ((1, 0), (0, 0), QQ.one)
-    assert witness == materialized_sum_witness(terms, 2)
+    # Row 0 reaches column 0 through a and b and column 1 through c, so
+    # after the first factor the row prefix (0,) holds two column classes.
+    # Column 0 cancels in row 0 at every power and survives in row 1;
+    # column 1 survives in row 0, which is therefore the lowest witness
+    # row, and its lowest column is (1, 1) although (0, 0) comes first.
+    a, b, c = ((0, 1), (0, 1)), ((0, 1), (1, 1)), ((1, 1), (0, 1))
+    family = [(QQ.one, a), (QQ.from_int(-1), b), (QQ.one, c)]
+    for p, expected in ((1, ((1,), (0,), QQ.one)), (2, ((1, 1), (0, 0), QQ.one))):
+        witness = family_witness(QQ, family, p)
+        assert witness == expected
+        assert witness == materialized_sum_witness(family_terms(QQ, family, p), p)
 
 
 def test_tensor_product_sum_keeps_smallest_prefix_of_a_shared_state():
-    # After two factors, row prefix (0, 1) from column prefix (0, 0) and row
-    # prefix (0, 0) from column prefix (1, 0) reach the same state.  The
-    # stored prefix must be the smaller (0, 0), whose last row 0 is already
-    # nonzero at columns (1, 0, 0).
-    x1 = matrix_from_rows(QQ, [[1, 1], [0, 0]])
-    y1 = matrix_from_rows(QQ, [[1, 2], [0, 0]])
-    x2 = matrix_from_rows(QQ, [[1, 0], [1, 0]])
-    y2 = matrix_from_rows(QQ, [[1, 0], [2, 0]])
-    eye = Matrix.identity(QQ, 2)
-    terms = [(QQ.one, [x1, x2, eye]), (QQ.from_int(-1), [y1, y2, eye])]
-    witness = tensor_product_sum_witness(terms, 3)
-    assert witness == ((1, 0, 0), (0, 0, 0), QQ.from_int(-1))
-    assert witness == materialized_sum_witness(terms, 3)
+    # Rows 0 and 2 have weights 1 and -1 at column 1: two row kinds.  After
+    # two factors, row prefixes (0, 0) and (2, 2) reach one state.  The
+    # stored prefix must be the smaller (0, 0), whose expansion (0, 0, 0)
+    # is the witness row at the third power.
+    family = [(QQ.from_int(2), ((1, 1), None, (1, -1)))]
+    witness = family_witness(QQ, family, 3)
+    assert witness == ((1, 1, 1), (0, 0, 0), QQ.from_int(2))
+    assert witness == materialized_sum_witness(family_terms(QQ, family, 3), 3)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
@@ -683,10 +648,10 @@ def test_tensor_product_sum_nnz_matches_kron_sum(field):
     rng = random.Random(31)
     nonzero = zero = rectangular = 0
     for _ in range(200):
-        terms, p, rect = rand_sum_case(rng, field)
+        family, p, rect = rand_power_case(rng, field)
         rectangular += rect
-        nnz = last_nnz(terms, p)
-        assert nnz == kron_sum(terms).nnz()
+        nnz = last_nnz(field, family, p)
+        assert nnz == kron_sum(family_terms(field, family, p)).nnz()
         if nnz:
             nonzero += 1
         else:
@@ -696,34 +661,17 @@ def test_tensor_product_sum_nnz_matches_kron_sum(field):
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_tensor_product_sum_nnz_counts_every_pair_reaching_a_state(field):
-    # J (x) J, J all ones: all four (row, column) pairs of the first factor
-    # reach one state, from two row prefixes and two column prefixes, so
-    # the count is 4 * 4 and not the 4 of one visit per state.
-    ones = matrix_from_rows(field, [[1, 1], [1, 1]])
-    eye = Matrix.identity(field, 2)
-    assert last_nnz([(field.one, [ones, ones])], 2) == 16
-    # (J + I) (x) I: the diagonal pairs reach one state and the
-    # off-diagonal pairs another, two pairs each.  Over F2 the diagonal
-    # state cancels, J + I = [[0, 1], [1, 0]].
-    terms = [(field.one, [ones, eye]), (field.one, [eye, eye])]
-    assert last_nnz(terms, 2) == kron_sum(terms).nnz() == (8 if field is QQ else 4)
-    assert last_nnz([(field.one, [ones, ones]), (field.neg(field.one), [ones, ones])], 2) == 0
-
-
-def rand_power_case(rng, field):
-    """(terms, p) of a random power family  sum_k c_k * M_k^(x)p  with square
-    factors, and sometimes the negated terms appended, so it cancels in the merge."""
-    p = rng.randint(1, 3)
-    d = rng.randint(1, 4)
-    pool = [
-        rand_row_monomial(rng, field, d, d) if rng.random() < 0.5
-        else rand_matrix(rng, field, d, d, density=0.5, span=2)
-        for _ in range(rng.randint(1, 4))
-    ]
-    terms = [(field.from_int(rng.randint(-2, 2)), [m] * p) for m in pool]
-    if rng.random() < 0.25:
-        terms += [(field.neg(c), mats) for c, mats in terms]
-    return terms, p
+    # J (x) J, J sending both rows to column 0: both rows are one kind, so
+    # the two row prefixes of the first factor reach one state, and the
+    # count is 2 * 2 and not the 1 of one visit per state.
+    j = ((0, 1), (0, 1))
+    assert last_nnz(field, [(field.one, j)], 2) == 4
+    # J (x) J + I (x) I: row tuple (0, 0) sends both terms to column tuple
+    # (0, 0), every other row tuple sends them to two column tuples.  Over
+    # F2 the shared entry cancels, 1 + 1 = 0.
+    family = [(field.one, j), (field.one, units(2))]
+    assert last_nnz(field, family, 2) == kron_sum(family_terms(field, family, 2)).nnz() == (7 if field is QQ else 6)
+    assert last_nnz(field, [(field.one, j), (field.neg(field.one), j)], 2) == 0
 
 
 def truncated(terms, q):
@@ -733,24 +681,20 @@ def truncated(terms, q):
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
 def test_tensor_sum_prefixes_match_materialized_at_every_length(field):
-    # one walk to p against the materialized sum truncated to each q <= p,
-    # over power families and mixed-factor (possibly rectangular) terms
+    # one walk to p against the materialized family at each power q <= p
     rng = random.Random(41)
-    seen = {"zero": 0, "nonzero": 0, "cancelled": 0, "power": 0, "mixed": 0}
-    for k in range(240):
-        if k % 2:
-            (terms, p), kind = rand_power_case(rng, field), "power"
-        else:
-            (terms, p, _), kind = rand_sum_case(rng, field), "mixed"
-        seen[kind] += 1
-        results = list(tensor_sum_prefixes(terms, p))
+    seen = {"zero": 0, "nonzero": 0, "cancelled": 0}
+    for _ in range(240):
+        family, p, _ = rand_power_case(rng, field)
+        results = list(tensor_sum_prefixes(field, family, p))
         assert len(results) == p
+        terms = family_terms(field, family, p)
         for q, (witness, nnz) in enumerate(results, start=1):
             short = truncated(terms, q)
             assert witness == materialized_sum_witness(short, q)
             assert nnz == kron_sum(short).nnz()
             seen["zero" if witness is None else "nonzero"] += 1
-        if not linalg._merged_terms(field, terms):
+        if not linalg._merged_terms(field, family):
             assert results == [(None, 0)] * p
             seen["cancelled"] += 1
     assert min(seen.values()) >= 20, seen  # every kind is exercised
@@ -758,47 +702,46 @@ def test_tensor_sum_prefixes_match_materialized_at_every_length(field):
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
 def test_walk_matches_the_column_walk_oracle_at_every_length(field):
-    # the nonzero count at each length is the oracle's, and the witness is
+    # the nonzero count at each power is the oracle's, and the witness is
     # the oracle's on the transposed factors, its tuples swapped
     rng = random.Random(53)
     nonzero = 0
-    for k in range(240):
-        terms, p = rand_power_case(rng, field) if k % 2 else rand_sum_case(rng, field)[:2]
-        results = list(tensor_sum_prefixes(terms, p))
-        assert results == row_major_reference(terms, p)
+    for _ in range(240):
+        family, p, _ = rand_power_case(rng, field)
+        results = list(tensor_sum_prefixes(field, family, p))
+        assert results == family_reference(field, family, p)
         nonzero += sum(witness is not None for witness, _ in results)
     assert nonzero >= 100
 
 
-# A power family on 3x3 factors over F3 and the work units its walk has
-# reached after each length: the entries of each layer's states times the
-# factor's row kinds, summed
-BUDGET_CASE_WORK = {1: 12, 2: 93, 3: 411}
+# A power family of 3 x 3 row maps over F3 and the work units its walk has
+# reached after each power: the entries of each layer's states times the
+# row kinds, summed
+BUDGET_CASE_WORK = {1: 12, 2: 30, 3: 57}
 
 
 def budget_case():
     rng = random.Random(7)
-    field = GF(3)
-    pool = [rand_matrix(rng, field, 3, 3, density=0.6, span=2) for _ in range(4)]
-    return [(field.from_int(c), m) for c, m in zip((1, -1, 2, 1), pool)]
+    pool = [rand_row_map(rng, 3, 3) for _ in range(4)]
+    return [(GF(3).from_int(c), rows) for c, rows in zip((1, -1, 2, 1), pool)]
 
 
 def test_walk_past_its_budget_yields_the_lengths_below_first(monkeypatch):
-    products = budget_case()
-    power = lambda q: [(c, [m] * q) for c, m in products]  # noqa: E731
+    family = budget_case()
     for q, work in BUDGET_CASE_WORK.items():
         # a walk to q alone passes at the work it reaches and raises one unit below
         monkeypatch.setattr(linalg, "WALK_BUDGET", work)
-        tensor_product_sum_witness(power(q), q)
+        family_witness(GF(3), family, q)
         monkeypatch.setattr(linalg, "WALK_BUDGET", work - 1)
         with pytest.raises(CapExceeded, match=f"reached {work} work units, over the budget {work - 1}"):
-            tensor_product_sum_witness(power(q), q)
-    # one walk to 3 under a budget that layer 3 crosses yields lengths 1, 2, then raises
+            family_witness(GF(3), family, q)
+    # one walk to 3 under a budget that layer 3 crosses yields powers 1, 2, then raises
     monkeypatch.setattr(linalg, "WALK_BUDGET", BUDGET_CASE_WORK[3] - 1)
-    walk = tensor_sum_prefixes(power(3), 3)
+    walk = tensor_sum_prefixes(GF(3), family, 3)
     for q in (1, 2):
         witness, nnz = next(walk)
-        assert witness == materialized_sum_witness(power(q), q)
-        assert nnz == kron_sum(power(q)).nnz()
+        terms = family_terms(GF(3), family, q)
+        assert witness == materialized_sum_witness(terms, q)
+        assert nnz == kron_sum(terms).nnz()
     with pytest.raises(CapExceeded, match=f"reached {BUDGET_CASE_WORK[3]} work units"):
         next(walk)

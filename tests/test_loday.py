@@ -10,7 +10,7 @@ from crown.graph_algebra import Algebra, annihilator_grading, is_multiplicative,
 from crown.graphs import build_C, graph_new, is_admissible
 from crown import linalg, loday, monoid
 from crown.harness import RunConfig, run_suite
-from crown.linalg import Matrix, _merged_terms, kron_sum, mat_compose
+from crown.linalg import Matrix, kron_sum, mat_compose
 from crown.loday import (
     NatTransData,
     Surjection,
@@ -55,7 +55,9 @@ from conftest import (
     reference_iso_claims,
     reference_loday_matrix,
     reference_transport_square_check,
+    family_witness,
     tensor_product_sum_witness,
+    word_matrices,
 )
 
 
@@ -690,10 +692,8 @@ def test_transport_at_every_power_cancels_in_the_merge(field):
     n = 4
     for name, x, s, t in transport_elements(n, field):
         assert transport_square_check(n, n - 1, x, s, t), name
-        products = loday._transport_products(n, x, s, t)
-        for p in range(1, n):
-            # each word's square holds at p = 1, so no term survives the merge
-            assert _merged_terms(field, loday._power_terms(products, p)) == [], (name, p)
+        # each word's square holds at p = 1, so no term survives the merge, at any power
+        assert linalg._merged_terms(field, loday._transport_products(n, x, s, t)) == [], name
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
@@ -705,7 +705,7 @@ def test_transport_fails_with_a_perturbed_word_matrix(monkeypatch, field):
             perturb_crown_word(patch, min(x.terms, key=Word.sort_key))
             products = loday._transport_products(n, x, s, t)
             for p in (1, 2):
-                assert tensor_product_sum_witness(loday._power_terms(products, p), p) is not None, (name, p)
+                assert family_witness(field, products, p) is not None, (name, p)
             assert not transport_square_check(n, 1, x, s, t), name
             assert not reference_transport_square_check(n, 1, x, s, t), name
 
@@ -719,7 +719,7 @@ def test_transport_fails_with_a_perturbed_projection(monkeypatch):
         x = build_T(3, field)
         products = loday._transport_products(3, x, -1, 1)
         for p in (1, 2):
-            assert tensor_product_sum_witness(loday._power_terms(products, p), p) is not None
+            assert family_witness(field, products, p) is not None
         assert loday._transport_verdict(3, 2, x, -1, 1) == (False, True)
         assert not transport_square_check(3, 2, x, -1, 1)
 
@@ -798,7 +798,7 @@ def test_iso_skips_naturality_after_a_failed_sub_claim(monkeypatch, field):
     with monkeypatch.context() as patch:
         patch.setattr(loday, "is_multiplicative", certifying)
         report = iso_check(3, field)
-    twist = {s: loday._word_terms(3, build_T(3, field), s, -s, "C") for s in (1, -1)}
+    twist = {s: word_matrices(3, build_T(3, field), s, -s, "C") for s in (1, -1)}
     assert seen == [m for s in (1, -1) for _, m in twist[s]]
     assert report.status == "PASS"
 
@@ -864,7 +864,7 @@ def three_walk_sub_claims(n, field, element):
     """(claims, witness) of iso's streamed sub-claims from three zero tests per sign and power."""
     x = {"T": build_T, "Z": build_Z}[element](n, field)
     targets = ISO_TARGETS[element]
-    families = {s: loday._word_terms(n, x, s, targets[s], "C") for s in (1, -1)}
+    families = {s: word_matrices(n, x, s, targets[s], "C") for s in (1, -1)}
     claims = {"inverse": True, "factored": True, "z_zero": True}
     witness = {}
     for s in (1, -1):
@@ -872,7 +872,7 @@ def three_walk_sub_claims(n, field, element):
             (field.mul(c, c2), mat_compose(m, m2)) for c, m in families[s] for c2, m2 in families[targets[s]]
         ]
         products.append((field.neg(field.one), Matrix.identity(field, products[0][1].nrows)))
-        z_words = loday._word_terms(n, build_Z(n, field), s, s, "C")
+        z_words = word_matrices(n, build_Z(n, field), s, s, "C")
         for p in range(1, n):
             inverse = [(c, [m] * p) for c, m in products]
             alternating = [(c, [m] * p) for c, m in z_words]
@@ -916,7 +916,7 @@ def test_iso_walks_the_inverse_only_where_the_other_two_families_do_not_decide_i
                 perturb_crown_word(patch, word)
             walks = []
             real = loday.tensor_sum_prefixes
-            patch.setattr(loday, "tensor_sum_prefixes", lambda terms, p: walks.append(p) or real(terms, p))
+            patch.setattr(loday, "tensor_sum_prefixes", lambda field, family, p: walks.append(p) or real(field, family, p))
             twist = iso_check(n, field)
             oracle = {element: three_walk_sub_claims(n, field, element) for element in ("T", "Z")}
         assert walks == [n - 1] * walk_count, words
@@ -947,7 +947,7 @@ def word_matrix_certificate(n, field, x, targets):
     verdicts = []
     for s in (1, -1):
         source, target = crowns[targets[s]], crowns[s]
-        for _, m in loday._word_terms(n, x, s, targets[s], "C"):
+        for _, m in word_matrices(n, x, s, targets[s], "C"):
             verdicts.append(is_multiplicative(source, target, m))
             assert verdicts[-1] == reference_is_multiplicative(source, target, m)
     return all(verdicts)
@@ -1150,9 +1150,9 @@ def test_iso_walks_stop_at_the_first_nonzero_power(monkeypatch, field):
     consumed = []
     walk = loday.tensor_sum_prefixes
 
-    def counting(terms, p):
+    def counting(field, family, p):
         consumed.append(0)
-        for item in walk(terms, p):
+        for item in walk(field, family, p):
             consumed[-1] += 1
             yield item
 
@@ -1177,7 +1177,7 @@ def test_iso_reads_each_walk_to_its_own_first_nonzero_power(monkeypatch):
     n = 4
     families = loday._CrownFamilies(n, QQ, loday.DEFAULT_TENSOR_CAP)
     families.alt_zero = {s: [True, False] for s in (1, -1)}
-    monkeypatch.setattr(loday, "_zero_powers", lambda terms, r: [True, True, False])
+    monkeypatch.setattr(loday, "_zero_powers", lambda field, family, r: [True, True, False])
     monkeypatch.setattr(loday, "_one_minus_z", lambda square, z: False)
     t = build_T(n, QQ)
     report = families.report(t, expanded_square(t))
@@ -1217,7 +1217,7 @@ def test_iso_falls_back_to_the_walks_where_the_identity_check_fails(monkeypatch,
     def run(cancels, perturbed):
         walks, walk = [], loday.tensor_sum_prefixes
         with monkeypatch.context() as patch:
-            patch.setattr(loday, "tensor_sum_prefixes", lambda terms, p: walks.append(p) or walk(terms, p))
+            patch.setattr(loday, "tensor_sum_prefixes", lambda field, family, p: walks.append(p) or walk(field, family, p))
             if not cancels:
                 patch.setattr(loday, "_one_minus_z", lambda square, z: False)
             if perturbed:
@@ -1270,13 +1270,13 @@ def test_iso_composes_linearly_in_the_words_and_walks_no_alternating_family(monk
         return compose(a, b)
 
     monkeypatch.setattr(loday, "rows_compose", counting)
-    monkeypatch.setattr(loday, "tensor_sum_prefixes", lambda terms, p: walks.append(terms) or walk(terms, p))
+    monkeypatch.setattr(loday, "tensor_sum_prefixes", lambda field, family, p: walks.append(family) or walk(field, family, p))
     report = iso_check(n, field)
     assert report.status == "PASS" and report.control.status == "FAIL"
     assert len(composes) == 60 + 2 * n * 2**n
     z = build_Z(n, field)
-    alternating = [loday._power_terms(loday._word_terms(n, z, s, s, "C"), n - 1) for s in (1, -1)]
-    assert walks and not any(terms in alternating for terms in walks)
+    alternating = [list(loday._word_rows(n, z, s, s, "C")) for s in (1, -1)]
+    assert walks and not any(family in alternating for family in walks)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
@@ -1286,10 +1286,10 @@ def test_certified_alternating_family_matches_its_walk(monkeypatch, field, n):
     # alt_zero on both signs without a walk, to what the walk, run here on
     # Z's crown word matrices, reads
     with monkeypatch.context() as patch:
-        patch.setattr(loday, "tensor_sum_prefixes", lambda terms, p: pytest.fail("walked while certifying"))
+        patch.setattr(loday, "tensor_sum_prefixes", lambda *args: pytest.fail("walked while certifying"))
         families = loday._CrownFamilies(n, field, loday.DEFAULT_TENSOR_CAP)
     for s in (1, -1):
-        walked = loday._zero_powers(loday._power_terms(families.terms(families.z, s), n - 1), n - 1)
+        walked = loday._zero_powers(field, families.terms(families.z, s), n - 1)
         assert families.alt_zero[s] == walked == [True] * (n - 1), s
 
 
@@ -1317,9 +1317,9 @@ def test_the_alternating_family_is_walked_where_its_certificate_premise_fails(mo
     else:
         perturb_crown_word(monkeypatch, Word.identity(n), signs=(-1,))
     walks, walk = [], loday.tensor_sum_prefixes
-    monkeypatch.setattr(loday, "tensor_sum_prefixes", lambda terms, p: walks.append(terms) or walk(terms, p))
+    monkeypatch.setattr(loday, "tensor_sum_prefixes", lambda field, family, p: walks.append(family) or walk(field, family, p))
     families = loday._CrownFamilies(n, field, loday.DEFAULT_TENSOR_CAP)
-    walked = [s for s in (1, -1) if loday._power_terms(families.terms(families.z, s), n - 1) in walks]
+    walked = [s for s in (1, -1) if families.terms(families.z, s) in walks]
     assert walked == ([-1] if premise == "square" else [1, -1])
     assert len(walks) == len(walked)
     assert families.alt_zero == {1: [True], -1: [premise != "square"]}
@@ -1332,9 +1332,9 @@ def test_iso_starts_no_walk_of_the_alternating_family(monkeypatch, field, n):
     # the control's factored family per sign, and T's per sign where T is
     # walked, with the identity check T.T = 1 - Z patched to fail
     z = build_Z(n, field)
-    alternating = [loday._power_terms(loday._word_terms(n, z, s, s, "C"), n - 1) for s in (1, -1)]
+    alternating = [list(loday._word_rows(n, z, s, s, "C")) for s in (1, -1)]
     walks, walk = [], loday.tensor_sum_prefixes
-    monkeypatch.setattr(loday, "tensor_sum_prefixes", lambda terms, p: walks.append(terms) or walk(terms, p))
+    monkeypatch.setattr(loday, "tensor_sum_prefixes", lambda field, family, p: walks.append(family) or walk(field, family, p))
     for cancels, count in ((True, 2), (False, 4)):
         walks.clear()
         with monkeypatch.context() as patch:
@@ -1342,7 +1342,7 @@ def test_iso_starts_no_walk_of_the_alternating_family(monkeypatch, field, n):
                 patch.setattr(loday, "_one_minus_z", lambda square, z: False)
             report = iso_check(n, field)
         assert report.status == "PASS" and report.control.status == "FAIL"
-        assert len(walks) == count and not any(terms in alternating for terms in walks)
+        assert len(walks) == count and not any(family in alternating for family in walks)
 
 
 def test_nat_trans_json_shape():
