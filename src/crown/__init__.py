@@ -46,7 +46,7 @@ from .graphs import (
     valency2_cycle_count,
 )
 from .harness import CheckReport, RunConfig, exit_code_for, export_objects, run_suite
-from .linalg import Matrix, kron, kron_power, kron_sum, mat_compose, mat_rank, vstack
+from .linalg import Matrix, kron, kron_power, kron_sum, mat_compose, mat_rank
 from .loday import (
     IsoReport,
     LemmaTrace,

@@ -25,12 +25,12 @@ def _build_parser():
         "--max-tensor-dim",
         type=int,
         default=harness.DEFAULT_MAX_TENSOR_DIM,
-        help="cap (default %(default)s) on the tensor dimension dim^p of the materialized matrices, "
-        "in verify only iso's crown dimension (p = 1), the width of the word row maps it walks and of the "
-        "word matrices it certifies: iso is skipped before any work when the crown dimension exceeds it; "
+        help="cap (default %(default)s) on the tensor dimension dim^p of materialized matrices, which only "
+        "export builds; in verify it gates iso on its crown dimension (p = 1), the width of the word row maps "
+        "it certifies and walks: iso is skipped before any work when the crown dimension exceeds it; "
         "functor decides its laws from the structure table and is not bounded by it; "
         "explore materializes nothing, but above crown dim^n it still reports its family as not computed; "
-        "the streamed walks (transport, explore, iso's sub-claims) are not bounded by it: one walk over "
+        "the streamed walks (transport, explore, iso's fallback) are not bounded by it: one walk over "
         "the words' row maps decides a family at every power, within one fixed work budget",
     )
     verify.add_argument(

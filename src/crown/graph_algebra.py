@@ -19,10 +19,10 @@ the word's signs at the row's columns, from a plan tabulated and checked
 once per graph pair.  Row r of A.B is A's weight times B's row at A's
 column (`rows_compose`).  Weights are reduced into a field
 (`linalg._reduced`) only to compare (`rows_equal`, over F_2 a weight 2 is
-a zero row), to walk a power family of row maps
-(`linalg.tensor_sum_prefixes`), or to convert, as `q_hom` does, into the
-`Matrix` that a rank, left inverse or certificate (`is_multiplicative`)
-needs.
+a zero row), to take a rank (`rows_rank`), to certify an algebra map
+(`rows_multiplicative`), to walk a power family of row maps
+(`linalg.tensor_sum_prefixes`), or to convert, as `q_hom` does, into a
+`Matrix` for export and for the tests' oracles (`is_multiplicative`).
 
 The reconstruction pipeline recovers an admissible graph from its
 algebra: regrade it via the annihilator (an `Algebra` whose first dim1
@@ -47,7 +47,7 @@ import itertools
 
 from .errors import CapExceeded, NotACover, NotAMorphism
 from .graphs import Graph, GraphMorphism, graph_new, is_cover, vertex_label_str
-from .linalg import Matrix, _add_scaled, _echelon, _kernel_basis, _reduced, mat_rank, vstack
+from .linalg import Matrix, _add_scaled, _echelon, _kernel_basis, _reduced
 
 # bounds p^dim1, the degree-1 vectors enumerated by the minimality test
 DEFAULT_POINT_CAP = 2**15
@@ -232,6 +232,39 @@ def rows_matrix(field, rows: tuple, ncols: int | None = None) -> Matrix:
     return Matrix(field, len(rows), len(cols), cols)
 
 
+def rows_rank(rows: tuple, field) -> int:
+    """The rank of a row map over the field: the columns its nonzero entries hit, whose supports are disjoint."""
+    return len({e[0] for e in _reduced(rows, field) if e is not None})
+
+
+def rows_multiplicative(g: Graph, h: Graph, rows: tuple, field) -> bool:
+    """Whether a row map from Q(h) to Q(g), rows as in `_pullback(g, h)`, is an algebra map over the field.
+
+    Only vertex indicators multiply to nonzero in Q(g), so with weights reduced into the field it is iff
+    every vertex row is zero or on a vertex column, and each orbit row, pair (x, y), matches the product
+    of rows x and y in Q(h), `_pullback`'s entry at their images times both weights: h must relate the
+    images of two nonzero rows; a nonzero product must equal the orbit row, and where the product is
+    zero the orbit row must be zero or on a vertex column.  `is_multiplicative` is the oracle.
+    """
+    (pairs, entry), nv, nh = _pullback(g, h), len(g.vertices), len(h.vertices)
+    if len(rows) != len(pairs):
+        raise ValueError("row map shape does not match the graphs")
+    reduced, mul, index, images = _reduced(rows, field), field.mul, g._index, h.vertices
+    if any(e is not None and e[0] >= nh for e in reduced[:nv]):
+        return False
+    for r, (a, b) in enumerate(pairs[nv:], nv):
+        product = None  # rows a and b multiplied in Q(h), None where zero
+        x, y, row = reduced[index[a]], reduced[index[b]], reduced[r]
+        if x is not None and y is not None:
+            if (e := entry(r, images[x[0]], images[y[0]])) is None:
+                return False
+            w = mul(mul(field.from_int(e[1]), x[1]), y[1])
+            product = None if w == field.zero else (e[0], w)
+        if row != product and (product is not None or row[0] >= nh):
+            return False
+    return True
+
+
 def q_hom(f: GraphMorphism, field) -> Matrix:
     """The matrix of the induced algebra map Q(target) -> Q(source): `q_rows` over the field."""
     return rows_matrix(field, q_rows(f), q_ungraded(f.target, field).dim)
@@ -267,13 +300,12 @@ def is_multiplicative(source: Algebra, target: Algebra, m: Matrix) -> bool:
 
 
 def cover_injectivity(fs, field) -> bool:
-    """Whether the stacked induced maps of a cover have full rank."""
+    """Whether the stacked induced maps of a cover have full rank: the `rows_rank` of their stacked row maps."""
     fs = list(fs)
     if not is_cover(fs):
         raise NotACover("the family does not cover its target")
-    target_alg = q_ungraded(fs[0].target, field)
-    stacked = vstack([q_hom(f, field) for f in fs])
-    return mat_rank(stacked) == target_alg.dim
+    stacked = tuple(itertools.chain.from_iterable(q_rows(f) for f in fs))
+    return rows_rank(stacked, field) == q_ungraded(fs[0].target, field).dim
 
 
 # -- annihilator grading -------------------------------------------------
@@ -298,7 +330,7 @@ def annihilator_grading(a: Algebra) -> Algebra:
             if v != f.zero:
                 rows.setdefault((i, k), {})[j] = v
                 rows.setdefault((j, k), {})[i] = v
-    kernel, free_cols = _kernel_basis(f, _echelon(f, rows.values(), d), d)
+    kernel, free_cols = _kernel_basis(f, _echelon(f, rows.values()), d)
     pivot_cols = tuple(c for c in range(d) if c not in set(free_cols))
     d1 = len(pivot_cols)
     labels = [a.basis[p] for p in pivot_cols] + [("nil", a.basis[fc]) for fc in free_cols]
@@ -384,7 +416,7 @@ def _minimal_representatives(ag: Algebra, max_points: int):
     dim_s: dict = {}  # RREF kernel basis of K_a -> dim S_a
     chosen = []
     for pt in _enumerate_projective(f, d1):
-        pivots = _echelon(f, product_rows([_sparse(pt)]), d1)
+        pivots = _echelon(f, product_rows([_sparse(pt)]))
         if len(pivots) == d1:
             dim = d1
         else:
@@ -392,7 +424,7 @@ def _minimal_representatives(ag: Algebra, max_points: int):
             key = tuple(tuple(vec.items()) for vec in kernel)
             dim = dim_s.get(key)
             if dim is None:
-                dim = dim_s[key] = d1 - len(_echelon(f, product_rows(kernel), d1))
+                dim = dim_s[key] = d1 - len(_echelon(f, product_rows(kernel)))
         if dim == 1:
             chosen.append(pt)
     return chosen

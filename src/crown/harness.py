@@ -67,6 +67,8 @@ class RunConfig:
             raise ValueError("level must be >= 1")
         if min(self.max_tensor_dim, self.max_proj_points, self.max_graph_size) <= 0:
             raise ValueError("caps must be positive")
+        if not self.checks:
+            raise ValueError("no checks requested")
         unknown = [c for c in self.checks if c not in CHECK_ORDER]
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")

@@ -25,6 +25,10 @@ walk.  It merges terms whose row maps are equal over the field
 (`_reduced`, the one reduction of integer weights into a field), then
 walks row tuples one tensor factor at a time over deduplicated prefix
 states, never materializing a sum, and `WALK_BUDGET` bounds its work.
+
+Elimination (`_echelon`, `_kernel_basis`) serves the annihilator grading
+and the reconstruction's minimality tests, where kernels are needed.  The
+rank of a row map is read off its columns (`graph_algebra.rows_rank`).
 """
 
 from __future__ import annotations
@@ -233,27 +237,6 @@ def kron_power(m: Matrix, p: int) -> Matrix:
     return kron_sum([(m.field.one, [Matrix.identity(m.field, 1)] + [m] * p)])
 
 
-def vstack(mats) -> Matrix:
-    """Stack matrices with equal column count vertically, in order."""
-    mats = list(mats)
-    if not mats:
-        raise ValueError("empty stack")
-    f = mats[0].field
-    ncols = mats[0].ncols
-    for m in mats:
-        if m.field != f or m.ncols != ncols:
-            raise ValueError("mismatched stack")
-    cols = [dict() for _ in range(ncols)]
-    offset = 0
-    for m in mats:
-        for c in range(ncols):
-            col = cols[c]
-            for r, v in m._cols[c].items():
-                col[offset + r] = v
-        offset += m.nrows
-    return Matrix(f, offset, ncols, cols)
-
-
 # -- elimination ------------------------------------------------------
 
 def _add_scaled(field, acc, fac, vec):
@@ -267,22 +250,19 @@ def _add_scaled(field, acc, fac, vec):
             acc[c] = w
 
 
-def _echelon(field, rows, ncols):
+def _echelon(field, rows):
     """The forward pass of sparse elimination, keyed by pivot column.
 
     `rows` is an iterable of dicts col -> value, each reduced in place
     against the pivots found so far, leading column first.  A row becomes
-    the pivot, scaled to lead with one, of its first leading column below
-    `ncols` that no pivot holds; columns >= ncols ride along (an augmented
-    block).  Returns the pivot rows by pivot column; their number is the rank.
+    the pivot, scaled to lead with one, of its first leading column that no
+    pivot holds.  Returns the pivot rows by pivot column; their number is the rank.
     """
     one = field.one
     pivots: dict = {}
     for row in rows:
         while row:
             lead = min(row)
-            if lead >= ncols:
-                break
             piv = pivots.get(lead)
             if piv is None:
                 if row[lead] != one:
@@ -326,39 +306,7 @@ def _kernel_basis(field, pivots, ncols):
 
 def mat_rank(a: Matrix) -> int:
     """Exact rank: the number of pivots of `_echelon`'s forward pass."""
-    return len(_echelon(a.field, a._row_dicts(), a.ncols))
-
-
-def kernel_basis_with_free(a: Matrix):
-    """Right-kernel basis plus the free columns that index it.
-
-    Returns (basis, free_cols): one vector per free column of the RREF in
-    ascending free-column order; the vector for free column f has a 1 at f
-    and its other support lies on pivot columns.
-    """
-    return _kernel_basis(a.field, _echelon(a.field, a._row_dicts(), a.ncols), a.ncols)
-
-
-def left_inverse(a: Matrix) -> Matrix:
-    """A left inverse L with L @ a == identity, for full-column-rank a.
-
-    Raises ValueError when the columns are dependent.  The product is
-    re-verified before returning.
-    """
-    f = a.field
-    n = a.ncols
-    rows = a._row_dicts()
-    for r in range(a.nrows):
-        rows[r][n + r] = f.one  # augment with the identity
-    pivots = _echelon(f, rows, n)  # pivot search restricted to original columns
-    if len(pivots) != n:
-        raise ValueError("matrix does not have full column rank")
-    _rref(f, pivots)
-    entries = [(i, c - n, v) for i in range(n) for c, v in pivots[i].items() if c >= n]
-    lift = Matrix.from_entries(f, n, a.nrows, entries)
-    if mat_compose(lift, a) != Matrix.identity(f, n):
-        raise AssertionError("left inverse verification failed")
-    return lift
+    return len(_echelon(a.field, a._row_dicts()))
 
 
 # -- tensor sums ---------------------------------------------------------

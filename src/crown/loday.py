@@ -34,12 +34,12 @@ without a walk.  Elsewhere one streamed walk over row tuples,
 p <= r; its witness is the family's row-major first nonzero entry.  The
 annihilation statement is proved at every p <= n - 1 by the paper's
 structural argument (`lemma_proof_trace`); iso's alternating family
-follows from it and Z's squares, and T's two families from T.T = 1 - Z,
-the family map being linear.  `lemma_check` keeps the walk as the exact
-zero test at any p.
-Naturality is certified per word (each word matrix is an algebra map);
-there and in export alone a word's row map becomes a `Matrix`.
-Only export materializes a family; `explore` reads the alternating
+follows from it and Z's squares, and the families of T and of the
+control from x.x = a[1] + bZ, the family map being linear.  `lemma_check`
+keeps the walk as the exact zero test at any p.
+Naturality is certified per word row map (`rows_multiplicative`) and
+ranks are read off row maps (`rows_rank`), so only export turns a row map
+into a `Matrix` or materializes a family; `explore` reads the alternating
 family's witness and exact nonzero count at every p <= n from one walk.
 """
 
@@ -52,9 +52,10 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import CapExceeded, HomSetViolation
 from .fields import QQ
-from .graph_algebra import Algebra, _units, is_multiplicative, q_rows, q_ungraded, rows_compose, rows_equal, rows_matrix, sign_rows
+from .graph_algebra import Algebra, _units, q_rows, q_ungraded, rows_compose, rows_equal, rows_matrix
+from .graph_algebra import rows_multiplicative, rows_rank, sign_rows
 from .graphs import build_B, build_C, build_F
-from .linalg import Matrix, kron_sum, left_inverse, mat_rank, tensor_sum_prefixes, vstack
+from .linalg import Matrix, _reduced, kron_sum, tensor_sum_prefixes
 from .monoid import MonoidAlgElem, Word, act_on_U, alternating_factors, build_T, build_Z, factored_square, gen_g, homset_member, twist_factors
 
 DEFAULT_SURJECTION_CAP = 6
@@ -398,8 +399,9 @@ def lemma_proof_trace(n: int, p: int, field=QQ, strips=None) -> LemmaTrace:
 
     E is the stacked window restrictions, and W_i(w) the action of word w
     on window i, which reads the word's three coordinates there.
-    (i) E has full column rank, certified by an explicit left inverse L, so
-    E^(x)p is injective with left inverse L^(x)p (mixed-product rule);
+    (i) E has full column rank, certified by an explicit left inverse L
+    read off its rows, so E^(x)p is injective with left inverse L^(x)p
+    (mixed-product rule);
     (ii) E M_w = diag_i W_i(w) E for every word w of Z, so
     E^(x)p Z^(p) = (sum_w c_w D(w)^(x)p) E^(x)p, where D(w)^(x)p is block
     diagonal over the window tuples tau, with blocks
@@ -416,13 +418,10 @@ def lemma_proof_trace(n: int, p: int, field=QQ, strips=None) -> LemmaTrace:
     if not 1 <= p < n:
         raise ValueError("trace requires 1 <= p < n")
     restrictions = [q_rows(build_F(n, i)[1]) for i in range(1, n + 1)]
-    e1 = vstack([rows_matrix(field, e, q_ungraded(build_B(n), field).dim) for e in restrictions])
-    e1_rank = mat_rank(e1)
-    full = e1_rank == e1.ncols
-    left_ok = False
-    if full:
-        left_inverse(e1)  # raises unless L @ e1 == identity
-        left_ok = True
+    e1, e1_cols = tuple(itertools.chain.from_iterable(restrictions)), q_ungraded(build_B(n), field).dim
+    e1_rank = rows_rank(e1, field)
+    hits = {e[0]: (r, field.inv(e[1])) for r, e in reversed(list(enumerate(_reduced(e1, field)))) if e is not None}
+    left = tuple(hits.get(c) for c in range(e1_cols))  # L: each column from the first row of E hitting it
 
     # a window matrix depends on the window's coordinates only: two per window for Z's words
     z = build_Z(n, field)
@@ -463,10 +462,10 @@ def lemma_proof_trace(n: int, p: int, field=QQ, strips=None) -> LemmaTrace:
         p=p,
         field_name=field.name,
         e1_rank=e1_rank,
-        e1_cols=e1.ncols,
-        left_inverse_verified=left_ok,
+        e1_cols=e1_cols,
+        left_inverse_verified=rows_equal(rows_compose(left, e1), _units(e1_cols), field),
         ep_rank=e1_rank**p,
-        ep_full_column_rank=full,
+        ep_full_column_rank=e1_rank == e1_cols,
         intertwining_ok=intertwining_ok,
         missing_index_always_exists=p < n,
         off_window_identity_ok=off_window_ok,
@@ -535,23 +534,39 @@ class IsoReport:
         return "FAIL" if any(ok is False for ok in claims) else "PASS"
 
 
-def _one_minus_z(square: MonoidAlgElem, z: MonoidAlgElem) -> bool:  # whether x.x, as `square`, is 1 - Z exactly
-    return square + z == MonoidAlgElem.one(z.field, z.n)
+def _decomposition(square: MonoidAlgElem, z: MonoidAlgElem):
+    """(a, b) with `square` = a[1] + bZ exactly, z being Z, or None: b read off Z's last word, a off the identity."""
+    f, last = z.field, max(z.terms, key=Word.sort_key)
+    b = f.mul(square.terms.get(last, f.zero), f.inv(z.terms[last]))
+    rest = square - z.scale(b)
+    a = rest.terms.get(Word.identity(z.n), f.zero)
+    return (a, b) if rest == MonoidAlgElem.one(f, z.n).scale(a) else None
+
+
+def _closed_form(field, decomposition, k: int, alt_zero: list, r: int):
+    """Whether (a - 1)I^(x)p + (b + k)Z^(p), (a, b) the decomposition, is zero at p <= r from Z's `alt_zero`; None if undecided.
+
+    Both lists stop at their first nonzero.  Where Z^(p) = 0 the sum is (a - 1)I^(x)p.
+    """
+    if decomposition is None:
+        return None
+    u, v = field.sub(decomposition[0], field.one), field.add(decomposition[1], field.from_int(k))
+    if v == field.zero:
+        return [True] * r if u == field.zero else [False]
+    if u == field.zero:
+        return alt_zero
+    return [False] if alt_zero[0] else None
 
 
 class _CrownFamilies:
-    """iso's families at level n: crown row maps once per (word, sign), strip row maps and squares once per word.
-
-    iso walks the crown row maps whose squares were checked, and converts one to a `Matrix` only to certify it.
-    """
+    """iso's families at level n: crown row maps once per (word, sign), strip row maps and squares once per word."""
 
     def __init__(self, n: int, field, max_tensor_dim: int):
         self.n, self.field = n, field
         self.crowns = {s: q_ungraded(build_C(n, s)[0], field) for s in (1, -1)}
         _check_tensor_cap(1, self.crowns.values(), max_tensor_dim)  # before any word matrix or walk
         self.rows = functools.cache(lambda w, s: _action_rows(n, w, s, "C"))
-        dim = self.crowns[1].dim
-        self.injective = {s: mat_rank(rows_matrix(field, _projection_rows(n, s), dim)) == dim for s in (1, -1)}
+        self.injective = {s: rows_rank(_projection_rows(n, s), field) == self.crowns[s].dim for s in (1, -1)}
         self.z = build_Z(n, field)
         strips = {w: _action_rows(n, w, None, "B") for w in self.z.terms}  # read by the trace, then by Z's squares
 
@@ -590,21 +605,17 @@ class _CrownFamilies:
             return IsoReport(n, r, field.name, False, False, False, False, False, {"homset": reason})
 
         witness: dict = {}
-        cancels = _one_minus_z(square, self.z)
+        decomposition = _decomposition(square, self.z)
         for s in (1, -1):
-            alt_zero = self.alt_zero[s]
-            if not self.premise(x, square, s, targets[s]):
-                inverse_zero = factored_zero = [False]  # a failed premise decides p = 1 only
-            elif cancels and rows_equal(self.rows(Word.identity(n), s), _units(crowns[s].dim), field):
-                # linear in x, [1]'s family I^(x)p: x.x's is I^(x)p - Z's, so the inverse is -(Z's), the factored 0
-                inverse_zero, factored_zero = alt_zero, [True] * r
-            else:
-                inverse = self.terms(square, s) + [(field.neg(field.one), _units(crowns[s].dim))]
-                factored_zero = _zero_powers(field, inverse + self.terms(self.z, s), r)
-                # inverse = factored - alternating: where either is zero, the inverse is zero iff both are
-                decided = all(alt or fac for alt, fac in zip(alt_zero, factored_zero))
-                both = [a and f for a, f in zip(alt_zero, factored_zero)]
-                inverse_zero = both if decided else _zero_powers(field, inverse, r)
+            inverse_zero = factored_zero = [False]  # a failed premise decides p = 1 only
+            if self.premise(x, square, s, targets[s]):
+                units = _units(crowns[s].dim)
+                inverse = self.terms(square, s) + [(field.neg(field.one), units)]
+                # x.x = a[1] + bZ, [1]'s family I^(x)p: inverse (a - 1)I^(x)p + bZ^(p), factored (a - 1)I^(x)p + (b + 1)Z^(p)
+                linear = decomposition if rows_equal(self.rows(Word.identity(n), s), units, field) else None
+                inverse_zero = _closed_form(field, linear, 0, self.alt_zero[s], r) or _zero_powers(field, inverse, r)
+                factored_zero = _closed_form(field, linear, 1, self.alt_zero[s], r) or _zero_powers(
+                    field, inverse + self.terms(self.z, s), r)
             for p, (inv, fac) in enumerate(itertools.zip_longest(inverse_zero, factored_zero, fillvalue=True), 1):
                 if not inv:
                     witness.setdefault("inverse", f"composite on sign {s} differs at power {p}")
@@ -619,8 +630,9 @@ class _CrownFamilies:
             return IsoReport(n, r, field.name, True, None, *claims, witness)
         certified_ok = True
         for s in (1, -1):
+            graphs = build_C(n, s)[0], build_C(n, targets[s])[0]
             for k, (_, rows) in enumerate(self.terms(x, s)):
-                if not is_multiplicative(crowns[targets[s]], crowns[s], rows_matrix(field, rows)):
+                if not rows_multiplicative(*graphs, rows, field):
                     certified_ok = False
                     witness.setdefault(f"certificate_{s}", f"word matrix {k} on sign {s} is not an algebra map")
         return IsoReport(n, r, field.name, True, certified_ok, *claims, witness)
@@ -635,21 +647,23 @@ def iso_check(n: int, field=QQ, max_tensor_dim: int = DEFAULT_TENSOR_CAP) -> Iso
     one premise checked per word (`_CrownFamilies.premise`): the p = 1
     transport square F_s C_w = B_w F_t, F the projections and B and C the
     strip and crown word matrices, for x's words on both signs and x.x's
-    on s, with F_s injective.  The sub-claims are families of word
-    matrices: inverse, x.x's words and -I; factored identity, the same plus
-    Z's words on s; alternating, Z's words alone.  The last is zero at
+    on s, with F_s injective (`rows_rank`).  The sub-claims are families of
+    word matrices: inverse, x.x's words and -I; factored identity, the same
+    plus Z's words on s; alternating, Z's words alone.  The last is zero at
     every power on s, unwalked, where the lemma's trace passes, Z's words
     have their squares on s and F_s is injective:
-    F_s^(x)p C_Z^(p) = B_Z^(p) F_s^(x)p = 0.  Where x.x = 1 - Z exactly
-    (T) and the identity word's crown row map on s is the identity, the
-    inverse family is -(Z's) and the factored one zero, by linearity in x.
-    Elsewhere, as for the control Z (Z.Z = Z, reported as `control`, which
-    must fail), each is one walk, stopped at its first nonzero power, the
-    inverse only where the other two are first nonzero at the same power.
-    A failed premise fails inverse and factored on its sign at p = 1.
+    F_s^(x)p C_Z^(p) = B_Z^(p) F_s^(x)p = 0.  Where x.x = a[1] + bZ exactly
+    and the identity word's crown row map on s is the identity, the family
+    map is linear in x: the inverse family is (a - 1)I^(x)p + bZ^(p) and
+    the factored one (a - 1)I^(x)p + (b + 1)Z^(p), decided from Z's
+    verdicts (`_closed_form`) for T (a, b = 1, -1) and for the control Z
+    (Z.Z = Z, 0 and 1, reported as `control`, which must fail).  Elsewhere
+    each is one walk, stopped at its first nonzero power.  A failed premise
+    fails inverse and factored on its sign at p = 1.
 
     Naturality is not attempted after a failed sub-claim.  It is certified
-    at every p by one `is_multiplicative` call per word matrix:
+    at every p by one `rows_multiplicative` call per word row map, an
+    algebra map exactly where its matrix M_w is:
     M_w mu_2 = mu_2 (M_w (x) M_w) gives M_w mu_k = mu_k M_w^(x)k by
     induction on k, Kronecker powers commute with reordering the input
     positions, and sums of natural families are natural.  No family is

@@ -5,7 +5,7 @@ from crown.errors import CapExceeded, IllDefinedQuotient, NotAMorphism
 from crown.graph_algebra import Algebra, _orbits, q_ungraded, rows_matrix
 from crown.graphs import Graph, GraphMorphism, act_on_B, act_on_C, build_C, graph_new, morphism_new
 from crown import linalg, loday
-from crown.linalg import Matrix, _add_scaled, kernel_basis_with_free, kron_power, kron_sum, mat_compose
+from crown.linalg import Matrix, _add_scaled, kron_power, kron_sum, mat_compose
 from crown.loday import (
     DEFAULT_TENSOR_CAP,
     NatTransData,
@@ -566,19 +566,6 @@ def reference_kernel_basis_with_free(a: Matrix):
     return basis, free_cols
 
 
-def reference_left_inverse(a: Matrix) -> Matrix:
-    """A left inverse from `reference_rref` of [a | I]; ValueError on dependent columns."""
-    f = a.field
-    n = a.ncols
-    rows = a._row_dicts()
-    for r in range(a.nrows):
-        rows[r][n + r] = f.one
-    if reference_rref(f, rows, n) != list(range(n)):
-        raise ValueError("matrix does not have full column rank")
-    entries = [(i, c - n, v) for i in range(n) for c, v in rows[i].items() if c >= n]
-    return Matrix.from_entries(f, n, a.nrows, entries)
-
-
 def reference_minimal_representatives(ag, max_points: int):
     """The minimal points by two column-scan eliminations per point.
 
@@ -667,7 +654,7 @@ def reference_annihilator_grading(a) -> Algebra:
         for i in range(d):
             for k, v in a.product_basis(j, i).items():
                 entries.append((i * d + k, j, v))
-    kernel, free_cols = kernel_basis_with_free(Matrix.from_entries(f, d * d, d, entries))
+    kernel, free_cols = reference_kernel_basis_with_free(Matrix.from_entries(f, d * d, d, entries))
     pivot_cols = tuple(c for c in range(d) if c not in set(free_cols))
     kernel_by_free = dict(zip(free_cols, kernel))
     d1 = len(pivot_cols)

@@ -290,9 +290,8 @@ def test_run_suite_walks_each_power_family_once(monkeypatch):
     families = {
         "lemma": 0,  # the proof trace decides the alternating family on the strip
         "transport": 0,  # every word's square holds, which proves each element at every power
-        # on each sign the Z control's factored family; T's are read off T.T = 1 - Z and
-        # the alternating one is certified
-        "iso": 2,
+        # T's and the control's families are read off x.x = a[1] + bZ, and the alternating one is certified
+        "iso": 0,
         "explore": 1,  # the alternating family on the crown, to p = n
     }
     for check, count in families.items():
@@ -305,7 +304,9 @@ def test_run_suite_walks_each_power_family_once(monkeypatch):
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_every_suite_walk_matches_the_column_walk_oracle(monkeypatch, field):
     # each family the streamed checks walk at n = 2..4 agrees at every
-    # power with the column walk over its transposed word matrices
+    # power with the column walk over its transposed word matrices; iso
+    # walks its families only with the decomposition x.x = a[1] + bZ
+    # patched away, as in the second pass
     walks = []
     real = linalg.tensor_sum_prefixes
 
@@ -317,14 +318,16 @@ def test_every_suite_walk_matches_the_column_walk_oracle(monkeypatch, field):
 
     monkeypatch.setattr(linalg, "tensor_sum_prefixes", recorded)
     monkeypatch.setattr(loday, "tensor_sum_prefixes", recorded)
-    for n in (2, 3, 4):
-        reports = run_suite(RunConfig(n=n, field=field, checks=("lemma", "transport", "iso", "explore")))
-        assert [r.status for r in reports] == ["pass", "pass", "pass", "info"], n
+    for checks in (("lemma", "transport", "iso", "explore"), ("iso",)):
+        for n in (2, 3, 4):
+            reports = run_suite(RunConfig(n=n, field=field, checks=checks))
+            assert [r.status for r in reports] == ["info" if c == "explore" else "pass" for c in checks], n
+        monkeypatch.setattr(loday, "_decomposition", lambda square, z: None)
     nonzero = 0
     for family, p, results in walks:
         assert results == family_reference(field, family, p)
         nonzero += sum(witness is not None for witness, _ in results)
-    assert nonzero >= 4  # explore's top powers at n = 2, 3 and iso's families
+    assert nonzero >= 4  # explore's top powers at n = 2, 3 and the control's families
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
@@ -351,23 +354,19 @@ def test_every_suite_walk_receives_row_maps(monkeypatch, field):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
-def test_iso_converts_row_maps_only_to_rank_and_certify(monkeypatch, field):
-    # at n = 3 iso makes a Matrix of a row map only for the lemma trace's n
-    # stacked window restrictions, the two projections' injectivity ranks
-    # and the naturality certificate, one per word of T on each sign,
-    # 2 * (2^n - 1): 3 + 2 + 14.  Its walks read the row maps themselves.
-    n, calls = 3, []
-    real = ga.rows_matrix
+def test_run_suite_builds_no_matrix(monkeypatch, field):
+    # every check reads its ranks, left inverse, naturality certificate and
+    # walks off integer row maps: with every check at n = 2..4, no `Matrix`
+    # is built.  Only export and the tests' oracles convert a row map.
+    def raising(*args, **kwargs):
+        raise AssertionError("run_suite built a Matrix")
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(ga, "rows_matrix", counted)
-    monkeypatch.setattr(loday, "rows_matrix", counted)
-    (report,) = run_suite(RunConfig(n=n, field=field, checks=("iso",)))
-    assert report.status == "pass"
-    assert len(calls) == n + 2 + 2 * (2**n - 1) == 19
+    monkeypatch.setattr(linalg.Matrix, "__init__", raising)
+    for n in (2, 3, 4):
+        reports = run_suite(RunConfig(n=n, field=field))
+        assert [r.status for r in reports] == ["pass"] * 7 + ["info"], n
+    with pytest.raises(AssertionError, match="built a Matrix"):
+        ga.q_hom(graphs.build_C(2, 1)[1], field)
 
 
 def test_lemma_and_transport_decide_every_power_at_level_eight():
@@ -385,16 +384,18 @@ def test_graph_size_cap_bounds_only_the_isomorphism_searches():
 
 def test_one_walk_budget_bounds_every_streamed_check(monkeypatch):
     # transport's sums cancel in the merge, so they do no work, and lemma
-    # walks nothing; every other streamed claim walks, and over the budget
-    # its check is skipped
+    # walks nothing, nor does iso while it reads T and the control off
+    # x.x = a[1] + bZ; every other streamed claim walks, and over the budget
+    # its check is skipped, as iso is with the decomposition patched away
     monkeypatch.setattr(linalg, "WALK_BUDGET", 0)
     checks = ("lemma", "transport", "iso", "explore")
     reports = {r.check: r for r in run_suite(RunConfig(n=2, field=GF(2), checks=checks))}
-    assert reports["transport"].status == "pass"
-    assert reports["lemma"].status == "pass"
-    for check in ("iso", "explore"):
-        assert reports[check].status == "skipped"
-        assert reports[check].details["reason"].startswith("cap exceeded: streamed walk reached ")
+    assert [reports[check].status for check in checks] == ["pass", "pass", "pass", "skipped"]
+    monkeypatch.setattr(loday, "_decomposition", lambda square, z: None)
+    (walked,) = run_suite(RunConfig(n=2, field=GF(2), checks=("iso",)))
+    for report in (reports["explore"], walked):
+        assert report.status == "skipped"
+        assert report.details["reason"].startswith("cap exceeded: streamed walk reached ")
 
 
 @pytest.mark.parametrize("n, power", [(2, 1), (3, 2), (4, 3)])
@@ -498,20 +499,20 @@ def test_explore_materializes_nothing(monkeypatch):
 
 
 def test_iso_control_attempts_no_naturality(monkeypatch):
-    # only the twist element's word matrices reach the naturality
+    # only the twist element's word row maps reach the naturality
     # certificate, 3 per sign at n = 2, and no square is materialized; the
     # report of the control is its status and streamed witnesses, as before
     calls = []
-    certify = loday.is_multiplicative
+    certify = loday.rows_multiplicative
 
-    def counting(source, target, m):
-        calls.append(m)
-        return certify(source, target, m)
+    def counting(g, h, rows, field):
+        calls.append(rows)
+        return certify(g, h, rows, field)
 
     def raising(*args, **kwargs):
         raise AssertionError("naturality square materialized")
 
-    monkeypatch.setattr(loday, "is_multiplicative", counting)
+    monkeypatch.setattr(loday, "rows_multiplicative", counting)
     monkeypatch.setattr(loday, "_LodayCache", raising)
     (report,) = run_suite(RunConfig(n=2, field=QQ, checks=("iso",)))
     assert report.status == "pass" and len(calls) == 2 * 3
@@ -718,6 +719,16 @@ def test_cli_rejects_bad_usage(capsys):
     assert main(["verify", "--field", "float32"]) == 2
     assert main(["nosuchcommand"]) == 2
     assert main(["verify", "--checks", "nosuch"]) == 2
+
+
+@pytest.mark.parametrize("checks", ["", " , "])
+def test_an_empty_check_list_is_a_usage_error(capsys, checks):
+    # verifying nothing must not pass: the CLI exits 2, and run_suite raises
+    assert main(["verify", "--checks", checks]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no checks requested" in captured.err
+    with pytest.raises(ValueError, match="no checks requested"):
+        run_suite(RunConfig(n=2, checks=tuple(c.strip() for c in checks.split(",") if c.strip())))
 
 
 @pytest.mark.parametrize("command", [

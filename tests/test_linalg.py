@@ -10,15 +10,14 @@ from crown.errors import CapExceeded
 from crown.fields import GF, QQ, parse_field
 from crown.linalg import (
     Matrix,
-    kernel_basis_with_free,
+    _echelon,
+    _kernel_basis,
     kron,
     kron_power,
     kron_sum,
-    left_inverse,
     mat_compose,
     mat_rank,
     tensor_sum_prefixes,
-    vstack,
 )
 from conftest import (
     family_reference,
@@ -26,7 +25,6 @@ from conftest import (
     family_witness,
     matrix_from_rows,
     reference_kernel_basis_with_free,
-    reference_left_inverse,
     reference_rank,
 )
 
@@ -395,7 +393,12 @@ def test_kron_sum_rejects_mismatched_terms():
         kron(a, Matrix.identity(GF(2), 2))
 
 
-# -- kernel / left inverse ----------------------------------------------------
+# -- kernels -------------------------------------------------------------------
+
+def kernel_basis_with_free(m):
+    """(basis, free columns) of m's right kernel, from `_echelon`'s pivots as the annihilator grading reads them."""
+    return _kernel_basis(m.field, _echelon(m.field, m._row_dicts()), m.ncols)
+
 
 def test_kernel_basis_hand_example():
     f2 = GF(2)
@@ -412,14 +415,6 @@ def test_kernel_orthogonality_random():
             for vec in kernel_basis_with_free(m)[0]:
                 as_col = Matrix.from_entries(field, 6, 1, [(k, 0, v) for k, v in vec.items()])
                 assert mat_compose(m, as_col).is_zero()
-
-
-def test_left_inverse():
-    m = matrix_from_rows(QQ, [[1, 0], [1, 1], [0, 2]])
-    lift = left_inverse(m)
-    assert mat_compose(lift, m) == Matrix.identity(QQ, 2)
-    with pytest.raises(ValueError):
-        left_inverse(matrix_from_rows(QQ, [[1, 1], [1, 1]]))
 
 
 def elimination_cases(seed, field):
@@ -446,26 +441,10 @@ def elimination_cases(seed, field):
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)])
 def test_elimination_matches_the_column_scan(field):
     # differential test: ranks and kernel bases are read off the RREF, which
-    # is unique, so they equal the column scan's; a left inverse need not
-    # be unique, but exists exactly when the column scan finds one
+    # is unique, so they equal the column scan's
     for m in elimination_cases(83, field):
         assert mat_rank(m) == reference_rank(m)
         assert kernel_basis_with_free(m) == reference_kernel_basis_with_free(m)
-        try:
-            reference_left_inverse(m)
-        except ValueError:
-            with pytest.raises(ValueError):
-                left_inverse(m)
-        else:
-            assert mat_compose(left_inverse(m), m) == Matrix.identity(field, m.ncols)
-
-
-def test_vstack_shape():
-    a = Matrix.identity(QQ, 2)
-    b = Matrix.zero(QQ, 3, 2)
-    s = vstack([a, b])
-    assert (s.nrows, s.ncols) == (5, 2)
-    assert mat_rank(s) == 2
 
 
 # -- streamed tensor sums ------------------------------------------------------

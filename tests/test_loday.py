@@ -491,6 +491,20 @@ def test_lemma_trace_level_three():
     assert trace.passed
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_lemma_trace_fails_when_a_strip_column_is_never_hit(monkeypatch, field, n):
+    # negative control for step (i): every window restriction with its
+    # entries on strip column 0 dropped leaves E of rank 18n + 3 on 18n + 4
+    # columns, with no left inverse to read off its rows
+    restriction = loday.q_rows
+    monkeypatch.setattr(loday, "q_rows", lambda f: tuple(None if e and e[0] == 0 else e for e in restriction(f)))
+    trace = lemma_proof_trace(n, n - 1, field)
+    assert (trace.e1_rank, trace.e1_cols) == (18 * n + 3, 18 * n + 4)
+    assert trace.left_inverse_verified is False and trace.ep_full_column_rank is False
+    assert trace.passed is False
+
+
 def test_lemma_trace_fails_when_windows_do_not_intertwine(monkeypatch):
     # negative control: every word acting as the identity on every window
     window_action = loday._window_rows
@@ -782,27 +796,27 @@ def test_iso_negative_control_fails():
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_iso_skips_naturality_after_a_failed_sub_claim(monkeypatch, field):
     # the control fails in the streamed sub-claims, so the certificate never
-    # runs on its word matrices: it sees only the twist element's, 7 words
+    # runs on its word row maps: it sees only the twist element's, 7 words
     # per sign at n = 3, and no naturality square is materialized
     seen = []
-    certify = loday.is_multiplicative
+    certify = loday.rows_multiplicative
 
-    def certifying(source, target, m):
-        seen.append(m)
-        return certify(source, target, m)
+    def certifying(g, h, rows, field):
+        seen.append(rows)
+        return certify(g, h, rows, field)
 
     def raising(*args, **kwargs):
         raise AssertionError("naturality attempted after a failed sub-claim")
 
     monkeypatch.setattr(loday, "_LodayCache", raising)
     with monkeypatch.context() as patch:
-        patch.setattr(loday, "is_multiplicative", certifying)
+        patch.setattr(loday, "rows_multiplicative", certifying)
         report = iso_check(3, field)
-    twist = {s: word_matrices(3, build_T(3, field), s, -s, "C") for s in (1, -1)}
-    assert seen == [m for s in (1, -1) for _, m in twist[s]]
+    twist = {s: list(loday._word_rows(3, build_T(3, field), s, -s, "C")) for s in (1, -1)}
+    assert seen == [rows for s in (1, -1) for _, rows in twist[s]]
     assert report.status == "PASS"
 
-    monkeypatch.setattr(loday, "is_multiplicative", raising)
+    monkeypatch.setattr(loday, "rows_multiplicative", raising)
     control = report.control
     assert control.status == "FAIL"
     assert control.certified_ok is None
@@ -890,24 +904,22 @@ def three_walk_sub_claims(n, field, element):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
-def test_iso_walks_the_inverse_only_where_the_other_two_families_do_not_decide_it(monkeypatch, field):
-    # factored = inverse + alternating, so the inverse family is walked only
-    # when both others are nonzero at some power: a perturbed alternating
-    # word makes them so, and the verdicts must be the three-walk ones
+def test_iso_walks_both_families_where_the_closed_form_does_not_apply(monkeypatch, field):
+    # T's and the control's families are read off x.x = a[1] + bZ while the
+    # identity word's crown row map is the identity; a perturbed identity
+    # word (z_word) stops that, and the inverse and factored families are
+    # then walked, one walk each per sign, with the three-walk verdicts
     n = 3
     z_word = min(build_Z(n, field).terms, key=Word.sort_key)
     t_word = min(build_T(n, field).terms, key=Word.sort_key)
-    # walks per call: per element and sign the factored family, plus the
-    # inverse where undecided, plus the shared alternating family where a
-    # word of Z fails its square, so that the lemma's certificate does not
-    # carry over; a perturbed word fails the p = 1 square of its element on
-    # both signs, so neither of that element's families is walked (z_word
-    # is the identity, a word of the control but not of T.T = 1 - Z).  T's
-    # families are read off T.T = 1 - Z, unwalked, only while the identity
-    # word's crown row map is the identity, so with z_word perturbed they
-    # are walked
+    # walks per call: two per element and sign where the closed form does
+    # not apply, plus the shared alternating family where a word of Z fails
+    # its square, so that the lemma's certificate does not carry over; a
+    # perturbed word fails the p = 1 square of its element on both signs,
+    # so neither of that element's families is walked (z_word is the
+    # identity, a word of the control but not of T.T = 1 - Z)
     for words, walk_count, expected in (
-        ([], 2, {"T": (True, True, True), "Z": (False, False, True)}),
+        ([], 0, {"T": (True, True, True), "Z": (False, False, True)}),
         ([z_word], 6, {"T": (True, False, False), "Z": (False, False, False)}),
         ([z_word, t_word], 2, {"T": (False, False, False), "Z": (False, False, False)}),
     ):
@@ -981,12 +993,12 @@ def test_a_perturbed_twist_word_fails_the_certificate_and_the_squares(monkeypatc
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_iso_fails_when_one_word_matrix_is_not_an_algebra_map(monkeypatch, field):
-    # the certificate is iso's only evidence of naturality: one word matrix
+    # the certificate is iso's only evidence of naturality: one word row map
     # that fails it, the first on sign -1 (after T's 7 on sign 1), fails iso
     # with the other sub-claims still holding
     verdicts = iter([True] * 7 + [False])
-    certify = loday.is_multiplicative
-    monkeypatch.setattr(loday, "is_multiplicative", lambda *args: next(verdicts, True) and certify(*args))
+    certify = loday.rows_multiplicative
+    monkeypatch.setattr(loday, "rows_multiplicative", lambda *args: next(verdicts, True) and certify(*args))
     report = iso_check(3, field)
     assert report.status == "FAIL" and report.certified_ok is False
     assert report.inverse_ok and report.factored_identity_ok and report.z_component_zero
@@ -1142,11 +1154,10 @@ def test_iso_control_fails_its_premise_with_a_perturbed_identity_word(monkeypatc
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_iso_walks_stop_at_the_first_nonzero_power(monkeypatch, field):
     # powers read per walk at n = 4: the alternating family is certified and
-    # not walked; T's families are read off T.T = 1 - Z, and walked only
-    # with that identity check patched to fail, when T's factored family on
-    # each sign is zero at every power p <= 3; the control's factored
-    # family is nonzero at p = 1, so its walks end there and decide the
-    # inverse with no walk of their own
+    # not walked; T's and the control's families are read off x.x = a[1] + bZ,
+    # and walked only with the decomposition patched away: then T's two
+    # families on each sign are zero at every power p <= 3, and the
+    # control's are nonzero at p = 1, so its walks end there
     consumed = []
     walk = loday.tensor_sum_prefixes
 
@@ -1159,26 +1170,25 @@ def test_iso_walks_stop_at_the_first_nonzero_power(monkeypatch, field):
     monkeypatch.setattr(loday, "tensor_sum_prefixes", counting)
     report = iso_check(4, field)
     assert report.status == "PASS" and report.control.status == "FAIL"
-    assert consumed == [1, 1]
-    consumed.clear()
-    monkeypatch.setattr(loday, "_one_minus_z", lambda square, z: False)
+    assert consumed == []
+    monkeypatch.setattr(loday, "_decomposition", lambda square, z: None)
     walked = iso_check(4, field)
     assert walked == report
-    assert consumed == [3, 3, 1, 1]
+    assert consumed == [3, 3, 3, 3, 1, 1, 1, 1]
 
 
 def test_iso_reads_each_walk_to_its_own_first_nonzero_power(monkeypatch):
-    # each walk's list ends at its first nonzero power: with the alternating
+    # each walk's list ends at its first nonzero power: with the inverse
     # family first nonzero at p = 2 and the factored one at p = 3, the
-    # inverse (factored - alternating) is first nonzero at p = 2, and the
     # factored failure at p = 3, past the end of the inverse's list, must
-    # still be reported; T's families are walked, not read off T.T = 1 - Z,
-    # with that identity check patched to fail
+    # still be reported; T's families are walked, not read off
+    # T.T = 1 - Z, with the decomposition patched away
     n = 4
     families = loday._CrownFamilies(n, QQ, loday.DEFAULT_TENSOR_CAP)
     families.alt_zero = {s: [True, False] for s in (1, -1)}
-    monkeypatch.setattr(loday, "_zero_powers", lambda field, family, r: [True, True, False])
-    monkeypatch.setattr(loday, "_one_minus_z", lambda square, z: False)
+    walks = iter([[True, False], [True, True, False]] * 2)  # inverse, then factored, on each sign
+    monkeypatch.setattr(loday, "_zero_powers", lambda field, family, r: next(walks))
+    monkeypatch.setattr(loday, "_decomposition", lambda square, z: None)
     t = build_T(n, QQ)
     report = families.report(t, expanded_square(t))
     assert report.witness == {
@@ -1190,15 +1200,14 @@ def test_iso_reads_each_walk_to_its_own_first_nonzero_power(monkeypatch):
 
 def test_iso_reads_the_inverse_family_off_the_alternating_one(monkeypatch):
     # read off T.T = 1 - Z, T's inverse family is -(Z's), so it fails where
-    # the alternating one does, and its factored family is zero; the walks
-    # agree, with the alternating family first nonzero at p = 2
+    # the alternating one does, here first at p = 2, and its factored
+    # family is zero, with no walk
     n = 4
     t = build_T(n, QQ)
     families = loday._CrownFamilies(n, QQ, loday.DEFAULT_TENSOR_CAP)
     families.alt_zero = {s: [True, False] for s in (1, -1)}
+    monkeypatch.setattr(loday, "tensor_sum_prefixes", lambda *args: pytest.fail("walked a family read off Z's"))
     read = families.report(t, expanded_square(t))
-    monkeypatch.setattr(loday, "_one_minus_z", lambda square, z: False)
-    assert families.report(t, expanded_square(t)) == read
     assert read.witness == {
         "inverse": "composite on sign 1 differs at power 2",
         "z_component": "alternating-element family is not zero",
@@ -1207,25 +1216,26 @@ def test_iso_reads_the_inverse_family_off_the_alternating_one(monkeypatch):
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_iso_falls_back_to_the_walks_where_the_identity_check_fails(monkeypatch, field, n):
-    # T's families are read off T.T = 1 - Z only where that identity holds
-    # and the identity word's crown row map is the identity.  With the
-    # identity check patched to fail T is walked on both signs, and with the
-    # identity word perturbed on sign -1, on that sign; either way the
-    # report is the one with every family walked, and the control fails at
-    # p = 1 on sign 1
-    def run(cancels, perturbed):
+def test_iso_falls_back_to_the_walks_where_the_decomposition_fails(monkeypatch, field, n):
+    # T's and the control's families are read off x.x = a[1] + bZ only where
+    # that decomposition exists and the identity word's crown row map is the
+    # identity.  With the decomposition patched away both elements are
+    # walked on both signs, two walks each; with the identity word perturbed
+    # on sign -1, T is walked on that sign, the control's premise fails
+    # there, and Z's family is walked on it.  Either way the report is the
+    # one with every family walked, and the control fails at p = 1 on sign 1
+    def run(decomposed, perturbed):
         walks, walk = [], loday.tensor_sum_prefixes
         with monkeypatch.context() as patch:
             patch.setattr(loday, "tensor_sum_prefixes", lambda field, family, p: walks.append(p) or walk(field, family, p))
-            if not cancels:
-                patch.setattr(loday, "_one_minus_z", lambda square, z: False)
+            if not decomposed:
+                patch.setattr(loday, "_decomposition", lambda square, z: None)
             if perturbed:
                 perturb_crown_word(patch, Word.identity(n), signs=(-1,))
             oracle = three_walk_sub_claims(n, field, "T")
             return iso_check(n, field), len(walks), oracle
 
-    for perturbed, counts in ((False, (2, 4)), (True, (4, 5))):
+    for perturbed, counts in ((False, (0, 8)), (True, (3, 7))):
         read, read_walks, oracle = run(True, perturbed)
         walked, all_walks, _ = run(False, perturbed)
         assert read == walked and (read_walks, all_walks) == counts, perturbed
@@ -1240,11 +1250,36 @@ def test_iso_falls_back_to_the_walks_where_the_identity_check_fails(monkeypatch,
     assert streamed_claims(read) == {"inverse": True, "factored": False, "z_zero": False}
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closed_form_matches_the_walks(monkeypatch, field, n):
+    # differential test: with x.x = a[1] + bZ the inverse and factored
+    # families are read off Z's verdicts, with no walk; the reports equal
+    # those of the two walks per sign that run with the decomposition
+    # patched away, on T's words with x.x set to each element below
+    families = loday._CrownFamilies(n, field, loday.DEFAULT_TENSOR_CAP)
+    t, z, one = build_T(n, field), families.z, MonoidAlgElem.one(field, n)
+    squares = {"1 - Z": one - z, "1": one, "Z": z, "1 + Z": one + z, "2 - Z": one.scale(2) - z}
+    statuses = set()
+    for name, square in squares.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(loday, "tensor_sum_prefixes", lambda *args: pytest.fail("walked a family read off Z's"))
+            read = families.report(t, square)
+        with monkeypatch.context() as patch:
+            patch.setattr(loday, "_decomposition", lambda square, z: None)
+            walked = families.report(t, square)
+        assert read == walked, name
+        statuses.add(read.status)
+    assert statuses == {"PASS", "FAIL"}
+    assert loday._decomposition(squares["2 - Z"], z) == ((0, 1) if field == GF(2) else (2, field.neg(field.one)))
+
+
 def test_iso_premise_needs_an_injective_projection(monkeypatch):
     # the squares give C_w C_w' = C_(w w') only because F_s C = F_s C'
     # forces C = C': a projection below full column rank fails the premise
     # on both signs, and iso with it
-    monkeypatch.setattr(loday, "mat_rank", lambda m: m.ncols - 1)
+    rank, projections = loday.rows_rank, [loday._projection_rows(2, s) for s in (1, -1)]
+    monkeypatch.setattr(loday, "rows_rank", lambda rows, field: rank(rows, field) - (rows in projections))
     families = loday._CrownFamilies(2, QQ, loday.DEFAULT_TENSOR_CAP)
     x = build_T(2, QQ)
     assert not any(families.premise(x, x * x, s, -s) for s in (1, -1))
@@ -1258,9 +1293,10 @@ def test_iso_composes_linearly_in_the_words_and_walks_no_alternating_family(monk
     # per (word, sign), two products each: T's 7 words and T.T's 7 on each
     # sign, and the identity on each sign, the one word of Z.Z = Z that
     # T.T = 1 - Z lacks; 30 squares, where the pairwise composites took
-    # 7^2 + 8^2 per sign.  The lemma's trace adds its intertwining, two
-    # row-map products per window for each of Z's 8 words.  Z's crown
-    # family is certified from the trace and the squares, and walked on no sign
+    # 7^2 + 8^2 per sign.  The lemma's trace adds its left inverse, one
+    # product, and its intertwining, two row-map products per window for
+    # each of Z's 8 words.  Z's crown family is certified from the trace
+    # and the squares, and no family is walked
     n = 3
     composes, walks = [], []
     compose, walk = loday.rows_compose, loday.tensor_sum_prefixes
@@ -1273,10 +1309,8 @@ def test_iso_composes_linearly_in_the_words_and_walks_no_alternating_family(monk
     monkeypatch.setattr(loday, "tensor_sum_prefixes", lambda field, family, p: walks.append(family) or walk(field, family, p))
     report = iso_check(n, field)
     assert report.status == "PASS" and report.control.status == "FAIL"
-    assert len(composes) == 60 + 2 * n * 2**n
-    z = build_Z(n, field)
-    alternating = [list(loday._word_rows(n, z, s, s, "C")) for s in (1, -1)]
-    assert walks and not any(family in alternating for family in walks)
+    assert len(composes) == 61 + 2 * n * 2**n
+    assert walks == []
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
@@ -1311,9 +1345,8 @@ def test_the_alternating_family_is_walked_where_its_certificate_premise_fails(mo
 
         monkeypatch.setattr(loday, "_window_rows", bumped)
     elif premise == "projection":
-        rank = loday.mat_rank
-        crown_dim = q_ungraded(build_C(n, 1)[0], field).dim
-        monkeypatch.setattr(loday, "mat_rank", lambda m: m.ncols - 1 if m.ncols == crown_dim else rank(m))
+        rank, projections = loday.rows_rank, [loday._projection_rows(n, s) for s in (1, -1)]
+        monkeypatch.setattr(loday, "rows_rank", lambda rows, field: rank(rows, field) - (rows in projections))
     else:
         perturb_crown_word(monkeypatch, Word.identity(n), signs=(-1,))
     walks, walk = [], loday.tensor_sum_prefixes
@@ -1328,18 +1361,18 @@ def test_the_alternating_family_is_walked_where_its_certificate_premise_fails(mo
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 @pytest.mark.parametrize("n", [3, 4])
 def test_iso_starts_no_walk_of_the_alternating_family(monkeypatch, field, n):
-    # every walk iso starts has terms other than Z's alone, on either sign:
-    # the control's factored family per sign, and T's per sign where T is
-    # walked, with the identity check T.T = 1 - Z patched to fail
+    # iso starts no walk while T and the control are read off x.x = a[1] + bZ;
+    # with the decomposition patched away, every walk has terms other than
+    # Z's alone: each element's inverse and factored families on each sign
     z = build_Z(n, field)
     alternating = [list(loday._word_rows(n, z, s, s, "C")) for s in (1, -1)]
     walks, walk = [], loday.tensor_sum_prefixes
     monkeypatch.setattr(loday, "tensor_sum_prefixes", lambda field, family, p: walks.append(family) or walk(field, family, p))
-    for cancels, count in ((True, 2), (False, 4)):
+    for decomposed, count in ((True, 0), (False, 8)):
         walks.clear()
         with monkeypatch.context() as patch:
-            if not cancels:
-                patch.setattr(loday, "_one_minus_z", lambda square, z: False)
+            if not decomposed:
+                patch.setattr(loday, "_decomposition", lambda square, z: None)
             report = iso_check(n, field)
         assert report.status == "PASS" and report.control.status == "FAIL"
         assert len(walks) == count and not any(family in alternating for family in walks)
