@@ -49,14 +49,12 @@ from .harness import CheckReport, RunConfig, exit_code_for, export_objects, run_
 from .linalg import Matrix, kron, kron_power, kron_sum, mat_compose, mat_rank
 from .loday import (
     IsoReport,
-    LemmaTrace,
     NatTransData,
     Surjection,
     cofunctor_eval,
     functor_check,
     iso_check,
     lemma_check,
-    lemma_proof_trace,
     loday_matrix,
     surj_compose,
     surjections,

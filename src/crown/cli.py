@@ -121,8 +121,8 @@ def _cmd_export(args) -> int:
 
 def _cmd_info(args) -> int:
     n = args.n
+    b = gr.build_B(n)  # rejects n < 1 before anything is printed
     print(f"level n = {n}")
-    b = gr.build_B(n)  # rejects n < 1
     print(f"|W_{n}| = {2 * 3**n} sign words (2*3^{n})")  # the monoid check verifies the count
     print(f"strip B_{n}: {len(b.vertices)} vertices, {b.edge_count} edges; dim Q = {2*len(b.vertices)+b.edge_count}")
     if n >= 2:

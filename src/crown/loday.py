@@ -32,11 +32,14 @@ and iso's composites (M_w M_w' = M_(w w'), so x's is x.x's family)
 without a walk.  Elsewhere one streamed walk over row tuples,
 `tensor_sum_prefixes`, decides a power family of row maps at every
 p <= r; its witness is the family's row-major first nonzero entry.  The
-annihilation statement is proved at every p <= n - 1 by the paper's
-structural argument (`lemma_proof_trace`); iso's alternating family
-follows from it and Z's squares, and the families of T and of the
-control from x.x = a[1] + bZ, the family map being linear.  `lemma_check`
-keeps the walk as the exact zero test at any p.
+annihilation statement, on the strip for `lemma` and on each crown for
+iso's alternating family, is proved at every p <= n - 1 by one
+certificate on the algebra's word row maps (`alternating_certificate`):
+each of Z's words g_S acts as I - sum_(i in S) Delta_i, the
+Delta_i = I - M_(g_i) with disjoint row supports, and inclusion-exclusion
+leaves only the tensor tuples that cover 1..n.  The families of T and of
+the control follow from x.x = a[1] + bZ, the family map being linear.
+`lemma_check` keeps the walk as the exact zero test at any p.
 Naturality is certified per word row map (`rows_multiplicative`) and
 ranks are read off row maps (`rows_rank`), so only export turns a row map
 into a `Matrix` or materializes a family; `explore` reads the alternating
@@ -45,7 +48,6 @@ family's witness and exact nonzero count at every p <= n from one walk.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
@@ -54,9 +56,9 @@ from .errors import CapExceeded, HomSetViolation
 from .fields import QQ
 from .graph_algebra import Algebra, _units, q_rows, q_ungraded, rows_compose, rows_equal, rows_matrix
 from .graph_algebra import rows_multiplicative, rows_rank, sign_rows
-from .graphs import build_B, build_C, build_F
+from .graphs import build_B, build_C
 from .linalg import Matrix, _reduced, kron_sum, tensor_sum_prefixes
-from .monoid import MonoidAlgElem, Word, act_on_U, alternating_factors, build_T, build_Z, factored_square, gen_g, homset_member, twist_factors
+from .monoid import MonoidAlgElem, Word, act_on_U, alternating_factors, build_T, build_Z, factored_square, homset_member, twist_factors
 
 DEFAULT_SURJECTION_CAP = 6
 DEFAULT_TENSOR_CAP = 200_000
@@ -358,119 +360,61 @@ def lemma_check(n: int, p: int, field=QQ) -> bool:
     return lemma_witness(n, p, field) is None
 
 
-@dataclass
-class LemmaTrace:
-    """The steps of the annihilation argument, which prove every power up to p."""
+def alternating_certificate(z: MonoidAlgElem, rows):
+    """None where word row maps prove Z's family zero at every power p < n, else a witness.
 
-    n: int
-    p: int
-    field_name: str
-    e1_rank: int
-    e1_cols: int
-    left_inverse_verified: bool
-    ep_rank: int
-    ep_full_column_rank: bool
-    intertwining_ok: bool
-    missing_index_always_exists: bool
-    off_window_identity_ok: bool
-    summand_annihilation_ok: bool
-
-    @property
-    def passed(self):
-        return (
-            self.e1_rank == self.e1_cols
-            and self.left_inverse_verified
-            and self.ep_full_column_rank
-            and self.intertwining_ok
-            and self.missing_index_always_exists
-            and self.off_window_identity_ok
-            and self.summand_annihilation_ok
-        )
-
-
-def _window_rows(n: int, i: int, coords: tuple) -> tuple:
-    """Row map of the action on window i (which is invariant) of the words with `coords` on its columns."""
-    fg, _ = build_F(n, i)
-    return sign_rows(fg, fg, (0,) * (2 * i - 2) + coords)  # coords sit on columns 2i-1..2i+1
-
-
-def lemma_proof_trace(n: int, p: int, field=QQ, strips=None) -> LemmaTrace:
-    """Prove the annihilation statement at every power up to p by its structural steps.
-
-    E is the stacked window restrictions, and W_i(w) the action of word w
-    on window i, which reads the word's three coordinates there.
-    (i) E has full column rank, certified by an explicit left inverse L
-    read off its rows, so E^(x)p is injective with left inverse L^(x)p
-    (mixed-product rule);
-    (ii) E M_w = diag_i W_i(w) E for every word w of Z, so
-    E^(x)p Z^(p) = (sum_w c_w D(w)^(x)p) E^(x)p, where D(w)^(x)p is block
-    diagonal over the window tuples tau, with blocks
-    W_tau1(w) (x) ... (x) W_taup(w);
-    (iii) pairing: for each i, w -> w g_i is a bijection from Z's words
-    with coordinate 2i nonzero onto Z's other words, and each pair has
-    opposite coefficients and equal coordinates on every window j != i.
-    A tuple of p < n windows misses some i, and its block cancels in the
-    pairs of that i, so Z^(p) = 0.  No sum over words or tuples is formed.
-    The off-window step, g_i acting as the identity on every other window,
-    is reported alongside.  Step (ii) compares row maps; `strips`, when
-    given, holds the strip row map of each word of Z, not rebuilt then.
+    z is Z = (1 - [g_1])...(1 - [g_n]) and `rows(w)` word w's row map on
+    one algebra: the strip, or a crown, on which Z's words act s -> s.  A
+    word w gives the subset S(w) = {i : w_2i = 0}, and M_(g_i) is the row
+    map of Z's word of subset {i}.  The checks, in order, each with its witness:
+    (1) Z's words give each subset S of 1..n exactly once, with
+    coefficient (-1)^|S|;
+    (2) the Delta_i = I - M_(g_i) have pairwise disjoint row supports;
+    (3) each word's row map is I - sum_(i in S) Delta_i, which by (2) is
+    the identity with Delta_i's rows replaced by M_(g_i)'s for i in S,
+    compared with weights reduced into the field.
+    Then Z^(p) = sum_S (-1)^|S| (X_0 + sum_(i in S) X_i)^(x)p, X_0 = I and
+    X_i = -Delta_i.  Expanded over the tuples J in ({0} u S)^p, the sum
+    over the S that contain J's entries vanishes unless they cover 1..n,
+    so Z^(p) = (-1)^n sum_J (x)_k X_(J_k) over the J in {0..n}^p that
+    cover 1..n, and no J does for p < n.  No walk and no product runs.
     """
-    if not 1 <= p < n:
-        raise ValueError("trace requires 1 <= p < n")
-    restrictions = [q_rows(build_F(n, i)[1]) for i in range(1, n + 1)]
-    e1, e1_cols = tuple(itertools.chain.from_iterable(restrictions)), q_ungraded(build_B(n), field).dim
-    e1_rank = rows_rank(e1, field)
-    hits = {e[0]: (r, field.inv(e[1])) for r, e in reversed(list(enumerate(_reduced(e1, field)))) if e is not None}
-    left = tuple(hits.get(c) for c in range(e1_cols))  # L: each column from the first row of E hitting it
+    n, field = z.n, z.field
 
-    # a window matrix depends on the window's coordinates only: two per window for Z's words
-    z = build_Z(n, field)
+    def name(s):  # a subset, held as the bit mask sum of 2^(i - 1) over its i
+        return "{" + ", ".join(str(i) for i in range(1, n + 1) if s >> (i - 1) & 1) + "}"
 
-    def window(i, w):
-        return i, w.coords[2 * i - 2:2 * i + 1]
+    words: dict = {}  # subset S -> Z's word of S
+    for w in sorted(z.terms, key=Word.sort_key):
+        s = sum(1 << (i - 1) for i in range(1, n + 1) if w.coords[2 * i - 1] == 0)
+        if s in words:
+            return f"words {words[s]} and {w} of Z give one subset {name(s)}"
+        if z.terms[w] != (field.neg(field.one) if s.bit_count() % 2 else field.one):
+            return f"word {w} of Z has coefficient {z.terms[w]}, not (-1)^{s.bit_count()}"
+        words[s] = w
+    missing = next((s for s in range(2 ** n) if s not in words), None)
+    if missing is not None:
+        return f"no word of Z gives the subset {name(missing)}"
 
-    window_rows = functools.cache(lambda i, coords: _window_rows(n, i, coords))
-    # the stacked identity e1 . M_w == diag(W_i) . e1, block by block, up to the first failure
-    strip = ((w, _action_rows(n, w, None, "B") if strips is None else strips[w]) for w in z.terms)
-    intertwining_ok = all(
-        rows_equal(rows_compose(e, mb), rows_compose(window_rows(*window(i, w)), e), field)
-        for w, mb in strip
-        for i, e in enumerate(restrictions, start=1)
-    )
-
-    off_window = [
-        window_rows(*window(i_prime, gen_g(n, i)))
-        for i in range(1, n + 1)
-        for i_prime in range(1, n + 1)
-        if i_prime != i
-    ]
-    off_window_ok = all(rows_equal(m, _units(len(m)), field) for m in off_window)
-
-    def pairs_cancel(i):
-        g = gen_g(n, i)
-        free = [w for w in z.terms if w.coords[2 * i - 1]]
-        images = [w * g for w in free]
-        off = [j for j in range(1, n + 1) if j != i]
-        # a bijection onto Z's other words: each is the image of exactly one word
-        return collections.Counter(images) == dict.fromkeys(z.terms.keys() - set(free), 1) and all(
-            z.terms[v] == field.neg(z.terms[w]) and all(window(j, v) == window(j, w) for j in off)
-            for w, v in zip(free, images)
-        )
-
-    return LemmaTrace(
-        n=n,
-        p=p,
-        field_name=field.name,
-        e1_rank=e1_rank,
-        e1_cols=e1_cols,
-        left_inverse_verified=rows_equal(rows_compose(left, e1), _units(e1_cols), field),
-        ep_rank=e1_rank**p,
-        ep_full_column_rank=e1_rank == e1_cols,
-        intertwining_ok=intertwining_ok,
-        missing_index_always_exists=p < n,
-        off_window_identity_ok=off_window_ok,
-        summand_annihilation_ok=all(pairs_cancel(i) for i in range(1, n + 1)),
-    )
+    generators = [_reduced(rows(words[1 << i]), field) for i in range(n)]  # g_(i + 1)
+    units = _units(len(generators[0]))
+    owner: dict = {}  # row -> the i - 1 whose Delta_i is nonzero there
+    for i, g in enumerate(generators):
+        for r in (r for r, e in enumerate(g) if e != units[r]):
+            if owner.setdefault(r, i) != i:
+                return f"Delta_{owner[r] + 1} and Delta_{i + 1} share row {r}"
+    for s, w in words.items():
+        if s.bit_count() == 1:  # I - Delta_i is M_(g_i) itself
+            continue
+        expected = list(units)
+        for r, i in owner.items():
+            if s >> i & 1:
+                expected[r] = generators[i][r]
+        expected, got = tuple(expected), rows(w)
+        if got != expected and (got := _reduced(got, field)) != expected:
+            r = next((r for r, (a, b) in enumerate(zip(got, expected)) if a != b), min(len(got), len(expected)))
+            return f"word {w} differs from I - sum of Delta_i, i in {name(s)}, at row {r}"
+    return None
 
 
 # -- transport squares and the crown isomorphism -------------------------
@@ -559,7 +503,12 @@ def _closed_form(field, decomposition, k: int, alt_zero: list, r: int):
 
 
 class _CrownFamilies:
-    """iso's families at level n: crown row maps once per (word, sign), strip row maps and squares once per word."""
+    """iso's families at level n: crown row maps once per (word, sign), strip row maps and squares once per word.
+
+    Z's family on each sign s is zero at every power p <= n - 1 where
+    `alternating_certificate` holds on the s-crown's row maps, and walked
+    on that sign alone where it fails (`alt_zero`).
+    """
 
     def __init__(self, n: int, field, max_tensor_dim: int):
         self.n, self.field = n, field
@@ -568,17 +517,14 @@ class _CrownFamilies:
         self.rows = functools.cache(lambda w, s: _action_rows(n, w, s, "C"))
         self.injective = {s: rows_rank(_projection_rows(n, s), field) == self.crowns[s].dim for s in (1, -1)}
         self.z = build_Z(n, field)
-        strips = {w: _action_rows(n, w, None, "B") for w in self.z.terms}  # read by the trace, then by Z's squares
 
         @functools.cache
         def squares(w):  # the p = 1 transport squares on both signs s, t = w.s
-            b = strips.pop(w, None) or _action_rows(n, w, None, "B")  # B_w: the same on both signs, and not kept
+            b = _action_rows(n, w, None, "B")  # B_w: the same on both signs, and not kept
             return {s: _word_square(n, s, act_on_U(w, s), b, self.rows(w, s), field) for s in (1, -1)}
         self.square = lambda w, s: squares(w)[s]
-        # Z's family on s, certified zero as `iso_check` says (F_s^(x)p C_Z^(p) = B_Z^(p) F_s^(x)p = 0), else walked
-        proved = lemma_proof_trace(n, n - 1, field, strips).passed
         self.alt_zero = {
-            s: [True] * (n - 1) if proved and self.injective[s] and all(self.square(w, s) for w in self.z.terms)
+            s: [True] * (n - 1) if alternating_certificate(self.z, lambda w: self.rows(w, s)) is None
             else _zero_powers(field, self.terms(self.z, s), n - 1)
             for s in (1, -1)
         }
@@ -650,11 +596,11 @@ def iso_check(n: int, field=QQ, max_tensor_dim: int = DEFAULT_TENSOR_CAP) -> Iso
     on s, with F_s injective (`rows_rank`).  The sub-claims are families of
     word matrices: inverse, x.x's words and -I; factored identity, the same
     plus Z's words on s; alternating, Z's words alone.  The last is zero at
-    every power on s, unwalked, where the lemma's trace passes, Z's words
-    have their squares on s and F_s is injective:
-    F_s^(x)p C_Z^(p) = B_Z^(p) F_s^(x)p = 0.  Where x.x = a[1] + bZ exactly
-    and the identity word's crown row map on s is the identity, the family
-    map is linear in x: the inverse family is (a - 1)I^(x)p + bZ^(p) and
+    every power on s, unwalked, where `alternating_certificate` holds on
+    the s-crown's row maps, and walked on s alone where it fails.  Where
+    x.x = a[1] + bZ exactly and the identity word's crown row map on s is
+    the identity, the family map is linear in x: the inverse family is
+    (a - 1)I^(x)p + bZ^(p) and
     the factored one (a - 1)I^(x)p + (b + 1)Z^(p), decided from Z's
     verdicts (`_closed_form`) for T (a, b = 1, -1) and for the control Z
     (Z.Z = Z, 0 and 1, reported as `control`, which must fail).  Elsewhere

@@ -1,11 +1,18 @@
+import collections
+import functools
 import itertools
 import random
+from dataclasses import dataclass
+
+import pytest
 
 from crown.errors import CapExceeded, IllDefinedQuotient, NotAMorphism
-from crown.graph_algebra import Algebra, _orbits, q_ungraded, rows_matrix
-from crown.graphs import Graph, GraphMorphism, act_on_B, act_on_C, build_C, graph_new, morphism_new
-from crown import linalg, loday
-from crown.linalg import Matrix, _add_scaled, kron_power, kron_sum, mat_compose
+from crown.fields import QQ
+from crown.graph_algebra import Algebra, _orbits, _units, q_rows, q_ungraded, rows_compose, rows_equal, rows_matrix
+from crown.graph_algebra import rows_rank, sign_rows
+from crown.graphs import Graph, GraphMorphism, act_on_B, act_on_C, build_B, build_C, build_F, graph_new, morphism_new
+from crown import linalg, loday, monoid
+from crown.linalg import Matrix, _add_scaled, _reduced, kron_power, kron_sum, mat_compose
 from crown.loday import (
     DEFAULT_TENSOR_CAP,
     NatTransData,
@@ -16,7 +23,7 @@ from crown.loday import (
     surj_compose,
     surjections,
 )
-from crown.monoid import MonoidAlgElem, act_on_U, build_T, build_Z, gen_g, gen_h, wn_enumerate
+from crown.monoid import MonoidAlgElem, Word, act_on_U, build_T, build_Z, gen_g, gen_h, wn_enumerate
 
 
 def random_graph(rng: random.Random, max_vertices=6, min_vertices=2, p_edge=0.4):
@@ -678,3 +685,175 @@ def reference_annihilator_grading(a) -> Algebra:
             if vec:
                 table[(ii, jj)] = vec
     return Algebra(f, labels, table, dim1=d1)
+
+
+# -- negative controls of the alternating certificate -------------------------
+
+Z_CONTROLS = ("flip g1", "flip g1g2", "foreign first", "foreign last", "foreign every", "missing")
+ROW_CONTROLS = ("generator", "overlap", "identity")
+
+
+def altered_z(control: str, n: int, field):
+    """Z with one of `Z_CONTROLS` applied, each of which `loday.alternating_certificate` must refuse.
+
+    "flip g1" and "flip g1g2" negate one coefficient (a no-op over F_2);
+    "foreign first", "last" and "every" build Z from generators g_i that
+    also zero the middle coordinate of a foreign window, g_1, g_n or every
+    g_i times g_(i+1 mod n); "missing" drops the word g_1 g_2.
+    """
+    z = build_Z(n, field)
+    if control.startswith("flip"):
+        w = gen_g(n, 1) if control == "flip g1" else gen_g(n, 1) * gen_g(n, 2)
+        return MonoidAlgElem(field, n, {**z.terms, w: field.neg(z.terms[w])})
+    if control == "missing":
+        return MonoidAlgElem(field, n, {w: c for w, c in z.terms.items() if w != gen_g(n, 1) * gen_g(n, 2)})
+    moved = {"first": {1: 2}, "last": {n: 1}, "every": {i: i % n + 1 for i in range(1, n + 1)}}[control.split()[1]]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monoid, "gen_g", lambda n, i: gen_g(n, i) * gen_g(n, moved[i]) if i in moved else gen_g(n, i))
+        return build_Z(n, field)
+
+
+def row_control(monkeypatch, control: str, signs) -> None:
+    """One of `ROW_CONTROLS` on `loday._action_rows`, for the strip (sign None) and the crown signs in `signs`.
+
+    With r the first row of Delta_1 = I - M_(g_1): "generator" adds one
+    to the weight of g_1's row r; "overlap" gives g_2 g_1's row r, so
+    Delta_1 and Delta_2 share row r; "identity" adds one to the weight of
+    the identity word's row 0.
+    """
+    action = loday._action_rows
+
+    def changed(n, w, s, target):
+        rows = action(n, w, s, target)
+        if s not in signs:
+            return rows
+        g1 = action(n, gen_g(n, 1), s, target)
+        r = next(r for r, e in enumerate(g1) if e != (r, 1))
+        if control == "generator" and w == gen_g(n, 1):
+            return bumped_row(rows, r)
+        if control == "overlap" and w == gen_g(n, 2):
+            return with_row(rows, r, g1[r])
+        return bumped_row(rows) if control == "identity" and w == Word.identity(n) else rows
+
+    monkeypatch.setattr(loday, "_action_rows", changed)
+
+
+# -- the window argument for the annihilation statement -----------------------
+#
+# The oracle for `loday.alternating_certificate` on the strip.  It reads the
+# strip row maps through `loday._action_rows`; Z, the generators, the window
+# restrictions and the window row maps through this module's names, which
+# the tests patch.
+
+@dataclass
+class LemmaTrace:
+    """The steps of the window argument, which prove every power up to p."""
+
+    n: int
+    p: int
+    field_name: str
+    e1_rank: int
+    e1_cols: int
+    left_inverse_verified: bool
+    ep_rank: int
+    ep_full_column_rank: bool
+    intertwining_ok: bool
+    missing_index_always_exists: bool
+    off_window_identity_ok: bool
+    summand_annihilation_ok: bool
+
+    @property
+    def passed(self):
+        return (
+            self.e1_rank == self.e1_cols
+            and self.left_inverse_verified
+            and self.ep_full_column_rank
+            and self.intertwining_ok
+            and self.missing_index_always_exists
+            and self.off_window_identity_ok
+            and self.summand_annihilation_ok
+        )
+
+
+def _window_rows(n: int, i: int, coords: tuple) -> tuple:
+    """Row map of the action on window i (which is invariant) of the words with `coords` on its columns."""
+    fg, _ = build_F(n, i)
+    return sign_rows(fg, fg, (0,) * (2 * i - 2) + coords)  # coords sit on columns 2i-1..2i+1
+
+
+def lemma_proof_trace(n: int, p: int, field=QQ) -> LemmaTrace:
+    """Prove the annihilation statement on the strip at every power up to p by the window argument.
+
+    E is the stacked window restrictions, and W_i(w) the action of word w
+    on window i, which reads the word's three coordinates there.
+    (i) E has full column rank, certified by an explicit left inverse L
+    read off its rows, so E^(x)p is injective with left inverse L^(x)p
+    (mixed-product rule);
+    (ii) E M_w = diag_i W_i(w) E for every word w of Z, so
+    E^(x)p Z^(p) = (sum_w c_w D(w)^(x)p) E^(x)p, where D(w)^(x)p is block
+    diagonal over the window tuples tau, with blocks
+    W_tau1(w) (x) ... (x) W_taup(w);
+    (iii) pairing: for each i, w -> w g_i is a bijection from Z's words
+    with coordinate 2i nonzero onto Z's other words, and each pair has
+    opposite coefficients and equal coordinates on every window j != i.
+    A tuple of p < n windows misses some i, and its block cancels in the
+    pairs of that i, so Z^(p) = 0.  No sum over words or tuples is formed.
+    The off-window step, g_i acting as the identity on every other window,
+    is reported alongside.
+    """
+    if not 1 <= p < n:
+        raise ValueError("trace requires 1 <= p < n")
+    restrictions = [q_rows(build_F(n, i)[1]) for i in range(1, n + 1)]
+    e1, e1_cols = tuple(itertools.chain.from_iterable(restrictions)), q_ungraded(build_B(n), field).dim
+    e1_rank = rows_rank(e1, field)
+    hits = {e[0]: (r, field.inv(e[1])) for r, e in reversed(list(enumerate(_reduced(e1, field)))) if e is not None}
+    left = tuple(hits.get(c) for c in range(e1_cols))  # L: each column from the first row of E hitting it
+
+    # a window matrix depends on the window's coordinates only: two per window for Z's words
+    z = build_Z(n, field)
+
+    def window(i, w):
+        return i, w.coords[2 * i - 2:2 * i + 1]
+
+    window_rows = functools.cache(lambda i, coords: _window_rows(n, i, coords))
+    # the stacked identity e1 . M_w == diag(W_i) . e1, block by block, up to the first failure
+    strip = ((w, loday._action_rows(n, w, None, "B")) for w in z.terms)
+    intertwining_ok = all(
+        rows_equal(rows_compose(e, mb), rows_compose(window_rows(*window(i, w)), e), field)
+        for w, mb in strip
+        for i, e in enumerate(restrictions, start=1)
+    )
+
+    off_window = [
+        window_rows(*window(i_prime, gen_g(n, i)))
+        for i in range(1, n + 1)
+        for i_prime in range(1, n + 1)
+        if i_prime != i
+    ]
+    off_window_ok = all(rows_equal(m, _units(len(m)), field) for m in off_window)
+
+    def pairs_cancel(i):
+        g = gen_g(n, i)
+        free = [w for w in z.terms if w.coords[2 * i - 1]]
+        images = [w * g for w in free]
+        off = [j for j in range(1, n + 1) if j != i]
+        # a bijection onto Z's other words: each is the image of exactly one word
+        return collections.Counter(images) == dict.fromkeys(z.terms.keys() - set(free), 1) and all(
+            z.terms[v] == field.neg(z.terms[w]) and all(window(j, v) == window(j, w) for j in off)
+            for w, v in zip(free, images)
+        )
+
+    return LemmaTrace(
+        n=n,
+        p=p,
+        field_name=field.name,
+        e1_rank=e1_rank,
+        e1_cols=e1_cols,
+        left_inverse_verified=rows_equal(rows_compose(left, e1), _units(e1_cols), field),
+        ep_rank=e1_rank**p,
+        ep_full_column_rank=e1_rank == e1_cols,
+        intertwining_ok=intertwining_ok,
+        missing_index_always_exists=p < n,
+        off_window_identity_ok=off_window_ok,
+        summand_annihilation_ok=all(pairs_cancel(i) for i in range(1, n + 1)),
+    )

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from crown import loday
 from crown.fields import GF, QQ
 from crown.graph_algebra import cover_injectivity, q_ungraded, reconstruct_graph
 from crown.graphs import (
@@ -31,7 +32,6 @@ from crown.loday import (
     functor_check,
     iso_check,
     lemma_check,
-    lemma_proof_trace,
     transport_square_check,
 )
 from crown.monoid import (
@@ -43,7 +43,7 @@ from crown.monoid import (
     gen_h,
     wn_enumerate,
 )
-from conftest import random_graph
+from conftest import lemma_proof_trace, random_graph
 
 FIELDS = (QQ, GF(2), GF(5))
 
@@ -118,6 +118,8 @@ def test_criterion_3_annihilation(criterion):
             for field in (QQ, GF(2)):
                 for p in range(1, n):
                     assert lemma_check(n, p, field)
+            strip = loday.alternating_certificate(build_Z(n, QQ), lambda w: loday._action_rows(n, w, None, "B"))
+            assert strip is None  # the proof `verify` runs; the window argument below is its oracle
             trace = lemma_proof_trace(n, n - 1, QQ)
             assert trace.e1_cols == 18 * n + 4
             assert trace.e1_rank == 18 * n + 4  # full column rank

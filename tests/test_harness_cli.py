@@ -23,6 +23,7 @@ from crown.harness import (
 from crown.linalg import kron_sum
 from crown.loday import cofunctor_eval
 from crown.monoid import Word, build_Z
+import conftest
 from conftest import bumped_row, family_reference, with_row
 
 
@@ -230,7 +231,7 @@ def test_graphs_passes_past_the_word_enumeration_cap(n, field):
 
 
 def test_lemma_passes_under_a_lowered_walk_budget(monkeypatch):
-    # the proof trace decides every power with no walk, so a budget of 0,
+    # the certificate decides every power with no walk, so a budget of 0,
     # which stops every walk, leaves lemma at n = 5 over F2 passing
     monkeypatch.setattr(linalg, "WALK_BUDGET", 0)
     (report,) = run_suite(RunConfig(n=5, field=GF(2), checks=("lemma",)))
@@ -257,22 +258,22 @@ def test_lemma_starts_no_walk(monkeypatch):
     assert report.details["powers"] == {str(p): "zero" for p in range(1, 5)}
 
 
-def test_lemma_fails_with_the_proof_trace(monkeypatch):
-    # row 0's weight one more on window 1's matrix of the words without g_1
-    # breaks step (ii); the check fails on the trace and reports no powers
-    window_action = loday._window_rows
-
-    def bumped(n, i, coords):
-        rows = window_action(n, i, coords)
-        return bumped_row(rows) if (i, coords) == (1, (1, 1, 1)) else rows
-
-    monkeypatch.setattr(loday, "_window_rows", bumped)
+def test_lemma_fails_with_the_certificate_witness(monkeypatch):
+    # the weight of g_1's strip row 2, the first row of Delta_1, one more:
+    # the certificate names the first word that reads it, g_1 g_3, and that
+    # row, and the check reports no powers; the window argument, the oracle,
+    # fails at its intertwining step (ii) on the same strip map
+    conftest.row_control(monkeypatch, "generator", (None,))
     for field in (QQ, GF(2)):
         (report,) = run_suite(RunConfig(n=3, field=field, checks=("lemma",)))
         assert report.status == "fail"
-        assert report.details["failures"] == ["proof trace"]
+        assert report.details["failures"] == ["alternating certificate"]
         assert "powers" not in report.details
-        assert report.details["trace"]["intertwining_ok"] is False
+        assert report.details["trace"] == {
+            "power": 2,
+            "witness": "word +0+++0+ differs from I - sum of Delta_i, i in {1, 3}, at row 2",
+        }
+        assert conftest.lemma_proof_trace(3, 2, field).intertwining_ok is False
 
 
 def test_run_suite_walks_each_power_family_once(monkeypatch):
@@ -288,7 +289,7 @@ def test_run_suite_walks_each_power_family_once(monkeypatch):
     monkeypatch.setattr(linalg, "tensor_sum_prefixes", counted)
     monkeypatch.setattr(loday, "tensor_sum_prefixes", counted)
     families = {
-        "lemma": 0,  # the proof trace decides the alternating family on the strip
+        "lemma": 0,  # the certificate decides the alternating family on the strip
         "transport": 0,  # every word's square holds, which proves each element at every power
         # T's and the control's families are read off x.x = a[1] + bZ, and the alternating one is certified
         "iso": 0,
@@ -399,12 +400,13 @@ def test_one_walk_budget_bounds_every_streamed_check(monkeypatch):
 
 
 @pytest.mark.parametrize("n, power", [(2, 1), (3, 2), (4, 3)])
-def test_lemma_reports_the_power_its_trace_replays(n, power):
-    # the trace proves every p <= n - 1 and reports its top power, n - 1
+def test_lemma_reports_the_power_its_certificate_proves(n, power):
+    # the certificate proves every p <= n - 1 and reports its top power,
+    # n - 1, with no witness
     (report,) = run_suite(RunConfig(n=n, field=GF(2), checks=("lemma",)))
     assert report.status == "pass"
     assert list(report.details["powers"]) == [str(p) for p in range(1, n)]
-    assert report.details["trace"]["power"] == power
+    assert report.details["trace"] == {"power": power, "witness": None}
 
 
 LEVEL_THREE_EXPLORE = {"1": "zero", "2": "zero", "3": {"first_nonzero": [6222, 6222, "1"], "nnz": 24576}}
@@ -762,6 +764,15 @@ def test_cli_info(capsys):
     out = capsys.readouterr().out
     assert "|W_2| = 18" in out
     assert "12 vertices" in out
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_cli_info_usage_error_prints_nothing_to_stdout(capsys, n):
+    rc = main(["info", "--n", n])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: level must be >= 1\n"
 
 
 def test_cli_info_above_the_level_cap(capsys):

@@ -18,7 +18,6 @@ from crown.loday import (
     functor_check,
     iso_check,
     lemma_check,
-    lemma_proof_trace,
     lemma_witness,
     loday_matrix,
     surj_compose,
@@ -46,6 +45,7 @@ from conftest import (
     is_identity_family,
     is_identity_surjection,
     is_zero_family,
+    lemma_proof_trace,
     naturality_check,
     naturality_witness,
     random_graph,
@@ -497,8 +497,8 @@ def test_lemma_trace_fails_when_a_strip_column_is_never_hit(monkeypatch, field, 
     # negative control for step (i): every window restriction with its
     # entries on strip column 0 dropped leaves E of rank 18n + 3 on 18n + 4
     # columns, with no left inverse to read off its rows
-    restriction = loday.q_rows
-    monkeypatch.setattr(loday, "q_rows", lambda f: tuple(None if e and e[0] == 0 else e for e in restriction(f)))
+    restriction = conftest.q_rows
+    monkeypatch.setattr(conftest, "q_rows", lambda f: tuple(None if e and e[0] == 0 else e for e in restriction(f)))
     trace = lemma_proof_trace(n, n - 1, field)
     assert (trace.e1_rank, trace.e1_cols) == (18 * n + 3, 18 * n + 4)
     assert trace.left_inverse_verified is False and trace.ep_full_column_rank is False
@@ -507,9 +507,9 @@ def test_lemma_trace_fails_when_a_strip_column_is_never_hit(monkeypatch, field, 
 
 def test_lemma_trace_fails_when_windows_do_not_intertwine(monkeypatch):
     # negative control: every word acting as the identity on every window
-    window_action = loday._window_rows
+    window_action = conftest._window_rows
     monkeypatch.setattr(
-        loday,
+        conftest,
         "_window_rows",
         lambda n, i, coords: tuple((r, 1) for r in range(len(window_action(n, i, coords)))),
     )
@@ -527,7 +527,7 @@ def test_lemma_trace_fails_when_one_summand_matrix_is_perturbed(monkeypatch):
     z = build_Z(3, QQ)
     g1 = gen_g(3, 1)
     perturbed = MonoidAlgElem(QQ, 3, {**z.terms, g1: QQ.add(z.terms[g1], QQ.one)})
-    monkeypatch.setattr(loday, "build_Z", lambda n, field: perturbed)
+    monkeypatch.setattr(conftest, "build_Z", lambda n, field: perturbed)
     trace = lemma_proof_trace(3, 2, QQ)
     assert trace.summand_annihilation_ok is False
     assert trace.intertwining_ok and trace.off_window_identity_ok
@@ -542,7 +542,8 @@ def test_lemma_trace_fails_when_one_z_coefficient_is_flipped(monkeypatch, word):
     z = build_Z(n, QQ)
     w = gen_g(n, 1) if word == "g1" else gen_g(n, 1) * gen_g(n, 2)
     flipped = MonoidAlgElem(QQ, n, {**z.terms, w: QQ.neg(z.terms[w])})
-    monkeypatch.setattr(loday, "build_Z", lambda n, field: flipped)
+    monkeypatch.setattr(conftest, "build_Z", lambda n, field: flipped)
+    monkeypatch.setattr(loday, "build_Z", lambda n, field: flipped)  # the walk's Z
     trace = lemma_proof_trace(n, n - 1, QQ)
     assert trace.summand_annihilation_ok is False and trace.passed is False
     assert trace.intertwining_ok and trace.off_window_identity_ok and trace.left_inverse_verified
@@ -568,7 +569,7 @@ def test_lemma_trace_fails_when_gen_g_moves_a_foreign_window(monkeypatch, field,
 
         with monkeypatch.context() as patch:
             patch.setattr(monoid, "gen_g", moving)
-            patch.setattr(loday, "gen_g", moving)
+            patch.setattr(conftest, "gen_g", moving)
             trace = lemma_proof_trace(n, n - 1, field)
             assert trace.summand_annihilation_ok is False and trace.passed is False, n
             assert trace.intertwining_ok, n
@@ -579,13 +580,13 @@ def test_lemma_trace_builds_two_window_matrices_per_window(monkeypatch):
     # a window matrix reads the window's three coordinates only, and Z's
     # words take two values there (with or without g_i)
     built = []
-    window_action = loday._window_rows
+    window_action = conftest._window_rows
 
     def recording(n, i, coords):
         built.append((i, coords))
         return window_action(n, i, coords)
 
-    monkeypatch.setattr(loday, "_window_rows", recording)
+    monkeypatch.setattr(conftest, "_window_rows", recording)
     assert lemma_proof_trace(4, 2, GF(2)).passed
     assert sorted(built) == [(i, (1, c, 1)) for i in range(1, 5) for c in (0, 1)]
 
@@ -596,10 +597,10 @@ def test_lemma_trace_fails_when_one_z_word_does_not_intertwine(monkeypatch, side
     # the strip matrix of g_1 g_2 alone, a word that is no generator, or on
     # the window-3 matrix of the words with g_3, which the off-window step never reads
     word = gen_g(3, 1) * gen_g(3, 2)
-    window_action, action = loday._window_rows, loday._action_rows
+    window_action, action = conftest._window_rows, loday._action_rows
     if side == "window":
         monkeypatch.setattr(
-            loday,
+            conftest,
             "_window_rows",
             lambda n, i, coords: bumped_row(window_action(n, i, coords))
             if (i, coords) == (3, gen_g(3, 3).coords[4:7])
@@ -622,11 +623,14 @@ def test_lemma_trace_requires_power_below_level():
         lemma_proof_trace(2, 2, QQ)
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2)])
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_lemma_trace_passes_where_the_walk_is_zero(field, n):
-    # differential test, with the walk as the oracle: the trace proves every
-    # power p <= n - 1, and the walk finds the strip family zero at each
+    # differential test on the strip, with the window argument and the walk
+    # as oracles: the certificate and the trace each prove every power
+    # p <= n - 1, and the walk finds the strip family zero at each
+    strip = loday.alternating_certificate(build_Z(n, field), lambda w: loday._action_rows(n, w, None, "B"))
+    assert strip is None
     assert lemma_proof_trace(n, n - 1, field).passed
     assert all(lemma_check(n, p, field) for p in range(1, n))
 
@@ -1061,9 +1065,8 @@ def test_iso_fails_when_a_twist_word_acts_as_another(monkeypatch, field):
 def test_iso_builds_each_strip_matrix_once_per_word(monkeypatch, field, n):
     # B_w does not depend on the sign, so both signs' squares of a word
     # share one strip row map: one build per distinct word of T, T.T, Z and
-    # Z.Z, that is the 2^n - 1 words of T and the 2^n of Z; the lemma's
-    # trace, which certifies the alternating family, reads Z's strip row
-    # maps from the squares and builds none
+    # Z.Z, that is the 2^n - 1 words of T and the 2^n of Z; the certificate
+    # of the alternating family reads crown row maps and builds none
     action, built = loday._action_rows, []
 
     def counting(n, w, s, target):
@@ -1293,10 +1296,8 @@ def test_iso_composes_linearly_in_the_words_and_walks_no_alternating_family(monk
     # per (word, sign), two products each: T's 7 words and T.T's 7 on each
     # sign, and the identity on each sign, the one word of Z.Z = Z that
     # T.T = 1 - Z lacks; 30 squares, where the pairwise composites took
-    # 7^2 + 8^2 per sign.  The lemma's trace adds its left inverse, one
-    # product, and its intertwining, two row-map products per window for
-    # each of Z's 8 words.  Z's crown family is certified from the trace
-    # and the squares, and no family is walked
+    # 7^2 + 8^2 per sign.  Z's crown family is certified on each crown's
+    # row maps, with no product, and no family is walked
     n = 3
     composes, walks = [], []
     compose, walk = loday.rows_compose, loday.tensor_sum_prefixes
@@ -1309,53 +1310,82 @@ def test_iso_composes_linearly_in_the_words_and_walks_no_alternating_family(monk
     monkeypatch.setattr(loday, "tensor_sum_prefixes", lambda field, family, p: walks.append(family) or walk(field, family, p))
     report = iso_check(n, field)
     assert report.status == "PASS" and report.control.status == "FAIL"
-    assert len(composes) == 61 + 2 * n * 2**n
+    assert len(composes) == 60
     assert walks == []
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2)])
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_certified_alternating_family_matches_its_walk(monkeypatch, field, n):
-    # differential test, with the walk as the oracle: the certificate sets
-    # alt_zero on both signs without a walk, to what the walk, run here on
-    # Z's crown word matrices, reads
+    # differential test, with the walk as the oracle: the certificate holds
+    # on both crowns and sets alt_zero on both signs without a walk, to what
+    # the walk, run here on Z's crown word matrices, reads
     with monkeypatch.context() as patch:
         patch.setattr(loday, "tensor_sum_prefixes", lambda *args: pytest.fail("walked while certifying"))
         families = loday._CrownFamilies(n, field, loday.DEFAULT_TENSOR_CAP)
     for s in (1, -1):
+        assert loday.alternating_certificate(families.z, lambda w: families.rows(w, s)) is None, s
         walked = loday._zero_powers(field, families.terms(families.z, s), n - 1)
         assert families.alt_zero[s] == walked == [True] * (n - 1), s
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2)])
-@pytest.mark.parametrize("premise", ["trace", "projection", "square"])
-def test_the_alternating_family_is_walked_where_its_certificate_premise_fails(monkeypatch, field, premise):
-    # the certificate needs the lemma's trace, F_s injective and every Z
-    # word's square on s: with the trace failing (one window matrix with an
-    # entry more) or neither projection injective, the family is walked on
-    # both signs; with the identity word's crown matrix perturbed on sign -1
-    # alone, on that sign alone, where the walk then finds it nonzero
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_negative_control_fails_the_alternating_certificate(monkeypatch, field, n):
+    # each control fails the certificate on the strip and on both crowns,
+    # and the walk confirms that it makes Z's family nonzero at some power
+    # p <= n - 1: a Z-level control at the subsets and coefficients, a
+    # row-level one at a word and a row, or at the shared row
+    for s in (None, 1, -1):
+        def rows(w):
+            return loday._action_rows(n, w, s, "C" if s else "B")
+
+        def walked(z):
+            return loday._zero_powers(field, [(z.terms[w], rows(w)) for w in sorted(z.terms, key=Word.sort_key)], n - 1)
+
+        for control in conftest.Z_CONTROLS:
+            if control.startswith("flip") and field == GF(2):
+                continue  # -1 = 1 there
+            z = conftest.altered_z(control, n, field)
+            assert loday.alternating_certificate(z, rows) is not None, (s, control)
+            assert not all(walked(z)), (s, control)
+        for control in conftest.ROW_CONTROLS:
+            with monkeypatch.context() as patch:
+                conftest.row_control(patch, control, (s,))
+                z = build_Z(n, field)
+                witness = loday.alternating_certificate(z, rows)
+                assert not all(walked(z)), (s, control)
+            if control == "overlap":
+                assert witness == "Delta_1 and Delta_2 share row 2", s
+            else:
+                word = Word.identity(n) if control == "identity" else gen_g(n, 1) * gen_g(n, n)
+                subset = "{}" if control == "identity" else "{1, %d}" % n
+                row = 0 if control == "identity" else 2
+                assert witness == f"word {word} differs from I - sum of Delta_i, i in {subset}, at row {row}", s
+
+
+@pytest.mark.parametrize("field, control", [
+    (field, control)
+    for field in (QQ, GF(2))
+    for control in conftest.ROW_CONTROLS + conftest.Z_CONTROLS
+    if not (control.startswith("flip") and field == GF(2))  # -1 = 1 there
+])
+def test_the_alternating_family_is_walked_where_its_certificate_fails(monkeypatch, field, control):
+    # a row-level control on sign -1 alone makes iso walk Z's family on that
+    # sign alone, and a Z-level one on both; the walk then finds it nonzero
     n = 2
-    if premise == "trace":
-        window_action = loday._window_rows
-
-        def bumped(n, i, coords):
-            rows = window_action(n, i, coords)
-            return bumped_row(rows) if i == 1 else rows
-
-        monkeypatch.setattr(loday, "_window_rows", bumped)
-    elif premise == "projection":
-        rank, projections = loday.rows_rank, [loday._projection_rows(n, s) for s in (1, -1)]
-        monkeypatch.setattr(loday, "rows_rank", lambda rows, field: rank(rows, field) - (rows in projections))
+    if control in conftest.ROW_CONTROLS:
+        conftest.row_control(monkeypatch, control, (-1,))
     else:
-        perturb_crown_word(monkeypatch, Word.identity(n), signs=(-1,))
+        z = conftest.altered_z(control, n, field)
+        monkeypatch.setattr(loday, "build_Z", lambda n, field: z)
     walks, walk = [], loday.tensor_sum_prefixes
     monkeypatch.setattr(loday, "tensor_sum_prefixes", lambda field, family, p: walks.append(family) or walk(field, family, p))
     families = loday._CrownFamilies(n, field, loday.DEFAULT_TENSOR_CAP)
     walked = [s for s in (1, -1) if families.terms(families.z, s) in walks]
-    assert walked == ([-1] if premise == "square" else [1, -1])
+    assert walked == ([-1] if control in conftest.ROW_CONTROLS else [1, -1])
     assert len(walks) == len(walked)
-    assert families.alt_zero == {1: [True], -1: [premise != "square"]}
+    assert families.alt_zero == {s: [s not in walked] for s in (1, -1)}
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])

@@ -10,6 +10,7 @@ from crown.fields import GF, QQ
 from crown.graph_algebra import q_rows, rows_equal, sign_rows
 from crown.graphs import act_on_B, act_on_C, build_B, build_F, graph_new, morphism_new
 from crown.monoid import Word, wn_enumerate
+from conftest import _window_rows
 
 
 def window_morphism(n, i, coords):
@@ -43,10 +44,10 @@ def test_planned_window_rows_match_the_morphism_path(n):
                 expected = q_rows(window_morphism(n, i, coords))
             except (NotAMorphism, ValueError):
                 with pytest.raises(NotAMorphism):
-                    loday._window_rows(n, i, coords)
+                    _window_rows(n, i, coords)
                 assert coords not in windows, (i, coords)
             else:
-                assert loday._window_rows(n, i, coords) == expected, (i, coords)
+                assert _window_rows(n, i, coords) == expected, (i, coords)
                 assert coords in windows, (i, coords)
 
 
